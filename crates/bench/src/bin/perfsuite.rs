@@ -22,6 +22,12 @@
 //! * active-lane compaction: fixed-budget batch-64 masked sweeps at 1/8/
 //!   32 active lanes, compacted vs uncompacted (asserted bitwise
 //!   identical) against a scalar single-RHS reference;
+//! * the pillar-lattice (coarse) path: a `TableCircuit` preset, whose
+//!   pads sit on about one pillar in 25, so every outer iteration runs the
+//!   coarse lattice solve — warm single-solve time and warm batch-16
+//!   per-RHS time against warm sequential per-RHS time, **asserting zero
+//!   allocator calls** on both warm requests (the other blocks build a
+//!   pad on every pillar and never run that solve);
 //! * the `Session` lifecycle: warm single, batch-64, and 24-step
 //!   `solve_steps` requests on one prefactored session, **asserting zero
 //!   allocator calls** per warm request (bitwise behavior is pinned by
@@ -83,7 +89,7 @@ use voltprop_core::{
     Backend, Deadline, FnWaveform, LoadCase, LoadSet, Session, SessionError, SharedSession,
     SolveParams, TraceSink, TransientParams, TransientReport, TryCheckout, VpConfig,
 };
-use voltprop_grid::Stack3d;
+use voltprop_grid::{Stack3d, TableCircuit};
 use voltprop_solvers::rowbased::{RbWorkspace, RowBased, TierProblem};
 use voltprop_solvers::SolverError;
 use voltprop_solvers::{LaneReport, ParDispatch, SweepSchedule, TierEngine};
@@ -394,6 +400,103 @@ fn batch_block(w: usize, h: usize, tiers: usize, batch_sizes: &[usize]) -> Strin
         json_f64(seq_ms_per_rhs),
         batch_lines.join(",\n"),
         json_f64(speedup_largest_vs_1),
+        json_f64(worst_dv),
+    )
+}
+
+/// The coarse-path experiment on a Table-I preset at `parallelism`: the
+/// warm single-solve time, then warm per-RHS times of `k` sequential
+/// solves and of one `k`-lane batch over the same loads, with zero
+/// allocator calls asserted on the warm single and batched requests and
+/// the batch lanes checked against the sequential solves (≤ 1e-12 V;
+/// bitwise by construction).
+fn table_circuit_block(circuit: TableCircuit, k: usize, parallelism: usize) -> String {
+    eprintln!("table circuit {circuit} (batch {k}, parallelism {parallelism})...");
+    let stack = circuit.build(1).expect("preset builds");
+    let nn = stack.num_nodes();
+    let pillars = stack.tsv_sites().len();
+    let pads = stack
+        .tsv_sites()
+        .iter()
+        .filter(|&&(x, y)| stack.is_pad(x as usize, y as usize))
+        .count();
+    let loads = sweep_loads(&stack, k);
+    let lane_stacks: Vec<Stack3d> = (0..k)
+        .map(|j| {
+            let mut s = stack.clone();
+            s.set_loads(loads[j * nn..(j + 1) * nn].to_vec())
+                .expect("lane loads");
+            s
+        })
+        .collect();
+    let mut session =
+        Session::build(&stack, VpConfig::new().parallelism(parallelism)).expect("session builds");
+
+    let case = LoadCase::new(&stack);
+    session.solve(&case).expect("warm solve converges");
+    let calls_before = alloc::alloc_calls();
+    let start = Instant::now();
+    let report = *session.solve(&case).expect("timed solve").report();
+    let single_ms = start.elapsed().as_secs_f64() * 1e3;
+    let single_allocs = alloc::alloc_calls() - calls_before;
+    assert_eq!(
+        single_allocs, 0,
+        "{circuit}: warm single solve must not allocate"
+    );
+    assert!(report.converged, "{circuit}: single solve converges");
+
+    let mut seq_voltages = Vec::with_capacity(k);
+    let start = Instant::now();
+    for lane_stack in &lane_stacks {
+        let view = session
+            .solve(&LoadCase::new(lane_stack))
+            .expect("sequential solve");
+        seq_voltages.push(view.voltages().to_vec());
+    }
+    let seq_ms_per_rhs = start.elapsed().as_secs_f64() * 1e3 / k as f64;
+
+    let set = LoadSet::new(&stack, &loads);
+    session.solve_batch(&set).expect("warm batch");
+    let calls_before = alloc::alloc_calls();
+    let start = Instant::now();
+    let view = session.solve_batch(&set).expect("timed batch");
+    let batch_ms = start.elapsed().as_secs_f64() * 1e3;
+    let batch_allocs = alloc::alloc_calls() - calls_before;
+    assert_eq!(batch_allocs, 0, "{circuit}: warm batch must not allocate");
+    assert!(view.converged(), "{circuit}: every lane converges");
+    let mut worst_dv = 0.0f64;
+    for (j, seq_v) in seq_voltages.iter().enumerate() {
+        worst_dv = worst_dv.max(max_abs_diff(
+            view.lane_voltages(j).expect("lane in range"),
+            seq_v,
+        ));
+    }
+    assert!(
+        worst_dv <= 1e-12,
+        "{circuit}: batch deviates {worst_dv} V from the sequential solves"
+    );
+    let batch_ms_per_rhs = batch_ms / k as f64;
+    format!(
+        "{{\n    \"circuit\": \"{circuit}\",\n    \"grid\": \"{}x{}x{}\",\n    {},\n    \
+         \"pillars\": {pillars},\n    \"pads\": {pads},\n    \
+         \"single_warm_ms\": {},\n    \"outer_iterations\": {},\n    \
+         \"inner_sweeps\": {},\n    \"single_warm_alloc_calls\": {single_allocs},\n    \
+         \"sequential_warm_ms_per_rhs\": {},\n    \"batch\": {k},\n    \
+         \"batch_warm_ms\": {},\n    \"batch_ms_per_rhs\": {},\n    \
+         \"batch_warm_alloc_calls\": {batch_allocs},\n    \
+         \"per_rhs_speedup_batch_vs_sequential\": {},\n    \
+         \"max_abs_dv_batch_vs_sequential\": {}\n  }}",
+        stack.width(),
+        stack.height(),
+        stack.tiers(),
+        hardware_context_json(parallelism),
+        json_f64(single_ms),
+        report.outer_iterations,
+        report.inner_sweeps,
+        json_f64(seq_ms_per_rhs),
+        json_f64(batch_ms),
+        json_f64(batch_ms_per_rhs),
+        json_f64(seq_ms_per_rhs / batch_ms_per_rhs),
         json_f64(worst_dv),
     )
 }
@@ -1659,6 +1762,20 @@ fn main() {
         vec![kernels_block(256, 64, 24, 1 << 20)]
     };
 
+    // The coarse pillar-lattice path on a Table-I preset (sparse pads),
+    // at the parallelism the end-to-end benchmark serves it with. It
+    // runs last, so the blocks above run in the same process state as
+    // in the entries before it.
+    let table_blocks = [table_circuit_block(
+        if quick {
+            TableCircuit::C1
+        } else {
+            TableCircuit::C2
+        },
+        16,
+        2,
+    )];
+
     let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -1668,7 +1785,8 @@ fn main() {
         "{{\n  \"unix_time\": {unix_time},\n  \"quick\": {quick},\n  \
          \"hardware_threads\": {hardware_threads},\n  \
          \"row_sweeps\": [\n  {}\n  ],\n  \"vp_solver\": [\n  {}\n  ],\n  \
-         \"vp_batch\": [\n  {}\n  ],\n  \"pool_latency\": [\n  {}\n  ],\n  \
+         \"vp_batch\": [\n  {}\n  ],\n  \"table_circuit\": [\n  {}\n  ],\n  \
+         \"pool_latency\": [\n  {}\n  ],\n  \
          \"batch_compaction\": [\n  {}\n  ],\n  \"session\": [\n  {}\n  ],\n  \
          \"transient\": [\n  {}\n  ],\n  \
          \"pcg\": [\n  {}\n  ],\n  \"concurrency\": [\n  {}\n  ],\n  \
@@ -1677,6 +1795,7 @@ fn main() {
         row_blocks.join(",\n  "),
         vp_blocks.join(",\n  "),
         batch_blocks.join(",\n  "),
+        table_blocks.join(",\n  "),
         pool_blocks.join(",\n  "),
         compaction_blocks.join(",\n  "),
         session_blocks.join(",\n  "),

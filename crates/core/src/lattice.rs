@@ -10,34 +10,45 @@
 //! correction field is fed back into the layer-0 guesses.
 //!
 //! For uniform TSV patterns the pillars form a complete coarse grid, and
-//! the distribution is itself a (tiny) row-based solve — the same kernel
-//! the tier solves use. Irregular patterns fall back to a diagonally
-//! scaled correction, which converges more slowly but never fails.
+//! the distribution is a row-based solve on it. That solve is not tiny —
+//! a Table-I C3 stack has a 289×289 lattice of 83,521 nodes — and it
+//! runs on every outer iteration of every lane, while its matrix depends
+//! only on the geometry. So [`PillarLattice::build`] factors it once into
+//! a prefactored [`TierEngine`], and every correction is
+//! substitution-only red-black sweeps (ω = 1.5, zero start, 1e-7 V
+//! update tolerance) on the session's worker threads. Stacks with a pad
+//! on every pillar need no coarse solve (every correction is a Dirichlet
+//! value) and build no engine. Irregular patterns fall back to a
+//! diagonally scaled correction, which converges more slowly but never
+//! fails.
+
+use std::sync::Arc;
 
 use voltprop_grid::Stack3d;
-use voltprop_solvers::rowbased::{RbWorkspace, RowBased, TierProblem};
+use voltprop_solvers::{SolverError, SweepSchedule, TierEngine};
 
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // one lattice per solve; Grid carries its scratch
+/// SOR factor of the coarse correction solve.
+const COARSE_OMEGA: f64 = 1.5;
+/// Largest per-sweep voltage update (V) at which the coarse solve stops.
+const COARSE_TOLERANCE: f64 = 1e-7;
+/// Sweep budget of one coarse solve; an exhausted budget leaves a
+/// best-effort correction that the outer loop damps.
+const COARSE_MAX_SWEEPS: usize = 100_000;
+
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one lattice per scratch; Grid carries the coarse engine
 pub(crate) enum PillarLattice {
     /// Pillars form a complete `cw × ch` grid.
     Grid {
-        cw: usize,
-        ch: usize,
-        /// Effective pillar-to-pillar conductance along x (all tiers).
-        c_x: f64,
-        /// Effective pillar-to-pillar conductance along y (all tiers).
-        c_y: f64,
-        /// Coarse pad mask.
-        fixed: Vec<bool>,
-        any_interior: bool,
-        /// Reusable coarse-solve scratch: injection vector, zero
-        /// extra-diagonal, and row-sweep workspace. Hoisted here so
-        /// [`PillarLattice::correction`] stays allocation-free inside the
-        /// solver's outer loop.
+        /// Coarse pad mask (row-major over the `cw × ch` lattice).
+        fixed: Arc<[bool]>,
+        /// The prefactored coarse solve; `None` when every pillar has a
+        /// pad.
+        engine: Option<TierEngine>,
+        /// Reusable coarse injection vector, so
+        /// [`PillarLattice::correction`] stays allocation-free inside
+        /// the solver's outer loop.
         injection: Vec<f64>,
-        zeros: Vec<f64>,
-        ws: RbWorkspace,
     },
     /// Irregular pillar pattern: diagonal scaling only.
     Diagonal {
@@ -53,7 +64,19 @@ pub(crate) enum PillarLattice {
 }
 
 impl PillarLattice {
-    pub(crate) fn build(stack: &Stack3d, sites: &[(u32, u32)], is_pad_site: &[bool]) -> Self {
+    /// Builds the lattice for the stack's pillar `sites`, prefactoring
+    /// the coarse solve (red-black on `parallelism` threads) when the
+    /// sites form a complete grid with at least one pad-less pillar.
+    ///
+    /// # Errors
+    ///
+    /// See [`TierEngine::new`].
+    pub(crate) fn build(
+        stack: &Stack3d,
+        sites: &[(u32, u32)],
+        is_pad_site: &[bool],
+        parallelism: usize,
+    ) -> Result<Self, SolverError> {
         let g_local: f64 = (0..stack.tiers())
             .map(|t| 2.0 / stack.r_horizontal(t) + 2.0 / stack.r_vertical(t))
             .sum();
@@ -75,59 +98,88 @@ impl PillarLattice {
                 .enumerate()
                 .all(|(k, &(x, y))| xs[k % cw] == x && ys[k / cw] == y);
             if consistent {
+                // Effective pillar-to-pillar conductances (all tiers).
                 let c_x: f64 = (0..stack.tiers())
                     .map(|t| 1.0 / stack.r_horizontal(t))
                     .sum();
                 let c_y: f64 = (0..stack.tiers()).map(|t| 1.0 / stack.r_vertical(t)).sum();
-                let any_interior = is_pad_site.iter().any(|&p| !p);
-                let n = sites.len();
-                return PillarLattice::Grid {
-                    cw,
-                    ch: ys.len(),
-                    c_x,
-                    c_y,
-                    fixed: is_pad_site.to_vec(),
-                    any_interior,
-                    injection: vec![0.0; n],
-                    zeros: vec![0.0; n],
-                    ws: RbWorkspace::new(cw),
+                let fixed: Arc<[bool]> = is_pad_site.into();
+                let engine = if is_pad_site.iter().any(|&p| !p) {
+                    Some(TierEngine::new(
+                        cw,
+                        ys.len(),
+                        c_x,
+                        c_y,
+                        Arc::clone(&fixed),
+                        None,
+                        SweepSchedule::RedBlack {
+                            threads: parallelism.max(1),
+                        },
+                    )?)
+                } else {
+                    None
                 };
+                return Ok(PillarLattice::Grid {
+                    fixed,
+                    engine,
+                    injection: vec![0.0; sites.len()],
+                });
             }
         }
         let c_total: f64 = (0..stack.tiers())
             .map(|t| 1.0 / stack.r_horizontal(t) + 1.0 / stack.r_vertical(t))
             .sum();
         let extent = stack.width().max(stack.height()) as f64;
-        PillarLattice::Diagonal {
+        Ok(PillarLattice::Diagonal {
             is_pad: is_pad_site.to_vec(),
             g_local,
             r_bound: 1.5 * (1.0 + extent).ln() / c_total,
+        })
+    }
+
+    /// A lattice sharing this one's coarse factors (see
+    /// [`TierEngine::fork`]) with fresh solve scratch.
+    #[must_use]
+    pub(crate) fn fork(&self) -> PillarLattice {
+        match self {
+            PillarLattice::Grid {
+                fixed,
+                engine,
+                injection,
+            } => PillarLattice::Grid {
+                fixed: Arc::clone(fixed),
+                engine: engine.as_ref().map(TierEngine::fork),
+                injection: vec![0.0; injection.len()],
+            },
+            PillarLattice::Diagonal {
+                is_pad,
+                g_local,
+                r_bound,
+            } => PillarLattice::Diagonal {
+                is_pad: is_pad.clone(),
+                g_local: *g_local,
+                r_bound: *r_bound,
+            },
         }
     }
 
     /// Turns the raw mismatch vector (volts at pads, amperes elsewhere)
     /// into a per-pillar voltage correction, returning the worst
     /// correction magnitude (the outer convergence measure). Performs no
-    /// heap allocation (the coarse-solve scratch lives in the lattice).
+    /// heap allocation once the worker pool is warm (the coarse-solve
+    /// scratch lives in the lattice).
     ///
     /// `out` must have the same length as `mismatch`.
     pub(crate) fn correction(&mut self, mismatch: &[f64], out: &mut [f64]) -> f64 {
         match self {
             PillarLattice::Grid {
-                cw,
-                ch,
-                c_x,
-                c_y,
                 fixed,
-                any_interior,
+                engine,
                 injection,
-                zeros,
-                ws,
             } => {
-                let n = *cw * *ch;
-                debug_assert_eq!(mismatch.len(), n);
+                debug_assert_eq!(mismatch.len(), fixed.len());
                 // Dirichlet values at pads; interior driven by -excess.
-                for k in 0..n {
+                for k in 0..fixed.len() {
                     if fixed[k] {
                         out[k] = mismatch[k];
                         injection[k] = 0.0;
@@ -136,26 +188,17 @@ impl PillarLattice {
                         injection[k] = -mismatch[k];
                     }
                 }
-                if *any_interior {
-                    let problem = TierProblem {
-                        width: *cw,
-                        height: *ch,
-                        g_h: *c_x,
-                        g_v: *c_y,
-                        fixed,
-                        extra_diag: zeros,
-                        injection,
-                    };
-                    let rb = RowBased {
-                        omega: 1.5,
-                        tolerance: 1e-7,
-                        max_sweeps: 100_000,
-                        alternate: true,
-                    };
+                if let Some(engine) = engine {
                     // The coarse solve cannot fail structurally; treat a
-                    // non-converged coarse sweep as a best-effort
+                    // non-converged coarse solve as a best-effort
                     // correction (the outer loop damps it).
-                    let _ = rb.solve_tier_with(&problem, out, ws);
+                    let _ = engine.solve_with_omega(
+                        injection,
+                        out,
+                        COARSE_TOLERANCE,
+                        COARSE_MAX_SWEEPS,
+                        COARSE_OMEGA,
+                    );
                 }
                 out.iter().fold(0.0f64, |m, v| m.max(v.abs()))
             }
@@ -182,16 +225,18 @@ impl PillarLattice {
         }
     }
 
-    /// Estimated heap footprint in bytes.
+    /// Estimated heap footprint in bytes, the coarse factors included.
     pub(crate) fn memory_bytes(&self) -> usize {
         match self {
             PillarLattice::Grid {
                 fixed,
+                engine,
                 injection,
-                zeros,
-                ws,
-                ..
-            } => fixed.len() + (injection.len() + zeros.len()) * 8 + ws.memory_bytes(),
+            } => {
+                fixed.len()
+                    + injection.len() * 8
+                    + engine.as_ref().map_or(0, TierEngine::memory_bytes)
+            }
             PillarLattice::Diagonal { is_pad, .. } => is_pad.len(),
         }
     }
@@ -200,7 +245,8 @@ impl PillarLattice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use voltprop_grid::TsvPattern;
+    use voltprop_grid::{TableCircuit, TsvPattern};
+    use voltprop_solvers::rowbased::{RowBased, TierProblem};
 
     fn stack(pattern: TsvPattern) -> Stack3d {
         Stack3d::builder(12, 12, 3)
@@ -217,12 +263,18 @@ mod tests {
             .collect()
     }
 
+    fn build(s: &Stack3d, parallelism: usize) -> PillarLattice {
+        PillarLattice::build(s, s.tsv_sites(), &pads_of(s), parallelism).unwrap()
+    }
+
     #[test]
     fn uniform_pattern_builds_grid_lattice() {
         let s = stack(TsvPattern::Uniform { pitch: 2 });
-        let pads = pads_of(&s);
-        let lat = PillarLattice::build(&s, s.tsv_sites(), &pads);
-        assert!(matches!(lat, PillarLattice::Grid { cw: 6, ch: 6, .. }));
+        let lat = build(&s, 1);
+        assert!(matches!(
+            &lat,
+            PillarLattice::Grid { fixed, engine: Some(_), .. } if fixed.len() == 36
+        ));
     }
 
     #[test]
@@ -248,8 +300,7 @@ mod tests {
                     .unwrap()
             }
         };
-        let pads = pads_of(&s);
-        let lat = PillarLattice::build(&s, s.tsv_sites(), &pads);
+        let lat = build(&s, 1);
         assert!(matches!(lat, PillarLattice::Diagonal { .. }));
     }
 
@@ -258,7 +309,9 @@ mod tests {
         let s = Stack3d::builder(8, 8, 2).build().unwrap(); // pads everywhere
         let pads = pads_of(&s);
         assert!(pads.iter().all(|&p| p));
-        let mut lat = PillarLattice::build(&s, s.tsv_sites(), &pads);
+        let mut lat = build(&s, 1);
+        // Nothing to solve on the coarse lattice: no engine is built.
+        assert!(matches!(lat, PillarLattice::Grid { engine: None, .. }));
         let mismatch = vec![1e-3; pads.len()];
         let mut out = vec![0.0; pads.len()];
         let worst = lat.correction(&mismatch, &mut out);
@@ -270,7 +323,7 @@ mod tests {
     fn interior_excess_produces_negative_correction() {
         let s = stack(TsvPattern::Uniform { pitch: 2 });
         let pads = pads_of(&s);
-        let mut lat = PillarLattice::build(&s, s.tsv_sites(), &pads);
+        let mut lat = build(&s, 1);
         let n = pads.len();
         // One interior pillar asks 1 mA too much of the package.
         let mut mismatch = vec![0.0; n];
@@ -280,5 +333,77 @@ mod tests {
         let worst = lat.correction(&mismatch, &mut out);
         assert!(out[interior] < 0.0, "guess must come down");
         assert!(worst > 0.0);
+    }
+
+    #[test]
+    fn engine_correction_matches_rowbased_reference_on_c0_lattice() {
+        // The C0 preset: 100×100×3, pillars at pitch 2 (a 50×50 coarse
+        // lattice), pads on every fifth pillar row and column (one pillar
+        // in 25).
+        let s = TableCircuit::C0.build(3).unwrap();
+        let pads = pads_of(&s);
+        let n = pads.len();
+        assert_eq!(n, 2500);
+        assert!(pads.iter().any(|&p| p) && pads.iter().any(|&p| !p));
+        // A first-pass-like mismatch: millivolt gaps at the pads, tenths
+        // of a milliampere of excess at the pad-less pillars.
+        let mismatch: Vec<f64> = (0..n)
+            .map(|k| {
+                let r = ((k * 7919) % 1000) as f64 / 1000.0;
+                if pads[k] {
+                    (r - 0.5) * 4e-3
+                } else {
+                    (0.2 + r) * 5e-4
+                }
+            })
+            .collect();
+
+        // The reference: the re-eliminating kernel at the same ω,
+        // tolerance and zero start, in the paper's alternating order.
+        let (c_x, c_y) = (0..s.tiers()).fold((0.0, 0.0), |(cx, cy), t| {
+            (cx + 1.0 / s.r_horizontal(t), cy + 1.0 / s.r_vertical(t))
+        });
+        let mut want: Vec<f64> = (0..n)
+            .map(|k| if pads[k] { mismatch[k] } else { 0.0 })
+            .collect();
+        let injection: Vec<f64> = (0..n)
+            .map(|k| if pads[k] { 0.0 } else { -mismatch[k] })
+            .collect();
+        let zeros = vec![0.0; n];
+        let problem = TierProblem {
+            width: 50,
+            height: 50,
+            g_h: c_x,
+            g_v: c_y,
+            fixed: &pads,
+            extra_diag: &zeros,
+            injection: &injection,
+        };
+        RowBased {
+            omega: COARSE_OMEGA,
+            tolerance: COARSE_TOLERANCE,
+            max_sweeps: COARSE_MAX_SWEEPS,
+            alternate: true,
+        }
+        .solve_tier(&problem, &mut want)
+        .unwrap();
+
+        for parallelism in [1, 2] {
+            let mut lat = build(&s, parallelism);
+            let mut out = vec![0.0; n];
+            let worst = lat.correction(&mismatch, &mut out);
+            let dv = out
+                .iter()
+                .zip(&want)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            assert!(dv < 1e-6, "parallelism {parallelism}: {dv:e} V off");
+            let want_worst = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!((worst - want_worst).abs() < 1e-6);
+            assert!(
+                lat.memory_bytes() > n * (1 + 8),
+                "the coarse factors are counted"
+            );
+        }
     }
 }

@@ -70,7 +70,8 @@
 //!   the heap (measured by `perfsuite`: zero allocator calls across
 //!   warm single, batch-64, and 24-step transient requests, at
 //!   `parallelism = 1` and, once the pool is warm, at any thread
-//!   count).
+//!   count). Sparse-pad stacks are no exception: the VDA's coarse
+//!   pillar-lattice solve is prefactored at build like the tiers.
 //!
 //! # Batched load sweeps and transients
 //!

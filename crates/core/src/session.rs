@@ -991,7 +991,10 @@ impl SessionCore {
 /// and the prefactored PCG reference all serve from this one handle.
 /// Warm requests perform **zero heap allocations** on the
 /// [`Backend::VoltProp`] and [`Backend::Pcg`] routes (single, batched,
-/// and transient — measured by `perfsuite`), and batched VoltProp lanes
+/// and transient — measured by `perfsuite`), on stacks with a pad on
+/// every pillar and on sparse-pad stacks alike (whose VDA runs a
+/// prefactored coarse pillar-lattice solve; pinned by the
+/// `warm_allocs` test of `voltprop-bench`), and batched VoltProp lanes
 /// are bitwise identical to the corresponding single solves.
 ///
 /// Internally a session is a frozen [`Arc`]`<`[`SessionCore`]`>` (the

@@ -39,7 +39,10 @@ pub struct VpSolver {
 /// Building the scratch is the only allocating step of a solve; once it
 /// exists, the engine loops ([`run_single`], [`run_batch`]) run the
 /// entire outer iteration — tier sweeps, pillar-current accumulation,
-/// VDA distribution, Anderson mixing — without touching the heap. This
+/// VDA distribution, Anderson mixing — without touching the heap. That
+/// holds with sparse pads too: the VDA distribution's coarse lattice
+/// solve runs on an engine prefactored here (see [`PillarLattice`]),
+/// and on the persistent worker pool once it is warm. This
 /// is internal state: [`Session`](crate::Session) absorbs one at build
 /// and serves every request from it (the former public
 /// `VpSolver::solve{_with,_batch}` shims around it were removed — see
@@ -329,7 +332,7 @@ impl VpScratch {
             .iter()
             .map(|&(g_h, g_v)| CachedTier::new(w, h, g_h, g_v, fixed.clone(), parallelism, shards))
             .collect::<Result<_, _>>()?;
-        let lattice = PillarLattice::build(stack, sites, &is_pad_site);
+        let lattice = PillarLattice::build(stack, sites, &is_pad_site, parallelism)?;
 
         // Tier-solve errors are amplified into the propagated pad voltages
         // by roughly `1 + R_TSV · G_local · (tiers-1) · C` — each volt of
@@ -374,11 +377,11 @@ impl VpScratch {
     }
 
     /// A new scratch sharing this one's frozen half with fresh per-solve
-    /// mutable state: the prefactored tier engines are shared through
-    /// [`CachedTier::fork`] (no refactorization), the pin mask `Arc` is
-    /// cloned, the pillar lattice is cloned (it carries only a tiny
-    /// coarse-solve scratch of its own), and every outer-loop buffer is
-    /// freshly allocated. The batch arena starts empty and is sized
+    /// mutable state: the prefactored tier engines and the pillar
+    /// lattice's coarse engine are shared through [`CachedTier::fork`]
+    /// and [`PillarLattice::fork`] (no refactorization), the pin mask
+    /// `Arc` is cloned, and every outer-loop buffer is freshly
+    /// allocated. The batch arena starts empty and is sized
     /// lazily on the fork's first batched solve.
     ///
     /// Forks solve independently — two forks may run concurrently from
@@ -399,7 +402,7 @@ impl VpScratch {
             site_flat: self.site_flat.clone(),
             is_pad_site: self.is_pad_site.clone(),
             fixed: Arc::clone(&self.fixed),
-            lattice: self.lattice.clone(),
+            lattice: self.lattice.as_ref().map(PillarLattice::fork),
             tier_cache: self.tier_cache.iter().map(CachedTier::fork).collect(),
             amplification: self.amplification,
             voltages: vec![0.0; self.voltages.len()],
@@ -582,7 +585,9 @@ impl VpSolver {
 /// inside a scratch that **must already match the stack's geometry**
 /// (callers check; [`Session`](crate::Session) surfaces a mismatch as
 /// `GeometryChanged`).
-/// Zero heap allocations once the scratch is warm. The request
+/// Zero heap allocations once the scratch (and, at `parallelism > 1`,
+/// the worker pool) is warm, whether or not every pillar has a pad. The
+/// request
 /// [`Deadline`](crate::Deadline) is checked once per outer iteration —
 /// the cooperative cancellation hook of this route.
 pub(crate) fn run_single(
@@ -882,7 +887,8 @@ pub(crate) fn validate_loads(nn: usize, loads: &[f64]) -> Result<usize, SolverEr
 /// arena for the lane count, and runs every lane in lockstep through the
 /// shared tier factors. The scratch **must already match the stack's
 /// geometry** (callers check). Warm calls with an unchanged lane count
-/// perform no heap allocation. The [`Deadline`](crate::Deadline) is
+/// perform no heap allocation, sparse-pad stacks included. The
+/// [`Deadline`](crate::Deadline) is
 /// checked once per lockstep outer pass (it governs the whole batch).
 pub(crate) fn run_batch(
     params: &crate::SolveParams,
@@ -936,12 +942,7 @@ fn run_batch_single_tier(
         let arena = batch.as_mut().expect("batch arena sized");
         arena.reset(params.damping);
         arena.v.fill(rail);
-        for j in 0..k {
-            let lane_loads = &loads[j * per..(j + 1) * per];
-            for i in 0..per {
-                arena.injection[i * k + j] = -sign * lane_loads[i];
-            }
-        }
+        fill_injection(&mut arena.injection, loads, per, 0, -sign, &arena.mask);
         if params.precision.resolve() == crate::Precision::MixedF32 {
             tier_cache[0].solve_batch_masked_mixed(
                 &arena.injection,
@@ -1036,40 +1037,35 @@ fn run_batch_multi(
             }
             for t in 0..tiers {
                 // Phase 3 (voltage propagation): pin this tier's pillar
-                // terminals per running lane.
+                // terminals per running lane. The batch buffers are
+                // node-major/lane-minor, so these loops (and the KCL
+                // below) walk nodes outside and lanes inside.
+                let mask = &arena.mask;
                 if t == 0 {
-                    for j in 0..k {
-                        if !arena.mask[j] {
-                            continue;
-                        }
-                        let v0_j = &arena.v0[j * ns..(j + 1) * ns];
-                        for (kk, &s) in site_flat.iter().enumerate() {
-                            arena.v[s * k + j] = v0_j[kk];
+                    for (kk, &s) in site_flat.iter().enumerate() {
+                        let row = &mut arena.v[s * k..(s + 1) * k];
+                        for j in 0..k {
+                            if mask[j] {
+                                row[j] = arena.v0[j * ns + kk];
+                            }
                         }
                     }
                 } else {
-                    for j in 0..k {
-                        if !arena.mask[j] {
-                            continue;
-                        }
-                        let pc_j = &arena.pillar_current[j * ns..(j + 1) * ns];
-                        for (kk, &s) in site_flat.iter().enumerate() {
-                            arena.v[(t * per + s) * k + j] =
-                                arena.v[((t - 1) * per + s) * k + j] + pc_j[kk] * r_tsv;
+                    let (below, here) = arena.v.split_at_mut(t * per * k);
+                    let below = &below[(t - 1) * per * k..];
+                    for (kk, &s) in site_flat.iter().enumerate() {
+                        let (src, dst) =
+                            (&below[s * k..(s + 1) * k], &mut here[s * k..(s + 1) * k]);
+                        for j in 0..k {
+                            if mask[j] {
+                                dst[j] = src[j] + arena.pillar_current[j * ns + kk] * r_tsv;
+                            }
                         }
                     }
                 }
                 // Phase 1 (intra-plane): batched row-based solve of
                 // this tier for every running lane.
-                for j in 0..k {
-                    if !arena.mask[j] {
-                        continue;
-                    }
-                    let lane_loads = &loads[j * nn + t * per..j * nn + (t + 1) * per];
-                    for i in 0..per {
-                        arena.injection[i * k + j] = -sign * lane_loads[i];
-                    }
-                }
+                fill_injection(&mut arena.injection, loads, nn, t * per, -sign, mask);
                 let tier_v = &mut arena.v[t * per * k..(t + 1) * per * k];
                 if mixed {
                     tier_cache[t].solve_batch_masked_mixed(
@@ -1111,17 +1107,15 @@ fn run_batch_multi(
                 }
                 // Phase 2 (TSV current computation) per running lane.
                 let (gh, gv) = tier_g[t];
-                for j in 0..k {
-                    if !arena.mask[j] {
-                        continue;
-                    }
-                    let tier_v = &arena.v[t * per * k..(t + 1) * per * k];
-                    let pc_j = &mut arena.pillar_current[j * ns..(j + 1) * ns];
-                    let lane_loads = &loads[j * nn + t * per..j * nn + (t + 1) * per];
-                    for (kk, &s) in site_flat.iter().enumerate() {
-                        let (x, y) = (s % w, s / w);
+                let tier_v = &arena.v[t * per * k..(t + 1) * per * k];
+                for (kk, &s) in site_flat.iter().enumerate() {
+                    let (x, y) = (s % w, s / w);
+                    for j in 0..k {
+                        if !arena.mask[j] {
+                            continue;
+                        }
                         let vj = tier_v[s * k + j];
-                        let mut out = sign * lane_loads[s];
+                        let mut out = sign * loads[j * nn + t * per + s];
                         if x > 0 {
                             out += gh * (vj - tier_v[(s - 1) * k + j]);
                         }
@@ -1134,27 +1128,35 @@ fn run_batch_multi(
                         if y + 1 < h {
                             out += gv * (vj - tier_v[(s + w) * k + j]);
                         }
-                        pc_j[kk] += out;
+                        arena.pillar_current[j * ns + kk] += out;
                     }
                 }
             }
             outer += 1;
             // Phase 4 (VDA + mixing) per running lane — the scalar
-            // logic of `run_single`, verbatim, on the lane's slices.
+            // logic of `run_single`, verbatim, on the lane's slices. The
+            // mismatches come first, in one node-outer pass over the top
+            // tier.
+            let top_v = &arena.v[top * per * k..];
+            for (kk, &s) in site_flat.iter().enumerate() {
+                for j in 0..k {
+                    if !arena.mask[j] {
+                        continue;
+                    }
+                    let pc = arena.pillar_current[j * ns + kk];
+                    arena.mismatch[j * ns + kk] = if is_pad_site[kk] {
+                        let target = rail - pc * r_pad;
+                        target - top_v[s * k + j]
+                    } else {
+                        pc // amperes of excess, not volts
+                    };
+                }
+            }
             for j in 0..k {
                 if !arena.mask[j] {
                     continue;
                 }
-                let mm = &mut arena.mismatch[j * ns..(j + 1) * ns];
-                let pc = &arena.pillar_current[j * ns..(j + 1) * ns];
-                for (kk, &s) in site_flat.iter().enumerate() {
-                    mm[kk] = if is_pad_site[kk] {
-                        let target = rail - pc[kk] * r_pad;
-                        target - arena.v[(top * per + s) * k + j]
-                    } else {
-                        pc[kk] // amperes of excess, not volts
-                    };
-                }
+                let mm = &arena.mismatch[j * ns..(j + 1) * ns];
                 let corr = &mut arena.correction[j * ns..(j + 1) * ns];
                 let worst = lattice.correction(mm, corr);
                 let st = &mut arena.state[j];
@@ -1311,16 +1313,53 @@ fn run_single_tier(
     })
 }
 
+/// Nodes per block of the lane-major ↔ node-major batch transposes: a
+/// block's node-major tile (`64 × k` values, 8 KiB at k = 16) stays in
+/// L1 while each lane's contiguous run streams through it.
+const TRANSPOSE_BLOCK: usize = 64;
+
+/// Stages `scale · loads` of every lane `mask` marks running into the
+/// node-major/lane-minor `injection` (`injection[i * k + j]`), reading
+/// lane `j`'s `injection.len() / k` loads contiguously from
+/// `loads[j * nn + offset..]` (lane-major, `nn` per lane). A blocked
+/// transpose: each element is the same single multiply as a plain
+/// strided loop, so the staged bits do not depend on the blocking.
+fn fill_injection(
+    injection: &mut [f64],
+    loads: &[f64],
+    nn: usize,
+    offset: usize,
+    scale: f64,
+    mask: &[bool],
+) {
+    let k = mask.len();
+    let per = injection.len() / k;
+    for i0 in (0..per).step_by(TRANSPOSE_BLOCK) {
+        let i1 = (i0 + TRANSPOSE_BLOCK).min(per);
+        let tile = &mut injection[i0 * k..i1 * k];
+        for j in (0..k).filter(|&j| mask[j]) {
+            let run = &loads[j * nn + offset + i0..j * nn + offset + i1];
+            for (ii, &l) in run.iter().enumerate() {
+                tile[ii * k + j] = scale * l;
+            }
+        }
+    }
+}
+
 /// Copies the node-major/lane-minor batch image (`v[i * k + j]`) into
 /// lane-major per-lane vectors (`out[j * n + i]`), so callers get each
-/// lane's solution as one contiguous slice.
+/// lane's solution as one contiguous slice. Blocked like
+/// [`fill_injection`].
 fn deinterleave(v: &[f64], out: &mut [f64], k: usize) {
     debug_assert_eq!(v.len(), out.len());
     let n = v.len() / k;
-    for j in 0..k {
-        let lane = &mut out[j * n..(j + 1) * n];
-        for (i, x) in lane.iter_mut().enumerate() {
-            *x = v[i * k + j];
+    for i0 in (0..n).step_by(TRANSPOSE_BLOCK) {
+        let i1 = (i0 + TRANSPOSE_BLOCK).min(n);
+        let tile = &v[i0 * k..i1 * k];
+        for j in 0..k {
+            for (ii, x) in out[j * n + i0..j * n + i1].iter_mut().enumerate() {
+                *x = tile[ii * k + j];
+            }
         }
     }
 }
@@ -1923,6 +1962,21 @@ mod tests {
         // Sequential and red-black (parallel) inner schedules.
         assert_batch_matches_sequential(&stack, VpConfig::new(), 3);
         assert_batch_matches_sequential(&stack, VpConfig::new().parallelism(2), 3);
+        // Sparse pads: every outer iteration of every lane runs the
+        // coarse pillar-lattice solve.
+        let sparse = Stack3d::builder(16, 16, 3)
+            .pad_lattice(4)
+            .load_profile(
+                LoadProfile::UniformRandom {
+                    min: 1e-5,
+                    max: 1e-3,
+                },
+                6,
+            )
+            .build()
+            .unwrap();
+        assert_batch_matches_sequential(&sparse, VpConfig::new(), 5);
+        assert_batch_matches_sequential(&sparse, VpConfig::new().parallelism(2), 5);
     }
 
     #[test]

@@ -106,8 +106,12 @@ impl Client {
     ///
     /// Propagates the underlying connect failure.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        // Requests go out as one write each; never hold one back for
+        // the daemon's delayed ACK.
+        stream.set_nodelay(true)?;
         Ok(Client {
-            reader: BufReader::new(TcpStream::connect(addr)?),
+            reader: BufReader::new(stream),
         })
     }
 
@@ -119,9 +123,11 @@ impl Client {
     /// Propagates socket failures; an empty read (server closed the
     /// connection) surfaces as [`std::io::ErrorKind::UnexpectedEof`].
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
         let stream = self.reader.get_mut();
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")?;
+        stream.write_all(&framed)?;
         stream.flush()?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;

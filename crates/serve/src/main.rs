@@ -496,6 +496,7 @@ fn soak_client(
             }
         };
         let _ = stream.set_read_timeout(Some(Duration::from_secs(12)));
+        let _ = stream.set_nodelay(true);
         let mut writer = match stream.try_clone() {
             Ok(clone) => clone,
             Err(_) => continue,
@@ -515,7 +516,7 @@ fn soak_client(
             // Geometry rotation: five distinct widths through a budget
             // sized for about three sessions.
             let width = 10 + (step % 5) as usize;
-            let line = match step % 8 {
+            let mut line = match step % 8 {
                 // A "well-behaved" request: default deadline, modest
                 // grid, latency measured for the p99 invariant.
                 0..=2 => format!(
@@ -535,11 +536,11 @@ fn soak_client(
                 // enough that concurrent admissions time out and shed.
                 _ => r#"{"op":"solve","stack":{"width":32,"height":32,"tiers":4,"tsv_pitch":2,"loads":6e-4},"deadline_ms":4000,"params":{"epsilon":1e-10,"inner_tolerance":1e-11,"max_inner_sweeps":4000}}"#.to_string(),
             };
+            line.push('\n');
             let well_behaved = step % 8 < 3;
             let sent_at = Instant::now();
             if writer
                 .write_all(line.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
                 .and_then(|()| writer.flush())
                 .is_err()
             {

@@ -276,6 +276,10 @@ fn accept_loop(listener: &TcpListener, addr: SocketAddr, shared: &Arc<Shared>) {
                 if shared.stop.load(Ordering::SeqCst) {
                     break;
                 }
+                // Each response goes out as one write; without this,
+                // Nagle's algorithm can hold it until the client's
+                // delayed ACK (~40 ms) arrives.
+                let _ = stream.set_nodelay(true);
                 // Reap finished handlers eagerly (join is immediate for
                 // them) so the vec tracks only live threads.
                 let mut live = Vec::with_capacity(handlers.len());
@@ -354,7 +358,7 @@ fn shed_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         )),
     );
     let _ = stream.set_write_timeout(Some(POLL_TICK));
-    let _ = write_line(&mut stream, &err.to_response());
+    let _ = write_line(&mut stream, err.to_response());
 }
 
 /// A jittered `retry_after_ms` hint in 25–75 ms: load spreads instead
@@ -485,7 +489,7 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Arc<Shared>, 
                             ErrorKind::MalformedRequest,
                             "request line stalled without a newline",
                         );
-                        let _ = write_line(&mut writer, &err.to_response());
+                        let _ = write_line(&mut writer, err.to_response());
                         return;
                     }
                     _ => {}
@@ -502,7 +506,7 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Arc<Shared>, 
                     ),
                 );
                 // Framing is unrecoverable mid-line: answer, then close.
-                let _ = write_line(&mut writer, &err.to_response());
+                let _ = write_line(&mut writer, err.to_response());
                 return;
             }
             LineRead::Line => {
@@ -518,7 +522,7 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Arc<Shared>, 
                             ErrorKind::MalformedRequest,
                             "request line is not valid UTF-8",
                         );
-                        let _ = write_line(&mut writer, &err.to_response());
+                        let _ = write_line(&mut writer, err.to_response());
                         return;
                     }
                 };
@@ -541,7 +545,7 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Arc<Shared>, 
                         (err.to_response(), false)
                     }
                 };
-                if deliver(shared, &mut writer, &response, &mut chaos_rng).is_err() {
+                if deliver(shared, &mut writer, response, &mut chaos_rng).is_err() {
                     return;
                 }
                 if stop_after {
@@ -561,7 +565,7 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Arc<Shared>, 
 fn deliver(
     shared: &Arc<Shared>,
     writer: &mut TcpStream,
-    response: &str,
+    response: String,
     rng: &mut SmallRng,
 ) -> Result<(), ()> {
     let chaos = &shared.config.chaos;
@@ -591,9 +595,11 @@ fn deliver(
     }
 }
 
-fn write_line(writer: &mut TcpStream, response: &str) -> std::io::Result<()> {
+/// Sends `response` and its newline in one write (the newline is
+/// appended to the owned line, not copied with it).
+fn write_line(writer: &mut TcpStream, mut response: String) -> std::io::Result<()> {
+    response.push('\n');
     writer.write_all(response.as_bytes())?;
-    writer.write_all(b"\n")?;
     writer.flush()
 }
 

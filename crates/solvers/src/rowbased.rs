@@ -14,10 +14,13 @@
 //! [`RowBased`] is the reference kernel: it re-eliminates every row each
 //! sweep, runs strictly sequentially, and keeps its inner loops in plain
 //! scalar f64 on purpose — it is the easy-to-audit baseline the fast
-//! paths are tested against. The production path is the prefactored
-//! [`TierEngine`] (see [`RowBased::solve_tier_scheduled`]), which
-//! factors each segment once, sweeps batched lanes through blocked FMA
-//! kernels (optionally in refined f32 — see the
+//! paths are tested against, and it serves only as that test and
+//! benchmark reference: no solve path of the workspace calls it (the
+//! voltage propagation tier solves and its pillar-lattice correction
+//! both run on prefactored engines). The production path is the
+//! prefactored [`TierEngine`] (see [`RowBased::solve_tier_scheduled`]),
+//! which factors each segment once, sweeps batched lanes through blocked
+//! FMA kernels (optionally in refined f32 — see the
 //! [engine docs](crate::engine)), and can run the red-black row coloring
 //! across threads.
 
@@ -181,8 +184,7 @@ impl RowBased {
     }
 
     /// Like [`RowBased::solve_tier`] but reusing caller-provided scratch
-    /// buffers (the voltage propagation method calls this once per layer
-    /// per outer iteration).
+    /// buffers across repeated reference solves.
     ///
     /// # Errors
     ///
@@ -262,18 +264,16 @@ impl RowBased {
         ws: &mut RbWorkspace,
         downward: bool,
     ) -> Result<f64, SolverError> {
-        let (w, h) = (problem.width, problem.height);
         let mut max_delta = 0.0f64;
-        let rows: Box<dyn Iterator<Item = usize>> = if downward {
-            Box::new(0..h)
+        if downward {
+            for y in 0..problem.height {
+                max_delta = max_delta.max(self.solve_row(problem, v, ws, y)?);
+            }
         } else {
-            Box::new((0..h).rev())
-        };
-        for y in rows {
-            let delta = self.solve_row(problem, v, ws, y)?;
-            max_delta = max_delta.max(delta);
+            for y in (0..problem.height).rev() {
+                max_delta = max_delta.max(self.solve_row(problem, v, ws, y)?);
+            }
         }
-        let _ = w;
         Ok(max_delta)
     }
 

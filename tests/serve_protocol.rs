@@ -286,3 +286,30 @@ fn shutdown_request_stops_the_daemon() {
         assert!(client.request(r#"{"op":"ping"}"#).is_err());
     }
 }
+
+#[test]
+fn serial_pings_are_not_held_by_delayed_acks() {
+    // A client that waits for every answer before sending the next
+    // request makes the peer delay its ACKs. A line split over two
+    // writes without TCP_NODELAY then stalls ~40 ms per request (Nagle
+    // holds the newline until that ACK), so 20 pings would take ~1.7 s;
+    // one write per line on no-delay sockets answers in well under 400 ms.
+    let server = start();
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert_eq!(
+        client.request(r#"{"op":"ping"}"#).unwrap(),
+        r#"{"ok":true,"pong":true}"#
+    );
+    let start = std::time::Instant::now();
+    for _ in 0..20 {
+        assert_eq!(
+            client.request(r#"{"op":"ping"}"#).unwrap(),
+            r#"{"ok":true,"pong":true}"#
+        );
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(400),
+        "20 serial pings took {elapsed:?}"
+    );
+}

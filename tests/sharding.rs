@@ -8,6 +8,11 @@
 //! Both sides of every comparison run with `parallelism(2)` so the
 //! baseline uses the red-black schedule that `shards >= 2` forces —
 //! the determinism contract is stated on `BuildParams::shards`.
+//!
+//! The default stack puts a pad on every pillar, which leaves the VDA's
+//! pillar-lattice solve nothing to do; a sparse-pad stack runs that
+//! coarse solve on every outer iteration, and must be invariant in the
+//! thread count as well as the shard count.
 
 use voltprop::{
     Backend, FnWaveform, LoadCase, LoadProfile, LoadSet, Precision, Session, SolveParams, Stack3d,
@@ -24,6 +29,22 @@ fn stack() -> Stack3d {
                 max: 1e-3,
             },
             77,
+        )
+        .build()
+        .unwrap()
+}
+
+/// Pads on one pillar in four (every other pillar row and column): the
+/// pad-less pillars are closed by the coarse pillar-lattice solve.
+fn sparse_pad_stack() -> Stack3d {
+    Stack3d::builder(16, 16, 3)
+        .pad_lattice(4)
+        .load_profile(
+            LoadProfile::UniformRandom {
+                min: 1e-5,
+                max: 1e-3,
+            },
+            78,
         )
         .build()
         .unwrap()
@@ -75,6 +96,40 @@ fn single_solves_are_shard_count_invariant() {
                     &want,
                     view.voltages(),
                     &format!("{backend:?}/{precision:?}/shards={shards}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sparse_pad_solves_are_thread_and_shard_count_invariant() {
+    let stack = sparse_pad_stack();
+    let k = 4;
+    let loads = load_sweep(&stack, k);
+    for precision in [Precision::F64, Precision::MixedF32] {
+        let params = SolveParams::new().precision(precision);
+        let case = || LoadCase::new(&stack).params(params);
+        let set = || LoadSet::new(&stack, &loads).params(params);
+        let mut base = Session::build(&stack, config(1)).unwrap();
+        let view = base.solve(&case()).unwrap();
+        assert!(view.converged());
+        let want = view.voltages().to_vec();
+        let batch = base.solve_batch(&set()).unwrap();
+        let want_lanes: Vec<Vec<f64>> = (0..k)
+            .map(|j| batch.lane_voltages(j).unwrap().to_vec())
+            .collect();
+        for (parallelism, shards) in [(4, 1), (2, 2), (4, 2), (2, 4), (4, 4)] {
+            let what = format!("{precision:?}/parallelism={parallelism}/shards={shards}");
+            let config = VpConfig::new().parallelism(parallelism).shards(shards);
+            let mut session = Session::build(&stack, config).unwrap();
+            assert_bits_eq(&want, session.solve(&case()).unwrap().voltages(), &what);
+            let got = session.solve_batch(&set()).unwrap();
+            for (j, want_lane) in want_lanes.iter().enumerate() {
+                assert_bits_eq(
+                    want_lane,
+                    got.lane_voltages(j).unwrap(),
+                    &format!("{what}/lane={j}"),
                 );
             }
         }

@@ -46,10 +46,31 @@ fn assert_bitwise(expected: &[Vec<f64>], got: &[Vec<f64>], what: &str) {
     }
 }
 
-/// Sequential reference on a plain `Session`, then the same cases fanned
-/// out over `THREADS` scoped threads on a `SharedSession`.
-fn run_determinism(backend_of: impl Fn(usize) -> Backend + Sync, precision: Precision) {
-    let stacks: Vec<Stack3d> = (0..THREADS as u64).map(case_stack).collect();
+/// [`case_stack`] with pads on one pillar in four: every VoltProp outer
+/// iteration then runs the coarse pillar-lattice solve.
+fn sparse_pad_stack(seed: u64) -> Stack3d {
+    Stack3d::builder(16, 16, 3)
+        .pad_lattice(4)
+        .load_profile(
+            LoadProfile::UniformRandom {
+                min: 5e-5,
+                max: 2e-3,
+            },
+            seed,
+        )
+        .build()
+        .expect("stack builds")
+}
+
+/// Sequential reference on a plain `Session`, then the same cases (one
+/// `stack_of` seed per thread) fanned out over `THREADS` scoped threads
+/// on a `SharedSession`.
+fn run_determinism(
+    stack_of: fn(u64) -> Stack3d,
+    backend_of: impl Fn(usize) -> Backend + Sync,
+    precision: Precision,
+) {
+    let stacks: Vec<Stack3d> = (0..THREADS as u64).map(stack_of).collect();
     let params = SolveParams::new().precision(precision);
 
     let mut session = Session::build(&stacks[0], VpConfig::default()).expect("session builds");
@@ -98,32 +119,37 @@ fn run_determinism(backend_of: impl Fn(usize) -> Backend + Sync, precision: Prec
 
 #[test]
 fn voltprop_backend_is_bitwise_deterministic_f64() {
-    run_determinism(|_| Backend::VoltProp, Precision::F64);
+    run_determinism(case_stack, |_| Backend::VoltProp, Precision::F64);
 }
 
 #[test]
 fn voltprop_backend_is_bitwise_deterministic_mixedf32() {
-    run_determinism(|_| Backend::VoltProp, Precision::MixedF32);
+    run_determinism(case_stack, |_| Backend::VoltProp, Precision::MixedF32);
+}
+
+#[test]
+fn voltprop_backend_is_bitwise_deterministic_on_sparse_pads() {
+    run_determinism(sparse_pad_stack, |_| Backend::VoltProp, Precision::F64);
 }
 
 #[test]
 fn rb3d_backend_is_bitwise_deterministic_f64() {
-    run_determinism(|_| Backend::Rb3d, Precision::F64);
+    run_determinism(case_stack, |_| Backend::Rb3d, Precision::F64);
 }
 
 #[test]
 fn rb3d_backend_is_bitwise_deterministic_mixedf32() {
-    run_determinism(|_| Backend::Rb3d, Precision::MixedF32);
+    run_determinism(case_stack, |_| Backend::Rb3d, Precision::MixedF32);
 }
 
 #[test]
 fn pcg_backend_is_bitwise_deterministic_f64() {
-    run_determinism(|_| Backend::Pcg, Precision::F64);
+    run_determinism(case_stack, |_| Backend::Pcg, Precision::F64);
 }
 
 #[test]
 fn pcg_backend_is_bitwise_deterministic_mixedf32() {
-    run_determinism(|_| Backend::Pcg, Precision::MixedF32);
+    run_determinism(case_stack, |_| Backend::Pcg, Precision::MixedF32);
 }
 
 /// Threads cycling through *different* backends on one shared session:
@@ -132,5 +158,5 @@ fn pcg_backend_is_bitwise_deterministic_mixedf32() {
 #[test]
 fn interleaved_backends_stay_bitwise_deterministic() {
     let rotation = [Backend::VoltProp, Backend::Rb3d, Backend::Pcg];
-    run_determinism(|i| rotation[i % rotation.len()], Precision::F64);
+    run_determinism(case_stack, |i| rotation[i % rotation.len()], Precision::F64);
 }
