@@ -8,8 +8,9 @@ use std::fmt::Write as _;
 
 use voltprop::solvers::residual;
 use voltprop::{
-    Backend, DirectCholesky, LoadCase, LoadProfile, LoadSet, NetKind, Pcg, Rb3d, Session,
-    SessionError, SolveParams, Stack3d, StackSolver, VpConfig,
+    Backend, DirectCholesky, FnWaveform, Integrator, LoadCase, LoadProfile, LoadSet, NetKind, Pcg,
+    Precision, Rb3d, Session, SessionError, SolveParams, Stack3d, StackSolver, TraceSink,
+    TransientParams, VpConfig, VpReport,
 };
 
 fn stack() -> Stack3d {
@@ -136,19 +137,30 @@ fn pinned_fixture_guards_bitwise_behavior() {
         "batch lane 0 must be bitwise identical to the single solve"
     );
 
+    check_fixture(
+        FIXTURE_PATH,
+        "# session_pinned fixture: f64 bit patterns, one per line.\n\
+         # Regenerate: VOLTPROP_BLESS=1 cargo test --test session pinned_fixture\n",
+        &blob,
+    );
+}
+
+/// Compares `blob` with the 64-bit patterns saved at `path` (one hex
+/// value per line, `#` comments ignored), or rewrites the file under
+/// `header` when `VOLTPROP_BLESS` is set.
+fn check_fixture(path: &str, header: &str, blob: &[u64]) {
     if std::env::var_os("VOLTPROP_BLESS").is_some() {
-        let mut out = String::with_capacity(blob.len() * 17 + 64);
-        out.push_str("# session_pinned fixture: f64 bit patterns, one per line.\n");
-        out.push_str("# Regenerate: VOLTPROP_BLESS=1 cargo test --test session pinned_fixture\n");
-        for bits in &blob {
+        let mut out = String::with_capacity(blob.len() * 17 + header.len());
+        out.push_str(header);
+        for bits in blob {
             writeln!(out, "{bits:016x}").unwrap();
         }
-        std::fs::write(FIXTURE_PATH, out).unwrap();
-        eprintln!("blessed {} values into {FIXTURE_PATH}", blob.len());
+        std::fs::write(path, out).unwrap();
+        eprintln!("blessed {} values into {path}", blob.len());
         return;
     }
 
-    let fixture = std::fs::read_to_string(FIXTURE_PATH)
+    let fixture = std::fs::read_to_string(path)
         .expect("fixture missing — run with VOLTPROP_BLESS=1 to generate");
     let expected: Vec<u64> = fixture
         .lines()
@@ -160,12 +172,142 @@ fn pinned_fixture_guards_bitwise_behavior() {
         blob.len(),
         "fixture length drifted — re-bless deliberately if intended"
     );
-    let mismatches = expected.iter().zip(&blob).filter(|(a, b)| a != b).count();
+    let mismatches = expected.iter().zip(blob).filter(|(a, b)| a != b).count();
     assert_eq!(
         mismatches,
         0,
         "{mismatches}/{} pinned values drifted bitwise — re-bless deliberately if intended",
         blob.len()
+    );
+}
+
+/// The second saved fixture: the routes `session_pinned.txt` does not
+/// reach (companion transients, the planar single-tier case, sparse pads
+/// at parallelism 1 and 2, mixed precision). Regenerate deliberately
+/// with `VOLTPROP_BLESS=1 cargo test --test session routes_fixture`.
+const ROUTES_FIXTURE_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/fixtures/routes_pinned.txt"
+);
+
+/// A report's deterministic fields (the workspace size is left out: it
+/// measures buffers, not the answer).
+fn push_report(bits: &mut Vec<u64>, r: &VpReport) {
+    bits.extend([
+        r.outer_iterations as u64,
+        r.inner_sweeps as u64,
+        r.pad_mismatch.to_bits(),
+        u64::from(r.converged),
+    ]);
+}
+
+/// One single VoltProp solve of `stack`'s own loads: voltages, pillar
+/// currents and report.
+fn push_single(bits: &mut Vec<u64>, stack: &Stack3d, config: VpConfig, params: SolveParams) {
+    let mut session = Session::build(stack, config).unwrap();
+    let view = session.solve(&LoadCase::new(stack).params(params)).unwrap();
+    assert!(view.converged());
+    bits.extend(view.voltages().iter().map(|v| v.to_bits()));
+    bits.extend(view.pillar_currents().iter().map(|c| c.to_bits()));
+    push_report(bits, view.report());
+}
+
+/// A VoltProp `transient_dynamic` run of `steps` steps whose loads
+/// scale the stack's own by a per-step factor: every node's voltage at
+/// every step, plus the run's step and iteration counts.
+fn push_transient(bits: &mut Vec<u64>, stack: &Stack3d, integrator: Integrator, steps: usize) {
+    let nn = stack.num_nodes();
+    let base = stack.loads().to_vec();
+    let mut session = Session::build(stack, VpConfig::default()).unwrap();
+    let mut wave = FnWaveform::new(steps, |step, _t, loads: &mut [f64]| {
+        let scale = 0.5 + 0.25 * step as f64;
+        for (l, b) in loads.iter_mut().zip(&base) {
+            *l = scale * b;
+        }
+    });
+    let mut sink = TraceSink::with_capacity(steps, nn);
+    let request = TransientParams::new(stack, 20e-12).integrator(integrator);
+    let report = session
+        .transient_dynamic(&mut wave, &mut sink, &request)
+        .unwrap();
+    assert_eq!(sink.len(), steps);
+    bits.extend(sink.values().iter().map(|v| v.to_bits()));
+    bits.extend([report.steps as u64, report.solver_iterations as u64]);
+}
+
+#[test]
+fn routes_fixture_guards_bitwise_behavior() {
+    if forced_precision() {
+        eprintln!("skipping: VOLTPROP_FORCE_PRECISION overrides the f64 path this fixture pins");
+        return;
+    }
+    let random = LoadProfile::UniformRandom {
+        min: 1e-5,
+        max: 1e-3,
+    };
+    let mut blob: Vec<u64> = Vec::new();
+
+    // 1. Backward-Euler companion steps on a small decap stack.
+    let decap = Stack3d::builder(8, 8, 3)
+        .load_profile(random.clone(), 31)
+        .grid_capacitance(2e-13)
+        .decap(0, 3, 3, 2e-10)
+        .build()
+        .unwrap();
+    push_transient(&mut blob, &decap, Integrator::BackwardEuler, 4);
+
+    // 2. Trapezoidal companion steps on sparse pads (the coarse lattice
+    //    correction runs inside every companion solve).
+    let sparse_caps = Stack3d::builder(12, 12, 3)
+        .pad_lattice(4)
+        .load_profile(random.clone(), 32)
+        .grid_capacitance(2e-13)
+        .build()
+        .unwrap();
+    push_transient(&mut blob, &sparse_caps, Integrator::Trapezoidal, 3);
+
+    // 3. The planar single-tier case: a static solve and a transient.
+    let planar = Stack3d::builder(10, 10, 1)
+        .load_profile(random.clone(), 33)
+        .grid_capacitance(2e-13)
+        .build()
+        .unwrap();
+    push_single(&mut blob, &planar, VpConfig::default(), SolveParams::new());
+    push_transient(&mut blob, &planar, Integrator::BackwardEuler, 3);
+
+    // 4. Sparse pads at parallelism 1 and 2 (tier sweeps and the coarse
+    //    lattice solve both change schedule with the thread count).
+    let sparse = Stack3d::builder(16, 16, 3)
+        .pad_lattice(4)
+        .load_profile(random.clone(), 34)
+        .build()
+        .unwrap();
+    for parallelism in [1, 2] {
+        push_single(
+            &mut blob,
+            &sparse,
+            VpConfig::new().parallelism(parallelism),
+            SolveParams::new(),
+        );
+    }
+
+    // 5. A mixed-precision single solve.
+    let mixed = Stack3d::builder(10, 10, 3)
+        .load_profile(random, 35)
+        .build()
+        .unwrap();
+    push_single(
+        &mut blob,
+        &mixed,
+        VpConfig::default(),
+        SolveParams::new().precision(Precision::MixedF32),
+    );
+
+    check_fixture(
+        ROUTES_FIXTURE_PATH,
+        "# routes_pinned fixture: 64-bit patterns (f64 bits and counts), one per line.\n\
+         # Regenerate: VOLTPROP_BLESS=1 cargo test --test session routes_fixture\n",
+        &blob,
     );
 }
 
