@@ -751,14 +751,8 @@ impl SessionCore {
         backend: Backend,
     ) -> SolutionView<'s> {
         match backend {
-            Backend::VoltProp => SolutionView {
-                voltages: scratch.vp.voltages(),
-                pillar_currents: scratch.vp.pillar_currents(),
-                reports: &scratch.reports,
-                lanes: 1,
-                nodes: self.nn,
-                sites: scratch.vp.num_sites(),
-            },
+            // A single solve is a one-lane batch.
+            Backend::VoltProp => self.batch_view(scratch, backend),
             Backend::Rb3d => SolutionView {
                 voltages: &scratch.rb_voltages[..self.nn],
                 pillar_currents: &[],
@@ -907,10 +901,7 @@ impl SessionCore {
     ) -> SolutionView<'s> {
         match backend {
             Backend::VoltProp => {
-                let (voltages, pillar_currents, k) = scratch
-                    .vp
-                    .batch_view()
-                    .expect("batched VoltProp solve just ran");
+                let (voltages, pillar_currents, k) = scratch.vp.solution();
                 SolutionView {
                     voltages,
                     pillar_currents,

@@ -5,7 +5,7 @@ use crate::lattice::PillarLattice;
 use crate::tier_cache::CachedTier;
 use crate::{VpConfig, VpReport};
 use voltprop_grid::{NetKind, Stack3d};
-use voltprop_solvers::{LaneReport, SolveReport, SolverError, StackSolution, StackSolver};
+use voltprop_solvers::{LaneReport, SolverError, StackSolution, StackSolver};
 
 /// The 3-D voltage propagation solver (see the [crate docs](crate) for the
 /// algorithm).
@@ -34,19 +34,18 @@ pub struct VpSolver {
 }
 
 /// Reusable solve state: prefactored tier engines, the pillar lattice, and
-/// every outer-loop buffer.
+/// the one outer-loop arena.
 ///
 /// Building the scratch is the only allocating step of a solve; once it
-/// exists, the engine loops ([`run_single`], [`run_batch`]) run the
-/// entire outer iteration — tier sweeps, pillar-current accumulation,
-/// VDA distribution, Anderson mixing — without touching the heap. That
-/// holds with sparse pads too: the VDA distribution's coarse lattice
-/// solve runs on an engine prefactored here (see [`PillarLattice`]),
-/// and on the persistent worker pool once it is warm. This
-/// is internal state: [`Session`](crate::Session) absorbs one at build
-/// and serves every request from it (the former public
-/// `VpSolver::solve{_with,_batch}` shims around it were removed — see
-/// `MIGRATION.md`).
+/// exists, the outer loop ([`run_lanes`], wrapped by [`run_single`] and
+/// [`run_batch`]) runs the entire iteration — tier sweeps,
+/// pillar-current accumulation, VDA distribution, Anderson mixing —
+/// without touching the heap for any lane count it has served before.
+/// That holds with sparse pads too: the VDA distribution's coarse
+/// lattice solve runs on an engine prefactored here (see
+/// [`PillarLattice`]), and on the persistent worker pool once it is
+/// warm. This is internal state: [`Session`](crate::Session) absorbs one
+/// at build and serves every request from it.
 ///
 /// A scratch is tied to the stack's *geometry* (footprint, tiers,
 /// resistances, TSV and pad sites) and the config's `parallelism`; loads
@@ -72,46 +71,41 @@ pub(crate) struct VpScratch {
     /// Error amplification factor baked from the geometry (see
     /// [`VpScratch::new`]); scales the inner tolerance.
     amplification: f64,
-    voltages: Vec<f64>,
-    injection: Vec<f64>,
-    v0: Vec<f64>,
-    pillar_current: Vec<f64>,
-    mismatch: Vec<f64>,
-    correction: Vec<f64>,
-    last_good_v0: Vec<f64>,
-    last_good_correction: Vec<f64>,
-    anderson: Anderson,
-    /// Lazily sized multi-load (batched) solve state; `None` until the
-    /// first [`run_batch`] call.
-    batch: Option<BatchArena>,
+    /// The outer-loop state of every lane: one lane at build, grown by
+    /// wider batches, never shrunk.
+    arena: LaneArena,
 }
 
-/// The batch arena: every buffer a lockstep multi-load solve needs, sized
-/// for a fixed lane count `k`. Built on the first
-/// [`run_batch`] call with that `k` and reused afterwards, so
-/// warm batched solves perform no heap allocation (on every
-/// `parallelism` once the persistent worker pool is warm).
+/// The one outer-loop arena: every buffer the lockstep loop over `k`
+/// lanes needs, sized for the widest request served so far. A `k`-lane
+/// solve uses the first `k` lanes of every buffer, so warm solves of any
+/// lane count seen before — single solves and batches alternating
+/// included — perform no heap allocation (on every `parallelism` once
+/// the persistent worker pool is warm).
 ///
 /// The sweep-facing buffers (`v`, `injection`) are node-major/lane-minor
 /// (lane `j` of flat node `i` at `i * k + j`) — the layout the batched
 /// engines consume; the per-pillar outer-loop state is lane-major (lane
 /// `j`'s `ns` pillar values contiguous at `j * ns`), matching the
-/// per-lane VDA and Anderson operations.
-#[derive(Debug)]
-struct BatchArena {
-    /// Lane count every buffer below is sized for.
+/// per-lane VDA and Anderson operations. At `k = 1` both layouts are the
+/// plain vectors.
+#[derive(Debug, Default)]
+struct LaneArena {
+    /// Lane count of the most recent solve.
     k: usize,
-    /// Node-major voltage image, `per · tiers · k`.
+    /// Node-major voltage image, `per · tiers · k` used. At `k = 1` this
+    /// is the solution itself.
     v: Vec<f64>,
-    /// Node-major per-tier injection staging, `per · k`.
+    /// Node-major per-tier injection staging, `per · k` used.
     injection: Vec<f64>,
-    /// Lane-major solved voltages, `per · tiers · k` (the public view).
+    /// Lane-major solved voltages of a `k > 1` solve (the public view);
+    /// empty until the first such solve.
     voltages: Vec<f64>,
     /// Per-lane tier-solve reports (scratch for the inner batch calls).
     lanes: Vec<LaneReport>,
     /// Outer-level lane mask: `true` while a lane still iterates.
     mask: Vec<bool>,
-    /// Lane-major pillar guesses and feedback state, `ns · k` each.
+    /// Lane-major pillar guesses and feedback state, `ns · k` used each.
     v0: Vec<f64>,
     pillar_current: Vec<f64>,
     mismatch: Vec<f64>,
@@ -124,9 +118,7 @@ struct BatchArena {
     state: Vec<LaneOuterState>,
 }
 
-/// The scalar outer-loop state of one batch lane — exactly the locals of
-/// the single-load [`run_single`] loop, so the lockstep batch iteration
-/// reproduces it bit for bit.
+/// The scalar outer-loop state of one lane.
 #[derive(Debug, Clone)]
 struct LaneOuterState {
     vda: crate::VdaController,
@@ -138,60 +130,77 @@ struct LaneOuterState {
     inner_sweeps: usize,
     /// `Some((outer_iterations, converged))` once the lane finished.
     outcome: Option<(usize, bool)>,
+    /// The sweep count of the tier solve that exhausted its budget, if
+    /// one did: a single solve reports it as `DidNotConverge` at the
+    /// inner tolerance, a batch as `converged = false`.
+    tier_stall: Option<usize>,
 }
 
-impl BatchArena {
-    fn new(k: usize, per: usize, tiers: usize, ns: usize, damping: f64) -> Self {
-        BatchArena {
-            k,
-            v: vec![0.0; per * tiers * k],
-            injection: vec![0.0; per * k],
-            voltages: vec![0.0; per * tiers * k],
-            lanes: vec![LaneReport::default(); k],
-            mask: vec![true; k],
-            v0: vec![0.0; ns * k],
-            pillar_current: vec![0.0; ns * k],
-            mismatch: vec![0.0; ns * k],
-            correction: vec![0.0; ns * k],
-            last_good_v0: vec![0.0; ns * k],
-            last_good_correction: vec![0.0; ns * k],
-            anderson: (0..k).map(|_| Anderson::new(4, ns)).collect(),
-            state: vec![
-                LaneOuterState {
-                    vda: crate::VdaController::new(damping),
-                    plain_mode: true,
-                    stable_scale: damping,
-                    best_worst: f64::INFINITY,
-                    since_improvement: 0,
-                    worst: f64::INFINITY,
-                    inner_sweeps: 0,
-                    outcome: None,
-                };
-                k
-            ],
+impl LaneOuterState {
+    fn new(damping: f64) -> Self {
+        LaneOuterState {
+            vda: crate::VdaController::new(damping),
+            plain_mode: true,
+            stable_scale: damping,
+            best_worst: f64::INFINITY,
+            since_improvement: 0,
+            worst: f64::INFINITY,
+            inner_sweeps: 0,
+            outcome: None,
+            tier_stall: None,
         }
     }
+}
 
-    /// Rewinds every per-lane record to the start-of-solve state (no
-    /// allocation; called at the top of each batched solve).
-    fn reset(&mut self, damping: f64) {
-        self.lanes.fill(LaneReport::default());
-        self.mask.fill(true);
-        for a in &mut self.anderson {
+impl LaneArena {
+    /// A one-lane arena: what every scratch starts with.
+    fn new(nodes: usize, per: usize, ns: usize) -> Self {
+        let mut arena = LaneArena {
+            k: 1,
+            ..LaneArena::default()
+        };
+        arena.ensure(1, nodes, per, ns);
+        arena
+    }
+
+    /// Grows every buffer to `k` lanes (no-op — and allocation-free —
+    /// when it already has room). The lane-major voltages exist only for
+    /// `k > 1`: a one-lane solve reads its answer off `v`.
+    fn ensure(&mut self, k: usize, nodes: usize, per: usize, ns: usize) {
+        if k > 1 && self.voltages.len() < nodes * k {
+            self.voltages.resize(nodes * k, 0.0);
+        }
+        if k <= self.mask.len() {
+            return;
+        }
+        self.v.resize(nodes * k, 0.0);
+        self.injection.resize(per * k, 0.0);
+        self.lanes.resize(k, LaneReport::default());
+        self.mask.resize(k, true);
+        for buf in [
+            &mut self.v0,
+            &mut self.pillar_current,
+            &mut self.mismatch,
+            &mut self.correction,
+            &mut self.last_good_v0,
+            &mut self.last_good_correction,
+        ] {
+            buf.resize(ns * k, 0.0);
+        }
+        self.anderson.resize_with(k, || Anderson::new(4, ns));
+        self.state.resize(k, LaneOuterState::new(1.0));
+    }
+
+    /// Rewinds the first `k` lanes to the start-of-solve state (no
+    /// allocation; called at the top of each solve).
+    fn reset(&mut self, k: usize, damping: f64) {
+        self.k = k;
+        self.lanes[..k].fill(LaneReport::default());
+        self.mask[..k].fill(true);
+        for a in &mut self.anderson[..k] {
             a.reset();
         }
-        for s in &mut self.state {
-            *s = LaneOuterState {
-                vda: crate::VdaController::new(damping),
-                plain_mode: true,
-                stable_scale: damping,
-                best_worst: f64::INFINITY,
-                since_improvement: 0,
-                worst: f64::INFINITY,
-                inner_sweeps: 0,
-                outcome: None,
-            };
-        }
+        self.state[..k].fill(LaneOuterState::new(damping));
     }
 
     /// Estimated heap footprint in bytes.
@@ -219,7 +228,7 @@ impl BatchArena {
 
 impl VpScratch {
     /// Validates the stack for voltage propagation and builds the full
-    /// solve state (prefactored tier engines, lattice, buffers).
+    /// solve state (prefactored tier engines, lattice, a one-lane arena).
     ///
     /// # Errors
     ///
@@ -235,7 +244,16 @@ impl VpScratch {
             .map(|t| (1.0 / stack.r_horizontal(t), 1.0 / stack.r_vertical(t)))
             .collect();
 
-        if tiers == 1 {
+        // Single-tier stacks pin their pads (the planar special case).
+        // Multi-tier stacks pin every pillar terminal on every tier —
+        // this keeps the row-based inner solves in their fast
+        // densely-pinned regime. Pad-less pillars are closed by the VDA
+        // instead: their accumulated excess current is redistributed
+        // over the pillar lattice (see `PillarLattice`). The mask is
+        // identical on every tier, so all tier engines share one
+        // allocation.
+        let mut fixed = vec![false; per];
+        let (site_flat, is_pad_site) = if tiers == 1 {
             if stack.pad_resistance() != 0.0 {
                 return Err(SolverError::Unsupported {
                     what: "single-tier voltage propagation requires ideal pads \
@@ -243,96 +261,58 @@ impl VpScratch {
                         .into(),
                 });
             }
-            let mut fixed = vec![false; per];
             for (x, y) in stack.pad_sites() {
                 fixed[y as usize * w + x as usize] = true;
             }
-            let fixed: Arc<[bool]> = fixed.into();
-            let tier_cache = vec![CachedTier::new(
-                w,
-                h,
-                tier_g[0].0,
-                tier_g[0].1,
-                fixed.clone(),
-                parallelism,
-                shards,
-            )?];
-            return Ok(VpScratch {
-                width: w,
-                height: h,
-                tiers,
-                vdd: stack.vdd(),
-                r_tsv: stack.tsv_resistance(),
-                r_pad: stack.pad_resistance(),
-                tier_g,
-                site_flat: Vec::new(),
-                is_pad_site: Vec::new(),
-                fixed,
-                lattice: None,
-                tier_cache,
-                amplification: 1.0,
-                voltages: vec![0.0; per],
-                injection: vec![0.0; per],
-                v0: Vec::new(),
-                pillar_current: Vec::new(),
-                mismatch: Vec::new(),
-                correction: Vec::new(),
-                last_good_v0: Vec::new(),
-                last_good_correction: Vec::new(),
-                anderson: Anderson::new(4, 0),
-                batch: None,
-            });
-        }
-
-        // Package power enters through the pillars: every pad must sit on a
-        // pillar. Pillars *without* pads are allowed — their top terminals
-        // are free nodes fed by the accumulated pillar current (the sparse
-        // C4-bump topology of the IBM-derived benchmarks).
-        let sites = stack.tsv_sites();
-        let mut num_pad_sites = 0usize;
-        let is_pad_site: Vec<bool> = sites
-            .iter()
-            .map(|&(x, y)| {
-                let p = stack.is_pad(x as usize, y as usize);
-                num_pad_sites += usize::from(p);
-                p
-            })
-            .collect();
-        if stack.num_pads() != num_pad_sites {
-            return Err(SolverError::Unsupported {
-                what: "pads exist away from TSV pillars; voltage propagation \
-                       requires package power to enter through the pillars"
-                    .into(),
-            });
-        }
-        if num_pad_sites == 0 {
-            return Err(SolverError::Unsupported {
-                what: "no pillar carries a pad; the stack has no voltage reference".into(),
-            });
-        }
-
-        let site_flat: Vec<usize> = sites
-            .iter()
-            .map(|&(x, y)| y as usize * w + x as usize)
-            .collect();
-        let ns = site_flat.len();
-
-        // Every tier pins every pillar terminal — this keeps the row-based
-        // inner solves in their fast densely-pinned regime. Pad-less
-        // pillars are closed by the VDA instead: their accumulated excess
-        // current is redistributed over the pillar lattice (see
-        // `PillarLattice`). The mask is identical on every tier, so all
-        // tier engines share one allocation.
-        let mut fixed = vec![false; per];
-        for &s in &site_flat {
-            fixed[s] = true;
-        }
+            (Vec::new(), Vec::new())
+        } else {
+            // Package power enters through the pillars: every pad must
+            // sit on a pillar. Pillars *without* pads are allowed — their
+            // top terminals are free nodes fed by the accumulated pillar
+            // current (the sparse C4-bump topology of the IBM-derived
+            // benchmarks).
+            let sites = stack.tsv_sites();
+            let is_pad_site: Vec<bool> = sites
+                .iter()
+                .map(|&(x, y)| stack.is_pad(x as usize, y as usize))
+                .collect();
+            let num_pad_sites = is_pad_site.iter().filter(|&&p| p).count();
+            if stack.num_pads() != num_pad_sites {
+                return Err(SolverError::Unsupported {
+                    what: "pads exist away from TSV pillars; voltage propagation \
+                           requires package power to enter through the pillars"
+                        .into(),
+                });
+            }
+            if num_pad_sites == 0 {
+                return Err(SolverError::Unsupported {
+                    what: "no pillar carries a pad; the stack has no voltage reference".into(),
+                });
+            }
+            let site_flat: Vec<usize> = sites
+                .iter()
+                .map(|&(x, y)| y as usize * w + x as usize)
+                .collect();
+            for &s in &site_flat {
+                fixed[s] = true;
+            }
+            (site_flat, is_pad_site)
+        };
         let fixed: Arc<[bool]> = fixed.into();
         let tier_cache: Vec<CachedTier> = tier_g
             .iter()
             .map(|&(g_h, g_v)| CachedTier::new(w, h, g_h, g_v, fixed.clone(), parallelism, shards))
             .collect::<Result<_, _>>()?;
-        let lattice = PillarLattice::build(stack, sites, &is_pad_site, parallelism)?;
+        let lattice = if tiers == 1 {
+            None
+        } else {
+            Some(PillarLattice::build(
+                stack,
+                stack.tsv_sites(),
+                &is_pad_site,
+                parallelism,
+            )?)
+        };
 
         // Tier-solve errors are amplified into the propagated pad voltages
         // by roughly `1 + R_TSV · G_local · (tiers-1) · C` — each volt of
@@ -340,15 +320,20 @@ impl VpScratch {
         // segment adds R·ΔI, and a contiguous cluster of C pinned sites
         // accumulates its members' current errors. The inner tolerance is
         // tightened by this factor so the measured mismatch resolves below
-        // ε even on very conductive grids and clustered TSV maps.
-        let g_local_max = tier_g
-            .iter()
-            .map(|&(g_h, g_v)| 2.0 * g_h + 2.0 * g_v)
-            .fold(0.0f64, f64::max);
-        let cluster = largest_pillar_cluster(stack) as f64;
-        let amplification =
-            1.0 + stack.tsv_resistance() * g_local_max * (tiers as f64 - 1.0) * cluster;
+        // ε even on very conductive grids and clustered TSV maps. (One
+        // tier has no propagation and no amplification.)
+        let amplification = if tiers == 1 {
+            1.0
+        } else {
+            let g_local_max = tier_g
+                .iter()
+                .map(|&(g_h, g_v)| 2.0 * g_h + 2.0 * g_v)
+                .fold(0.0f64, f64::max);
+            let cluster = largest_pillar_cluster(stack) as f64;
+            1.0 + stack.tsv_resistance() * g_local_max * (tiers as f64 - 1.0) * cluster
+        };
 
+        let arena = LaneArena::new(per * tiers, per, site_flat.len());
         Ok(VpScratch {
             width: w,
             height: h,
@@ -360,19 +345,10 @@ impl VpScratch {
             site_flat,
             is_pad_site,
             fixed,
-            lattice: Some(lattice),
+            lattice,
             tier_cache,
             amplification,
-            voltages: vec![0.0; per * tiers],
-            injection: vec![0.0; per],
-            v0: vec![0.0; ns],
-            pillar_current: vec![0.0; ns],
-            mismatch: vec![0.0; ns],
-            correction: vec![0.0; ns],
-            last_good_v0: vec![0.0; ns],
-            last_good_correction: vec![0.0; ns],
-            anderson: Anderson::new(4, ns),
-            batch: None,
+            arena,
         })
     }
 
@@ -380,17 +356,16 @@ impl VpScratch {
     /// mutable state: the prefactored tier engines and the pillar
     /// lattice's coarse engine are shared through [`CachedTier::fork`]
     /// and [`PillarLattice::fork`] (no refactorization), the pin mask
-    /// `Arc` is cloned, and every outer-loop buffer is freshly
-    /// allocated. The batch arena starts empty and is sized
-    /// lazily on the fork's first batched solve.
+    /// `Arc` is cloned, and a fresh one-lane arena is allocated (wider
+    /// batches grow it on the fork's first such solve).
     ///
     /// Forks solve independently — two forks may run concurrently from
     /// different threads — and reproduce the original scratch's solves
-    /// bitwise: [`run_single`] and [`run_batch`] re-initialize every
-    /// buffer they read before using it.
+    /// bitwise: [`run_lanes`] re-initializes every buffer it reads
+    /// before using it.
     #[must_use]
     pub(crate) fn fork(&self) -> VpScratch {
-        let ns = self.v0.len();
+        let per = self.width * self.height;
         VpScratch {
             width: self.width,
             height: self.height,
@@ -405,29 +380,33 @@ impl VpScratch {
             lattice: self.lattice.as_ref().map(PillarLattice::fork),
             tier_cache: self.tier_cache.iter().map(CachedTier::fork).collect(),
             amplification: self.amplification,
-            voltages: vec![0.0; self.voltages.len()],
-            injection: vec![0.0; self.injection.len()],
-            v0: vec![0.0; ns],
-            pillar_current: vec![0.0; ns],
-            mismatch: vec![0.0; ns],
-            correction: vec![0.0; ns],
-            last_good_v0: vec![0.0; ns],
-            last_good_correction: vec![0.0; ns],
-            anderson: Anderson::new(4, ns),
-            batch: None,
+            arena: LaneArena::new(per * self.tiers, per, self.site_flat.len()),
         }
     }
 
-    /// The solved per-node voltages of the most recent [`run_single`]
-    /// call (flat tier-major).
-    pub fn voltages(&self) -> &[f64] {
-        &self.voltages
+    /// The most recent solve's results, lane-major:
+    /// `(voltages, pillar_currents, lanes)`. A one-lane solve's answer is
+    /// the node-major image itself (no second copy is kept).
+    pub(crate) fn solution(&self) -> (&[f64], &[f64], usize) {
+        let a = &self.arena;
+        let nodes = self.width * self.height * self.tiers;
+        let voltages = if a.k == 1 {
+            &a.v[..nodes]
+        } else {
+            &a.voltages[..nodes * a.k]
+        };
+        (
+            voltages,
+            &a.pillar_current[..self.site_flat.len() * a.k],
+            a.k,
+        )
     }
 
-    /// The per-pillar package currents of the most recent solve (empty for
-    /// single-tier stacks).
-    pub fn pillar_currents(&self) -> &[f64] {
-        &self.pillar_current
+    /// Lane 0's solved per-node voltages (flat tier-major) from the most
+    /// recent solve.
+    pub fn voltages(&self) -> &[f64] {
+        let nodes = self.width * self.height * self.tiers;
+        &self.solution().0[..nodes]
     }
 
     /// Whether this scratch's prefactored state fits the stack's
@@ -477,49 +456,19 @@ impl VpScratch {
 
     /// Estimated heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        let ns_vectors = self.v0.len()
-            + self.pillar_current.len()
-            + self.mismatch.len()
-            + self.correction.len()
-            + self.last_good_v0.len()
-            + self.last_good_correction.len();
-        (self.voltages.len() + self.injection.len() + ns_vectors) * 8
-            + self.fixed.len()
+        self.fixed.len()
             + self.lattice.as_ref().map_or(0, PillarLattice::memory_bytes)
             + self
                 .tier_cache
                 .iter()
                 .map(CachedTier::memory_bytes)
                 .sum::<usize>()
-            + self.anderson.memory_bytes()
-            + self.batch.as_ref().map_or(0, BatchArena::memory_bytes)
-    }
-
-    /// Lane count of the most recent [`run_batch`] call (0 if no batched
-    /// solve ran on this scratch yet).
-    #[cfg(test)]
-    pub fn batch_lanes(&self) -> usize {
-        self.batch.as_ref().map_or(0, |b| b.k)
-    }
-
-    /// The lane-major batch result buffers of the most recent batched
-    /// solve: `(voltages, pillar_currents, lanes)`. `None` until a
-    /// batched solve ran on this scratch.
-    pub(crate) fn batch_view(&self) -> Option<(&[f64], &[f64], usize)> {
-        self.batch
-            .as_ref()
-            .map(|b| (&b.voltages[..], &b.pillar_current[..], b.k))
+            + self.arena.memory_bytes()
     }
 
     /// Number of pillar sites this scratch serves (0 for single-tier).
     pub(crate) fn num_sites(&self) -> usize {
         self.site_flat.len()
-    }
-
-    /// Number of grid nodes this scratch serves.
-    #[cfg(test)]
-    pub(crate) fn num_nodes(&self) -> usize {
-        self.width * self.height * self.tiers
     }
 
     /// Prefactors a full set of transient companion tier engines against
@@ -559,18 +508,20 @@ impl VpScratch {
     }
 }
 
-/// The transient companion context of one voltage-propagation solve: the
+/// The transient companion context of a voltage-propagation solve: the
 /// companion-augmented tier factors (`G_tier + diag(α·C)`), the `α·C`
-/// diagonal itself (needed by the pinned-site KCL), and the per-step
-/// companion currents `i_eq` (absolute sign, positive into the node).
-/// `None` in [`run_single`] is the static solve.
+/// diagonal itself (shared by every lane; the pinned-site KCL needs it),
+/// and the per-step companion currents `i_eq` (absolute sign, positive
+/// into the node), lane-major like the loads. `None` in [`run_lanes`]
+/// is the static solve.
 pub(crate) struct CompanionRef<'a> {
     /// Companion-augmented tier engines (from
     /// [`VpScratch::build_companion_tiers`]), one per tier.
     pub tiers: &'a mut [CachedTier],
     /// `α·C` per node (flat tier-major, `nn` entries, siemens).
     pub alpha_c: &'a [f64],
-    /// Companion injections `i_eq` per node (flat tier-major, amperes).
+    /// Companion injections `i_eq` per lane and node (lane-major,
+    /// `k · nn` entries, amperes).
     pub source: &'a [f64],
 }
 
@@ -581,15 +532,12 @@ impl VpSolver {
     }
 }
 
-/// The single-load outer loop: runs the full voltage propagation method
+/// A single solve of the stack's own loads: the outer loop at `k = 1`
 /// inside a scratch that **must already match the stack's geometry**
 /// (callers check; [`Session`](crate::Session) surfaces a mismatch as
-/// `GeometryChanged`).
-/// Zero heap allocations once the scratch (and, at `parallelism > 1`,
-/// the worker pool) is warm, whether or not every pillar has a pad. The
-/// request
-/// [`Deadline`](crate::Deadline) is checked once per outer iteration —
-/// the cooperative cancellation hook of this route.
+/// `GeometryChanged`). The stack only ever holds validated loads, so
+/// they are not re-checked. Zero heap allocations once the scratch (and,
+/// at `parallelism > 1`, the worker pool) is warm.
 pub(crate) fn run_single(
     params: &crate::SolveParams,
     stack: &Stack3d,
@@ -597,268 +545,61 @@ pub(crate) fn run_single(
     scratch: &mut VpScratch,
     deadline: crate::Deadline,
 ) -> Result<VpReport, SolverError> {
-    run_single_dynamic(params, stack, net, stack.loads(), scratch, deadline, None)
+    run_lanes(params, net, stack.loads(), 1, scratch, None, deadline)?;
+    single_report(params, scratch)
 }
 
-/// [`run_single`] with an explicit load vector (the transient stepper
-/// feeds waveform samples without mutating the stack) and an optional
-/// transient [`CompanionRef`]: companion-augmented tier factors replace
-/// the static ones, the companion currents join every tier's injection,
-/// and the pinned-site KCL accounts for the `α·C` grounded conductance
-/// (`+ α·C·v − i_eq`) so the propagated pillar currents solve the
-/// companion system `(G + α·diag(C)) v = b`. The VDA feedback loop is
-/// untouched — its fixed point is whatever system the tier solves and
-/// the KCL describe.
-#[allow(clippy::too_many_arguments)] // the full dynamic-solve surface
-pub(crate) fn run_single_dynamic(
+/// The report of the one-lane solve [`run_lanes`] just ran, with a lane
+/// that did not converge mapped to the single solve's error: a tier solve
+/// out of sweeps fails with that solve's sweep count and residual at the
+/// (amplification-tightened) inner tolerance, an exhausted outer budget
+/// with the outer count and mismatch at ε. The planar single-tier case
+/// has no outer loop; it reports `converged = false` with the true inner
+/// residual instead.
+pub(crate) fn single_report(
     params: &crate::SolveParams,
-    stack: &Stack3d,
-    net: NetKind,
-    loads: &[f64],
-    scratch: &mut VpScratch,
-    deadline: crate::Deadline,
-    companion: Option<CompanionRef<'_>>,
+    scratch: &VpScratch,
 ) -> Result<VpReport, SolverError> {
-    let rail = match net {
-        NetKind::Power => stack.vdd(),
-        NetKind::Ground => 0.0,
-    };
-    let sign = match net {
-        NetKind::Power => 1.0,
-        NetKind::Ground => -1.0,
-    };
-    if scratch.tiers == 1 {
-        // One opaque planar solve: check on entry, budget bounds the tail.
-        deadline.check(0)?;
-        return run_single_tier(params, loads, rail, sign, scratch, companion);
+    let report = lane_reports(params, scratch).next().expect("one lane");
+    if report.converged || scratch.tiers == 1 {
+        return Ok(report);
     }
-
-    let (w, h, tiers) = (scratch.width, scratch.height, scratch.tiers);
-    let per = w * h;
-    let r_tsv = scratch.r_tsv;
-    let r_pad = scratch.r_pad;
-    let top = tiers - 1;
-    let tight_tol = params.inner_tolerance / scratch.amplification;
-    let mixed = params.precision.resolve() == crate::Precision::MixedF32;
-
-    let VpScratch {
-        site_flat,
-        is_pad_site,
-        lattice,
-        tier_cache,
-        tier_g,
-        voltages: v,
-        injection,
-        v0,
-        pillar_current,
-        mismatch,
-        correction,
-        last_good_v0,
-        last_good_correction,
-        anderson,
-        ..
-    } = scratch;
-    let lattice = lattice.as_mut().expect("multi-tier scratch has a lattice");
-    // The companion context swaps in the augmented tier factors; the
-    // `α·C` / `i_eq` slices stay empty on the static path so the hot
-    // loops branch on one bool.
-    let (tier_cache, comp_alpha_c, comp_source): (&mut [CachedTier], &[f64], &[f64]) =
-        match companion {
-            Some(c) => (c.tiers, c.alpha_c, c.source),
-            None => (tier_cache, &[], &[]),
-        };
-    let dynamic = !comp_alpha_c.is_empty();
-
-    v.fill(rail);
-    v0.fill(rail);
-    last_good_v0.fill(rail);
-    last_good_correction.fill(0.0);
-    anderson.reset();
-
-    // Outer fixed-point accelerator (see `anderson`): the VDA step is
-    // the residual, Anderson mixing combines the recent history. A
-    // safeguard resets the history and falls back to a heavily damped
-    // plain step if the mismatch ever inflates.
-    let mut best_worst = f64::INFINITY;
-    // Start in the paper's plain damped-mixing mode; escalate to
-    // safeguarded Anderson mixing on divergence or plateau.
-    let mut plain_mode = true;
-    let mut vda = crate::VdaController::new(params.damping);
-    let mut since_improvement = 0usize;
-    // Learned stability scale for plain (history-less) steps: halved on
-    // every rollback, recovering by 20% per accepted improvement. It
-    // also damps Anderson's first step after a reset, so a reset cannot
-    // immediately re-trigger the divergence that caused it.
-    let mut stable_scale = params.damping;
-    let mut inner_sweeps = 0usize;
-    let mut outer = 0usize;
-    let mut worst = f64::INFINITY;
-    let mut converged = false;
-    while outer < params.max_outer_iterations {
-        deadline.check(outer)?;
-        // Every pass runs at the tight tolerance. (A "progressive"
-        // scheme that loosened early passes was tried and reverted: the
-        // noisy mismatch measurements it produced destabilized the VDA
-        // far beyond what the cheaper sweeps saved — warm starts
-        // already make post-first-pass solves nearly free.)
-        pillar_current.fill(0.0);
-        for t in 0..tiers {
-            // Phase 3 (voltage propagation): pin this tier's pillar
-            // terminals — layer 0 from the VDA guesses, upper layers
-            // from the accumulated pillar current through R_TSV.
-            if t == 0 {
-                for (k, &s) in site_flat.iter().enumerate() {
-                    v[s] = v0[k];
-                }
-            } else {
-                for (k, &s) in site_flat.iter().enumerate() {
-                    v[t * per + s] = v[(t - 1) * per + s] + pillar_current[k] * r_tsv;
-                }
-            }
-            // Phase 1 (intra-plane voltage calculation). The TSV
-            // resistance is deliberately absent: pinned terminals carry
-            // it in the propagation phase instead. The companion
-            // currents i_eq join the injection in their absolute
-            // (net-independent) sign.
-            if dynamic {
-                for i in 0..per {
-                    injection[i] = -sign * loads[t * per + i] + comp_source[t * per + i];
-                }
-            } else {
-                for i in 0..per {
-                    injection[i] = -sign * loads[t * per + i];
-                }
-            }
-            let tier_v = &mut v[t * per..(t + 1) * per];
-            let rep = if mixed {
-                tier_cache[t].solve_mixed_with_omega(
-                    injection,
-                    tier_v,
-                    tight_tol,
-                    params.max_inner_sweeps,
-                    1.0,
-                )?
-            } else {
-                tier_cache[t].solve(injection, tier_v, tight_tol, params.max_inner_sweeps)?
-            };
-            inner_sweeps += rep.iterations;
-            // Phase 2 (TSV current computation): KCL at each pinned
-            // terminal gives the current its pillar injects into this
-            // tier; accumulate toward the package. After the top tier
-            // the accumulator holds the current each pillar asks of the
-            // package — which must be zero at pad-less pillars.
-            let (gh, gv) = tier_g[t];
-            for (k, &s) in site_flat.iter().enumerate() {
-                let (x, y) = (s % w, s / w);
-                let vj = tier_v[s];
-                let mut out = sign * loads[t * per + s];
-                if dynamic {
-                    // The pinned node's own companion branch: its α·C
-                    // grounded conductance draws α·C·v from the pillar
-                    // and its companion source i_eq supplies current.
-                    out += comp_alpha_c[t * per + s] * vj - comp_source[t * per + s];
-                }
-                if x > 0 {
-                    out += gh * (vj - tier_v[s - 1]);
-                }
-                if x + 1 < w {
-                    out += gh * (vj - tier_v[s + 1]);
-                }
-                if y > 0 {
-                    out += gv * (vj - tier_v[s - w]);
-                }
-                if y + 1 < h {
-                    out += gv * (vj - tier_v[s + w]);
-                }
-                pillar_current[k] += out;
-            }
-        }
-        outer += 1;
-        // Phase 4 (VDA): padded pillars report the voltage gap between
-        // their propagated top voltage and the rail (shifted by the pad
-        // drop when pads are resistive); pad-less pillars report the
-        // current they wrongly ask of the package. The lattice
-        // redistributes both — the paper's "distributing the resulting
-        // voltage difference" — into per-pillar voltage corrections.
-        for (k, &s) in site_flat.iter().enumerate() {
-            mismatch[k] = if is_pad_site[k] {
-                let target = rail - pillar_current[k] * r_pad;
-                target - v[top * per + s]
-            } else {
-                pillar_current[k] // amperes of excess, not volts
-            };
-        }
-        worst = lattice.correction(mismatch, correction);
-        // Only a pass whose tier solves ran at the tight tolerance may
-        // declare convergence; a loose pass that lands under ε simply
-        // makes the next (tight) pass cheap.
-        if worst < params.epsilon {
-            converged = true;
-            break;
-        }
-        if worst <= best_worst {
-            last_good_v0.copy_from_slice(v0);
-            last_good_correction.copy_from_slice(correction);
-            since_improvement = 0;
-        } else {
-            since_improvement += 1;
-        }
-        if plain_mode {
-            // The paper's VDA: plain damped mixing, halving the gain
-            // when the mismatch grows (the contraction principle). This
-            // converges in a handful of outers on benchmark topologies;
-            // if it diverges or plateaus, hand the loop to the
-            // accelerated mode below.
-            if worst > 10.0 * best_worst.min(1e3) || since_improvement > 8 {
-                plain_mode = false;
-                since_improvement = 0;
-                v0.copy_from_slice(last_good_v0);
-                stable_scale = 0.25 * params.damping;
-                for (g, c) in v0.iter_mut().zip(&*last_good_correction) {
-                    *g += stable_scale * c;
-                }
-            } else {
-                vda.apply(v0, correction);
-            }
-        } else if worst > 2.0 * best_worst {
-            // Accelerated mode safeguard: roll back to the best
-            // iterate, forget the mixing history, halve the stability
-            // scale, and retry with the damped plain step.
-            anderson.reset();
-            stable_scale = (stable_scale * 0.5).max(1e-3);
-            v0.copy_from_slice(last_good_v0);
-            for (g, c) in v0.iter_mut().zip(&*last_good_correction) {
-                *g += stable_scale * c;
-            }
-        } else {
-            if worst <= best_worst {
-                stable_scale = (stable_scale * 1.5).min(params.damping);
-            }
-            anderson.step(v0, correction, stable_scale);
-        }
-        // The reference decays by 15% per outer so that one lucky
-        // transient cannot veto every later state (which deadlocks the
-        // safeguard in a rollback limit cycle); sustained growth is
-        // still caught.
-        best_worst = best_worst.min(worst) * if plain_mode { 1.0 } else { 1.15 };
-    }
-    if converged {
-        return Ok(VpReport {
-            outer_iterations: outer,
-            inner_sweeps,
-            pad_mismatch: worst,
-            final_beta: params.damping,
-            converged: true,
-            // Reported uniformly on every return path (the scratch
-            // *is* the solver workspace).
-            workspace_bytes: scratch.memory_bytes(),
-        });
-    }
-    Err(SolverError::DidNotConverge {
-        iterations: outer,
-        residual: worst,
-        tolerance: params.epsilon,
+    let st = &scratch.arena.state[0];
+    Err(match st.tier_stall {
+        Some(sweeps) => SolverError::DidNotConverge {
+            iterations: sweeps,
+            residual: st.worst,
+            tolerance: params.inner_tolerance / scratch.amplification,
+        },
+        None => SolverError::DidNotConverge {
+            iterations: report.outer_iterations,
+            residual: st.worst,
+            tolerance: params.epsilon,
+        },
     })
+}
+
+/// The per-lane reports of the most recent [`run_lanes`] call.
+fn lane_reports<'a>(
+    params: &'a crate::SolveParams,
+    scratch: &'a VpScratch,
+) -> impl Iterator<Item = VpReport> + 'a {
+    // Reported uniformly on every path (the scratch *is* the solver
+    // workspace).
+    let workspace_bytes = scratch.memory_bytes();
+    scratch.arena.state[..scratch.arena.k]
+        .iter()
+        .map(move |st| {
+            let (outer_iterations, converged) = st.outcome.expect("every lane resolved");
+            VpReport {
+                outer_iterations,
+                inner_sweeps: st.inner_sweeps,
+                pad_mismatch: st.worst,
+                final_beta: params.damping,
+                converged,
+                workspace_bytes,
+            }
+        })
 }
 
 /// Validates a lane-major batch load buffer against the node count,
@@ -883,13 +624,10 @@ pub(crate) fn validate_loads(nn: usize, loads: &[f64]) -> Result<usize, SolverEr
     Ok(loads.len() / nn)
 }
 
-/// The batched outer loop: validates the load set, (re)sizes the batch
-/// arena for the lane count, and runs every lane in lockstep through the
-/// shared tier factors. The scratch **must already match the stack's
-/// geometry** (callers check). Warm calls with an unchanged lane count
-/// perform no heap allocation, sparse-pad stacks included. The
-/// [`Deadline`](crate::Deadline) is
-/// checked once per lockstep outer pass (it governs the whole batch).
+/// A batched solve: validates the lane-major load set and runs every
+/// lane through the outer loop in lockstep. The scratch **must already
+/// match the stack's geometry** (callers check). A lane that exhausts a
+/// budget reports `converged = false` instead of failing the batch.
 pub(crate) fn run_batch(
     params: &crate::SolveParams,
     stack: &Stack3d,
@@ -900,417 +638,393 @@ pub(crate) fn run_batch(
     deadline: crate::Deadline,
 ) -> Result<(), SolverError> {
     let k = validate_loads(stack.num_nodes(), loads)?;
-    let per = scratch.width * scratch.height;
-    let ns = scratch.site_flat.len();
-    if scratch.batch.as_ref().is_none_or(|b| b.k != k) {
-        scratch.batch = Some(BatchArena::new(k, per, scratch.tiers, ns, params.damping));
-    }
-    let rail = match net {
-        NetKind::Power => stack.vdd(),
-        NetKind::Ground => 0.0,
-    };
-    let sign = match net {
-        NetKind::Power => 1.0,
-        NetKind::Ground => -1.0,
-    };
-    if scratch.tiers == 1 {
-        // One opaque batched solve: check on entry, budget bounds the tail.
-        deadline.check(0)?;
-        run_batch_single_tier(params, rail, sign, loads, k, scratch, reports)
-    } else {
-        run_batch_multi(params, rail, sign, loads, k, scratch, reports, deadline)
-    }
-}
-
-/// Single-tier batched path: one batched row-based solve with the
-/// pads pinned at the rail (per-lane reports mirror
-/// [`run_single_tier`]).
-fn run_batch_single_tier(
-    params: &crate::SolveParams,
-    rail: f64,
-    sign: f64,
-    loads: &[f64],
-    k: usize,
-    scratch: &mut VpScratch,
-    reports: &mut Vec<VpReport>,
-) -> Result<(), SolverError> {
-    let per = scratch.width * scratch.height;
-    {
-        let VpScratch {
-            tier_cache, batch, ..
-        } = scratch;
-        let arena = batch.as_mut().expect("batch arena sized");
-        arena.reset(params.damping);
-        arena.v.fill(rail);
-        fill_injection(&mut arena.injection, loads, per, 0, -sign, &arena.mask);
-        if params.precision.resolve() == crate::Precision::MixedF32 {
-            tier_cache[0].solve_batch_masked_mixed(
-                &arena.injection,
-                &mut arena.v,
-                params.inner_tolerance,
-                params.max_inner_sweeps,
-                params.sor_omega,
-                None,
-                &mut arena.lanes,
-            )?;
-        } else {
-            tier_cache[0].solve_batch_masked(
-                &arena.injection,
-                &mut arena.v,
-                params.inner_tolerance,
-                params.max_inner_sweeps,
-                params.sor_omega,
-                None,
-                &mut arena.lanes,
-            )?;
-        }
-        deinterleave(&arena.v, &mut arena.voltages, k);
-    }
-    let ws = scratch.memory_bytes();
-    let arena = scratch.batch.as_ref().expect("batch arena sized");
+    run_lanes(params, net, loads, k, scratch, None, deadline)?;
     reports.clear();
-    reports.extend(arena.lanes.iter().map(|l| VpReport {
-        outer_iterations: 1,
-        inner_sweeps: l.iterations,
-        pad_mismatch: l.residual,
-        final_beta: params.damping,
-        converged: l.converged,
-        workspace_bytes: ws,
-    }));
+    reports.extend(lane_reports(params, scratch));
     Ok(())
 }
 
-/// Multi-tier batched path: every lane runs the propagation/VDA outer
-/// loop of [`run_single`] in lockstep, sharing each tier's
-/// batched inner solve. Per-lane scalar state lives in the arena's
-/// [`LaneOuterState`]; a lane that converges (or fails a budget) is
-/// masked out of all later tier solves, so its iterate — bitwise
-/// identical to the sequential solve — is never touched again.
-#[allow(clippy::too_many_arguments)] // mirrors run_batch's surface
-fn run_batch_multi(
+/// The voltage propagation method over `k` lanes — the only copy of the
+/// outer loop. Single solves (`k = 1`), batches, step sweeps and
+/// transient companion steps all run here; the lanes of `loads`
+/// (lane-major, `k · nn`, already validated) sweep in lockstep through
+/// the shared tier factors, each lane freezing the moment it resolves,
+/// so every lane's iterate is bitwise identical to its solve alone.
+/// Per-lane outcomes are left in the arena ([`lane_reports`]).
+///
+/// With a [`CompanionRef`], the companion-augmented tier factors replace
+/// the static ones, the companion currents join every tier's injection,
+/// and the pinned-site KCL accounts for the `α·C` grounded conductance
+/// (`+ α·C·v − i_eq`), so the propagated pillar currents solve the
+/// companion system `(G + α·diag(C)) v = b`. The VDA feedback loop is
+/// untouched — its fixed point is whatever system the tier solves and
+/// the KCL describe.
+///
+/// The scratch **must already match the stack's geometry**. The arena
+/// grows to `k` lanes on first use; after that the loop is
+/// allocation-free. The [`Deadline`](crate::Deadline) is checked once
+/// per lockstep outer pass (on entry for the single-tier case) and
+/// governs the whole request.
+pub(crate) fn run_lanes(
     params: &crate::SolveParams,
-    rail: f64,
+    net: NetKind,
+    loads: &[f64],
+    k: usize,
+    scratch: &mut VpScratch,
+    companion: Option<CompanionRef<'_>>,
+    deadline: crate::Deadline,
+) -> Result<(), SolverError> {
+    let per = scratch.width * scratch.height;
+    let nodes = per * scratch.tiers;
+    scratch.arena.ensure(k, nodes, per, scratch.site_flat.len());
+    scratch.arena.reset(k, params.damping);
+    let (rail, sign) = match net {
+        NetKind::Power => (scratch.vdd, 1.0),
+        NetKind::Ground => (0.0, -1.0),
+    };
+    scratch.arena.v[..nodes * k].fill(rail);
+    if scratch.tiers == 1 {
+        // One opaque planar solve: check on entry, budget bounds the tail.
+        deadline.check(0)?;
+        planar(params, sign, loads, k, scratch, companion)?;
+    } else if k == 1 {
+        propagate::<true>(1, params, rail, sign, loads, scratch, companion, deadline)?;
+    } else {
+        propagate::<false>(k, params, rail, sign, loads, scratch, companion, deadline)?;
+    }
+    if k > 1 {
+        let a = &mut scratch.arena;
+        deinterleave(&a.v[..nodes * k], &mut a.voltages[..nodes * k], k);
+    }
+    Ok(())
+}
+
+/// Whether lane `j` still iterates, in a loop instantiated for one lane
+/// (`ONE`) or for `k` masked lanes. A lone lane is only asked while it
+/// iterates, so with `ONE` the lane loops compile to plain scalar loops:
+/// no mask tests, no runtime stride.
+#[inline(always)]
+fn live<const ONE: bool>(mask: &[bool], j: usize) -> bool {
+    ONE || mask[j]
+}
+
+/// Single-tier special case: pads pinned at the rail, one batched
+/// row-based solve (the planar method the paper builds on). There is no
+/// propagation loop, so each lane's `pad_mismatch` is its inner solve's
+/// final residual (its largest per-sweep voltage update) and `converged`
+/// its actual status. On the planar path every companion site is either
+/// free (its `α·C` lives in the augmented factors, its `i_eq` in the
+/// injection) or a pad pinned at the rail (where the companion branch is
+/// inert), so only the factors and the injection change.
+fn planar(
+    params: &crate::SolveParams,
     sign: f64,
     loads: &[f64],
     k: usize,
     scratch: &mut VpScratch,
-    reports: &mut Vec<VpReport>,
+    companion: Option<CompanionRef<'_>>,
+) -> Result<(), SolverError> {
+    let per = scratch.width * scratch.height;
+    let VpScratch {
+        tier_cache, arena, ..
+    } = scratch;
+    let (tier_cache, source): (&mut [CachedTier], &[f64]) = match companion {
+        Some(c) => (c.tiers, c.source),
+        None => (tier_cache, &[]),
+    };
+    let injection = &mut arena.injection[..per * k];
+    fill_injection::<false>(k, injection, loads, source, per, 0, -sign, &arena.mask);
+    let lanes = &mut arena.lanes[..k];
+    tier_cache[0].solve_lanes(
+        params.precision.resolve() == crate::Precision::MixedF32,
+        injection,
+        &mut arena.v[..per * k],
+        params.inner_tolerance,
+        params.max_inner_sweeps,
+        params.sor_omega,
+        None,
+        lanes,
+    )?;
+    for (st, l) in arena.state.iter_mut().zip(&*lanes) {
+        st.inner_sweeps = l.iterations;
+        st.worst = l.residual;
+        st.outcome = Some((1, l.converged));
+    }
+    Ok(())
+}
+
+/// The multi-tier outer loop over `k` lanes (`ONE`: the single lane of
+/// a `k = 1` solve, see [`live`]): every lane
+/// runs the paper's propagation/VDA iteration in lockstep, sharing each
+/// tier's batched inner solve. Per-lane scalar state lives in the arena's
+/// [`LaneOuterState`]; a lane that converges (or fails a budget) is
+/// masked out of all later tier solves, so its iterate is never touched
+/// again.
+#[allow(clippy::too_many_arguments)] // run_lanes' surface, resolved
+fn propagate<const ONE: bool>(
+    k: usize,
+    params: &crate::SolveParams,
+    rail: f64,
+    sign: f64,
+    loads: &[f64],
+    scratch: &mut VpScratch,
+    companion: Option<CompanionRef<'_>>,
     deadline: crate::Deadline,
 ) -> Result<(), SolverError> {
+    let k = if ONE { 1 } else { k };
     let (w, h, tiers) = (scratch.width, scratch.height, scratch.tiers);
-    let per = w * h;
+    let (per, ns) = (w * h, scratch.site_flat.len());
     let nn = per * tiers;
-    let ns = scratch.site_flat.len();
-    let r_tsv = scratch.r_tsv;
-    let r_pad = scratch.r_pad;
-    let top = tiers - 1;
+    let (r_tsv, r_pad) = (scratch.r_tsv, scratch.r_pad);
     let tight_tol = params.inner_tolerance / scratch.amplification;
-    let eps = params.epsilon;
-    let damping = params.damping;
+    let (eps, damping) = (params.epsilon, params.damping);
     let mixed = params.precision.resolve() == crate::Precision::MixedF32;
-    {
-        let VpScratch {
-            site_flat,
-            is_pad_site,
-            lattice,
-            tier_cache,
-            tier_g,
-            batch,
-            ..
-        } = scratch;
-        let lattice = lattice.as_mut().expect("multi-tier scratch has a lattice");
-        let arena = batch.as_mut().expect("batch arena sized");
-        arena.reset(damping);
-        arena.v.fill(rail);
-        arena.v0.fill(rail);
-        arena.last_good_v0.fill(rail);
-        arena.last_good_correction.fill(0.0);
+    let VpScratch {
+        site_flat,
+        is_pad_site,
+        lattice,
+        tier_cache,
+        tier_g,
+        arena,
+        ..
+    } = scratch;
+    let lattice = lattice.as_mut().expect("multi-tier scratch has a lattice");
+    // The companion context swaps in the augmented tier factors; the
+    // `α·C` / `i_eq` slices stay empty on the static path so the hot
+    // loops branch on one bool.
+    let (tier_cache, alpha_c, source): (&mut [CachedTier], &[f64], &[f64]) = match companion {
+        Some(c) => (c.tiers, c.alpha_c, c.source),
+        None => (tier_cache, &[], &[]),
+    };
+    let dynamic = !alpha_c.is_empty();
+    let v = &mut arena.v[..nn * k];
+    arena.v0[..ns * k].fill(rail);
+    arena.last_good_v0[..ns * k].fill(rail);
+    arena.last_good_correction[..ns * k].fill(0.0);
 
-        let mut n_running = k;
-        let mut outer = 0usize;
-        while outer < params.max_outer_iterations && n_running > 0 {
-            deadline.check(outer)?;
-            for j in 0..k {
-                if arena.mask[j] {
-                    arena.pillar_current[j * ns..(j + 1) * ns].fill(0.0);
-                }
+    let mut n_running = k;
+    let mut outer = 0usize;
+    'outer: while outer < params.max_outer_iterations && n_running > 0 {
+        deadline.check(outer)?;
+        // Every pass runs at the tight tolerance. (A "progressive"
+        // scheme that loosened early passes was tried and reverted: the
+        // noisy mismatch measurements it produced destabilized the VDA
+        // far beyond what the cheaper sweeps saved — warm starts
+        // already make post-first-pass solves nearly free.)
+        for j in 0..k {
+            if live::<ONE>(&arena.mask, j) {
+                arena.pillar_current[j * ns..(j + 1) * ns].fill(0.0);
             }
-            for t in 0..tiers {
-                // Phase 3 (voltage propagation): pin this tier's pillar
-                // terminals per running lane. The batch buffers are
-                // node-major/lane-minor, so these loops (and the KCL
-                // below) walk nodes outside and lanes inside.
-                let mask = &arena.mask;
-                if t == 0 {
-                    for (kk, &s) in site_flat.iter().enumerate() {
-                        let row = &mut arena.v[s * k..(s + 1) * k];
-                        for j in 0..k {
-                            if mask[j] {
-                                row[j] = arena.v0[j * ns + kk];
-                            }
-                        }
-                    }
-                } else {
-                    let (below, here) = arena.v.split_at_mut(t * per * k);
-                    let below = &below[(t - 1) * per * k..];
-                    for (kk, &s) in site_flat.iter().enumerate() {
-                        let (src, dst) =
-                            (&below[s * k..(s + 1) * k], &mut here[s * k..(s + 1) * k]);
-                        for j in 0..k {
-                            if mask[j] {
-                                dst[j] = src[j] + arena.pillar_current[j * ns + kk] * r_tsv;
-                            }
-                        }
-                    }
-                }
-                // Phase 1 (intra-plane): batched row-based solve of
-                // this tier for every running lane.
-                fill_injection(&mut arena.injection, loads, nn, t * per, -sign, mask);
-                let tier_v = &mut arena.v[t * per * k..(t + 1) * per * k];
-                if mixed {
-                    tier_cache[t].solve_batch_masked_mixed(
-                        &arena.injection,
-                        tier_v,
-                        tight_tol,
-                        params.max_inner_sweeps,
-                        1.0,
-                        Some(&arena.mask),
-                        &mut arena.lanes,
-                    )?;
-                } else {
-                    tier_cache[t].solve_batch_masked(
-                        &arena.injection,
-                        tier_v,
-                        tight_tol,
-                        params.max_inner_sweeps,
-                        1.0,
-                        Some(&arena.mask),
-                        &mut arena.lanes,
-                    )?;
-                }
-                for j in 0..k {
-                    if !arena.mask[j] {
-                        continue;
-                    }
-                    arena.state[j].inner_sweeps += arena.lanes[j].iterations;
-                    if !arena.lanes[j].converged {
-                        // The sequential path would abort this load
-                        // with `DidNotConverge`; the batch freezes the
-                        // lane and reports its true inner residual.
-                        // `outer + 1` counts the pass it died in, like
-                        // the other outcomes recorded post-increment.
-                        arena.state[j].worst = arena.lanes[j].residual;
-                        arena.state[j].outcome = Some((outer + 1, false));
-                        arena.mask[j] = false;
-                        n_running -= 1;
-                    }
-                }
-                // Phase 2 (TSV current computation) per running lane.
-                let (gh, gv) = tier_g[t];
-                let tier_v = &arena.v[t * per * k..(t + 1) * per * k];
+        }
+        for t in 0..tiers {
+            // Phase 3 (voltage propagation): pin this tier's pillar
+            // terminals per running lane — layer 0 from the VDA guesses,
+            // upper layers from the accumulated pillar current through
+            // R_TSV. The images are node-major/lane-minor, so these
+            // loops (and the KCL below) walk nodes outside and lanes
+            // inside.
+            let mask = &arena.mask;
+            if t == 0 {
                 for (kk, &s) in site_flat.iter().enumerate() {
-                    let (x, y) = (s % w, s / w);
+                    let row = &mut v[s * k..(s + 1) * k];
                     for j in 0..k {
-                        if !arena.mask[j] {
-                            continue;
+                        if live::<ONE>(mask, j) {
+                            row[j] = arena.v0[j * ns + kk];
                         }
-                        let vj = tier_v[s * k + j];
-                        let mut out = sign * loads[j * nn + t * per + s];
-                        if x > 0 {
-                            out += gh * (vj - tier_v[(s - 1) * k + j]);
+                    }
+                }
+            } else {
+                let (below, here) = v.split_at_mut(t * per * k);
+                let below = &below[(t - 1) * per * k..];
+                for (kk, &s) in site_flat.iter().enumerate() {
+                    let (src, dst) = (&below[s * k..(s + 1) * k], &mut here[s * k..(s + 1) * k]);
+                    for j in 0..k {
+                        if live::<ONE>(mask, j) {
+                            dst[j] = src[j] + arena.pillar_current[j * ns + kk] * r_tsv;
                         }
-                        if x + 1 < w {
-                            out += gh * (vj - tier_v[(s + 1) * k + j]);
-                        }
-                        if y > 0 {
-                            out += gv * (vj - tier_v[(s - w) * k + j]);
-                        }
-                        if y + 1 < h {
-                            out += gv * (vj - tier_v[(s + w) * k + j]);
-                        }
-                        arena.pillar_current[j * ns + kk] += out;
                     }
                 }
             }
-            outer += 1;
-            // Phase 4 (VDA + mixing) per running lane — the scalar
-            // logic of `run_single`, verbatim, on the lane's slices. The
-            // mismatches come first, in one node-outer pass over the top
-            // tier.
-            let top_v = &arena.v[top * per * k..];
-            for (kk, &s) in site_flat.iter().enumerate() {
-                for j in 0..k {
-                    if !arena.mask[j] {
-                        continue;
-                    }
-                    let pc = arena.pillar_current[j * ns + kk];
-                    arena.mismatch[j * ns + kk] = if is_pad_site[kk] {
-                        let target = rail - pc * r_pad;
-                        target - top_v[s * k + j]
-                    } else {
-                        pc // amperes of excess, not volts
-                    };
-                }
-            }
+            // Phase 1 (intra-plane voltage calculation): one batched
+            // row-based solve of this tier for every running lane. The
+            // TSV resistance is deliberately absent: pinned terminals
+            // carry it in the propagation phase instead. The companion
+            // currents i_eq join the injection in their absolute
+            // (net-independent) sign.
+            let injection = &mut arena.injection[..per * k];
+            fill_injection::<ONE>(k, injection, loads, source, nn, t * per, -sign, mask);
+            tier_cache[t].solve_lanes(
+                mixed,
+                injection,
+                &mut v[t * per * k..(t + 1) * per * k],
+                tight_tol,
+                params.max_inner_sweeps,
+                1.0,
+                Some(&mask[..k]),
+                &mut arena.lanes[..k],
+            )?;
             for j in 0..k {
                 if !arena.mask[j] {
                     continue;
                 }
-                let mm = &arena.mismatch[j * ns..(j + 1) * ns];
-                let corr = &mut arena.correction[j * ns..(j + 1) * ns];
-                let worst = lattice.correction(mm, corr);
-                let st = &mut arena.state[j];
-                st.worst = worst;
-                if worst < eps {
-                    st.outcome = Some((outer, true));
+                let (st, l) = (&mut arena.state[j], &arena.lanes[j]);
+                st.inner_sweeps += l.iterations;
+                if !l.converged {
+                    // The lane stops here with its true inner residual.
+                    // `outer + 1` counts the pass it died in, like the
+                    // other outcomes recorded post-increment.
+                    st.worst = l.residual;
+                    st.outcome = Some((outer + 1, false));
+                    st.tier_stall = Some(l.iterations);
                     arena.mask[j] = false;
                     n_running -= 1;
+                }
+            }
+            if n_running == 0 {
+                break 'outer;
+            }
+            // Phase 2 (TSV current computation): KCL at each pinned
+            // terminal gives the current its pillar injects into this
+            // tier; accumulate toward the package. After the top tier
+            // the accumulator holds the current each pillar asks of the
+            // package — which must be zero at pad-less pillars.
+            let (gh, gv) = tier_g[t];
+            let tier_v = &v[t * per * k..(t + 1) * per * k];
+            for (kk, &s) in site_flat.iter().enumerate() {
+                let (x, y) = (s % w, s / w);
+                let node = t * per + s;
+                for j in 0..k {
+                    if !live::<ONE>(&arena.mask, j) {
+                        continue;
+                    }
+                    let vj = tier_v[s * k + j];
+                    let mut out = sign * loads[j * nn + node];
+                    if dynamic {
+                        // The pinned node's own companion branch: its α·C
+                        // grounded conductance draws α·C·v from the
+                        // pillar and its companion source i_eq supplies
+                        // current.
+                        out += alpha_c[node] * vj - source[j * nn + node];
+                    }
+                    if x > 0 {
+                        out += gh * (vj - tier_v[(s - 1) * k + j]);
+                    }
+                    if x + 1 < w {
+                        out += gh * (vj - tier_v[(s + 1) * k + j]);
+                    }
+                    if y > 0 {
+                        out += gv * (vj - tier_v[(s - w) * k + j]);
+                    }
+                    if y + 1 < h {
+                        out += gv * (vj - tier_v[(s + w) * k + j]);
+                    }
+                    arena.pillar_current[j * ns + kk] += out;
+                }
+            }
+        }
+        outer += 1;
+        // Phase 4 (VDA): padded pillars report the voltage gap between
+        // their propagated top voltage and the rail (shifted by the pad
+        // drop when pads are resistive); pad-less pillars report the
+        // current they wrongly ask of the package. The lattice
+        // redistributes both — the paper's "distributing the resulting
+        // voltage difference" — into per-pillar voltage corrections. The
+        // mismatches come first, in one node-outer pass over the top
+        // tier.
+        let top_v = &v[(tiers - 1) * per * k..];
+        for (kk, &s) in site_flat.iter().enumerate() {
+            for j in 0..k {
+                if !live::<ONE>(&arena.mask, j) {
                     continue;
                 }
-                let v0_j = &mut arena.v0[j * ns..(j + 1) * ns];
-                let lg_v0 = &mut arena.last_good_v0[j * ns..(j + 1) * ns];
-                let lg_c = &mut arena.last_good_correction[j * ns..(j + 1) * ns];
-                if worst <= st.best_worst {
-                    lg_v0.copy_from_slice(v0_j);
-                    lg_c.copy_from_slice(corr);
-                    st.since_improvement = 0;
+                let pc = arena.pillar_current[j * ns + kk];
+                arena.mismatch[j * ns + kk] = if is_pad_site[kk] {
+                    let target = rail - pc * r_pad;
+                    target - top_v[s * k + j]
                 } else {
-                    st.since_improvement += 1;
-                }
-                if st.plain_mode {
-                    if worst > 10.0 * st.best_worst.min(1e3) || st.since_improvement > 8 {
-                        st.plain_mode = false;
-                        st.since_improvement = 0;
-                        v0_j.copy_from_slice(lg_v0);
-                        st.stable_scale = 0.25 * damping;
-                        for (g, c) in v0_j.iter_mut().zip(&*lg_c) {
-                            *g += st.stable_scale * c;
-                        }
-                    } else {
-                        st.vda.apply(v0_j, corr);
-                    }
-                } else if worst > 2.0 * st.best_worst {
-                    st.stable_scale = (st.stable_scale * 0.5).max(1e-3);
+                    pc // amperes of excess, not volts
+                };
+            }
+        }
+        for j in 0..k {
+            if !live::<ONE>(&arena.mask, j) {
+                continue;
+            }
+            let mm = &arena.mismatch[j * ns..(j + 1) * ns];
+            let corr = &mut arena.correction[j * ns..(j + 1) * ns];
+            let worst = lattice.correction(mm, corr);
+            let st = &mut arena.state[j];
+            st.worst = worst;
+            if worst < eps {
+                st.outcome = Some((outer, true));
+                arena.mask[j] = false;
+                n_running -= 1;
+                continue;
+            }
+            let v0_j = &mut arena.v0[j * ns..(j + 1) * ns];
+            let lg_v0 = &mut arena.last_good_v0[j * ns..(j + 1) * ns];
+            let lg_c = &mut arena.last_good_correction[j * ns..(j + 1) * ns];
+            if worst <= st.best_worst {
+                lg_v0.copy_from_slice(v0_j);
+                lg_c.copy_from_slice(corr);
+                st.since_improvement = 0;
+            } else {
+                st.since_improvement += 1;
+            }
+            // Outer fixed-point accelerator (see `anderson`): the VDA
+            // step is the residual, Anderson mixing combines the recent
+            // history. The loop starts in the paper's plain damped
+            // mixing and escalates to safeguarded Anderson mixing on
+            // divergence or plateau.
+            if st.plain_mode {
+                // The paper's VDA: plain damped mixing, halving the gain
+                // when the mismatch grows (the contraction principle).
+                // This converges in a handful of outers on benchmark
+                // topologies; if it diverges or plateaus, hand the lane
+                // to the accelerated mode below.
+                if worst > 10.0 * st.best_worst.min(1e3) || st.since_improvement > 8 {
+                    st.plain_mode = false;
+                    st.since_improvement = 0;
                     v0_j.copy_from_slice(lg_v0);
+                    st.stable_scale = 0.25 * damping;
                     for (g, c) in v0_j.iter_mut().zip(&*lg_c) {
                         *g += st.stable_scale * c;
                     }
-                    arena.anderson[j].reset();
                 } else {
-                    if worst <= st.best_worst {
-                        st.stable_scale = (st.stable_scale * 1.5).min(damping);
-                    }
-                    arena.anderson[j].step(v0_j, corr, st.stable_scale);
+                    st.vda.apply(v0_j, corr);
                 }
-                st.best_worst = st.best_worst.min(worst) * if st.plain_mode { 1.0 } else { 1.15 };
+            } else if worst > 2.0 * st.best_worst {
+                // Accelerated mode safeguard: roll back to the best
+                // iterate, forget the mixing history, halve the
+                // stability scale (a learned scale for history-less
+                // steps, recovering by 1.5× per accepted improvement),
+                // and retry with the damped plain step.
+                st.stable_scale = (st.stable_scale * 0.5).max(1e-3);
+                v0_j.copy_from_slice(lg_v0);
+                for (g, c) in v0_j.iter_mut().zip(&*lg_c) {
+                    *g += st.stable_scale * c;
+                }
+                arena.anderson[j].reset();
+            } else {
+                if worst <= st.best_worst {
+                    st.stable_scale = (st.stable_scale * 1.5).min(damping);
+                }
+                arena.anderson[j].step(v0_j, corr, st.stable_scale);
             }
+            // The reference decays by 15% per outer so that one lucky
+            // transient cannot veto every later state (which deadlocks
+            // the safeguard in a rollback limit cycle); sustained growth
+            // is still caught.
+            st.best_worst = st.best_worst.min(worst) * if st.plain_mode { 1.0 } else { 1.15 };
         }
-        // Lanes still running exhausted the outer budget.
-        for j in 0..k {
-            if arena.mask[j] {
-                arena.state[j].outcome = Some((outer, false));
-                arena.mask[j] = false;
-            }
-        }
-        deinterleave(&arena.v, &mut arena.voltages, k);
     }
-    let ws = scratch.memory_bytes();
-    let arena = scratch.batch.as_ref().expect("batch arena sized");
-    reports.clear();
-    reports.extend(arena.state.iter().map(|st| {
-        let (outer_iterations, converged) = st.outcome.expect("every lane resolved");
-        VpReport {
-            outer_iterations,
-            inner_sweeps: st.inner_sweeps,
-            pad_mismatch: st.worst,
-            final_beta: damping,
-            converged,
-            workspace_bytes: ws,
+    // Lanes still running exhausted the outer budget.
+    for st in &mut arena.state[..k] {
+        if st.outcome.is_none() {
+            st.outcome = Some((outer, false));
         }
-    }));
+    }
     Ok(())
-}
-
-/// Single-tier special case: pads pinned at the rail, one row-based
-/// solve (the planar method the paper builds on).
-///
-/// There is no propagation loop here, so `pad_mismatch` reports the
-/// inner solve's final residual (its largest per-sweep voltage
-/// update) and `converged` its actual status — a sweep budget that
-/// runs out comes back as `converged = false` with the true residual,
-/// not as an error.
-fn run_single_tier(
-    params: &crate::SolveParams,
-    loads: &[f64],
-    rail: f64,
-    sign: f64,
-    scratch: &mut VpScratch,
-    companion: Option<CompanionRef<'_>>,
-) -> Result<VpReport, SolverError> {
-    let per = scratch.width * scratch.height;
-    let VpScratch {
-        tier_cache,
-        voltages,
-        injection,
-        ..
-    } = scratch;
-    voltages.fill(rail);
-    for (inj, load) in injection.iter_mut().zip(&loads[..per]) {
-        *inj = -sign * load;
-    }
-    // On the planar path every companion site is either free (its α·C
-    // lives in the augmented factors, its i_eq in the injection) or a
-    // pad pinned at the rail (where the companion branch is inert), so
-    // only the factors and the injection change.
-    let tier_cache: &mut [CachedTier] = match companion {
-        Some(c) => {
-            for (inj, src) in injection.iter_mut().zip(&c.source[..per]) {
-                *inj += src;
-            }
-            c.tiers
-        }
-        None => tier_cache,
-    };
-    let mixed = params.precision.resolve() == crate::Precision::MixedF32;
-    let attempt = if mixed {
-        tier_cache[0].solve_mixed_with_omega(
-            injection,
-            voltages,
-            params.inner_tolerance,
-            params.max_inner_sweeps,
-            params.sor_omega,
-        )
-    } else {
-        tier_cache[0].solve_with_omega(
-            injection,
-            voltages,
-            params.inner_tolerance,
-            params.max_inner_sweeps,
-            params.sor_omega,
-        )
-    };
-    let rep = match attempt {
-        Ok(rep) => rep,
-        Err(SolverError::DidNotConverge {
-            iterations,
-            residual,
-            ..
-        }) => SolveReport {
-            iterations,
-            residual,
-            converged: false,
-            workspace_bytes: 0,
-        },
-        Err(e) => return Err(e),
-    };
-    Ok(VpReport {
-        outer_iterations: 1,
-        inner_sweeps: rep.iterations,
-        pad_mismatch: rep.residual,
-        final_beta: params.damping,
-        converged: rep.converged,
-        workspace_bytes: scratch.memory_bytes(),
-    })
 }
 
 /// Nodes per block of the lane-major ↔ node-major batch transposes: a
@@ -1318,29 +1032,42 @@ fn run_single_tier(
 /// L1 while each lane's contiguous run streams through it.
 const TRANSPOSE_BLOCK: usize = 64;
 
-/// Stages `scale · loads` of every lane `mask` marks running into the
+/// Stages `scale · loads (+ source)` of every running lane into the
 /// node-major/lane-minor `injection` (`injection[i * k + j]`), reading
-/// lane `j`'s `injection.len() / k` loads contiguously from
-/// `loads[j * nn + offset..]` (lane-major, `nn` per lane). A blocked
-/// transpose: each element is the same single multiply as a plain
+/// lane `j`'s `injection.len() / k` entries contiguously from
+/// `loads[j * nn + offset..]` (lane-major, `nn` per lane) and likewise
+/// from `source` when it is non-empty (the companion currents). A
+/// blocked transpose: each element is the same expression as a plain
 /// strided loop, so the staged bits do not depend on the blocking.
-fn fill_injection(
+#[allow(clippy::too_many_arguments)] // the staging surface
+#[inline(always)]
+fn fill_injection<const ONE: bool>(
+    k: usize,
     injection: &mut [f64],
     loads: &[f64],
+    source: &[f64],
     nn: usize,
     offset: usize,
     scale: f64,
     mask: &[bool],
 ) {
-    let k = mask.len();
+    let k = if ONE { 1 } else { k };
     let per = injection.len() / k;
     for i0 in (0..per).step_by(TRANSPOSE_BLOCK) {
         let i1 = (i0 + TRANSPOSE_BLOCK).min(per);
         let tile = &mut injection[i0 * k..i1 * k];
-        for j in (0..k).filter(|&j| mask[j]) {
-            let run = &loads[j * nn + offset + i0..j * nn + offset + i1];
-            for (ii, &l) in run.iter().enumerate() {
-                tile[ii * k + j] = scale * l;
+        for j in (0..k).filter(|&j| live::<ONE>(mask, j)) {
+            let lane = j * nn + offset;
+            let run = &loads[lane + i0..lane + i1];
+            if source.is_empty() {
+                for (ii, &l) in run.iter().enumerate() {
+                    tile[ii * k + j] = scale * l;
+                }
+            } else {
+                let src = &source[lane + i0..lane + i1];
+                for (ii, (&l, &s)) in run.iter().zip(src).enumerate() {
+                    tile[ii * k + j] = scale * l + s;
+                }
             }
         }
     }
@@ -1416,8 +1143,9 @@ impl StackSolver for VpSolver {
             &mut scratch,
             crate::Deadline::NONE,
         )?;
+        // A fresh one-lane arena: the node-major image is the answer.
         Ok(StackSolution {
-            voltages: std::mem::take(&mut scratch.voltages),
+            voltages: std::mem::take(&mut scratch.arena.v),
             report: report.to_solve_report(),
         })
     }
@@ -1428,11 +1156,9 @@ impl StackSolver for VpSolver {
 }
 #[cfg(test)]
 mod tests {
-    // These unit tests exercise the engine loops (`run_single`,
-    // `run_batch`) directly on a `VpScratch` — the layer below
-    // `Session`, whose routing is covered by `session.rs` and the root
-    // integration tests. The former deprecated `VpSolver` shims were
-    // removed; see MIGRATION.md.
+    // These unit tests drive the outer loop's wrappers (`run_single`,
+    // `run_batch`) on a `VpScratch` — the layer below `Session`, whose
+    // routing `session.rs` and the root integration tests cover.
     use super::*;
     use crate::Deadline;
     use voltprop_grid::{LoadProfile, TsvPattern};
@@ -1440,7 +1166,7 @@ mod tests {
 
     const HALF_MV: f64 = 5e-4; // the paper's accuracy budget
 
-    /// Builds a scratch and runs the single-load engine loop on it.
+    /// Builds a scratch and runs a single solve on it.
     fn solve_fresh(
         config: &VpConfig,
         stack: &Stack3d,
@@ -1452,22 +1178,43 @@ mod tests {
             stack,
             net,
             &mut scratch,
-            crate::Deadline::NONE,
+            Deadline::NONE,
         )?;
         Ok((scratch, report))
     }
 
-    /// Lane `lane`'s voltages from the most recent batched solve.
+    /// A power-net batched solve of `loads` on `scratch`.
+    fn batch(
+        config: &VpConfig,
+        stack: &Stack3d,
+        loads: &[f64],
+        scratch: &mut VpScratch,
+    ) -> Result<Vec<VpReport>, SolverError> {
+        let mut reports = Vec::new();
+        let params = config.solve_params();
+        run_batch(
+            &params,
+            stack,
+            NetKind::Power,
+            loads,
+            scratch,
+            &mut reports,
+            Deadline::NONE,
+        )?;
+        Ok(reports)
+    }
+
+    /// Lane `lane`'s voltages from the most recent solve.
     fn lane_voltages(scratch: &VpScratch, lane: usize) -> &[f64] {
-        let (v, _, k) = scratch.batch_view().expect("batched solve ran");
+        let (v, _, k) = scratch.solution();
         assert!(lane < k);
-        let nn = scratch.num_nodes();
+        let nn = v.len() / k;
         &v[lane * nn..(lane + 1) * nn]
     }
 
-    /// Lane `lane`'s pillar currents from the most recent batched solve.
+    /// Lane `lane`'s pillar currents from the most recent solve.
     fn lane_pillar_currents(scratch: &VpScratch, lane: usize) -> &[f64] {
-        let (_, c, k) = scratch.batch_view().expect("batched solve ran");
+        let (_, c, k) = scratch.solution();
         assert!(lane < k);
         let ns = scratch.num_sites();
         &c[lane * ns..(lane + 1) * ns]
@@ -1636,7 +1383,7 @@ mod tests {
             .unwrap();
         let (scratch, report, _) = assert_matches_direct(&stack, NetKind::Power);
         assert_eq!(report.outer_iterations, 1);
-        assert!(scratch.pillar_currents().is_empty());
+        assert!(lane_pillar_currents(&scratch, 0).is_empty());
     }
 
     #[test]
@@ -1652,7 +1399,7 @@ mod tests {
             .build()
             .unwrap();
         let (scratch, _) = solve_fresh(&VpConfig::default(), &stack, NetKind::Power).unwrap();
-        let delivered: f64 = scratch.pillar_currents().iter().sum();
+        let delivered: f64 = lane_pillar_currents(&scratch, 0).iter().sum();
         let rel = (delivered - stack.total_load()).abs() / stack.total_load();
         assert!(
             rel < 1e-2,
@@ -1852,7 +1599,10 @@ mod tests {
         assert!(r1.converged);
         let (fresh, _) = solve_fresh(&config, &stack_a, NetKind::Power).unwrap();
         assert_eq!(scratch.voltages(), fresh.voltages());
-        assert_eq!(scratch.pillar_currents(), fresh.pillar_currents());
+        assert_eq!(
+            lane_pillar_currents(&scratch, 0),
+            lane_pillar_currents(&fresh, 0)
+        );
 
         // Same geometry, different loads: reuse without rebuilding.
         let mut stack_b = stack_a.clone();
@@ -1896,17 +1646,7 @@ mod tests {
         let params = config.solve_params();
         let loads = load_sweep(stack, k);
         let mut scratch = VpScratch::new(stack, &config).unwrap();
-        let mut reports = Vec::new();
-        run_batch(
-            &params,
-            stack,
-            NetKind::Power,
-            &loads,
-            &mut scratch,
-            &mut reports,
-            Deadline::NONE,
-        )
-        .unwrap();
+        let reports = batch(&config, stack, &loads, &mut scratch).unwrap();
         assert_eq!(reports.len(), k);
         let nn = stack.num_nodes();
         let mut solo_scratch = VpScratch::new(stack, &config).unwrap();
@@ -1930,7 +1670,7 @@ mod tests {
             );
             assert_eq!(
                 lane_pillar_currents(&scratch, j),
-                solo_scratch.pillar_currents(),
+                lane_pillar_currents(&solo_scratch, 0),
                 "lane {j} pillar currents"
             );
             assert!(reports[j].converged);
@@ -2002,35 +1742,15 @@ mod tests {
             .build()
             .unwrap();
         let config = VpConfig::default();
-        let params = config.solve_params();
         let loads = load_sweep(&stack, 3);
         let mut scratch = VpScratch::new(&stack, &config).unwrap();
-        let mut reports = Vec::new();
-        run_batch(
-            &params,
-            &stack,
-            NetKind::Power,
-            &loads,
-            &mut scratch,
-            &mut reports,
-            Deadline::NONE,
-        )
-        .unwrap();
-        assert_eq!(scratch.batch_lanes(), 3);
+        batch(&config, &stack, &loads, &mut scratch).unwrap();
+        assert_eq!(scratch.solution().2, 3);
         let first: Vec<Vec<f64>> = (0..3)
             .map(|j| lane_voltages(&scratch, j).to_vec())
             .collect();
         // Second call reuses the arena and reproduces the solution.
-        run_batch(
-            &params,
-            &stack,
-            NetKind::Power,
-            &loads,
-            &mut scratch,
-            &mut reports,
-            Deadline::NONE,
-        )
-        .unwrap();
+        let reports = batch(&config, &stack, &loads, &mut scratch).unwrap();
         for j in 0..3 {
             assert_eq!(lane_voltages(&scratch, j), &first[j][..]);
         }
@@ -2045,9 +1765,7 @@ mod tests {
             .build()
             .unwrap();
         let config = VpConfig::default();
-        let params = config.solve_params();
         let mut scratch = VpScratch::new(&stack, &config).unwrap();
-        let mut reports = Vec::new();
         let nn = stack.num_nodes();
         for bad in [
             vec![],
@@ -2057,15 +1775,7 @@ mod tests {
         ] {
             assert!(
                 matches!(
-                    run_batch(
-                        &params,
-                        &stack,
-                        NetKind::Power,
-                        &bad,
-                        &mut scratch,
-                        &mut reports,
-                        Deadline::NONE
-                    ),
+                    batch(&config, &stack, &bad, &mut scratch),
                     Err(SolverError::Unsupported { .. })
                 ),
                 "loads of len {} accepted",
@@ -2094,17 +1804,7 @@ mod tests {
         );
         // The batched path reports the same per-lane truth.
         let mut scratch = VpScratch::new(&stack, &config).unwrap();
-        let mut reports = Vec::new();
-        run_batch(
-            &config.solve_params(),
-            &stack,
-            NetKind::Power,
-            &load_sweep(&stack, 2),
-            &mut scratch,
-            &mut reports,
-            Deadline::NONE,
-        )
-        .unwrap();
+        let reports = batch(&config, &stack, &load_sweep(&stack, 2), &mut scratch).unwrap();
         for (j, rep) in reports.iter().enumerate() {
             assert!(!rep.converged, "lane {j}");
             assert!(rep.pad_mismatch > 1e-14, "lane {j}: {}", rep.pad_mismatch);

@@ -88,95 +88,23 @@ impl CachedTier {
         })
     }
 
-    /// Sweeps until the largest update falls below `tolerance`, starting
-    /// from (and finishing in) `v`. Allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::DidNotConverge`] if `max_sweeps` runs out.
-    pub(crate) fn solve(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-    ) -> Result<SolveReport, SolverError> {
-        self.engine.solve(injection, v, tolerance, max_sweeps)
-    }
-
-    /// Like [`CachedTier::solve`] with an explicit SOR factor (the planar
-    /// single-tier path honours `VpConfig::sor_omega`).
-    ///
-    /// # Errors
-    ///
-    /// See [`TierEngine::solve_with_omega`].
-    pub(crate) fn solve_with_omega(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-    ) -> Result<SolveReport, SolverError> {
-        self.engine
-            .solve_with_omega(injection, v, tolerance, max_sweeps, omega)
-    }
-
     /// Batched multi-right-hand-side solve: `lanes.len()` load vectors
     /// sweep together against the shared factors, node-major/lane-minor
     /// layout, each lane freezing independently at `tolerance`. `mask`
     /// marks lanes to leave untouched (the VP outer loop freezes whole
-    /// lanes once they converge). See
-    /// [`TierEngine::solve_batch_masked`].
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::Unsupported`] for malformed batch arrays; per-lane
-    /// non-convergence is reported in `lanes`, not as an error.
-    #[allow(clippy::too_many_arguments)] // mirrors the engine entry point
-    pub(crate) fn solve_batch_masked(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-        mask: Option<&[bool]>,
-        lanes: &mut [LaneReport],
-    ) -> Result<SolveReport, SolverError> {
-        self.engine
-            .solve_batch_masked(injection, v, tolerance, max_sweeps, omega, mask, lanes)
-    }
-
-    /// Mixed-precision [`CachedTier::solve_with_omega`]: f32 correction
-    /// sweeps with f64 residual accumulation and iterative refinement.
-    /// See [`TierEngine::solve_mixed_with_omega`].
-    ///
-    /// # Errors
-    ///
-    /// See [`TierEngine::solve_mixed_with_omega`].
-    pub(crate) fn solve_mixed_with_omega(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-    ) -> Result<SolveReport, SolverError> {
-        self.engine
-            .solve_mixed_with_omega(injection, v, tolerance, max_sweeps, omega)
-    }
-
-    /// Mixed-precision [`CachedTier::solve_batch_masked`]. See
+    /// lanes once they converge). `mixed` runs the f32 sweeps with f64
+    /// residual refinement instead. See
+    /// [`TierEngine::solve_batch_masked`] and
     /// [`TierEngine::solve_batch_masked_mixed`].
     ///
     /// # Errors
     ///
     /// [`SolverError::Unsupported`] for malformed batch arrays; per-lane
     /// non-convergence is reported in `lanes`, not as an error.
-    #[allow(clippy::too_many_arguments)] // mirrors the engine entry point
-    pub(crate) fn solve_batch_masked_mixed(
+    #[allow(clippy::too_many_arguments)] // mirrors the engine entry points
+    pub(crate) fn solve_lanes(
         &mut self,
+        mixed: bool,
         injection: &[f64],
         v: &mut [f64],
         tolerance: f64,
@@ -185,8 +113,13 @@ impl CachedTier {
         mask: Option<&[bool]>,
         lanes: &mut [LaneReport],
     ) -> Result<SolveReport, SolverError> {
-        self.engine
-            .solve_batch_masked_mixed(injection, v, tolerance, max_sweeps, omega, mask, lanes)
+        if mixed {
+            self.engine
+                .solve_batch_masked_mixed(injection, v, tolerance, max_sweeps, omega, mask, lanes)
+        } else {
+            self.engine
+                .solve_batch_masked(injection, v, tolerance, max_sweeps, omega, mask, lanes)
+        }
     }
 
     /// A new cache sharing this one's frozen factors with fresh per-solve
@@ -244,6 +177,7 @@ mod tests {
             let mut v_cached = v_init.clone();
             let mut cached = CachedTier::new(w, h, g_h, g_v, Arc::from(&fixed[..]), 1, 1).unwrap();
             cached
+                .engine
                 .solve(&injection, &mut v_cached, 1e-10, 100_000)
                 .unwrap();
 
@@ -283,11 +217,13 @@ mod tests {
             let mut v_seq = v_init.clone();
             CachedTier::new(w, h, 2.0, 1.5, shared.clone(), 1, 1)
                 .unwrap()
+                .engine
                 .solve(&injection, &mut v_seq, 1e-12, 100_000)
                 .unwrap();
             let mut v_par = v_init.clone();
             CachedTier::new(w, h, 2.0, 1.5, shared, 4, 1)
                 .unwrap()
+                .engine
                 .solve(&injection, &mut v_par, 1e-12, 100_000)
                 .unwrap();
             for i in 0..w * h {
@@ -311,7 +247,7 @@ mod tests {
         let injection = vec![0.0; w * h];
         let mut cached = CachedTier::new(w, h, 1.0, 1.0, Arc::from(fixed), 1, 1).unwrap();
         assert!(matches!(
-            cached.solve(&injection, &mut v, 1e-15, 2),
+            cached.engine.solve(&injection, &mut v, 1e-15, 2),
             Err(SolverError::DidNotConverge { .. })
         ));
     }

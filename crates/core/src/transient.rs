@@ -32,7 +32,7 @@ use voltprop_grid::{NetKind, Stack3d};
 use voltprop_solvers::{PcgEngine, Rb3dEngine, SolverError};
 
 use crate::session::{Backend, Session, SessionError};
-use crate::solver::{run_single_dynamic, CompanionRef};
+use crate::solver::{run_lanes, single_report, CompanionRef};
 use crate::tier_cache::CachedTier;
 use crate::{Deadline, SolveParams};
 
@@ -759,19 +759,22 @@ fn solve_companion_step(
                 *refactors += 1;
             }
             let tiers = state.vp_tiers.as_mut().expect("just ensured");
-            let report = run_single_dynamic(
+            // One lane through the outer loop; the waveform sample was
+            // validated when it was drawn.
+            run_lanes(
                 params,
-                request.stack,
                 request.net,
                 &state.loads,
+                1,
                 &mut scratch.vp,
-                Deadline::NONE,
                 Some(CompanionRef {
                     tiers,
                     alpha_c: &state.alpha_c,
                     source: &state.source,
                 }),
+                Deadline::NONE,
             )?;
+            let report = single_report(params, &scratch.vp)?;
             *solver_iterations += report.inner_sweeps;
             state.v.copy_from_slice(scratch.vp.voltages());
         }

@@ -18,6 +18,20 @@
 //!    solves across OS threads; voltages live in an atomic buffer during
 //!    the parallel solve, and barriers separate the two color phases.
 //!
+//! # One solve path: a scalar solve is a batch of one
+//!
+//! [`TierEngine::solve`], [`TierEngine::solve_with_omega`] and the
+//! multi-threaded [`TierEngine::sweep_once`] run as one-lane batched
+//! solves on every path, keeping the scalar error semantics (an
+//! exhausted budget is [`SolverError::DidNotConverge`]). A one-lane
+//! batch never stages rows through the lane-blocked kernels: on one
+//! thread it sweeps the plain image with the scalar per-segment loop,
+//! and inside a parallel job the batched segment dispatch hands `k = 1`
+//! straight to the scalar kernel. Each multi-threaded engine keeps an
+//! eagerly built one-lane pool job beside the lazily sized job for
+//! wider batches, so alternating single and batched requests never
+//! rebuild a job.
+//!
 //! # Pool lifecycle
 //!
 //! Multi-threaded solves run on the persistent
@@ -308,121 +322,6 @@ impl Topo {
     }
 }
 
-/// Per-solve inputs of a parallel scalar solve, written by the
-/// dispatching engine before the job starts and read once per worker.
-#[derive(Debug)]
-struct ParInput {
-    injection: Vec<f64>,
-    omega: f64,
-    tolerance: f64,
-    max_sweeps: usize,
-}
-
-/// The pool job of a scalar (single right-hand-side) parallel solve.
-/// Built once per engine and reused by every solve, so dispatching is
-/// allocation-free.
-#[derive(Debug)]
-struct ParShared {
-    topo: Arc<Topo>,
-    input: RwLock<ParInput>,
-    /// Atomic voltage image (`n` slots).
-    atomic_v: Vec<AtomicU64>,
-    /// Per-thread max-|update| slots for the reduction.
-    deltas: Vec<AtomicU64>,
-    status: AtomicUsize,
-    sweeps_done: AtomicUsize,
-    final_delta: AtomicU64,
-    barrier: Barrier,
-}
-
-impl ParShared {
-    fn new(topo: Arc<Topo>) -> Self {
-        let n = topo.n();
-        let threads = topo.threads;
-        ParShared {
-            topo,
-            input: RwLock::new(ParInput {
-                injection: vec![0.0; n],
-                omega: 1.0,
-                tolerance: 0.0,
-                max_sweeps: 0,
-            }),
-            atomic_v: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            deltas: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            status: AtomicUsize::new(RUN),
-            sweeps_done: AtomicUsize::new(0),
-            final_delta: AtomicU64::new(0),
-            barrier: Barrier::new(threads),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let input = self.input.read().expect("par input lock");
-        (self.atomic_v.len() + self.deltas.len()) * size_of::<AtomicU64>()
-            + input.injection.capacity() * size_of::<f64>()
-    }
-}
-
-/// The per-thread loop of a scalar parallel solve. Thread 0 doubles as
-/// the reducer that decides convergence between sweeps. Every sweep
-/// costs four barrier waits: red→black, black→delta-publish,
-/// publish→reduce, reduce→next sweep.
-impl PoolJob for ParShared {
-    fn run(&self, tid: usize, ws: &mut WorkerScratch) {
-        let topo = &*self.topo;
-        let input = self.input.read().expect("par input lock");
-        let injection: &[f64] = &input.injection;
-        ws.ensure(topo.factors.max_segment_len(), 0);
-        let scratch = &mut ws.f[..];
-        loop {
-            let mut local = 0.0f64;
-            for phase in 0..2 {
-                let (idx, chunk) = if phase == 0 {
-                    (&topo.red_idx, &topo.red_chunks[tid])
-                } else {
-                    (&topo.black_idx, &topo.black_chunks[tid])
-                };
-                let mut view = AtomicView(&self.atomic_v);
-                for &si in &idx[chunk.clone()] {
-                    local = local.max(solve_segment(
-                        topo,
-                        topo.segments[si as usize],
-                        injection,
-                        input.omega,
-                        scratch,
-                        &mut view,
-                    ));
-                }
-                // All writes of this color must land before any thread
-                // reads them in the next phase.
-                self.barrier.wait();
-            }
-            self.deltas[tid].store(local.to_bits(), Ordering::Relaxed);
-            self.barrier.wait();
-            if tid == 0 {
-                let delta = self
-                    .deltas
-                    .iter()
-                    .take(topo.threads)
-                    .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
-                    .fold(0.0f64, f64::max);
-                self.final_delta.store(delta.to_bits(), Ordering::Relaxed);
-                let done = self.sweeps_done.fetch_add(1, Ordering::Relaxed) + 1;
-                if delta < input.tolerance {
-                    self.status.store(DONE, Ordering::Relaxed);
-                } else if done >= input.max_sweeps {
-                    self.status.store(BUDGET, Ordering::Relaxed);
-                }
-            }
-            self.barrier.wait();
-            if self.status.load(Ordering::Relaxed) != RUN {
-                return;
-            }
-        }
-    }
-}
-
 /// Per-solve inputs of a parallel batched solve.
 #[derive(Debug)]
 struct BatchInput {
@@ -433,18 +332,18 @@ struct BatchInput {
     max_sweeps: usize,
 }
 
-/// The pool job of a parallel batched solve, sized for a fixed lane
-/// count `k`; rebuilt only when `k` changes.
+/// The per-solve inputs and per-lane bookkeeping both parallel jobs
+/// share: the staged right-hand sides, which lanes still sweep, every
+/// lane's outcome, and the job status. The dispatching engine writes it
+/// before a job starts; while the job runs, thread 0 is its only writer.
 #[derive(Debug)]
-struct BatchShared {
-    topo: Arc<Topo>,
-    k: usize,
+struct LaneSlots {
     input: RwLock<BatchInput>,
-    /// Atomic voltage image (`n * k` slots, node-major/lane-minor).
-    atomic_v: Vec<AtomicU64>,
-    /// `threads × k` per-sweep delta slots for the reduction.
+    /// `parts × k` per-sweep delta slots (`parts` is the thread count of
+    /// the red-black job, the shard count of the sharded one), reduced
+    /// over the parts in order.
     deltas: Vec<AtomicU64>,
-    /// Per-lane active flags (thread 0 is the only writer).
+    /// Per-lane active flags.
     active: Vec<AtomicBool>,
     /// Compact list of active lane indices (first `n_active` valid).
     active_ids: Vec<AtomicU32>,
@@ -460,21 +359,16 @@ struct BatchShared {
     barrier: Barrier,
 }
 
-impl BatchShared {
-    fn new(topo: Arc<Topo>, k: usize) -> Self {
-        let n = topo.n();
-        let threads = topo.threads;
-        BatchShared {
-            topo,
-            k,
+impl LaneSlots {
+    fn new(n: usize, k: usize, parts: usize, threads: usize) -> Self {
+        LaneSlots {
             input: RwLock::new(BatchInput {
                 injection: vec![0.0; n * k],
                 omega: 1.0,
                 tolerance: 0.0,
                 max_sweeps: 0,
             }),
-            atomic_v: (0..n * k).map(|_| AtomicU64::new(0)).collect(),
-            deltas: (0..threads * k).map(|_| AtomicU64::new(0)).collect(),
+            deltas: (0..parts * k).map(|_| AtomicU64::new(0)).collect(),
             active: (0..k).map(|_| AtomicBool::new(true)).collect(),
             active_ids: (0..k).map(|_| AtomicU32::new(0)).collect(),
             n_active: AtomicUsize::new(0),
@@ -488,11 +382,119 @@ impl BatchShared {
         }
     }
 
+    /// Stages one solve: its inputs and every lane's starting state.
+    /// Returns the number of lanes that will sweep.
+    fn publish(
+        &self,
+        injection: &[f64],
+        omega: f64,
+        tolerance: f64,
+        max_sweeps: usize,
+        lanes: &[LaneReport],
+        compaction: bool,
+    ) -> usize {
+        {
+            let mut input = self.input.write().expect("lane input lock");
+            input.injection.copy_from_slice(injection);
+            input.omega = omega;
+            input.tolerance = tolerance;
+            input.max_sweeps = max_sweeps;
+        }
+        let mut m = 0usize;
+        for (j, lane) in lanes.iter().enumerate() {
+            self.lane_iters[j].store(lane.iterations, Ordering::Relaxed);
+            self.lane_residual[j].store(lane.residual.to_bits(), Ordering::Relaxed);
+            self.lane_converged[j].store(lane.converged, Ordering::Relaxed);
+            self.active[j].store(!lane.converged, Ordering::Relaxed);
+            if !lane.converged {
+                self.active_ids[m].store(j as u32, Ordering::Relaxed);
+                m += 1;
+            }
+        }
+        self.n_active.store(m, Ordering::Relaxed);
+        self.sweeps_done.store(0, Ordering::Relaxed);
+        self.status.store(RUN, Ordering::Relaxed);
+        self.compaction.store(compaction, Ordering::Relaxed);
+        m
+    }
+
+    /// Copies every lane's outcome back; returns the sweeps the job ran.
+    fn collect(&self, lanes: &mut [LaneReport]) -> usize {
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            *lane = LaneReport {
+                iterations: self.lane_iters[j].load(Ordering::Relaxed),
+                residual: f64::from_bits(self.lane_residual[j].load(Ordering::Relaxed)),
+                converged: self.lane_converged[j].load(Ordering::Relaxed),
+            };
+        }
+        self.sweeps_done.load(Ordering::Relaxed)
+    }
+
+    /// A worker's start-of-sweep copy of the active lanes into its
+    /// pinned `ids` / `active` scratch; returns the active count. The
+    /// lane state only changes while every worker is parked at the
+    /// post-reduce barrier, so relaxed loads give every thread the same
+    /// snapshot.
+    fn snapshot(&self, ids: &mut [u32], active: &mut [bool]) -> usize {
+        let m = self.n_active.load(Ordering::Relaxed);
+        for (id, slot) in ids[..m].iter_mut().zip(&self.active_ids) {
+            *id = slot.load(Ordering::Relaxed);
+        }
+        for (a, slot) in active.iter_mut().zip(&self.active) {
+            *a = slot.load(Ordering::Relaxed);
+        }
+        m
+    }
+
+    /// Thread 0's end-of-sweep step: folds each live lane's deltas over
+    /// the `parts` slots in order (`f64::max`, exact), freezes the lanes
+    /// that met the tolerance, republishes the active list and sets the
+    /// job status. Freezing — and so every lane's iterate — therefore
+    /// cannot depend on the thread or shard count.
+    fn reduce(&self, k: usize, parts: usize, tolerance: f64, max_sweeps: usize) {
+        let sweep = self.sweeps_done.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut live = 0usize;
+        for j in 0..k {
+            if self.lane_converged[j].load(Ordering::Relaxed) {
+                continue;
+            }
+            let d = (0..parts)
+                .map(|p| f64::from_bits(self.deltas[p * k + j].load(Ordering::Relaxed)))
+                .fold(0.0f64, f64::max);
+            self.lane_iters[j].store(sweep, Ordering::Relaxed);
+            self.lane_residual[j].store(d.to_bits(), Ordering::Relaxed);
+            if d < tolerance {
+                self.lane_converged[j].store(true, Ordering::Relaxed);
+                self.active[j].store(false, Ordering::Relaxed);
+            } else {
+                live += 1;
+            }
+        }
+        let mut next_m = 0usize;
+        for j in 0..k {
+            if self.active[j].load(Ordering::Relaxed) {
+                self.active_ids[next_m].store(j as u32, Ordering::Relaxed);
+                next_m += 1;
+            }
+        }
+        self.n_active.store(next_m, Ordering::Relaxed);
+        if live == 0 {
+            self.status.store(DONE, Ordering::Relaxed);
+        } else if sweep >= max_sweeps {
+            self.status.store(BUDGET, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether the job is still sweeping (read after the post-reduce
+    /// barrier).
+    fn running(&self) -> bool {
+        self.status.load(Ordering::Relaxed) == RUN
+    }
+
     fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let input = self.input.read().expect("batch input lock");
-        (self.atomic_v.len() + self.deltas.len() + self.lane_residual.len())
-            * size_of::<AtomicU64>()
+        let input = self.input.read().expect("lane input lock");
+        (self.deltas.len() + self.lane_residual.len()) * size_of::<AtomicU64>()
             + input.injection.capacity() * size_of::<f64>()
             + self.active_ids.len() * size_of::<AtomicU32>()
             + self.lane_iters.len() * size_of::<AtomicUsize>()
@@ -501,16 +503,74 @@ impl BatchShared {
     }
 }
 
-/// The per-thread loop of a parallel batched solve. Mirrors the scalar
-/// job's barrier structure; thread 0 reduces the per-lane deltas between
-/// sweeps, decides which lanes freeze, and republishes the compact
-/// active-lane list, so freezing — and therefore every lane's iterate —
-/// is deterministic in the thread count.
+/// A parallel pool job the engine stages solves into: its lane slots
+/// plus how it loads the caller's node-major image and stores the
+/// solution back.
+trait LaneJob: PoolJob + 'static {
+    fn slots(&self) -> &LaneSlots;
+    /// Copies `v` into the job's atomic image.
+    fn load(&self, v: &[f64]);
+    /// Copies the job's solved image back into `v`.
+    fn store(&self, v: &mut [f64]);
+}
+
+/// The pool job of a parallel red-black solve, sized for a fixed lane
+/// count `k`. Every multi-threaded unsharded engine builds a `k = 1` job
+/// eagerly (scalar solves and sweeps) and a wider one on demand.
+#[derive(Debug)]
+struct BatchShared {
+    topo: Arc<Topo>,
+    k: usize,
+    slots: LaneSlots,
+    /// Atomic voltage image (`n * k` slots, node-major/lane-minor).
+    atomic_v: Vec<AtomicU64>,
+}
+
+impl BatchShared {
+    fn new(topo: Arc<Topo>, k: usize) -> Self {
+        let n = topo.n();
+        let threads = topo.threads;
+        BatchShared {
+            slots: LaneSlots::new(n, k, threads, threads),
+            atomic_v: (0..n * k).map(|_| AtomicU64::new(0)).collect(),
+            topo,
+            k,
+        }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.slots.memory_bytes() + self.atomic_v.len() * std::mem::size_of::<AtomicU64>()
+    }
+}
+
+impl LaneJob for BatchShared {
+    fn slots(&self) -> &LaneSlots {
+        &self.slots
+    }
+
+    fn load(&self, v: &[f64]) {
+        for (slot, &x) in self.atomic_v.iter().zip(v) {
+            slot.store(x.to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    fn store(&self, v: &mut [f64]) {
+        for (slot, x) in self.atomic_v.iter().zip(v) {
+            *x = f64::from_bits(slot.load(Ordering::Relaxed));
+        }
+    }
+}
+
+/// The per-thread loop of a parallel red-black solve. Every sweep costs
+/// four barrier waits: red→black, black→delta-publish, publish→reduce,
+/// reduce→next sweep; thread 0 reduces the per-lane deltas between
+/// sweeps (see [`LaneSlots::reduce`]).
 impl PoolJob for BatchShared {
     fn run(&self, tid: usize, ws: &mut WorkerScratch) {
         let topo = &*self.topo;
         let k = self.k;
-        let input = self.input.read().expect("batch input lock");
+        let slots = &self.slots;
+        let input = slots.input.read().expect("lane input lock");
         let injection: &[f64] = &input.injection;
         ws.ensure(topo.factors.max_segment_len() * k, k);
         let WorkerScratch {
@@ -524,18 +584,9 @@ impl PoolJob for BatchShared {
         let active = &mut active[..k];
         let delta = &mut delta[..k];
         let ids = &mut ids[..k];
-        let compaction = self.compaction.load(Ordering::Relaxed);
+        let compaction = slots.compaction.load(Ordering::Relaxed);
         loop {
-            // The lane-active state only changes while every worker is
-            // parked at the post-reduce barrier, so relaxed refreshes
-            // here are safe — and every thread sees the same snapshot.
-            let m = self.n_active.load(Ordering::Relaxed);
-            for (id, slot) in ids[..m].iter_mut().zip(&self.active_ids) {
-                *id = slot.load(Ordering::Relaxed);
-            }
-            for (a, slot) in active.iter_mut().zip(&self.active) {
-                *a = slot.load(Ordering::Relaxed);
-            }
+            let m = slots.snapshot(ids, active);
             delta.fill(0.0);
             let kernel = choose_batch_kernel(m, k, compaction);
             for phase in 0..2 {
@@ -562,47 +613,17 @@ impl PoolJob for BatchShared {
                 }
                 // All writes of this color must land before any thread
                 // reads them in the next phase.
-                self.barrier.wait();
+                slots.barrier.wait();
             }
             for (j, &d) in delta.iter().enumerate() {
-                self.deltas[tid * k + j].store(d.to_bits(), Ordering::Relaxed);
+                slots.deltas[tid * k + j].store(d.to_bits(), Ordering::Relaxed);
             }
-            self.barrier.wait();
+            slots.barrier.wait();
             if tid == 0 {
-                let sweep = self.sweeps_done.fetch_add(1, Ordering::Relaxed) + 1;
-                let mut live = 0usize;
-                for j in 0..k {
-                    if self.lane_converged[j].load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    let d = (0..topo.threads)
-                        .map(|t| f64::from_bits(self.deltas[t * k + j].load(Ordering::Relaxed)))
-                        .fold(0.0f64, f64::max);
-                    self.lane_iters[j].store(sweep, Ordering::Relaxed);
-                    self.lane_residual[j].store(d.to_bits(), Ordering::Relaxed);
-                    if d < input.tolerance {
-                        self.lane_converged[j].store(true, Ordering::Relaxed);
-                        self.active[j].store(false, Ordering::Relaxed);
-                    } else {
-                        live += 1;
-                    }
-                }
-                let mut next_m = 0usize;
-                for j in 0..k {
-                    if self.active[j].load(Ordering::Relaxed) {
-                        self.active_ids[next_m].store(j as u32, Ordering::Relaxed);
-                        next_m += 1;
-                    }
-                }
-                self.n_active.store(next_m, Ordering::Relaxed);
-                if live == 0 {
-                    self.status.store(DONE, Ordering::Relaxed);
-                } else if sweep >= input.max_sweeps {
-                    self.status.store(BUDGET, Ordering::Relaxed);
-                }
+                slots.reduce(k, topo.threads, input.tolerance, input.max_sweeps);
             }
-            self.barrier.wait();
-            if self.status.load(Ordering::Relaxed) != RUN {
+            slots.barrier.wait();
+            if !slots.running() {
                 return;
             }
         }
@@ -727,53 +748,24 @@ struct ShardShared {
     topo: Arc<Topo>,
     layout: Arc<ShardLayout>,
     k: usize,
-    input: RwLock<BatchInput>,
+    /// Lane bookkeeping; its delta slots are `shards × k`.
+    slots: LaneSlots,
     /// Per-shard halo-extended voltage images, `(hi - lo) * width * k`
     /// slots each, node-major/lane-minor in halo-local coordinates.
     bufs: Vec<Vec<AtomicU64>>,
-    /// `shards × k` per-sweep delta slots; reduced in shard order.
-    deltas: Vec<AtomicU64>,
-    active: Vec<AtomicBool>,
-    active_ids: Vec<AtomicU32>,
-    n_active: AtomicUsize,
-    lane_iters: Vec<AtomicUsize>,
-    lane_residual: Vec<AtomicU64>,
-    lane_converged: Vec<AtomicBool>,
-    sweeps_done: AtomicUsize,
-    status: AtomicUsize,
-    compaction: AtomicBool,
-    barrier: Barrier,
 }
 
 impl ShardShared {
     fn new(topo: Arc<Topo>, layout: Arc<ShardLayout>, k: usize) -> Self {
-        let n = topo.n();
         let wk = topo.width * k;
-        let shards = layout.num_shards();
         let bufs = layout
             .bands
             .iter()
             .map(|b| (0..(b.hi - b.lo) * wk).map(|_| AtomicU64::new(0)).collect())
             .collect();
         ShardShared {
-            input: RwLock::new(BatchInput {
-                injection: vec![0.0; n * k],
-                omega: 1.0,
-                tolerance: 0.0,
-                max_sweeps: 0,
-            }),
+            slots: LaneSlots::new(topo.n(), k, layout.num_shards(), topo.threads),
             bufs,
-            deltas: (0..shards * k).map(|_| AtomicU64::new(0)).collect(),
-            active: (0..k).map(|_| AtomicBool::new(true)).collect(),
-            active_ids: (0..k).map(|_| AtomicU32::new(0)).collect(),
-            n_active: AtomicUsize::new(0),
-            lane_iters: (0..k).map(|_| AtomicUsize::new(0)).collect(),
-            lane_residual: (0..k).map(|_| AtomicU64::new(0)).collect(),
-            lane_converged: (0..k).map(|_| AtomicBool::new(false)).collect(),
-            sweeps_done: AtomicUsize::new(0),
-            status: AtomicUsize::new(RUN),
-            compaction: AtomicBool::new(true),
-            barrier: Barrier::new(topo.threads),
             layout,
             topo,
             k,
@@ -813,15 +805,38 @@ impl ShardShared {
     }
 
     fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let input = self.input.read().expect("shard input lock");
         let buf_slots: usize = self.bufs.iter().map(Vec::capacity).sum();
-        (buf_slots + self.deltas.len() + self.lane_residual.len()) * size_of::<AtomicU64>()
-            + input.injection.capacity() * size_of::<f64>()
-            + self.active_ids.len() * size_of::<AtomicU32>()
-            + self.lane_iters.len() * size_of::<AtomicUsize>()
-            + self.active.len()
-            + self.lane_converged.len()
+        self.slots.memory_bytes() + buf_slots * std::mem::size_of::<AtomicU64>()
+    }
+}
+
+impl LaneJob for ShardShared {
+    fn slots(&self) -> &LaneSlots {
+        &self.slots
+    }
+
+    /// Scatters `v` into every shard image, halo rows included, so the
+    /// first red half-sweep reads correct neighbour values.
+    fn load(&self, v: &[f64]) {
+        let wk = self.topo.width * self.k;
+        for (band, buf) in self.layout.bands.iter().zip(&self.bufs) {
+            for (slot, &x) in buf.iter().zip(&v[band.lo * wk..]) {
+                slot.store(x.to_bits(), Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Gathers every shard's **owned** rows back into `v`.
+    fn store(&self, v: &mut [f64]) {
+        let wk = self.topo.width * self.k;
+        for (band, buf) in self.layout.bands.iter().zip(&self.bufs) {
+            let own = (band.y0 - band.lo) * wk;
+            let len = (band.y1 - band.y0) * wk;
+            let g0 = band.y0 * wk;
+            for (slot, x) in buf[own..own + len].iter().zip(&mut v[g0..g0 + len]) {
+                *x = f64::from_bits(slot.load(Ordering::Relaxed));
+            }
+        }
     }
 }
 
@@ -837,7 +852,8 @@ impl PoolJob for ShardShared {
         let lay = &*self.layout;
         let k = self.k;
         let wk = topo.width * k;
-        let input = self.input.read().expect("shard input lock");
+        let slots = &self.slots;
+        let input = slots.input.read().expect("lane input lock");
         let injection: &[f64] = &input.injection;
         ws.ensure(topo.factors.max_segment_len() * k, k);
         let WorkerScratch {
@@ -851,16 +867,10 @@ impl PoolJob for ShardShared {
         let active = &mut active[..k];
         let delta = &mut delta[..k];
         let ids = &mut ids[..k];
-        let compaction = self.compaction.load(Ordering::Relaxed);
+        let compaction = slots.compaction.load(Ordering::Relaxed);
         let mine = lay.chunks[tid].clone();
         loop {
-            let m = self.n_active.load(Ordering::Relaxed);
-            for (id, slot) in ids[..m].iter_mut().zip(&self.active_ids) {
-                *id = slot.load(Ordering::Relaxed);
-            }
-            for (a, slot) in active.iter_mut().zip(&self.active) {
-                *a = slot.load(Ordering::Relaxed);
-            }
+            let m = slots.snapshot(ids, active);
             let kernel = choose_batch_kernel(m, k, compaction);
             for phase in 0..2 {
                 for s in mine.clone() {
@@ -872,40 +882,24 @@ impl PoolJob for ShardShared {
                         off: band.lo * wk,
                     };
                     for &si in segs {
-                        // Scalar solves take the same `solve_segment`
-                        // kernel as the unsharded parallel path (the
-                        // batch-of-1 dispatch is bitwise identical but
-                        // pays lane-indirection the scalar kernel
-                        // doesn't).
-                        if k == 1 {
-                            delta[0] = delta[0].max(solve_segment(
-                                topo,
-                                topo.segments[si as usize],
-                                injection,
-                                input.omega,
-                                scratch,
-                                &mut view,
-                            ));
-                        } else {
-                            batch_segment_dispatch(
-                                kernel,
-                                topo,
-                                topo.segments[si as usize],
-                                injection,
-                                input.omega,
-                                k,
-                                active,
-                                &ids[..m],
-                                scratch,
-                                &mut view,
-                                delta,
-                            );
-                        }
+                        batch_segment_dispatch(
+                            kernel,
+                            topo,
+                            topo.segments[si as usize],
+                            injection,
+                            input.omega,
+                            k,
+                            active,
+                            &ids[..m],
+                            scratch,
+                            &mut view,
+                            delta,
+                        );
                     }
                     // Red overwrites the shard's slots (self-resetting
                     // between sweeps), black folds its maxima in.
                     for (j, &d) in delta.iter().enumerate() {
-                        let slot = &self.deltas[s * k + j];
+                        let slot = &slots.deltas[s * k + j];
                         let bits = if phase == 0 {
                             d.to_bits()
                         } else {
@@ -916,48 +910,17 @@ impl PoolJob for ShardShared {
                         slot.store(bits, Ordering::Relaxed);
                     }
                 }
-                self.barrier.wait();
+                slots.barrier.wait();
                 for s in mine.clone() {
                     self.exchange_halos(s, phase);
                 }
-                self.barrier.wait();
+                slots.barrier.wait();
             }
             if tid == 0 {
-                let sweep = self.sweeps_done.fetch_add(1, Ordering::Relaxed) + 1;
-                let shards = lay.num_shards();
-                let mut live = 0usize;
-                for j in 0..k {
-                    if self.lane_converged[j].load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    let d = (0..shards)
-                        .map(|s| f64::from_bits(self.deltas[s * k + j].load(Ordering::Relaxed)))
-                        .fold(0.0f64, f64::max);
-                    self.lane_iters[j].store(sweep, Ordering::Relaxed);
-                    self.lane_residual[j].store(d.to_bits(), Ordering::Relaxed);
-                    if d < input.tolerance {
-                        self.lane_converged[j].store(true, Ordering::Relaxed);
-                        self.active[j].store(false, Ordering::Relaxed);
-                    } else {
-                        live += 1;
-                    }
-                }
-                let mut next_m = 0usize;
-                for j in 0..k {
-                    if self.active[j].load(Ordering::Relaxed) {
-                        self.active_ids[next_m].store(j as u32, Ordering::Relaxed);
-                        next_m += 1;
-                    }
-                }
-                self.n_active.store(next_m, Ordering::Relaxed);
-                if live == 0 {
-                    self.status.store(DONE, Ordering::Relaxed);
-                } else if sweep >= input.max_sweeps {
-                    self.status.store(BUDGET, Ordering::Relaxed);
-                }
+                slots.reduce(k, lay.num_shards(), input.tolerance, input.max_sweeps);
             }
-            self.barrier.wait();
-            if self.status.load(Ordering::Relaxed) != RUN {
+            slots.barrier.wait();
+            if !slots.running() {
                 return;
             }
         }
@@ -965,20 +928,21 @@ impl PoolJob for ShardShared {
 }
 
 /// Sharded-dispatch state of a [`TierEngine`]: the frozen layout plus
-/// the prebuilt scalar (`k = 1`) job and the lazily (re)built batched
-/// job, mirroring `par` / `batch_par` on the unsharded side.
+/// the prebuilt one-lane job and the lazily (re)built wider job,
+/// mirroring `par` / `batch_par` on the unsharded side.
 #[derive(Debug)]
 struct ShardState {
     layout: Arc<ShardLayout>,
-    /// `k = 1` job serving `solve` / `sweep_once`, built eagerly so warm
-    /// scalar solves never allocate.
+    /// `k = 1` job serving scalar solves, sweeps and one-lane batches,
+    /// built eagerly so warm scalar solves never allocate.
     scalar: Arc<ShardShared>,
-    /// Batched job, rebuilt when the lane count changes (like
+    /// Job for `k > 1` lanes, rebuilt when the lane count changes (like
     /// `batch_par`).
     batch: Option<Arc<ShardShared>>,
 }
 
-/// Single-threaded state for batched (multi right-hand-side) solves.
+/// Single-threaded state for batched solves of `k > 1` lanes (one lane
+/// sweeps the plain image with the engine's scalar scratch).
 ///
 /// Sized on the first [`TierEngine::solve_batch`] call for a given lane
 /// count; later calls with the same count reuse every buffer, so warm
@@ -1125,14 +1089,16 @@ pub struct TierEngine {
     /// model exactly (per-solve thread spawns, but engine-owned reusable
     /// scratch) and the measured pool-vs-scoped delta is pure dispatch.
     scoped_scratch: Vec<WorkerScratch>,
-    /// Single-threaded forward-substitution scratch.
+    /// Single-threaded forward-substitution scratch (one lane).
     scratch: Vec<f64>,
-    /// Scalar parallel job (present when the schedule is multi-threaded).
-    par: Option<Arc<ParShared>>,
-    /// Lazily sized single-threaded batch state.
+    /// One-lane parallel job, built eagerly when the schedule is
+    /// multi-threaded and unsharded: scalar solves, sweeps and one-lane
+    /// batches run on it.
+    par: Option<Arc<BatchShared>>,
+    /// Lazily sized single-threaded batch state (`k > 1`).
     batch: BatchState,
-    /// Lazily sized parallel batch job (rebuilt when the lane count
-    /// changes).
+    /// Lazily sized parallel job for `k > 1` lanes (rebuilt when the
+    /// lane count changes).
     batch_par: Option<Arc<BatchShared>>,
     /// Lazily sized (grow-only) mixed-precision lane buffers.
     mixed: MixedState,
@@ -1334,8 +1300,8 @@ impl TierEngine {
                 layout,
             }
         });
-        let par =
-            (shard.is_none() && threads > 1).then(|| Arc::new(ParShared::new(Arc::clone(&topo))));
+        let par = (shard.is_none() && threads > 1)
+            .then(|| Arc::new(BatchShared::new(Arc::clone(&topo), 1)));
 
         Ok(TierEngine {
             topo,
@@ -1457,7 +1423,7 @@ impl TierEngine {
             scoped_scratch: Vec::new(),
             scratch: vec![0.0; self.scratch.len()],
             par: (shard.is_none() && topo.threads > 1)
-                .then(|| Arc::new(ParShared::new(Arc::clone(&topo)))),
+                .then(|| Arc::new(BatchShared::new(Arc::clone(&topo), 1))),
             batch: BatchState::default(),
             batch_par: None,
             mixed: MixedState::default(),
@@ -1498,36 +1464,29 @@ impl TierEngine {
         omega: f64,
     ) -> Result<SolveReport, SolverError> {
         self.check_call(injection, v, omega)?;
-        if self.shard.is_some() {
-            return self.solve_sharded(injection, v, tolerance, max_sweeps, omega);
+        // A one-lane batch: bitwise free by the batch-of-1 ≡ solo
+        // contract, with the scalar budget-exhaustion error kept.
+        let mut lanes = [LaneReport {
+            iterations: 0,
+            residual: f64::INFINITY,
+            converged: false,
+        }];
+        let sweeps = self.run_lanes(injection, v, tolerance, max_sweeps, omega, &mut lanes);
+        let lane = lanes[0];
+        if lane.converged {
+            Ok(SolveReport {
+                iterations: sweeps,
+                residual: lane.residual,
+                converged: true,
+                workspace_bytes: self.memory_bytes(),
+            })
+        } else {
+            Err(SolverError::DidNotConverge {
+                iterations: sweeps,
+                residual: lane.residual,
+                tolerance,
+            })
         }
-        if self.topo.threads > 1 {
-            return self.solve_parallel(injection, v, tolerance, max_sweeps, omega);
-        }
-        let mut max_delta = f64::INFINITY;
-        let mut sweeps = 0;
-        while sweeps < max_sweeps {
-            max_delta = match self.schedule {
-                SweepSchedule::Sequential => {
-                    self.sweep_sequential_slice(injection, v, sweeps % 2 == 0, omega)
-                }
-                SweepSchedule::RedBlack { .. } => self.sweep_redblack_slice(injection, v, omega),
-            };
-            sweeps += 1;
-            if max_delta < tolerance {
-                return Ok(SolveReport {
-                    iterations: sweeps,
-                    residual: max_delta,
-                    converged: true,
-                    workspace_bytes: self.memory_bytes(),
-                });
-            }
-        }
-        Err(SolverError::DidNotConverge {
-            iterations: sweeps,
-            residual: max_delta,
-            tolerance,
-        })
     }
 
     /// One sweep under the engine's schedule (both colors for red-black),
@@ -1546,32 +1505,22 @@ impl TierEngine {
         omega: f64,
     ) -> Result<f64, SolverError> {
         self.check_call(injection, v, omega)?;
-        if let Some(shard) = &self.shard {
-            let shared = Arc::clone(&shard.scalar);
-            let mut lanes = [LaneReport {
-                iterations: 0,
-                residual: f64::INFINITY,
-                converged: false,
-            }];
-            self.run_sharded(
-                &shared,
-                injection,
-                v,
-                f64::NEG_INFINITY,
-                1,
-                omega,
-                &mut lanes,
-            );
-            return Ok(lanes[0].residual);
+        if self.shard.is_none() && self.par.is_none() {
+            return Ok(match self.schedule {
+                SweepSchedule::Sequential => {
+                    self.sweep_sequential_slice(injection, v, downward, omega)
+                }
+                SweepSchedule::RedBlack { .. } => self.sweep_redblack_slice(injection, v, omega),
+            });
         }
-        Ok(match self.schedule {
-            SweepSchedule::Sequential => self.sweep_sequential_slice(injection, v, downward, omega),
-            SweepSchedule::RedBlack { threads } if threads > 1 => {
-                self.parallel_sweeps(injection, v, f64::NEG_INFINITY, 1, omega)
-                    .1
-            }
-            SweepSchedule::RedBlack { .. } => self.sweep_redblack_slice(injection, v, omega),
-        })
+        // Parallel: one sweep of a one-lane batch that cannot converge.
+        let mut lanes = [LaneReport {
+            iterations: 0,
+            residual: f64::INFINITY,
+            converged: false,
+        }];
+        self.run_lanes(injection, v, f64::NEG_INFINITY, 1, omega, &mut lanes);
+        Ok(lanes[0].residual)
     }
 
     /// Solves `lanes.len()` right-hand sides together through the shared
@@ -1666,7 +1615,6 @@ impl TierEngine {
     ) -> Result<SolveReport, SolverError> {
         let k = lanes.len();
         self.check_batch_call(injection, v, omega, mask, k)?;
-        self.ensure_batch(k);
         for (j, lane) in lanes.iter_mut().enumerate() {
             let on = mask.is_none_or(|m| m[j]);
             *lane = LaneReport {
@@ -1675,56 +1623,99 @@ impl TierEngine {
                 converged: !on,
             };
         }
-        if self.shard.is_some() {
-            let shared = Arc::clone(
-                self.shard
-                    .as_ref()
-                    .and_then(|s| s.batch.as_ref())
-                    .expect("sharded batch job sized by ensure_batch"),
-            );
-            let sweeps =
-                self.run_sharded(&shared, injection, v, tolerance, max_sweeps, omega, lanes);
-            return Ok(aggregate_report(lanes, sweeps, self.memory_bytes()));
+        let sweeps = self.run_lanes(injection, v, tolerance, max_sweeps, omega, lanes);
+        Ok(aggregate_report(lanes, sweeps, self.memory_bytes()))
+    }
+
+    /// The one f64 solve path: sweeps every lane that `lanes` does not
+    /// already mark converged until it freezes or `max_sweeps` runs out,
+    /// recording each lane's outcome; returns the sweeps run. The one
+    /// place that picks the execution: a parallel job (the prebuilt
+    /// one-lane job when `k = 1`), the scalar slice loop for one lane on
+    /// one thread, or the in-place batched loop.
+    fn run_lanes(
+        &mut self,
+        injection: &[f64],
+        v: &mut [f64],
+        tolerance: f64,
+        max_sweeps: usize,
+        omega: f64,
+        lanes: &mut [LaneReport],
+    ) -> usize {
+        let k = lanes.len();
+        self.ensure_batch(k);
+        if let Some(shard) = &self.shard {
+            let job = Arc::clone(if k == 1 {
+                &shard.scalar
+            } else {
+                shard.batch.as_ref().expect("sized by ensure_batch")
+            });
+            return self.run_job(&job, injection, v, tolerance, max_sweeps, omega, lanes);
         }
-        if self.topo.threads > 1 {
-            return Ok(self.solve_batch_parallel(injection, v, tolerance, max_sweeps, omega, lanes));
+        if let Some(one) = &self.par {
+            let job = Arc::clone(if k == 1 {
+                one
+            } else {
+                self.batch_par.as_ref().expect("sized by ensure_batch")
+            });
+            return self.run_job(&job, injection, v, tolerance, max_sweeps, omega, lanes);
+        }
+        if k == 1 {
+            return self.sweep_lane(injection, v, tolerance, max_sweeps, omega, &mut lanes[0]);
         }
 
         // Single-threaded schedules: sweep in place on `v`.
         let topo = Arc::clone(&self.topo);
         let schedule = self.schedule;
         let compaction = self.compaction;
-        let sweeps = {
-            let BatchState {
-                scratch,
-                active,
-                delta,
-                ids,
-                ..
-            } = &mut self.batch;
-            let mut n_active = 0usize;
-            for (j, lane) in lanes.iter().enumerate() {
-                active[j] = !lane.converged;
-                if active[j] {
-                    ids[n_active] = j as u32;
-                    n_active += 1;
-                }
+        let BatchState {
+            scratch,
+            active,
+            delta,
+            ids,
+            ..
+        } = &mut self.batch;
+        let mut n_active = 0usize;
+        for (j, lane) in lanes.iter().enumerate() {
+            active[j] = !lane.converged;
+            if active[j] {
+                ids[n_active] = j as u32;
+                n_active += 1;
             }
-            let mut view = SliceView(v);
-            let mut sweeps = 0usize;
-            while sweeps < max_sweeps && n_active > 0 {
-                delta.fill(0.0);
-                let kernel = choose_batch_kernel(n_active, k, compaction);
-                match schedule {
-                    SweepSchedule::Sequential => {
-                        let nseg = topo.segments.len();
-                        let downward = sweeps % 2 == 0;
-                        for s in 0..nseg {
-                            let si = if downward { s } else { nseg - 1 - s };
+        }
+        let mut view = SliceView(v);
+        let mut sweeps = 0usize;
+        while sweeps < max_sweeps && n_active > 0 {
+            delta.fill(0.0);
+            let kernel = choose_batch_kernel(n_active, k, compaction);
+            match schedule {
+                SweepSchedule::Sequential => {
+                    let nseg = topo.segments.len();
+                    let downward = sweeps % 2 == 0;
+                    for s in 0..nseg {
+                        let si = if downward { s } else { nseg - 1 - s };
+                        batch_segment_dispatch(
+                            kernel,
+                            &topo,
+                            topo.segments[si],
+                            injection,
+                            omega,
+                            k,
+                            active,
+                            &ids[..n_active],
+                            scratch,
+                            &mut view,
+                            delta,
+                        );
+                    }
+                }
+                SweepSchedule::RedBlack { .. } => {
+                    for idx in [&topo.red_idx, &topo.black_idx] {
+                        for &si in idx.iter() {
                             batch_segment_dispatch(
                                 kernel,
                                 &topo,
-                                topo.segments[si],
+                                topo.segments[si as usize],
                                 injection,
                                 omega,
                                 k,
@@ -1736,54 +1727,64 @@ impl TierEngine {
                             );
                         }
                     }
-                    SweepSchedule::RedBlack { .. } => {
-                        for idx in [&topo.red_idx, &topo.black_idx] {
-                            for &si in idx.iter() {
-                                batch_segment_dispatch(
-                                    kernel,
-                                    &topo,
-                                    topo.segments[si as usize],
-                                    injection,
-                                    omega,
-                                    k,
-                                    active,
-                                    &ids[..n_active],
-                                    scratch,
-                                    &mut view,
-                                    delta,
-                                );
-                            }
-                        }
-                    }
                 }
-                sweeps += 1;
-                let mut live = 0usize;
+            }
+            sweeps += 1;
+            let mut live = 0usize;
+            for j in 0..k {
+                if !active[j] {
+                    continue;
+                }
+                lanes[j].iterations = sweeps;
+                lanes[j].residual = delta[j];
+                if delta[j] < tolerance {
+                    lanes[j].converged = true;
+                    active[j] = false;
+                } else {
+                    live += 1;
+                }
+            }
+            if live != n_active {
+                n_active = 0;
                 for j in 0..k {
-                    if !active[j] {
-                        continue;
-                    }
-                    lanes[j].iterations = sweeps;
-                    lanes[j].residual = delta[j];
-                    if delta[j] < tolerance {
-                        lanes[j].converged = true;
-                        active[j] = false;
-                    } else {
-                        live += 1;
-                    }
-                }
-                if live != n_active {
-                    n_active = 0;
-                    for j in 0..k {
-                        if active[j] {
-                            ids[n_active] = j as u32;
-                            n_active += 1;
-                        }
+                    if active[j] {
+                        ids[n_active] = j as u32;
+                        n_active += 1;
                     }
                 }
             }
-            sweeps
-        };
-        Ok(aggregate_report(lanes, sweeps, self.memory_bytes()))
+        }
+        sweeps
+    }
+
+    /// One lane on one thread: the scalar per-segment sweeps on the plain
+    /// image (a one-lane node-major image is the plain vector), with no
+    /// batched-kernel staging.
+    fn sweep_lane(
+        &mut self,
+        injection: &[f64],
+        v: &mut [f64],
+        tolerance: f64,
+        max_sweeps: usize,
+        omega: f64,
+        lane: &mut LaneReport,
+    ) -> usize {
+        let mut sweeps = 0usize;
+        while sweeps < max_sweeps && !lane.converged {
+            let delta = match self.schedule {
+                SweepSchedule::Sequential => {
+                    self.sweep_sequential_slice(injection, v, sweeps % 2 == 0, omega)
+                }
+                SweepSchedule::RedBlack { .. } => self.sweep_redblack_slice(injection, v, omega),
+            };
+            sweeps += 1;
+            *lane = LaneReport {
+                iterations: sweeps,
+                residual: delta,
+                converged: delta < tolerance,
+            };
+        }
+        sweeps
     }
 
     /// Mixed-precision [`TierEngine::solve`] (ω = 1): iteratively refined
@@ -2002,12 +2003,13 @@ impl TierEngine {
         sweeps_total
     }
 
-    /// Sizes the batch state for `k` lanes (no-op when already sized):
-    /// the in-place sweep buffers on single-threaded schedules, the
-    /// shared pool job on multi-threaded ones (whose workers bring their
-    /// own pinned scratch).
+    /// Sizes the batch state for `k > 1` lanes (no-op when already sized,
+    /// and for one lane, which runs on the prebuilt one-lane job or the
+    /// scalar scratch): the in-place sweep buffers on single-threaded
+    /// schedules, the shared pool job on multi-threaded ones (whose
+    /// workers bring their own pinned scratch).
     fn ensure_batch(&mut self, k: usize) {
-        if self.batch.lanes == k {
+        if k == 1 || self.batch.lanes == k {
             return;
         }
         self.batch.lanes = k;
@@ -2029,116 +2031,15 @@ impl TierEngine {
         }
     }
 
-    /// Multi-threaded batched red-black solve on the worker pool: lane
-    /// state is published into the prebuilt [`BatchShared`] job, the pool
-    /// (or the scoped baseline) runs it, and the per-lane outcomes are
-    /// copied back. Thread 0 reduces and freezes lanes centrally, so
-    /// freezing — and therefore every iterate — is deterministic in the
-    /// thread count.
-    fn solve_batch_parallel(
+    /// Stages a solve into a parallel job — lane states, inputs, and `v`
+    /// loaded into the job's atomic image — runs it on the configured
+    /// dispatch, and copies the solution and lane outcomes back. Returns
+    /// the sweeps run. Warm calls are allocation-free on the pool
+    /// dispatch.
+    #[allow(clippy::too_many_arguments)] // run_lanes' surface plus the job
+    fn run_job<J: LaneJob>(
         &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-        lanes: &mut [LaneReport],
-    ) -> SolveReport {
-        let shared = Arc::clone(self.batch_par.as_ref().expect("batch parallel state"));
-        {
-            let mut input = shared.input.write().expect("batch input lock");
-            input.injection.copy_from_slice(injection);
-            input.omega = omega;
-            input.tolerance = tolerance;
-            input.max_sweeps = max_sweeps;
-        }
-        for (slot, &x) in shared.atomic_v.iter().zip(v.iter()) {
-            slot.store(x.to_bits(), Ordering::Relaxed);
-        }
-        let mut m = 0usize;
-        for (j, lane) in lanes.iter().enumerate() {
-            shared.lane_iters[j].store(lane.iterations, Ordering::Relaxed);
-            shared.lane_residual[j].store(lane.residual.to_bits(), Ordering::Relaxed);
-            shared.lane_converged[j].store(lane.converged, Ordering::Relaxed);
-            shared.active[j].store(!lane.converged, Ordering::Relaxed);
-            if !lane.converged {
-                shared.active_ids[m].store(j as u32, Ordering::Relaxed);
-                m += 1;
-            }
-        }
-        shared.n_active.store(m, Ordering::Relaxed);
-        shared.sweeps_done.store(0, Ordering::Relaxed);
-        shared.status.store(RUN, Ordering::Relaxed);
-        shared.compaction.store(self.compaction, Ordering::Relaxed);
-        if m > 0 && max_sweeps > 0 {
-            self.dispatch_job(shared.clone());
-        }
-        for (slot, x) in shared.atomic_v.iter().zip(v.iter_mut()) {
-            *x = f64::from_bits(slot.load(Ordering::Relaxed));
-        }
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            *lane = LaneReport {
-                iterations: shared.lane_iters[j].load(Ordering::Relaxed),
-                residual: f64::from_bits(shared.lane_residual[j].load(Ordering::Relaxed)),
-                converged: shared.lane_converged[j].load(Ordering::Relaxed),
-            };
-        }
-        let sweeps = shared.sweeps_done.load(Ordering::Relaxed);
-        aggregate_report(lanes, sweeps, self.memory_bytes())
-    }
-
-    /// Scalar sharded solve: runs as a one-lane batch on the prebuilt
-    /// `k = 1` shard job (bitwise-free by the batch-of-1 ≡ solo
-    /// contract), keeping [`TierEngine::solve`]'s error semantics.
-    fn solve_sharded(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-    ) -> Result<SolveReport, SolverError> {
-        if max_sweeps == 0 {
-            return Err(SolverError::DidNotConverge {
-                iterations: 0,
-                residual: f64::INFINITY,
-                tolerance,
-            });
-        }
-        let shared = Arc::clone(&self.shard.as_ref().expect("sharded state").scalar);
-        let mut lanes = [LaneReport {
-            iterations: 0,
-            residual: f64::INFINITY,
-            converged: false,
-        }];
-        let sweeps = self.run_sharded(
-            &shared, injection, v, tolerance, max_sweeps, omega, &mut lanes,
-        );
-        if lanes[0].converged {
-            Ok(SolveReport {
-                iterations: sweeps,
-                residual: lanes[0].residual,
-                converged: true,
-                workspace_bytes: self.memory_bytes(),
-            })
-        } else {
-            Err(SolverError::DidNotConverge {
-                iterations: sweeps,
-                residual: lanes[0].residual,
-                tolerance,
-            })
-        }
-    }
-
-    /// Publishes lane state and voltages into a [`ShardShared`] job,
-    /// scatters `v` into the per-shard halo images (halo rows included,
-    /// so the first red half-sweep reads correct neighbour values), runs
-    /// the job, and gathers the **owned** rows back. Returns the sweep
-    /// count. Warm calls are allocation-free on the pool dispatch.
-    #[allow(clippy::too_many_arguments)] // mirrors solve_batch_parallel + job
-    fn run_sharded(
-        &mut self,
-        shared: &Arc<ShardShared>,
+        job: &Arc<J>,
         injection: &[f64],
         v: &mut [f64],
         tolerance: f64,
@@ -2146,55 +2047,21 @@ impl TierEngine {
         omega: f64,
         lanes: &mut [LaneReport],
     ) -> usize {
-        let k = shared.k;
-        let wk = self.topo.width * k;
-        {
-            let mut input = shared.input.write().expect("shard input lock");
-            input.injection.copy_from_slice(injection);
-            input.omega = omega;
-            input.tolerance = tolerance;
-            input.max_sweeps = max_sweeps;
-        }
-        for (band, buf) in shared.layout.bands.iter().zip(&shared.bufs) {
-            let g0 = band.lo * wk;
-            for (slot, &x) in buf.iter().zip(&v[g0..]) {
-                slot.store(x.to_bits(), Ordering::Relaxed);
-            }
-        }
-        let mut m = 0usize;
-        for (j, lane) in lanes.iter().enumerate() {
-            shared.lane_iters[j].store(lane.iterations, Ordering::Relaxed);
-            shared.lane_residual[j].store(lane.residual.to_bits(), Ordering::Relaxed);
-            shared.lane_converged[j].store(lane.converged, Ordering::Relaxed);
-            shared.active[j].store(!lane.converged, Ordering::Relaxed);
-            if !lane.converged {
-                shared.active_ids[m].store(j as u32, Ordering::Relaxed);
-                m += 1;
-            }
-        }
-        shared.n_active.store(m, Ordering::Relaxed);
-        shared.sweeps_done.store(0, Ordering::Relaxed);
-        shared.status.store(RUN, Ordering::Relaxed);
-        shared.compaction.store(self.compaction, Ordering::Relaxed);
+        let slots = job.slots();
+        let m = slots.publish(
+            injection,
+            omega,
+            tolerance,
+            max_sweeps,
+            lanes,
+            self.compaction,
+        );
+        job.load(v);
         if m > 0 && max_sweeps > 0 {
-            self.dispatch_job(Arc::clone(shared) as Arc<dyn PoolJob>);
+            self.dispatch_job(Arc::clone(job) as Arc<dyn PoolJob>);
         }
-        for (band, buf) in shared.layout.bands.iter().zip(&shared.bufs) {
-            let own = (band.y0 - band.lo) * wk;
-            let len = (band.y1 - band.y0) * wk;
-            let g0 = band.y0 * wk;
-            for (slot, x) in buf[own..own + len].iter().zip(&mut v[g0..g0 + len]) {
-                *x = f64::from_bits(slot.load(Ordering::Relaxed));
-            }
-        }
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            *lane = LaneReport {
-                iterations: shared.lane_iters[j].load(Ordering::Relaxed),
-                residual: f64::from_bits(shared.lane_residual[j].load(Ordering::Relaxed)),
-                converged: shared.lane_converged[j].load(Ordering::Relaxed),
-            };
-        }
-        shared.sweeps_done.load(Ordering::Relaxed)
+        job.store(v);
+        slots.collect(lanes)
     }
 
     /// Estimated heap footprint in bytes.
@@ -2324,78 +2191,6 @@ impl TierEngine {
             }
         }
         max_delta
-    }
-
-    /// Full multi-threaded solve through the persistent worker pool.
-    fn solve_parallel(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-    ) -> Result<SolveReport, SolverError> {
-        if max_sweeps == 0 {
-            return Err(SolverError::DidNotConverge {
-                iterations: 0,
-                residual: f64::INFINITY,
-                tolerance,
-            });
-        }
-        let (sweeps, residual) = self.parallel_sweeps(injection, v, tolerance, max_sweeps, omega);
-        if residual < tolerance {
-            Ok(SolveReport {
-                iterations: sweeps,
-                residual,
-                converged: true,
-                workspace_bytes: self.memory_bytes(),
-            })
-        } else {
-            Err(SolverError::DidNotConverge {
-                iterations: sweeps,
-                residual,
-                tolerance,
-            })
-        }
-    }
-
-    /// Runs up to `max_sweeps` red-black sweeps on the prebuilt parallel
-    /// job (loading `v` into the atomic image first and storing it back
-    /// after), stopping early once the sweep delta drops below
-    /// `tolerance`. Returns `(sweeps run, last delta)`. Warm calls are
-    /// allocation-free on the pool dispatch.
-    fn parallel_sweeps(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-    ) -> (usize, f64) {
-        let shared = Arc::clone(self.par.as_ref().expect("parallel shared state"));
-        {
-            let mut input = shared.input.write().expect("par input lock");
-            input.injection.copy_from_slice(injection);
-            input.omega = omega;
-            input.tolerance = tolerance;
-            input.max_sweeps = max_sweeps;
-        }
-        for (slot, &x) in shared.atomic_v.iter().zip(v.iter()) {
-            slot.store(x.to_bits(), Ordering::Relaxed);
-        }
-        shared.status.store(RUN, Ordering::Relaxed);
-        shared.sweeps_done.store(0, Ordering::Relaxed);
-        shared
-            .final_delta
-            .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
-        self.dispatch_job(shared.clone());
-        for (slot, x) in shared.atomic_v.iter().zip(v.iter_mut()) {
-            *x = f64::from_bits(slot.load(Ordering::Relaxed));
-        }
-        (
-            shared.sweeps_done.load(Ordering::Relaxed),
-            f64::from_bits(shared.final_delta.load(Ordering::Relaxed)),
-        )
     }
 
     /// Hands a prepared job to the configured dispatch backend and blocks
@@ -2622,7 +2417,11 @@ fn solve_segment<V: VoltView, I: InjSrc + ?Sized>(
 
 /// Runs the selected batched kernel on one segment. All three kernels
 /// perform the same per-lane arithmetic, so the choice cannot change any
-/// lane's iterate (see the module docs).
+/// lane's iterate (see the module docs). One lane always takes the
+/// scalar kernel on the plain image — a one-lane node-major image *is*
+/// the plain vector — whatever `kernel` says: staging a single lane
+/// through the blocked rows buys nothing. A one-lane job only sweeps
+/// while its lane is live.
 #[allow(clippy::too_many_arguments)] // the shared batched-kernel surface
 #[inline]
 fn batch_segment_dispatch<V: VoltView>(
@@ -2638,6 +2437,11 @@ fn batch_segment_dispatch<V: VoltView>(
     view: &mut V,
     delta: &mut [f64],
 ) {
+    if k == 1 {
+        debug_assert!(active[0], "a frozen lane is never swept");
+        delta[0] = delta[0].max(solve_segment(topo, seg, injection, omega, scratch, view));
+        return;
+    }
     match kernel {
         BatchKernel::Full => {
             solve_segment_batch(topo, seg, injection, omega, k, active, scratch, view, delta);
