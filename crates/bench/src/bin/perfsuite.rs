@@ -12,8 +12,10 @@
 //!   `Session::solve` (expected 0 at every `parallelism` — parallel
 //!   solves dispatch to the persistent worker pool once it is warm);
 //! * the batched multi-load path: warm `Session::solve_batch` per-RHS
-//!   time at several batch sizes against warm sequential single solves,
-//!   with the required max |ΔV| ≤ 1e-12 agreement (the batch is
+//!   time at several batch sizes against warm sequential single solves
+//!   (the widest batch's per-RHS speedup, and `batch1_vs_sequential`:
+//!   a one-lane batch over a single solve of the same load), with the
+//!   required max |ΔV| ≤ 1e-12 agreement (the batch is
 //!   bitwise-identical by construction);
 //! * the persistent worker pool: small-grid per-solve latency of the
 //!   pool dispatch vs the legacy per-solve scoped spawn at parallelism
@@ -72,10 +74,11 @@
 //! repository root (see [`voltprop_bench::trajectory`]), building the
 //! performance history future PRs extend.
 //!
-//! Usage: `cargo run --release -p voltprop-bench --bin perfsuite`
-//! (`--quick` shrinks the grids for a smoke run; `--out PATH` redirects
-//! the trajectory file; `--batch N[,N...]` overrides the batch sizes of
-//! the batched experiment).
+//! Usage: `cargo run --release -p voltprop-bench --bin perfsuite --
+//! [--quick] [--out PATH] [--batch N[,N...]]` (`--help` explains them).
+//! The flags are strict: `--help` prints the usage and exits 0, and an
+//! unknown argument exits 2, both before any section runs or any file
+//! is written.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -295,7 +298,9 @@ fn sweep_loads(stack: &Stack3d, k: usize) -> Vec<f64> {
 /// The batched-solve experiment: warm per-RHS `Session::solve_batch`
 /// time at each batch size on one stack, plus the warm sequential
 /// `Session::solve` per-RHS reference and the batch-vs-sequential
-/// max |ΔV| (required ≤ 1e-12; bitwise 0 by construction).
+/// max |ΔV| (required ≤ 1e-12; bitwise 0 by construction). The ratios
+/// are against sequential solves: the widest batch's per-RHS speedup,
+/// and the one-lane batch's time over a single solve of its load.
 fn batch_block(w: usize, h: usize, tiers: usize, batch_sizes: &[usize]) -> String {
     eprintln!("VpSolver batch {w}x{h}x{tiers} sizes {batch_sizes:?}...");
     let stack = Stack3d::builder(w, h, tiers)
@@ -346,6 +351,7 @@ fn batch_block(w: usize, h: usize, tiers: usize, batch_sizes: &[usize]) -> Strin
     let mut batch_lines = Vec::new();
     let mut per_rhs_by_size = Vec::new();
     let mut worst_dv = 0.0f64;
+    let mut lane0_ms = f64::INFINITY;
     for &k in batch_sizes {
         let set = LoadSet::new(&stack, &loads[..k * nn]);
         // Warm call sizes the arena; then three timed calls, keeping the
@@ -358,6 +364,15 @@ fn batch_block(w: usize, h: usize, tiers: usize, batch_sizes: &[usize]) -> Strin
             let start = Instant::now();
             session.solve_batch(&set).expect("timed batch solve");
             ms = ms.min(start.elapsed().as_secs_f64() * 1e3);
+            if k == 1 {
+                // The single solve of the same load, timed alternately
+                // with the one-lane batch so host drift hits both.
+                let start = Instant::now();
+                session
+                    .solve(&LoadCase::new(&lane_stacks[0]))
+                    .expect("sequential solve converges");
+                lane0_ms = lane0_ms.min(start.elapsed().as_secs_f64() * 1e3);
+            }
         }
         let view = session.solve_batch(&set).expect("checked batch solve");
         let alloc_calls = alloc::alloc_calls() - calls_before;
@@ -386,20 +401,22 @@ fn batch_block(w: usize, h: usize, tiers: usize, batch_sizes: &[usize]) -> Strin
             .find(|&&(b, _)| b == k)
             .map(|&(_, t)| t)
     };
-    let speedup_largest_vs_1 = match (per_rhs_at(1), per_rhs_at(kmax)) {
-        (Some(t1), Some(tk)) if kmax > 1 => t1 / tk,
-        _ => f64::NAN,
-    };
+    // Batching is judged against sequential single solves: the widest
+    // batch per RHS, and the one-lane batch against a solve of its load.
+    let speedup_largest = per_rhs_at(kmax).map_or(f64::NAN, |tk| seq_ms_per_rhs / tk);
+    let batch1_vs_sequential = per_rhs_at(1).map_or(f64::NAN, |t1| t1 / lane0_ms);
     format!(
         "{{\n    \"grid\": \"{w}x{h}x{tiers}\",\n    {},\n    \
          \"sequential_warm_ms_per_rhs\": {},\n    \
          \"batches\": [\n{}\n    ],\n    \
-         \"per_rhs_speedup_batch{kmax}_vs_batch1\": {},\n    \
+         \"per_rhs_speedup_batch{kmax}_vs_sequential\": {},\n    \
+         \"batch1_vs_sequential\": {},\n    \
          \"max_abs_dv_vs_sequential\": {}\n  }}",
         hardware_context_json(1),
         json_f64(seq_ms_per_rhs),
         batch_lines.join(",\n"),
-        json_f64(speedup_largest_vs_1),
+        json_f64(speedup_largest),
+        json_f64(batch1_vs_sequential),
         json_f64(worst_dv),
     )
 }
@@ -1594,34 +1611,54 @@ fn repo_root() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("."))
 }
 
+/// The command-line help.
+const USAGE: &str = "usage: perfsuite [--quick] [--out PATH] [--batch N[,N...]]
+
+  --quick            shrink the grids for a smoke run
+  --out PATH         append the trajectory entry to PATH
+                     (default: BENCH_rowbased.json at the repository root)
+  --batch N[,N...]   batch sizes of the batched experiment
+                     (default: 1,8,64; 1,8 with --quick)
+  -h, --help         print this help and exit";
+
+/// Prints `msg` and the usage to stderr and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = match args.iter().position(|a| a == "--out") {
-        Some(i) => match args.get(i + 1) {
-            Some(path) => PathBuf::from(path),
-            None => {
-                eprintln!("error: --out requires a path argument");
-                std::process::exit(2);
-            }
-        },
-        None => repo_root().join("BENCH_rowbased.json"),
-    };
-    let batch_sizes: Vec<usize> = match args.iter().position(|a| a == "--batch") {
-        Some(i) => match args.get(i + 1).map(|s| {
-            s.split(',')
-                .map(str::parse)
-                .collect::<Result<Vec<usize>, _>>()
-        }) {
-            Some(Ok(sizes)) if !sizes.is_empty() && sizes.iter().all(|&k| k > 0) => sizes,
-            _ => {
-                eprintln!("error: --batch requires a comma-separated list of positive sizes");
-                std::process::exit(2);
-            }
-        },
-        None if quick => vec![1, 8],
-        None => vec![1, 8, 64],
-    };
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return;
+    }
+    let mut quick = false;
+    let mut out = None;
+    let mut batch = None;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--out" => match rest.next() {
+                Some(path) => out = Some(PathBuf::from(path)),
+                None => usage_error("--out requires a path argument"),
+            },
+            "--batch" => match rest.next().map(|s| {
+                s.split(',')
+                    .map(str::parse)
+                    .collect::<Result<Vec<usize>, _>>()
+            }) {
+                Some(Ok(sizes)) if !sizes.is_empty() && sizes.iter().all(|&k| k > 0) => {
+                    batch = Some(sizes);
+                }
+                _ => usage_error("--batch requires a comma-separated list of positive sizes"),
+            },
+            other => usage_error(&format!("unknown argument `{other}`")),
+        }
+    }
+    let out = out.unwrap_or_else(|| repo_root().join("BENCH_rowbased.json"));
+    let batch_sizes = batch.unwrap_or_else(|| if quick { vec![1, 8] } else { vec![1, 8, 64] });
 
     // (edge, sweeps) for row-sweep micro-benchmarks.
     let sweep_cases: Vec<(usize, usize)> = if quick {

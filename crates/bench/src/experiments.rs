@@ -1,6 +1,5 @@
 //! The reproduction experiments: one function per artifact (T1, E1–E7 of
-//! DESIGN.md). Shared between the `repro` binary and the Criterion
-//! benches.
+//! DESIGN.md), run by the `repro` binary.
 
 use crate::harness::{run_stack_solver, MeasuredRun};
 use crate::paper;

@@ -10,8 +10,7 @@
 //! * [`paper`] — the numbers the paper reports, for side-by-side output.
 //! * [`table`] — fixed-width table rendering for terminal reports.
 //! * [`experiments`] — one function per experiment (T1, E1–E7 of
-//!   DESIGN.md), shared between the `repro` binary and the Criterion
-//!   benches.
+//!   DESIGN.md), run by the `repro` binary.
 //!
 //! Run `cargo run --release -p voltprop-bench --bin repro -- help` for the
 //! experiment menu.

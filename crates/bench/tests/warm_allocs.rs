@@ -1,7 +1,8 @@
 //! The zero-allocation contract on a sparse-pad stack: once a session is
 //! warm, single and batched VoltProp solves of a Table-I preset make no
-//! allocator calls — the pillar-lattice correction included, which only
-//! stacks with pad-less pillars run.
+//! allocator calls — alternating between them included — and so does the
+//! pillar-lattice correction, which only stacks with pad-less pillars
+//! run.
 //!
 //! The counting allocator is process-wide, so this binary holds a single
 //! test: nothing else may allocate while a warm solve is measured.
@@ -56,5 +57,19 @@ fn warm_solves_on_sparse_pads_do_not_allocate() {
                 .converged());
         });
         assert_eq!(batch, 0, "warm {k}-lane batch at parallelism {parallelism}");
+        // Alternating lane counts share one outer-loop arena and one
+        // set of tier jobs: neither may be resized when k changes.
+        let alternating = warm_alloc_calls(&mut session, |s| {
+            assert!(s.solve(&LoadCase::new(&stack)).unwrap().converged());
+            assert!(s
+                .solve_batch(&LoadSet::new(&stack, &loads))
+                .unwrap()
+                .converged());
+            assert!(s.solve(&LoadCase::new(&stack)).unwrap().converged());
+        });
+        assert_eq!(
+            alternating, 0,
+            "warm single → {k}-lane batch → single at parallelism {parallelism}"
+        );
     }
 }

@@ -89,15 +89,16 @@
 //! 256×256×4 stack at batch 64 around 3.4× the batch-1 per-RHS
 //! throughput, with zero warm allocator calls).
 //!
-//! Each lane runs the exact outer loop of the single-case solve in
-//! lockstep and freezes the moment it converges, so every converged
-//! lane's voltages ([`SolutionView::lane_voltages`]) are **bitwise
-//! identical** to the corresponding [`Session::solve`]; a lane that
-//! exhausts a budget reports `converged = false` with its true residual
-//! instead of discarding the batch. For a *single* load vector
-//! [`Session::solve`] remains the faster entry point (the batch
-//! kernel's per-lane bookkeeping only pays for itself from a few lanes
-//! up); see `examples/load_sweep.rs` for a complete what-if sweep.
+//! There is one outer loop, over `k` lanes: a single [`Session::solve`]
+//! (and every transient companion step) is the case `k = 1`, compiled
+//! without lane masks or strides and swept with the scalar tier kernel.
+//! The lanes of a batch run it in lockstep and each freezes the moment
+//! it converges, so every converged lane's voltages
+//! ([`SolutionView::lane_voltages`]) are **bitwise identical** to the
+//! corresponding [`Session::solve`]; a lane that exhausts a budget
+//! reports `converged = false` with its true residual instead of
+//! discarding the batch. A one-lane batch costs what a single solve
+//! costs; see `examples/load_sweep.rs` for a complete what-if sweep.
 //!
 //! # True transients: companion models on a prefactored system
 //!

@@ -521,8 +521,9 @@ pub struct SessionCore {
 }
 
 /// The per-request mutable half of a session: every buffer a solve
-/// writes — the voltage/injection/batch arenas and Anderson mixing
-/// history of the VoltProp route, the [`Backend::Rb3d`] sweep state, the
+/// writes — the VoltProp route's outer-loop lane arena (voltages,
+/// injections, pillar state and Anderson histories), the
+/// [`Backend::Rb3d`] sweep state, the
 /// [`Backend::Pcg`] iteration vectors (including the f32 refinement
 /// image), the transient staging buffer, and the per-lane reports.
 ///
@@ -1039,9 +1040,10 @@ impl Session {
     /// backends stay usable, and Pcg requests surface the recorded
     /// reason as [`SessionError::BackendUnavailable`].
     ///
-    /// Batch arenas are sized on the first batched request with a given
-    /// lane count (a cold call); all later requests with that lane count
-    /// are allocation-free.
+    /// The VoltProp outer loop runs every request as `k` lanes of one
+    /// arena, built for one lane and grown by the first batch wider than
+    /// any before (a cold call); later requests of any lane count it has
+    /// room for — single and batched alternating — are allocation-free.
     ///
     /// # Errors
     ///

@@ -30,7 +30,9 @@
 //! straight to the scalar kernel. Each multi-threaded engine keeps an
 //! eagerly built one-lane pool job beside the lazily sized job for
 //! wider batches, so alternating single and batched requests never
-//! rebuild a job.
+//! rebuild a job. There is no separate scalar parallel job: four
+//! execution paths remain — the single-threaded slice sweeps, the
+//! red-black and sharded pool jobs, and the scoped-spawn baseline.
 //!
 //! # Pool lifecycle
 //!
@@ -63,8 +65,9 @@
 //! # Active-lane compaction
 //!
 //! Batched sweeps only pay for **live** lanes. Once lanes freeze
-//! (converged, or masked out by the caller), each sweep picks a kernel
-//! from the active count `m` out of `k` lanes:
+//! (converged, or masked out by the caller), each sweep of a `k > 1`
+//! batch picks a kernel from the active count `m` out of `k` lanes (a
+//! one-lane batch always runs the scalar kernel on the plain image):
 //!
 //! * `8m > 3k` — the **full** unit-stride kernel; the arithmetic waste on
 //!   frozen lanes is cheaper than gather/scatter.
@@ -595,22 +598,21 @@ impl PoolJob for BatchShared {
                 } else {
                     (&topo.black_idx, &topo.black_chunks[tid])
                 };
-                let mut view = AtomicView(&self.atomic_v);
-                for &si in &idx[chunk.clone()] {
-                    batch_segment_dispatch(
-                        kernel,
-                        topo,
-                        topo.segments[si as usize],
-                        injection,
-                        input.omega,
-                        k,
-                        active,
-                        &ids[..m],
-                        scratch,
-                        &mut view,
-                        delta,
-                    );
-                }
+                sweep_segments(
+                    kernel,
+                    topo,
+                    idx[chunk.clone()]
+                        .iter()
+                        .map(|&si| topo.segments[si as usize]),
+                    injection,
+                    input.omega,
+                    k,
+                    active,
+                    &ids[..m],
+                    scratch,
+                    &mut AtomicView(&self.atomic_v),
+                    delta,
+                );
                 // All writes of this color must land before any thread
                 // reads them in the next phase.
                 slots.barrier.wait();
@@ -881,21 +883,19 @@ impl PoolJob for ShardShared {
                         buf: &self.bufs[s],
                         off: band.lo * wk,
                     };
-                    for &si in segs {
-                        batch_segment_dispatch(
-                            kernel,
-                            topo,
-                            topo.segments[si as usize],
-                            injection,
-                            input.omega,
-                            k,
-                            active,
-                            &ids[..m],
-                            scratch,
-                            &mut view,
-                            delta,
-                        );
-                    }
+                    sweep_segments(
+                        kernel,
+                        topo,
+                        segs.iter().map(|&si| topo.segments[si as usize]),
+                        injection,
+                        input.omega,
+                        k,
+                        active,
+                        &ids[..m],
+                        scratch,
+                        &mut view,
+                        delta,
+                    );
                     // Red overwrites the shard's slots (self-resetting
                     // between sweeps), black folds its maxima in.
                     for (j, &d) in delta.iter().enumerate() {
@@ -1688,45 +1688,25 @@ impl TierEngine {
         while sweeps < max_sweeps && n_active > 0 {
             delta.fill(0.0);
             let kernel = choose_batch_kernel(n_active, k, compaction);
+            let live = &ids[..n_active];
             match schedule {
                 SweepSchedule::Sequential => {
                     let nseg = topo.segments.len();
                     let downward = sweeps % 2 == 0;
-                    for s in 0..nseg {
-                        let si = if downward { s } else { nseg - 1 - s };
-                        batch_segment_dispatch(
-                            kernel,
-                            &topo,
-                            topo.segments[si],
-                            injection,
-                            omega,
-                            k,
-                            active,
-                            &ids[..n_active],
-                            scratch,
-                            &mut view,
-                            delta,
-                        );
-                    }
+                    let order = (0..nseg).map(|s| if downward { s } else { nseg - 1 - s });
+                    let segs = order.map(|si| topo.segments[si]);
+                    sweep_segments(
+                        kernel, &topo, segs, injection, omega, k, active, live, scratch, &mut view,
+                        delta,
+                    );
                 }
                 SweepSchedule::RedBlack { .. } => {
-                    for idx in [&topo.red_idx, &topo.black_idx] {
-                        for &si in idx.iter() {
-                            batch_segment_dispatch(
-                                kernel,
-                                &topo,
-                                topo.segments[si as usize],
-                                injection,
-                                omega,
-                                k,
-                                active,
-                                &ids[..n_active],
-                                scratch,
-                                &mut view,
-                                delta,
-                            );
-                        }
-                    }
+                    let order = topo.red_idx.iter().chain(&topo.black_idx);
+                    let segs = order.map(|&si| topo.segments[si as usize]);
+                    sweep_segments(
+                        kernel, &topo, segs, injection, omega, k, active, live, scratch, &mut view,
+                        delta,
+                    );
                 }
             }
             sweeps += 1;
@@ -2415,19 +2395,20 @@ fn solve_segment<V: VoltView, I: InjSrc + ?Sized>(
     max_delta
 }
 
-/// Runs the selected batched kernel on one segment. All three kernels
-/// perform the same per-lane arithmetic, so the choice cannot change any
-/// lane's iterate (see the module docs). One lane always takes the
-/// scalar kernel on the plain image — a one-lane node-major image *is*
-/// the plain vector — whatever `kernel` says: staging a single lane
-/// through the blocked rows buys nothing. A one-lane job only sweeps
-/// while its lane is live.
+/// Runs the selected batched kernel over `segs` (one color, or one
+/// sweep order). All three kernels perform the same per-lane arithmetic,
+/// so the choice cannot change any lane's iterate (see the module docs).
+/// One lane always takes the scalar kernel on the plain image — a
+/// one-lane node-major image *is* the plain vector — whatever `kernel`
+/// says: staging a single lane through the blocked rows buys nothing.
+/// The choice is made once per call, so the per-segment loop runs the
+/// bare kernel. A one-lane job only sweeps while its lane is live.
 #[allow(clippy::too_many_arguments)] // the shared batched-kernel surface
 #[inline]
-fn batch_segment_dispatch<V: VoltView>(
+fn sweep_segments<V: VoltView>(
     kernel: BatchKernel,
     topo: &Topo,
-    seg: Segment,
+    segs: impl Iterator<Item = Segment>,
     injection: &[f64],
     omega: f64,
     k: usize,
@@ -2439,33 +2420,43 @@ fn batch_segment_dispatch<V: VoltView>(
 ) {
     if k == 1 {
         debug_assert!(active[0], "a frozen lane is never swept");
-        delta[0] = delta[0].max(solve_segment(topo, seg, injection, omega, scratch, view));
+        let mut d = delta[0];
+        for seg in segs {
+            d = d.max(solve_segment(topo, seg, injection, omega, scratch, view));
+        }
+        delta[0] = d;
         return;
     }
     match kernel {
         BatchKernel::Full => {
-            solve_segment_batch(topo, seg, injection, omega, k, active, scratch, view, delta);
+            for seg in segs {
+                solve_segment_batch(topo, seg, injection, omega, k, active, scratch, view, delta);
+            }
         }
         BatchKernel::Compact => {
-            solve_segment_batch_ids(topo, seg, injection, omega, k, ids, scratch, view, delta);
+            for seg in segs {
+                solve_segment_batch_ids(topo, seg, injection, omega, k, ids, scratch, view, delta);
+            }
         }
         BatchKernel::Scalar => {
-            for &j in ids {
-                let j = j as usize;
-                let d = solve_segment(
-                    topo,
-                    seg,
-                    &LaneInj {
-                        inj: injection,
-                        k,
-                        j,
-                    },
-                    omega,
-                    scratch,
-                    &mut LaneView { v: view, k, j },
-                );
-                if d > delta[j] {
-                    delta[j] = d;
+            for seg in segs {
+                for &j in ids {
+                    let j = j as usize;
+                    let d = solve_segment(
+                        topo,
+                        seg,
+                        &LaneInj {
+                            inj: injection,
+                            k,
+                            j,
+                        },
+                        omega,
+                        scratch,
+                        &mut LaneView { v: view, k, j },
+                    );
+                    if d > delta[j] {
+                        delta[j] = d;
+                    }
                 }
             }
         }
@@ -3340,22 +3331,20 @@ mod tests {
                         delta.fill(0.0);
                         let nseg = topo.segments.len();
                         let downward = s % 2 == 0;
-                        for i in 0..nseg {
-                            let si = if downward { i } else { nseg - 1 - i };
-                            batch_segment_dispatch(
-                                kernel,
-                                &topo,
-                                topo.segments[si],
-                                &injection,
-                                1.0,
-                                k,
-                                active,
-                                &ids[..m],
-                                scratch,
-                                &mut view,
-                                delta,
-                            );
-                        }
+                        let order = (0..nseg).map(|i| if downward { i } else { nseg - 1 - i });
+                        sweep_segments(
+                            kernel,
+                            &topo,
+                            order.map(|si| topo.segments[si]),
+                            &injection,
+                            1.0,
+                            k,
+                            active,
+                            &ids[..m],
+                            scratch,
+                            &mut view,
+                            delta,
+                        );
                     }
                     best = best.min(start.elapsed().as_nanos() as f64 / sweeps as f64);
                 }
