@@ -163,18 +163,18 @@ impl LaneArena {
         arena
     }
 
-    /// Grows every buffer to `k` lanes (no-op — and allocation-free —
-    /// when it already has room). The lane-major voltages exist only for
-    /// `k > 1`: a one-lane solve reads its answer off `v`.
+    /// Grows every buffer to `k` lanes as fresh zeroed allocations (solves
+    /// rewrite what they read); a no-op with room. Lane-major voltages
+    /// exist only for `k > 1`: a one-lane solve reads its answer off `v`.
     fn ensure(&mut self, k: usize, nodes: usize, per: usize, ns: usize) {
         if k > 1 && self.voltages.len() < nodes * k {
-            self.voltages.resize(nodes * k, 0.0);
+            self.voltages = vec![0.0; nodes * k];
         }
         if k <= self.mask.len() {
             return;
         }
-        self.v.resize(nodes * k, 0.0);
-        self.injection.resize(per * k, 0.0);
+        self.v = vec![0.0; nodes * k];
+        self.injection = vec![0.0; per * k];
         self.lanes.resize(k, LaneReport::default());
         self.mask.resize(k, true);
         for buf in [
@@ -185,7 +185,7 @@ impl LaneArena {
             &mut self.last_good_v0,
             &mut self.last_good_correction,
         ] {
-            buf.resize(ns * k, 0.0);
+            *buf = vec![0.0; ns * k];
         }
         self.anderson.resize_with(k, || Anderson::new(4, ns));
         self.state.resize(k, LaneOuterState::new(1.0));
