@@ -2395,14 +2395,12 @@ fn solve_segment<V: VoltView, I: InjSrc + ?Sized>(
     max_delta
 }
 
-/// Runs the selected batched kernel over `segs` (one color, or one
-/// sweep order). All three kernels perform the same per-lane arithmetic,
-/// so the choice cannot change any lane's iterate (see the module docs).
-/// One lane always takes the scalar kernel on the plain image — a
-/// one-lane node-major image *is* the plain vector — whatever `kernel`
-/// says: staging a single lane through the blocked rows buys nothing.
-/// The choice is made once per call, so the per-segment loop runs the
-/// bare kernel. A one-lane job only sweeps while its lane is live.
+/// Sweeps `segs` (one color, or one sweep order) for `k` lanes. One lane
+/// takes the scalar kernel on the plain image — a one-lane node-major
+/// image *is* the plain vector — whatever `kernel` says: staging a
+/// single lane through the blocked rows buys nothing. That choice is
+/// made once per call, so the one-lane loop runs the bare kernel. A
+/// one-lane job only sweeps while its lane is live.
 #[allow(clippy::too_many_arguments)] // the shared batched-kernel surface
 #[inline]
 fn sweep_segments<V: VoltView>(
@@ -2427,36 +2425,55 @@ fn sweep_segments<V: VoltView>(
         delta[0] = d;
         return;
     }
+    for seg in segs {
+        batch_segment_dispatch(
+            kernel, topo, seg, injection, omega, k, active, ids, scratch, view, delta,
+        );
+    }
+}
+
+/// Runs the selected batched kernel on one segment of a `k > 1` batch.
+/// All three kernels perform the same per-lane arithmetic, so the choice
+/// cannot change any lane's iterate (see the module docs).
+#[allow(clippy::too_many_arguments)] // the shared batched-kernel surface
+#[inline]
+fn batch_segment_dispatch<V: VoltView>(
+    kernel: BatchKernel,
+    topo: &Topo,
+    seg: Segment,
+    injection: &[f64],
+    omega: f64,
+    k: usize,
+    active: &[bool],
+    ids: &[u32],
+    scratch: &mut [f64],
+    view: &mut V,
+    delta: &mut [f64],
+) {
     match kernel {
         BatchKernel::Full => {
-            for seg in segs {
-                solve_segment_batch(topo, seg, injection, omega, k, active, scratch, view, delta);
-            }
+            solve_segment_batch(topo, seg, injection, omega, k, active, scratch, view, delta);
         }
         BatchKernel::Compact => {
-            for seg in segs {
-                solve_segment_batch_ids(topo, seg, injection, omega, k, ids, scratch, view, delta);
-            }
+            solve_segment_batch_ids(topo, seg, injection, omega, k, ids, scratch, view, delta);
         }
         BatchKernel::Scalar => {
-            for seg in segs {
-                for &j in ids {
-                    let j = j as usize;
-                    let d = solve_segment(
-                        topo,
-                        seg,
-                        &LaneInj {
-                            inj: injection,
-                            k,
-                            j,
-                        },
-                        omega,
-                        scratch,
-                        &mut LaneView { v: view, k, j },
-                    );
-                    if d > delta[j] {
-                        delta[j] = d;
-                    }
+            for &j in ids {
+                let j = j as usize;
+                let d = solve_segment(
+                    topo,
+                    seg,
+                    &LaneInj {
+                        inj: injection,
+                        k,
+                        j,
+                    },
+                    omega,
+                    scratch,
+                    &mut LaneView { v: view, k, j },
+                );
+                if d > delta[j] {
+                    delta[j] = d;
                 }
             }
         }
