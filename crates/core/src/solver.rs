@@ -1051,12 +1051,26 @@ fn fill_injection<const ONE: bool>(
     scale: f64,
     mask: &[bool],
 ) {
-    let k = if ONE { 1 } else { k };
+    if ONE {
+        // One lane: both layouts are the plain vector.
+        let run = &loads[offset..offset + injection.len()];
+        if source.is_empty() {
+            for (x, &l) in injection.iter_mut().zip(run) {
+                *x = scale * l;
+            }
+        } else {
+            let src = &source[offset..offset + injection.len()];
+            for ((x, &l), &s) in injection.iter_mut().zip(run).zip(src) {
+                *x = scale * l + s;
+            }
+        }
+        return;
+    }
     let per = injection.len() / k;
     for i0 in (0..per).step_by(TRANSPOSE_BLOCK) {
         let i1 = (i0 + TRANSPOSE_BLOCK).min(per);
         let tile = &mut injection[i0 * k..i1 * k];
-        for j in (0..k).filter(|&j| live::<ONE>(mask, j)) {
+        for j in (0..k).filter(|&j| mask[j]) {
             let lane = j * nn + offset;
             let run = &loads[lane + i0..lane + i1];
             if source.is_empty() {
@@ -1166,6 +1180,18 @@ mod tests {
 
     const HALF_MV: f64 = 5e-4; // the paper's accuracy budget
 
+    /// A `w × h × tiers` stack with uniform-random loads of 10 µA–1 mA.
+    fn random_stack(w: usize, h: usize, tiers: usize, seed: u64) -> Stack3d {
+        let profile = LoadProfile::UniformRandom {
+            min: 1e-5,
+            max: 1e-3,
+        };
+        Stack3d::builder(w, h, tiers)
+            .load_profile(profile, seed)
+            .build()
+            .unwrap()
+    }
+
     /// Builds a scratch and runs a single solve on it.
     fn solve_fresh(
         config: &VpConfig,
@@ -1237,16 +1263,7 @@ mod tests {
 
     #[test]
     fn agrees_with_direct_on_paper_default_grid() {
-        let stack = Stack3d::builder(12, 12, 3)
-            .load_profile(
-                LoadProfile::UniformRandom {
-                    min: 1e-5,
-                    max: 1e-3,
-                },
-                5,
-            )
-            .build()
-            .unwrap();
+        let stack = random_stack(12, 12, 3, 5);
         let (_, report, _) = assert_matches_direct(&stack, NetKind::Power);
         assert!(
             report.outer_iterations <= 20,
@@ -1303,16 +1320,7 @@ mod tests {
 
     #[test]
     fn agrees_on_ground_net() {
-        let stack = Stack3d::builder(10, 10, 3)
-            .load_profile(
-                LoadProfile::UniformRandom {
-                    min: 1e-5,
-                    max: 1e-3,
-                },
-                9,
-            )
-            .build()
-            .unwrap();
+        let stack = random_stack(10, 10, 3, 9);
         let (scratch, _, _) = assert_matches_direct(&stack, NetKind::Ground);
         // Ground bounce is positive (pads converge to 0 within epsilon).
         let eps = VpConfig::default().epsilon;
@@ -1371,16 +1379,7 @@ mod tests {
 
     #[test]
     fn single_tier_reduces_to_planar_rb() {
-        let stack = Stack3d::builder(12, 12, 1)
-            .load_profile(
-                LoadProfile::UniformRandom {
-                    min: 1e-5,
-                    max: 1e-3,
-                },
-                2,
-            )
-            .build()
-            .unwrap();
+        let stack = random_stack(12, 12, 1, 2);
         let (scratch, report, _) = assert_matches_direct(&stack, NetKind::Power);
         assert_eq!(report.outer_iterations, 1);
         assert!(lane_pillar_currents(&scratch, 0).is_empty());
@@ -1538,16 +1537,7 @@ mod tests {
         // The parallelism knob must not change the answer: red-black
         // parallel tier sweeps and the sequential schedule both converge
         // to the same solution within solver tolerance.
-        let stack = Stack3d::builder(14, 12, 4)
-            .load_profile(
-                LoadProfile::UniformRandom {
-                    min: 1e-5,
-                    max: 1e-3,
-                },
-                21,
-            )
-            .build()
-            .unwrap();
+        let stack = random_stack(14, 12, 4, 21);
         let exact = DirectCholesky::new()
             .solve_stack(&stack, NetKind::Power)
             .unwrap();
@@ -1575,16 +1565,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_reproduces_fresh_solves() {
-        let stack_a = Stack3d::builder(10, 10, 3)
-            .load_profile(
-                LoadProfile::UniformRandom {
-                    min: 1e-5,
-                    max: 1e-3,
-                },
-                5,
-            )
-            .build()
-            .unwrap();
+        let stack_a = random_stack(10, 10, 3, 5);
         let config = VpConfig::default();
         let params = config.solve_params();
         let mut scratch = VpScratch::new(&stack_a, &config).unwrap();
@@ -1689,16 +1670,7 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_solves_bitwise_multi_tier() {
-        let stack = Stack3d::builder(10, 10, 3)
-            .load_profile(
-                LoadProfile::UniformRandom {
-                    min: 1e-5,
-                    max: 1e-3,
-                },
-                5,
-            )
-            .build()
-            .unwrap();
+        let stack = random_stack(10, 10, 3, 5);
         // Sequential and red-black (parallel) inner schedules.
         assert_batch_matches_sequential(&stack, VpConfig::new(), 3);
         assert_batch_matches_sequential(&stack, VpConfig::new().parallelism(2), 3);
@@ -1721,16 +1693,7 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_solves_bitwise_single_tier() {
-        let stack = Stack3d::builder(12, 12, 1)
-            .load_profile(
-                LoadProfile::UniformRandom {
-                    min: 1e-5,
-                    max: 1e-3,
-                },
-                2,
-            )
-            .build()
-            .unwrap();
+        let stack = random_stack(12, 12, 1, 2);
         assert_batch_matches_sequential(&stack, VpConfig::new(), 4);
         assert_batch_matches_sequential(&stack, VpConfig::new().parallelism(4), 4);
     }

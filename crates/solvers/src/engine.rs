@@ -433,13 +433,20 @@ impl LaneSlots {
         self.sweeps_done.load(Ordering::Relaxed)
     }
 
-    /// A worker's start-of-sweep copy of the active lanes into its
-    /// pinned `ids` / `active` scratch; returns the active count. The
-    /// lane state only changes while every worker is parked at the
+    /// A worker's start-of-sweep view of the active lanes: when the
+    /// active count differs from `m` (the count of the worker's last
+    /// copy; `usize::MAX` before the first), copies the active lanes
+    /// into its pinned `ids` / `active` scratch. The active set only
+    /// shrinks within a job, so an unchanged count is an unchanged set.
+    /// The lane state only changes while every worker is parked at the
     /// post-reduce barrier, so relaxed loads give every thread the same
-    /// snapshot.
-    fn snapshot(&self, ids: &mut [u32], active: &mut [bool]) -> usize {
-        let m = self.n_active.load(Ordering::Relaxed);
+    /// snapshot. Returns the active count.
+    fn snapshot(&self, m: usize, ids: &mut [u32], active: &mut [bool]) -> usize {
+        let now = self.n_active.load(Ordering::Relaxed);
+        if now == m {
+            return m;
+        }
+        let m = now;
         for (id, slot) in ids[..m].iter_mut().zip(&self.active_ids) {
             *id = slot.load(Ordering::Relaxed);
         }
@@ -451,12 +458,17 @@ impl LaneSlots {
 
     /// Thread 0's end-of-sweep step: folds each live lane's deltas over
     /// the `parts` slots in order (`f64::max`, exact), freezes the lanes
-    /// that met the tolerance, republishes the active list and sets the
-    /// job status. Freezing — and so every lane's iterate — therefore
-    /// cannot depend on the thread or shard count.
+    /// that met the tolerance, and sets the job status. Freezing — and so
+    /// every lane's iterate — therefore cannot depend on the thread or
+    /// shard count. It writes only what changed: a lane's outcome when it
+    /// freezes or the job ends, the active list when a lane froze. The
+    /// other workers read these slots every sweep, and a store to them
+    /// would cost each worker a cache miss per sweep — what a one-lane
+    /// job on a small tier cannot afford.
     fn reduce(&self, k: usize, parts: usize, tolerance: f64, max_sweeps: usize) {
         let sweep = self.sweeps_done.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut live = 0usize;
+        let last = sweep >= max_sweeps;
+        let (mut live, mut froze) = (0usize, false);
         for j in 0..k {
             if self.lane_converged[j].load(Ordering::Relaxed) {
                 continue;
@@ -464,26 +476,32 @@ impl LaneSlots {
             let d = (0..parts)
                 .map(|p| f64::from_bits(self.deltas[p * k + j].load(Ordering::Relaxed)))
                 .fold(0.0f64, f64::max);
-            self.lane_iters[j].store(sweep, Ordering::Relaxed);
-            self.lane_residual[j].store(d.to_bits(), Ordering::Relaxed);
-            if d < tolerance {
+            let freeze = d < tolerance;
+            if freeze || last {
+                self.lane_iters[j].store(sweep, Ordering::Relaxed);
+                self.lane_residual[j].store(d.to_bits(), Ordering::Relaxed);
+            }
+            if freeze {
                 self.lane_converged[j].store(true, Ordering::Relaxed);
                 self.active[j].store(false, Ordering::Relaxed);
+                froze = true;
             } else {
                 live += 1;
             }
         }
-        let mut next_m = 0usize;
-        for j in 0..k {
-            if self.active[j].load(Ordering::Relaxed) {
-                self.active_ids[next_m].store(j as u32, Ordering::Relaxed);
-                next_m += 1;
+        if froze {
+            let mut next_m = 0usize;
+            for j in 0..k {
+                if self.active[j].load(Ordering::Relaxed) {
+                    self.active_ids[next_m].store(j as u32, Ordering::Relaxed);
+                    next_m += 1;
+                }
             }
+            self.n_active.store(next_m, Ordering::Relaxed);
         }
-        self.n_active.store(next_m, Ordering::Relaxed);
         if live == 0 {
             self.status.store(DONE, Ordering::Relaxed);
-        } else if sweep >= max_sweeps {
+        } else if last {
             self.status.store(BUDGET, Ordering::Relaxed);
         }
     }
@@ -588,8 +606,9 @@ impl PoolJob for BatchShared {
         let delta = &mut delta[..k];
         let ids = &mut ids[..k];
         let compaction = slots.compaction.load(Ordering::Relaxed);
+        let mut m = usize::MAX;
         loop {
-            let m = slots.snapshot(ids, active);
+            m = slots.snapshot(m, ids, active);
             delta.fill(0.0);
             let kernel = choose_batch_kernel(m, k, compaction);
             for phase in 0..2 {
@@ -871,8 +890,9 @@ impl PoolJob for ShardShared {
         let ids = &mut ids[..k];
         let compaction = slots.compaction.load(Ordering::Relaxed);
         let mine = lay.chunks[tid].clone();
+        let mut m = usize::MAX;
         loop {
-            let m = slots.snapshot(ids, active);
+            m = slots.snapshot(m, ids, active);
             let kernel = choose_batch_kernel(m, k, compaction);
             for phase in 0..2 {
                 for s in mine.clone() {
