@@ -86,8 +86,9 @@
 //! lanes while each Thomas coefficient is loaded once per row — this
 //! amortizes the factor traffic *and* breaks the recurrence's serial
 //! latency chain across independent lanes (`perfsuite` measures the
-//! 256×256×4 stack at batch 64 around 3.4× the batch-1 per-RHS
-//! throughput, with zero warm allocator calls).
+//! 256×256×4 stack at batch 64 around 1.4× the per-RHS throughput of
+//! sequential single solves on 2 hardware threads, with zero warm
+//! allocator calls).
 //!
 //! There is one outer loop, over `k` lanes: a single [`Session::solve`]
 //! (and every transient companion step) is the case `k = 1`, compiled
