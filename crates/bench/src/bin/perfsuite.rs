@@ -18,9 +18,8 @@
 //!   required max |ΔV| ≤ 1e-12 agreement (the batch is
 //!   bitwise-identical by construction);
 //! * the persistent worker pool: small-grid per-solve latency of the
-//!   pool dispatch vs the legacy per-solve scoped spawn at parallelism
-//!   2 (and 4 in full runs), **asserting zero allocator calls** across
-//!   the warm pool solves;
+//!   pool dispatch at parallelism 2 (and 4 in full runs), **asserting
+//!   zero allocator calls** across the warm pool solves;
 //! * active-lane compaction: fixed-budget batch-64 masked sweeps at 1/8/
 //!   32 active lanes, compacted vs uncompacted (asserted bitwise
 //!   identical) against a scalar single-RHS reference;
@@ -50,11 +49,10 @@
 //!   **zero allocator calls** asserted on the single-threaded warm
 //!   checkout → solve → return hot path;
 //! * the vectorized kernels: per-kernel effective GB/s of the batched
-//!   f64 solve sweep, the red-black sweep at parallelism 2, and the PCG
-//!   axpy/dot core, plus the f64-vs-mixed batched-sweep throughput
-//!   ratio and per-RHS solve latency — **asserting zero allocator
-//!   calls** on the warm mixed paths and refined-f32 tolerance parity
-//!   (max |ΔV| vs the f64 solve ≤ 1e-7 at parallelism 2);
+//!   solve sweep, the red-black sweep at parallelism 2, and the PCG
+//!   axpy/dot core, plus the warm per-RHS latency of a converging solve
+//!   at parallelism 2 — **asserting zero allocator calls** on the warm
+//!   batched sweeps and the warm solve;
 //! * row-band sharding: band-scaling per-sweep throughput of the
 //!   halo-exchanging sharded engine on a tier footprint that exceeds one
 //!   shard's cache, against the unsharded red-black pool path at the
@@ -70,15 +68,16 @@
 //!   accuracy (elapsed time of a budget-starved solve vs its deadline,
 //!   the overshoot bounded by one outer iteration).
 //!
-//! Each invocation appends one JSON entry to `BENCH_rowbased.json` at the
-//! repository root (see [`voltprop_bench::trajectory`]), building the
-//! performance history future PRs extend.
+//! Each invocation appends one JSON entry to the trajectory file named by
+//! `--out` (the committed one is `BENCH_rowbased.json` at the repository
+//! root; see [`voltprop_bench::trajectory`]), building the performance
+//! history future changes extend.
 //!
 //! Usage: `cargo run --release -p voltprop-bench --bin perfsuite --
-//! [--quick] [--out PATH] [--batch N[,N...]]` (`--help` explains them).
+//! --out PATH [--quick] [--batch N[,N...]]` (`--help` explains them).
 //! The flags are strict: `--help` prints the usage and exits 0, and an
-//! unknown argument exits 2, both before any section runs or any file
-//! is written.
+//! unknown argument or a missing `--out` exits 2, both before any
+//! section runs or any file is written.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -95,7 +94,7 @@ use voltprop_core::{
 use voltprop_grid::{Stack3d, TableCircuit};
 use voltprop_solvers::rowbased::{RbWorkspace, RowBased, TierProblem};
 use voltprop_solvers::SolverError;
-use voltprop_solvers::{LaneReport, ParDispatch, SweepSchedule, TierEngine};
+use voltprop_solvers::{LaneReport, SweepSchedule, TierEngine};
 use voltprop_sparse::vec_ops;
 
 #[global_allocator]
@@ -518,20 +517,18 @@ fn table_circuit_block(circuit: TableCircuit, k: usize, parallelism: usize) -> S
     )
 }
 
-/// Times `solves` fixed-budget parallel engine solves under the given
-/// dispatch, returning `(ns_per_solve, alloc_calls_during_timed_loop)`.
+/// Times `solves` fixed-budget parallel engine solves on the worker
+/// pool, returning `(ns_per_solve, alloc_calls_during_timed_loop)`.
 /// `tolerance = 0` never triggers, so every solve runs exactly `sweeps`
 /// sweeps and the returned error is ignored — the loop measures dispatch
 /// plus sweep cost, nothing else.
 fn time_dispatch_solves(
     fixture: &TierFixture,
     threads: usize,
-    dispatch: ParDispatch,
     solves: usize,
     sweeps: usize,
 ) -> (f64, usize) {
     let mut engine = fixture.engine(SweepSchedule::RedBlack { threads });
-    engine.set_dispatch(dispatch);
     let mut v = fixture.v0.clone();
     // Warm-up: spawns pool workers, sizes pinned scratch, faults pages.
     for _ in 0..4 {
@@ -547,28 +544,23 @@ fn time_dispatch_solves(
 }
 
 /// The pool-latency experiment: per-solve latency of small-grid parallel
-/// solves, persistent pool vs the legacy per-solve scoped spawn, at each
-/// thread count. Warm pool solves must not touch the allocator (asserted
-/// — this is the CI smoke contract).
+/// solves on the persistent pool at each thread count. Warm pool solves
+/// must not touch the allocator (asserted — this is the CI smoke
+/// contract).
 fn pool_block(edge: usize, threads_list: &[usize], solves: usize, sweeps: usize) -> String {
     eprintln!("worker pool {edge}x{edge} ({solves} solves x {sweeps} sweeps)...");
     let fixture = TierFixture::new(edge);
     let mut lines = Vec::new();
     for &threads in threads_list {
-        // Two interleaved passes per dispatch, keeping the faster one:
-        // on oversubscribed machines the scheduler drifts between runs
-        // and the minimum is the stable dispatch-cost estimate.
+        // Two passes, keeping the faster one: on oversubscribed machines
+        // the scheduler drifts between runs and the minimum is the
+        // stable dispatch-cost estimate.
         let mut pool_ns = f64::INFINITY;
-        let mut scoped_ns = f64::INFINITY;
         let mut pool_allocs = 0usize;
         for _ in 0..2 {
-            let (ns, allocs) =
-                time_dispatch_solves(&fixture, threads, ParDispatch::Pool, solves, sweeps);
+            let (ns, allocs) = time_dispatch_solves(&fixture, threads, solves, sweeps);
             pool_ns = pool_ns.min(ns);
             pool_allocs += allocs;
-            let (ns, _) =
-                time_dispatch_solves(&fixture, threads, ParDispatch::ScopedSpawn, solves, sweeps);
-            scoped_ns = scoped_ns.min(ns);
         }
         assert_eq!(
             pool_allocs, 0,
@@ -576,11 +568,8 @@ fn pool_block(edge: usize, threads_list: &[usize], solves: usize, sweeps: usize)
         );
         lines.push(format!(
             "      {{ \"parallelism\": {threads}, \"pool_ns_per_solve\": {}, \
-             \"scoped_spawn_ns_per_solve\": {}, \"pool_warm_alloc_calls\": {pool_allocs}, \
-             \"scoped_over_pool\": {} }}",
+             \"pool_warm_alloc_calls\": {pool_allocs} }}",
             json_f64(pool_ns),
-            json_f64(scoped_ns),
-            json_f64(scoped_ns / pool_ns),
         ));
     }
     format!(
@@ -1161,13 +1150,9 @@ fn overload_block(w: usize, h: usize, tiers: usize, wait_ms: u64, deadline_ms: u
 /// The vectorized-kernel bandwidth experiment: effective GB/s of the
 /// hot kernels this workspace spends its time in — the batched f64
 /// solve sweep, the red-black sweep at parallelism 2, and the PCG
-/// axpy/dot core — plus the f64-vs-mixed comparison: per-sweep latency
-/// of the batched sweep kernel in both precisions (fixed budget, the
-/// throughput-ratio acceptance number) and warm per-RHS latency of a
-/// converging single solve at parallelism 2 in both precisions, with
-/// the refined-f32 solution asserted to agree with the f64 one
-/// (tolerance parity) and **zero allocator calls** asserted on every
-/// warm path including the mixed ones.
+/// axpy/dot core — plus the warm per-RHS latency of a converging single
+/// solve at parallelism 2, with **zero allocator calls** asserted on the
+/// warm batched sweeps and the warm solve.
 ///
 /// Effective bandwidth uses a fixed per-sweep traffic model over the
 /// free (unpinned) nodes: per lane 24 B (`v` read + write + injection
@@ -1192,63 +1177,36 @@ fn kernels_block(edge: usize, k: usize, sweeps: usize, vec_len: usize) -> String
     }
     let batch_sweep_bytes = (24 * k + 32) as f64 * n_free as f64;
 
-    // Fixed-budget batched sweeps, f64 and mixed (tolerance 0 never
-    // converges, so the f64 path runs exactly `batch_sweeps` sweeps and
-    // the mixed path refines until the same total-f32-sweep budget is
-    // spent). The budget is 4× the single-RHS one so the mixed path's
-    // per-round f64 residual evaluation is amortized the way a real
-    // refinement round amortizes it (the stagnation cut ends rounds
-    // after dozens of sweeps on grids this size, not a handful). One
-    // warm call per precision sizes the arenas; then three timed passes
-    // per precision, interleaved f64/mixed and keeping the fastest of
-    // each — the same scheduler-drift guard as the pool block, applied
-    // to both sides of the throughput ratio. No timed pass may allocate.
+    // Fixed-budget batched sweeps (tolerance 0 never converges, so every
+    // pass runs exactly `batch_sweeps` sweeps; the budget stays 4× the
+    // single-RHS one so entries compare across the trajectory). One warm
+    // call sizes the arenas; then three timed passes, keeping the
+    // fastest — the same scheduler-drift guard as the pool block. No
+    // timed pass may allocate.
     let batch_sweeps = 4 * sweeps;
     let mut engine = fixture.engine(SweepSchedule::Sequential);
     let mut lanes = vec![LaneReport::default(); k];
-    let mut time_batch = |mixed: bool| -> (f64, usize) {
+    let mut time_batch = || -> (f64, usize) {
         let mut v = v0.clone();
         let calls_before = alloc::alloc_calls();
         let start = Instant::now();
-        if mixed {
-            engine
-                .solve_batch_masked_mixed(
-                    &injection,
-                    &mut v,
-                    0.0,
-                    batch_sweeps,
-                    1.0,
-                    None,
-                    &mut lanes,
-                )
-                .expect("mixed batch sweeps");
-        } else {
-            engine
-                .solve_batch_masked(&injection, &mut v, 0.0, batch_sweeps, 1.0, None, &mut lanes)
-                .expect("f64 batch sweeps");
-        }
+        engine
+            .solve_batch_masked(&injection, &mut v, 0.0, batch_sweeps, 1.0, None, &mut lanes)
+            .expect("batch sweeps");
         let ns = start.elapsed().as_nanos() as f64 / batch_sweeps as f64;
         (ns, alloc::alloc_calls() - calls_before)
     };
-    time_batch(false); // warm: sizes the f64 arenas, faults pages
-    time_batch(true); // warm: sizes the f32 shadow scratch
-    let (mut f64_ns_per_sweep, mut mixed_ns_per_sweep) = (f64::INFINITY, f64::INFINITY);
-    let (mut f64_allocs, mut mixed_allocs) = (0usize, 0usize);
+    time_batch(); // warm: sizes the arenas, faults pages
+    let mut f64_ns_per_sweep = f64::INFINITY;
+    let mut f64_allocs = 0usize;
     for _ in 0..3 {
-        let (ns, allocs) = time_batch(false);
+        let (ns, allocs) = time_batch();
         f64_ns_per_sweep = f64_ns_per_sweep.min(ns);
         f64_allocs += allocs;
-        let (ns, allocs) = time_batch(true);
-        mixed_ns_per_sweep = mixed_ns_per_sweep.min(ns);
-        mixed_allocs += allocs;
     }
     assert_eq!(
         f64_allocs, 0,
         "warm f64 batch sweeps must make zero allocator calls"
-    );
-    assert_eq!(
-        mixed_allocs, 0,
-        "warm mixed batch sweeps must make zero allocator calls"
     );
 
     // Red-black sweep at parallelism 2 (single RHS).
@@ -1279,46 +1237,24 @@ fn kernels_block(edge: usize, k: usize, sweeps: usize, vec_len: usize) -> String
     assert_eq!(vec_allocs, 0, "axpy/dot must not allocate");
     assert!(acc.is_finite(), "dot accumulator must stay finite");
 
-    // Tolerance parity at parallelism 2: a converging single-RHS solve
-    // in both precisions from one engine must land on (numerically) the
-    // same solution — the refined-f32 path meets the f64 tolerance
-    // contract — and the warm mixed solve must not allocate.
-    let tol = 1e-9;
+    // Warm converging single-RHS solve at parallelism 2; it must not
+    // allocate.
     let mut rb_engine = fixture.engine(SweepSchedule::RedBlack { threads: 2 });
-    let time_solve = |engine: &mut TierEngine, mixed: bool, v_out: &mut Vec<f64>| -> (f64, usize) {
-        let run = |engine: &mut TierEngine, v: &mut [f64]| {
-            if mixed {
-                engine
-                    .solve_mixed(&fixture.injection, v, tol, 200_000)
-                    .expect("mixed solve converges");
-            } else {
-                engine
-                    .solve(&fixture.injection, v, tol, 200_000)
-                    .expect("f64 solve converges");
-            }
-        };
-        let mut v = fixture.v0.clone();
-        run(engine, &mut v); // warm
-        let mut v = fixture.v0.clone();
-        let calls_before = alloc::alloc_calls();
-        let start = Instant::now();
-        run(engine, &mut v);
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        *v_out = v;
-        (ms, alloc::alloc_calls() - calls_before)
-    };
-    let mut v_f64 = Vec::new();
-    let (solve_f64_ms, _) = time_solve(&mut rb_engine, false, &mut v_f64);
-    let mut v_mixed = Vec::new();
-    let (solve_mixed_ms, mixed_solve_allocs) = time_solve(&mut rb_engine, true, &mut v_mixed);
+    let mut v = fixture.v0.clone();
+    rb_engine
+        .solve(&fixture.injection, &mut v, 1e-9, 200_000)
+        .expect("warm-up solve converges");
+    v.copy_from_slice(&fixture.v0);
+    let calls_before = alloc::alloc_calls();
+    let start = Instant::now();
+    rb_engine
+        .solve(&fixture.injection, &mut v, 1e-9, 200_000)
+        .expect("solve converges");
+    let solve_f64_ms = start.elapsed().as_secs_f64() * 1e3;
+    let f64_solve_allocs = alloc::alloc_calls() - calls_before;
     assert_eq!(
-        mixed_solve_allocs, 0,
-        "warm mixed solve must make zero allocator calls"
-    );
-    let parity_dv = max_abs_diff(&v_f64, &v_mixed);
-    assert!(
-        parity_dv <= 1e-7,
-        "mixed solve deviates {parity_dv} V from the f64 solve at tolerance {tol}"
+        f64_solve_allocs, 0,
+        "warm f64 solve must make zero allocator calls"
     );
 
     format!(
@@ -1327,27 +1263,18 @@ fn kernels_block(edge: usize, k: usize, sweeps: usize, vec_len: usize) -> String
          \"free_nodes\": {n_free},\n    \
          \"batch_sweep_f64_ns_per_sweep\": {},\n    \
          \"batch_sweep_f64_gbps\": {},\n    \
-         \"batch_sweep_mixed_ns_per_sweep\": {},\n    \
-         \"mixed_over_f64_sweep_throughput\": {},\n    \
          \"redblack2_ns_per_sweep\": {},\n    \"redblack2_gbps\": {},\n    \
          \"vec_len\": {vec_len},\n    \"axpy_gbps\": {},\n    \"dot_gbps\": {},\n    \
          \"solve_f64_warm_ms_parallelism2\": {},\n    \
-         \"solve_mixed_warm_ms_parallelism2\": {},\n    \
-         \"max_abs_dv_mixed_vs_f64\": {},\n    \
          \"warm_alloc_calls_f64_batch\": {f64_allocs},\n    \
-         \"warm_alloc_calls_mixed_batch\": {mixed_allocs},\n    \
-         \"warm_alloc_calls_mixed_solve\": {mixed_solve_allocs}\n  }}",
+         \"warm_alloc_calls_f64_solve\": {f64_solve_allocs}\n  }}",
         json_f64(f64_ns_per_sweep),
         json_f64(batch_sweep_bytes / f64_ns_per_sweep),
-        json_f64(mixed_ns_per_sweep),
-        json_f64(f64_ns_per_sweep / mixed_ns_per_sweep),
         json_f64(rb2_ns),
         json_f64(rb_sweep_bytes / rb2_ns),
         json_f64(24.0 * vec_len as f64 / axpy_ns),
         json_f64(16.0 * vec_len as f64 / dot_ns),
         json_f64(solve_f64_ms),
-        json_f64(solve_mixed_ms),
-        json_f64(parity_dv),
     )
 }
 
@@ -1603,20 +1530,11 @@ fn sharding_block(
     )
 }
 
-fn repo_root() -> PathBuf {
-    // crates/bench → workspace root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from("."))
-}
-
 /// The command-line help.
-const USAGE: &str = "usage: perfsuite [--quick] [--out PATH] [--batch N[,N...]]
+const USAGE: &str = "usage: perfsuite --out PATH [--quick] [--batch N[,N...]]
 
+  --out PATH         append the trajectory entry to PATH (required)
   --quick            shrink the grids for a smoke run
-  --out PATH         append the trajectory entry to PATH
-                     (default: BENCH_rowbased.json at the repository root)
   --batch N[,N...]   batch sizes of the batched experiment
                      (default: 1,8,64; 1,8 with --quick)
   -h, --help         print this help and exit";
@@ -1657,7 +1575,9 @@ fn main() {
             other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
-    let out = out.unwrap_or_else(|| repo_root().join("BENCH_rowbased.json"));
+    let Some(out) = out else {
+        usage_error("--out PATH is required");
+    };
     let batch_sizes = batch.unwrap_or_else(|| if quick { vec![1, 8] } else { vec![1, 8, 64] });
 
     // (edge, sweeps) for row-sweep micro-benchmarks.
@@ -1789,10 +1709,9 @@ fn main() {
     };
 
     // The vectorized-kernel bandwidth trajectory: effective GB/s of the
-    // batched sweep / red-black sweep / axpy-dot kernels plus the
-    // f64-vs-mixed precision comparison. The quick run is the CI smoke
-    // that asserts the zero-allocation and refined-f32 tolerance-parity
-    // contracts at parallelism 2.
+    // batched sweep / red-black sweep / axpy-dot kernels plus the warm
+    // solve time at parallelism 2. The quick run is the CI smoke that
+    // asserts their zero-allocation contracts.
     let kernel_blocks = if quick {
         vec![kernels_block(64, 16, 40, 1 << 16)]
     } else {

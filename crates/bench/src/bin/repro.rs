@@ -4,6 +4,12 @@
 //! cargo run --release -p voltprop-bench --bin repro -- table1 [--full]
 //! cargo run --release -p voltprop-bench --bin repro -- all
 //! ```
+//!
+//! The command line is strict: an unknown experiment, or any argument
+//! the experiment does not take, prints the usage to stderr and exits 2
+//! before anything runs. `table1` and `accuracy` exit 1 when a
+//! deterministic solver misses the paper's 0.5 mV budget against the
+//! direct solve.
 
 use voltprop_bench::alloc::CountingAllocator;
 use voltprop_bench::experiments;
@@ -20,7 +26,9 @@ USAGE:
 EXPERIMENTS:
     table1 [--full]   T1: Table I (memory/runtime, VP vs PCG vs direct).
                       Default sizes C0-C2; --full extends to C3-C5.
+                      Fails if VP or PCG misses 0.5 mV of the direct solve.
     accuracy [edge]   E1: max error vs the direct reference (default edge 40).
+                      Fails if a deterministic solver misses 0.5 mV.
     scaling [--full]  E2: PCG-over-VP speedup trend with circuit size.
     rw-trap           E3: random-walk TSV trap statistics.
     rb-vs-vp          E4: naive 3-D row-based degradation vs VP.
@@ -30,32 +38,61 @@ EXPERIMENTS:
     all [--full]      run every experiment in order.
 ";
 
+/// A parsed command line: the experiment, `--full`, and the accuracy
+/// grid edge.
+struct Invocation<'a> {
+    cmd: &'a str,
+    full: bool,
+    edge: usize,
+}
+
+/// Parses the whole command line up front, so a bad one fails before
+/// any experiment runs.
+fn parse(args: &[String]) -> Result<Invocation<'_>, String> {
+    let cmd = args.first().map_or("help", String::as_str);
+    let mut inv = Invocation {
+        cmd,
+        full: false,
+        edge: 40,
+    };
+    match (cmd, args.get(1..).unwrap_or_default()) {
+        (_, []) => {}
+        ("table1" | "scaling" | "all", [flag]) if flag == "--full" => inv.full = true,
+        ("accuracy", [edge]) => {
+            inv.edge = edge
+                .parse()
+                .ok()
+                .filter(|&e: &usize| e > 0)
+                .ok_or_else(|| {
+                    format!("accuracy: edge must be a positive integer, got `{edge}`")
+                })?;
+        }
+        (_, rest) => return Err(format!("`{cmd}` does not take `{}`", rest.join(" "))),
+    }
+    Ok(inv)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let full = args.iter().any(|a| a == "--full");
-    let code = match run(cmd, &args, full) {
+    let inv = parse(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}\n\n{HELP}");
+        std::process::exit(2);
+    });
+    let code = match run(&inv) {
         Ok(()) => 0,
         Err(e) => {
-            eprintln!("repro {cmd}: {e}");
+            eprintln!("repro {}: {e}", inv.cmd);
             1
         }
     };
     std::process::exit(code);
 }
 
-fn run(cmd: &str, args: &[String], full: bool) -> Result<(), Box<dyn std::error::Error>> {
-    match cmd {
+fn run(inv: &Invocation<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let full = inv.full;
+    match inv.cmd {
         "table1" => print(experiments::table1(full)?),
-        "accuracy" => {
-            let edge = args
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .map(|a| a.parse())
-                .transpose()?
-                .unwrap_or(40);
-            print(experiments::accuracy(edge)?)
-        }
+        "accuracy" => print(experiments::accuracy(inv.edge)?),
         "scaling" => {
             let edges: &[usize] = if full {
                 &[40, 80, 120, 173, 277, 577]
@@ -85,7 +122,7 @@ fn run(cmd: &str, args: &[String], full: bool) -> Result<(), Box<dyn std::error:
         }
         "help" | "--help" | "-h" => println!("{HELP}"),
         other => {
-            eprintln!("unknown experiment `{other}`\n\n{HELP}");
+            eprintln!("error: unknown experiment `{other}`\n\n{HELP}");
             std::process::exit(2);
         }
     }

@@ -14,6 +14,39 @@ pub const SEED: u64 = 2012;
 
 type Report = Result<String, Box<dyn Error>>;
 
+/// The paper's accuracy claim as a gate: every `(solver, max error)`
+/// pair must sit within [`paper::MAX_ERROR_VOLTS`] of the direct
+/// reference. A miss (or a non-finite error) names each offender.
+///
+/// # Errors
+///
+/// One message listing every pair over the budget.
+pub fn check_error_budget(errors: &[(String, f64)]) -> Result<(), String> {
+    let misses: Vec<String> = errors
+        .iter()
+        .filter(|(_, err)| err.is_nan() || *err >= paper::MAX_ERROR_VOLTS)
+        .map(|(who, err)| format!("{who} {:.4} mV", err * 1e3))
+        .collect();
+    if misses.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "over the paper's 0.5 mV budget against the direct solve: {}",
+            misses.join(", ")
+        ))
+    }
+}
+
+/// `report` when `errors` pass [`check_error_budget`]; otherwise an
+/// error carrying the report followed by the misses, so the failing
+/// table still reaches the reader.
+fn gated(report: String, errors: &[(String, f64)]) -> Report {
+    match check_error_budget(errors) {
+        Ok(()) => Ok(report),
+        Err(miss) => Err(format!("{report}\n{miss}").into()),
+    }
+}
+
 /// **T1 — Table I**: memory and runtime of VP vs PCG vs the direct
 /// ("SPICE") solver on the paper's benchmark sizes.
 ///
@@ -23,7 +56,9 @@ type Report = Result<String, Box<dyn Error>>;
 ///
 /// # Errors
 ///
-/// Propagates solver failures.
+/// Propagates solver failures, and fails (see [`check_error_budget`])
+/// when the VP or PCG row misses the paper's 0.5 mV budget on a circuit
+/// with a direct reference.
 pub fn table1(full: bool) -> Report {
     let mut out = String::new();
     out.push_str("T1 / Table I: VP vs PCG vs direct (SPICE stand-in)\n\n");
@@ -44,6 +79,7 @@ pub fn table1(full: bool) -> Report {
         "paper mem",
     ]);
     let mut speedups: Vec<(TableCircuit, f64, f64)> = Vec::new();
+    let mut errors: Vec<(String, f64)> = Vec::new();
     for &c in circuits {
         let stack = c.build(SEED)?;
         let paper_row = paper::row_for(c);
@@ -63,6 +99,11 @@ pub fn table1(full: bool) -> Report {
 
         let (vp, _) = run_stack_solver(&VpSolver::default(), &stack, NetKind::Power, ref_v)?;
         let (pcg, _) = run_stack_solver(&Pcg::default(), &stack, NetKind::Power, ref_v)?;
+        for (who, run) in [("VP", &vp), ("PCG", &pcg)] {
+            if let Some(err) = run.max_error {
+                errors.push((format!("{who} on {}", c.label()), err));
+            }
+        }
 
         let fmt_err = |e: Option<f64>| {
             e.map(|v| format!("{:.4}", v * 1e3))
@@ -143,7 +184,7 @@ pub fn table1(full: bool) -> Report {
             paper_row.memory_ratio(),
         ));
     }
-    Ok(out)
+    gated(out, &errors)
 }
 
 /// **E1 — accuracy**: max node-voltage error of every iterative solver
@@ -151,7 +192,9 @@ pub fn table1(full: bool) -> Report {
 ///
 /// # Errors
 ///
-/// Propagates solver failures.
+/// Propagates solver failures, and fails (see [`check_error_budget`])
+/// when a deterministic solver misses the 0.5 mV budget. The
+/// random-walk row is informational.
 pub fn accuracy(edge: usize) -> Report {
     let stack = SynthConfig::new(edge, edge, 3).seed(SEED).build()?;
     let (_, ref_v) = run_stack_solver(&DirectCholesky::new(), &stack, NetKind::Power, None)?;
@@ -163,11 +206,11 @@ pub fn accuracy(edge: usize) -> Report {
         Box::new(Pcg::with_preconditioner(PrecondKind::Jacobi)),
         Box::new(Rb3d::default()),
     ];
-    let mut all_within = true;
+    let mut errors: Vec<(String, f64)> = Vec::new();
     for s in &solvers {
         let (run, _) = run_stack_solver(s.as_ref(), &stack, NetKind::Power, Some(&ref_v))?;
         let err = run.max_error.expect("reference supplied");
-        all_within &= err < paper::MAX_ERROR_VOLTS;
+        errors.push((run.name.to_string(), err));
         t.add_row(vec![
             run.name.into(),
             run.iterations.to_string(),
@@ -192,9 +235,13 @@ pub fn accuracy(edge: usize) -> Report {
     out.push_str(&t.to_string());
     out.push_str(&format!(
         "\nall deterministic solvers within the paper's 0.5 mV budget: {}\n",
-        if all_within { "YES" } else { "NO" }
+        if check_error_budget(&errors).is_ok() {
+            "YES"
+        } else {
+            "NO"
+        }
     ));
-    Ok(out)
+    gated(out, &errors)
 }
 
 /// **E2 — scaling**: the PCG-over-VP speedup trend with circuit size
@@ -489,6 +536,26 @@ mod tests {
         assert!(trap.contains("10x10x3"));
         let pat = tsv_patterns().unwrap();
         assert!(pat.contains("uniform"));
+    }
+
+    #[test]
+    fn error_budget_rejects_a_miss() {
+        let ok = [
+            ("VP on C0".to_string(), 1.7e-4),
+            ("PCG".to_string(), 4.99e-4),
+        ];
+        assert!(check_error_budget(&ok).is_ok());
+        let miss = [
+            ("VP on C1".to_string(), 1.8e-4),
+            ("PCG on C1".to_string(), 5.01e-4),
+        ];
+        let err = check_error_budget(&miss).unwrap_err();
+        assert!(err.contains("PCG on C1 0.5010 mV"), "{err}");
+        assert!(!err.contains("VP on C1"), "{err}");
+        // A non-finite error is a miss, never a silent pass.
+        assert!(check_error_budget(&[("VP".to_string(), f64::NAN)]).is_err());
+        let gated_miss = gated("the table".into(), &miss).unwrap_err().to_string();
+        assert!(gated_miss.starts_with("the table"), "{gated_miss}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The benchmark trajectory file: an append-only JSON record of perf runs.
 //!
-//! `perfsuite` writes one entry per invocation to `BENCH_rowbased.json` at
-//! the repository root, so the performance history accumulates across PRs
+//! `perfsuite` writes one entry per invocation to the file its `--out`
+//! names (the committed trajectory is `BENCH_rowbased.json` at the
+//! repository root), so the performance history accumulates across changes
 //! and regressions are visible as a time series. The file is plain JSON:
 //!
 //! ```json
@@ -30,9 +31,11 @@
 //! * `vp_batch` (PR 2) — warm per-RHS batched-solve time per batch size
 //!   (`hardware_threads`/`parallelism` context embedded);
 //! * `pool_latency` (PR 3) — small-grid per-solve latency of the
-//!   persistent worker pool vs the legacy scoped-spawn dispatch at each
-//!   thread count, with `pool_warm_alloc_calls` (asserted 0: warm pool
-//!   solves never touch the allocator);
+//!   persistent worker pool at each thread count, with
+//!   `pool_warm_alloc_calls` (asserted 0: warm pool solves never touch
+//!   the allocator). Older entries also timed a scoped-spawn dispatch
+//!   baseline (`scoped_spawn_ns_per_solve`, `scoped_over_pool`), since
+//!   deleted;
 //! * `batch_compaction` (PR 3) — fixed-budget masked batch sweeps at
 //!   several active-lane counts, compacted vs uncompacted, against a
 //!   scalar single-RHS reference (`compacted` entries carry
@@ -50,11 +53,13 @@
 //!   < 0.5 mV), and `pcg_*_warm_alloc_calls` (asserted 0);
 //! * `kernels` (PR 6) — per-kernel effective GB/s of the vectorized
 //!   hot loops (batched f64 solve sweep, red-black sweep at
-//!   parallelism 2, PCG axpy/dot) under a fixed traffic model, the
-//!   f64-vs-mixed batched-sweep throughput ratio
-//!   (`mixed_over_f64_sweep_throughput`), warm f64/mixed per-RHS solve
-//!   latencies, `max_abs_dv_mixed_vs_f64` (asserted ≤ 1e-7), and
-//!   `warm_alloc_calls_*` on the mixed paths (asserted 0).
+//!   parallelism 2, PCG axpy/dot) under a fixed traffic model, the warm
+//!   per-RHS solve latency at parallelism 2, and
+//!   `warm_alloc_calls_f64_{batch,solve}` (asserted 0). Older entries
+//!   also carry the since-deleted mixed-precision fields
+//!   (`batch_sweep_mixed_ns_per_sweep`, `mixed_over_f64_sweep_throughput`,
+//!   `solve_mixed_warm_ms_parallelism2`, `max_abs_dv_mixed_vs_f64`,
+//!   `warm_alloc_calls_mixed_*`).
 
 use std::fs;
 use std::io;

@@ -1,6 +1,6 @@
 //! `perfsuite` is strict about its command line: it answers `--help` and
-//! rejects an unknown argument before any section runs or any file is
-//! written.
+//! rejects an unknown argument or a missing `--out` before any section
+//! runs or any file is written.
 
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -43,4 +43,24 @@ fn help_prints_usage_and_exits_0_at_once() {
         start.elapsed()
     );
     assert!(String::from_utf8_lossy(&run.stdout).contains("--out PATH"));
+}
+
+#[test]
+fn missing_out_exits_2_before_any_section() {
+    let start = Instant::now();
+    let run = Command::new(PERFSUITE)
+        .arg("--quick")
+        .output()
+        .expect("perfsuite runs");
+    assert_eq!(run.status.code(), Some(2));
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "a missing --out took {:?}: it must not run the suite",
+        start.elapsed()
+    );
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(
+        stderr.contains("--out") && stderr.contains("usage"),
+        "{stderr}"
+    );
 }

@@ -1,60 +1,3 @@
-/// Arithmetic precision of the inner solve kernels.
-///
-/// `F64` (the default) runs every sweep in double precision — the
-/// behaviour of all previous releases. `MixedF32` runs the
-/// bandwidth-bound inner kernels in single precision wrapped in
-/// iterative refinement: every refinement round evaluates the *exact
-/// f64 residual* of the current iterate, solves the correction system
-/// in f32 through prefactored f32 shadow factors (built once at
-/// [`Session::build`](crate::Session::build), so warm solves stay
-/// allocation-free), and applies the correction in f64.
-///
-/// # Accuracy contract
-///
-/// A converged `MixedF32` solve meets the **same tolerances** as `F64`:
-/// the voltage-propagation route converges on the same pad-mismatch
-/// `epsilon` and per-round correction bound, and the PCG route on the
-/// same relative-residual target (only its preconditioner application
-/// is in f32; the CG recurrence stays f64). Refinement typically costs
-/// extra inner sweeps — each round re-targets the true residual, so a
-/// tight `inner_tolerance` triggers more rounds — traded against ~2×
-/// cheaper memory traffic per sweep. If the sweep budget runs out
-/// mid-refinement the result honestly reports `converged = false`
-/// rather than returning a silently loose answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Full double-precision kernels (the default).
-    #[default]
-    F64,
-    /// f32 inner sweeps + f64 residual accumulation with iterative
-    /// refinement.
-    MixedF32,
-}
-
-impl Precision {
-    /// The precision forced by the `VOLTPROP_FORCE_PRECISION`
-    /// environment variable (`"f64"` or `"mixedf32"`, case-insensitive),
-    /// if any. Read once per process; unknown values are ignored. CI
-    /// uses this to run the full test suite through the mixed path
-    /// without touching every call site.
-    pub fn forced() -> Option<Precision> {
-        static FORCED: std::sync::OnceLock<Option<Precision>> = std::sync::OnceLock::new();
-        *FORCED.get_or_init(|| {
-            let raw = std::env::var("VOLTPROP_FORCE_PRECISION").ok()?;
-            match raw.to_ascii_lowercase().as_str() {
-                "f64" => Some(Precision::F64),
-                "mixedf32" | "mixed" => Some(Precision::MixedF32),
-                _ => None,
-            }
-        })
-    }
-
-    /// `self` unless `VOLTPROP_FORCE_PRECISION` overrides it.
-    pub fn resolve(self) -> Precision {
-        Precision::forced().unwrap_or(self)
-    }
-}
-
 /// Tuning parameters of the voltage propagation solver.
 ///
 /// The defaults follow the paper: convergence when the worst pad-voltage
@@ -118,8 +61,6 @@ pub struct VpConfig {
     /// Row-band shards per tier for the inner sweeps (see
     /// [`BuildParams::shards`]). `0` and `1` both mean unsharded.
     pub shards: usize,
-    /// Arithmetic precision of the inner kernels (see [`Precision`]).
-    pub precision: Precision,
 }
 
 impl Default for VpConfig {
@@ -133,7 +74,6 @@ impl Default for VpConfig {
             max_inner_sweeps: 10_000,
             parallelism: 1,
             shards: 1,
-            precision: Precision::F64,
         }
     }
 }
@@ -196,12 +136,6 @@ impl VpConfig {
         self
     }
 
-    /// Sets the inner-kernel arithmetic precision.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// The build-time half of this config (what a
     /// [`Session`](crate::Session) fixes at construction).
     pub fn build_params(&self) -> BuildParams {
@@ -221,7 +155,6 @@ impl VpConfig {
             sor_omega: self.sor_omega,
             inner_tolerance: self.inner_tolerance,
             max_inner_sweeps: self.max_inner_sweeps,
-            precision: self.precision,
         }
     }
 
@@ -236,7 +169,6 @@ impl VpConfig {
             max_inner_sweeps: solve.max_inner_sweeps,
             parallelism: build.parallelism.max(1),
             shards: build.shards.max(1),
-            precision: solve.precision,
         }
     }
 }
@@ -270,7 +202,7 @@ pub struct BuildParams {
     /// arithmetic. `shards >= 2` forces the red-black sweep schedule
     /// (keeping `parallelism` as the thread count), and on that schedule
     /// the row-based routes — single solves, masked/compacted batches,
-    /// transient steps, both precisions — produce **bitwise identical**
+    /// transient steps — produce **bitwise identical**
     /// voltages, iteration counts, and residuals at every shard count
     /// and thread count: per-sweep convergence deltas are reduced across
     /// shards in shard order with exact `f64::max` folds, so lane
@@ -342,14 +274,6 @@ pub struct SolveParams {
     /// iteration budget, for [`Backend::Pcg`](crate::Backend::Pcg) the
     /// CG iteration budget.
     pub max_inner_sweeps: usize,
-    /// Arithmetic precision of the inner kernels. Defaults to
-    /// [`Precision::F64`]; [`Precision::MixedF32`] runs the sweeps (VP
-    /// routes) or the preconditioner application (PCG route) in f32 with
-    /// f64 residual accumulation and iterative refinement — same
-    /// tolerance contract, lower memory traffic. See [`Precision`] for
-    /// the accuracy contract and when refinement triggers extra
-    /// iterations.
-    pub precision: Precision,
 }
 
 impl Default for SolveParams {
@@ -400,12 +324,6 @@ impl SolveParams {
     /// Sets the per-tier sweep budget.
     pub fn max_inner_sweeps(mut self, n: usize) -> Self {
         self.max_inner_sweeps = n;
-        self
-    }
-
-    /// Sets the inner-kernel arithmetic precision.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 }
@@ -471,27 +389,9 @@ mod tests {
             .sor_omega(1.4)
             .max_inner_sweeps(99)
             .parallelism(3)
-            .shards(2)
-            .precision(Precision::MixedF32);
+            .shards(2);
         let rebuilt = VpConfig::from_parts(c.build_params(), c.solve_params());
         assert_eq!(rebuilt, c);
-    }
-
-    #[test]
-    fn precision_defaults_to_f64_and_chains() {
-        assert_eq!(VpConfig::default().precision, Precision::F64);
-        assert_eq!(SolveParams::default().precision, Precision::F64);
-        let p = SolveParams::new().precision(Precision::MixedF32);
-        assert_eq!(p.precision, Precision::MixedF32);
-        assert_eq!(
-            VpConfig::new().precision(Precision::MixedF32).precision,
-            Precision::MixedF32
-        );
-        // With no env override, resolve() is the identity.
-        if Precision::forced().is_none() {
-            assert_eq!(Precision::MixedF32.resolve(), Precision::MixedF32);
-            assert_eq!(Precision::F64.resolve(), Precision::F64);
-        }
     }
 
     #[test]

@@ -150,7 +150,7 @@ mod tier_cache;
 pub mod transient;
 mod vda;
 
-pub use config::{BuildParams, Precision, SolveParams, VpConfig};
+pub use config::{BuildParams, SolveParams, VpConfig};
 pub use deadline::Deadline;
 pub use report::VpReport;
 pub use session::{

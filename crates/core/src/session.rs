@@ -483,9 +483,8 @@ impl<'a> SolutionView<'a> {
 /// The frozen, shareable half of a session: every piece of read-only
 /// post-build state — the voltage-propagation tier factors and pillar
 /// lattice, the [`Backend::Rb3d`] engine topology, the [`Backend::Pcg`]
-/// stamped system with its IC(0) factor, and the f32 shadow factors of
-/// both routes — plus the session's build-time and default per-solve
-/// parameters.
+/// stamped system with its IC(0) factor — plus the session's build-time
+/// and default per-solve parameters.
 ///
 /// # Ownership rules
 ///
@@ -524,8 +523,8 @@ pub struct SessionCore {
 /// writes — the VoltProp route's outer-loop lane arena (voltages,
 /// injections, pillar state and Anderson histories), the
 /// [`Backend::Rb3d`] sweep state, the
-/// [`Backend::Pcg`] iteration vectors (including the f32 refinement
-/// image), the transient staging buffer, and the per-lane reports.
+/// [`Backend::Pcg`] iteration vectors, the transient staging buffer, and
+/// the per-lane reports.
 ///
 /// A scratch is created by [`SessionCore::new_scratch`] and is tied to
 /// that core's geometry; it shares the core's prefactored read-only
@@ -719,24 +718,13 @@ impl SessionCore {
             Backend::Pcg => {
                 case.deadline.check(0)?;
                 let engine = pcg_engine(&mut scratch.pcg, &self.pcg_unavailable)?;
-                let mixed = params.precision.resolve() == crate::Precision::MixedF32;
-                let rep = if mixed {
-                    engine.solve_mixed(
-                        case.stack.loads(),
-                        case.net,
-                        params.inner_tolerance,
-                        params.max_inner_sweeps,
-                        &mut scratch.pcg_voltages[..self.nn],
-                    )?
-                } else {
-                    engine.solve(
-                        case.stack.loads(),
-                        case.net,
-                        params.inner_tolerance,
-                        params.max_inner_sweeps,
-                        &mut scratch.pcg_voltages[..self.nn],
-                    )?
-                };
+                let rep = engine.solve(
+                    case.stack.loads(),
+                    case.net,
+                    params.inner_tolerance,
+                    params.max_inner_sweeps,
+                    &mut scratch.pcg_voltages[..self.nn],
+                )?;
                 scratch.reports.clear();
                 scratch.reports.push(pcg_report(&rep));
                 Ok(())
@@ -846,47 +834,33 @@ impl SessionCore {
             }
             Backend::Pcg => {
                 let engine = pcg_engine(&mut scratch.pcg, &self.pcg_unavailable)?;
-                let mixed = params.precision.resolve() == crate::Precision::MixedF32;
                 run_engine_batch(
                     self.nn,
                     loads,
                     &mut scratch.pcg_voltages,
                     &mut scratch.reports,
                     deadline,
-                    |lane_loads, v| {
-                        let attempt = if mixed {
-                            engine.solve_mixed(
-                                lane_loads,
-                                net,
-                                params.inner_tolerance,
-                                params.max_inner_sweeps,
-                                v,
-                            )
-                        } else {
-                            engine.solve(
-                                lane_loads,
-                                net,
-                                params.inner_tolerance,
-                                params.max_inner_sweeps,
-                                v,
-                            )
-                        };
-                        match attempt {
-                            Ok(rep) => Ok(pcg_report(&rep)),
-                            Err(SolverError::DidNotConverge {
-                                iterations,
-                                residual,
-                                ..
-                            }) => Ok(VpReport {
-                                outer_iterations: iterations,
-                                inner_sweeps: iterations,
-                                pad_mismatch: residual,
-                                final_beta: 0.0,
-                                converged: false,
-                                workspace_bytes: engine.memory_bytes(),
-                            }),
-                            Err(e) => Err(e),
-                        }
+                    |lane_loads, v| match engine.solve(
+                        lane_loads,
+                        net,
+                        params.inner_tolerance,
+                        params.max_inner_sweeps,
+                        v,
+                    ) {
+                        Ok(rep) => Ok(pcg_report(&rep)),
+                        Err(SolverError::DidNotConverge {
+                            iterations,
+                            residual,
+                            ..
+                        }) => Ok(VpReport {
+                            outer_iterations: iterations,
+                            inner_sweeps: iterations,
+                            pad_mismatch: residual,
+                            final_beta: 0.0,
+                            converged: false,
+                            workspace_bytes: engine.memory_bytes(),
+                        }),
+                        Err(e) => Err(e),
                     },
                 )
             }

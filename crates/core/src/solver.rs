@@ -736,7 +736,6 @@ fn planar(
     fill_injection::<false>(k, injection, loads, source, per, 0, -sign, &arena.mask);
     let lanes = &mut arena.lanes[..k];
     tier_cache[0].solve_lanes(
-        params.precision.resolve() == crate::Precision::MixedF32,
         injection,
         &mut arena.v[..per * k],
         params.inner_tolerance,
@@ -778,7 +777,6 @@ fn propagate<const ONE: bool>(
     let (r_tsv, r_pad) = (scratch.r_tsv, scratch.r_pad);
     let tight_tol = params.inner_tolerance / scratch.amplification;
     let (eps, damping) = (params.epsilon, params.damping);
-    let mixed = params.precision.resolve() == crate::Precision::MixedF32;
     let VpScratch {
         site_flat,
         is_pad_site,
@@ -854,7 +852,6 @@ fn propagate<const ONE: bool>(
             let injection = &mut arena.injection[..per * k];
             fill_injection::<ONE>(k, injection, loads, source, nn, t * per, -sign, mask);
             tier_cache[t].solve_lanes(
-                mixed,
                 injection,
                 &mut v[t * per * k..(t + 1) * per * k],
                 tight_tol,
@@ -1520,16 +1517,14 @@ mod tests {
     #[test]
     fn workspace_is_linear_in_nodes() {
         // The memory pitch of the paper: VP's workspace is a few vectors,
-        // no assembled matrix. ~9 f64-sized arrays per node, plus the
-        // mixed-precision path's f32 shadow factors and residual diagonal
-        // (~2.5 more f64-equivalents), is the cap.
+        // no assembled matrix. ~9 f64-sized arrays per node is the cap.
         let stack = Stack3d::builder(20, 20, 3)
             .uniform_load(1e-4)
             .build()
             .unwrap();
         let (_, report) = solve_fresh(&VpConfig::default(), &stack, NetKind::Power).unwrap();
         let per_node = report.workspace_bytes as f64 / stack.num_nodes() as f64;
-        assert!(per_node < 11.5 * 8.0, "workspace {per_node} bytes/node");
+        assert!(per_node < 9.0 * 8.0, "workspace {per_node} bytes/node");
     }
 
     #[test]

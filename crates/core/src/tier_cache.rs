@@ -92,10 +92,7 @@ impl CachedTier {
     /// sweep together against the shared factors, node-major/lane-minor
     /// layout, each lane freezing independently at `tolerance`. `mask`
     /// marks lanes to leave untouched (the VP outer loop freezes whole
-    /// lanes once they converge). `mixed` runs the f32 sweeps with f64
-    /// residual refinement instead. See
-    /// [`TierEngine::solve_batch_masked`] and
-    /// [`TierEngine::solve_batch_masked_mixed`].
+    /// lanes once they converge). See [`TierEngine::solve_batch_masked`].
     ///
     /// # Errors
     ///
@@ -104,7 +101,6 @@ impl CachedTier {
     #[allow(clippy::too_many_arguments)] // mirrors the engine entry points
     pub(crate) fn solve_lanes(
         &mut self,
-        mixed: bool,
         injection: &[f64],
         v: &mut [f64],
         tolerance: f64,
@@ -113,13 +109,8 @@ impl CachedTier {
         mask: Option<&[bool]>,
         lanes: &mut [LaneReport],
     ) -> Result<SolveReport, SolverError> {
-        if mixed {
-            self.engine
-                .solve_batch_masked_mixed(injection, v, tolerance, max_sweeps, omega, mask, lanes)
-        } else {
-            self.engine
-                .solve_batch_masked(injection, v, tolerance, max_sweeps, omega, mask, lanes)
-        }
+        self.engine
+            .solve_batch_masked(injection, v, tolerance, max_sweeps, omega, mask, lanes)
     }
 
     /// A new cache sharing this one's frozen factors with fresh per-solve

@@ -38,7 +38,7 @@
 //! request by dropping the connection.
 
 use crate::json::Json;
-use voltprop_core::{Backend, Precision, SolveParams};
+use voltprop_core::{Backend, SolveParams};
 use voltprop_grid::{NetKind, Stack3d, TsvPattern};
 
 /// Wire protocol version reported by `info` responses.
@@ -474,13 +474,15 @@ fn parse_params(value: &Json) -> Result<SolveParams, ServeError> {
     if let Some(v) = count("max_inner_sweeps")? {
         params = params.max_inner_sweeps(v);
     }
-    match value.get("precision").map(|v| (v, v.as_str())) {
-        None | Some((&Json::Null, _)) => {}
-        Some((_, Some("f64"))) => params = params.precision(Precision::F64),
-        Some((_, Some("mixedf32"))) => params = params.precision(Precision::MixedF32),
+    // Every solve runs in f64: `"f64"` is accepted and changes nothing.
+    // Any other value is refused, so a client still asking for the
+    // removed mixed precision is told rather than silently served f64.
+    match value.get("precision") {
+        None | Some(Json::Null) => {}
+        Some(v) if v.as_str() == Some("f64") => {}
         Some(_) => {
             return Err(ServeError::bad(
-                "params.precision must be \"f64\" or \"mixedf32\"",
+                "params.precision: mixed precision was removed; only \"f64\" is accepted",
             ))
         }
     }
@@ -607,6 +609,22 @@ mod tests {
     }
 
     #[test]
+    fn precision_accepts_only_f64() {
+        let line = |p: &str| {
+            format!(
+                "{{\"op\":\"solve\",\"stack\":{{\"width\":8,\"height\":8,\"tiers\":2,\"loads\":1}},\"params\":{{\"precision\":\"{p}\"}}}}"
+            )
+        };
+        // `"f64"`, the only precision, parses and changes nothing.
+        assert_eq!(spec(&line("f64")).params, Some(SolveParams::new()));
+        let err = parse_request(&line("mixedf32")).unwrap_err();
+        assert!(
+            err.message.contains("mixed precision was removed"),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn typed_errors_not_panics() {
         let cases: &[(&str, ErrorKind)] = &[
             ("not json", ErrorKind::MalformedRequest),
@@ -627,6 +645,10 @@ mod tests {
             ),
             (
                 "{\"op\":\"solve\",\"stack\":{\"width\":8,\"height\":8,\"tiers\":2,\"loads\":1},\"params\":{\"precision\":\"f16\"}}",
+                ErrorKind::BadRequest,
+            ),
+            (
+                "{\"op\":\"solve\",\"stack\":{\"width\":8,\"height\":8,\"tiers\":2,\"loads\":1},\"params\":{\"precision\":\"mixedf32\"}}",
                 ErrorKind::BadRequest,
             ),
         ];

@@ -30,9 +30,9 @@
 //! straight to the scalar kernel. Each multi-threaded engine keeps an
 //! eagerly built one-lane pool job beside the lazily sized job for
 //! wider batches, so alternating single and batched requests never
-//! rebuild a job. There is no separate scalar parallel job: four
-//! execution paths remain — the single-threaded slice sweeps, the
-//! red-black and sharded pool jobs, and the scoped-spawn baseline.
+//! rebuild a job. There is no separate scalar parallel job: three
+//! execution paths remain — the single-threaded slice sweeps and the
+//! red-black and sharded pool jobs.
 //!
 //! # Pool lifecycle
 //!
@@ -45,8 +45,6 @@
 //! overrides it for isolation); per-worker substitution scratch is pinned
 //! inside the pool and grows to the largest tier a worker has served, so
 //! cycling engines of different sizes does not leak or thrash scratch.
-//! The legacy per-solve scoped-spawn dispatch is kept behind
-//! [`ParDispatch::ScopedSpawn`] purely as a benchmark baseline.
 //!
 //! # Determinism contract
 //!
@@ -54,13 +52,13 @@
 //! phase reads only other-color (frozen) and pinned values, so the update
 //! of a row is independent of the order rows of its own color are
 //! processed. `RedBlack { threads: 1 }` and `RedBlack { threads: 8 }`
-//! produce bitwise-identical iterates — on the pool and the scoped
-//! dispatch alike — and both converge to the same fixed point as
-//! [`SweepSchedule::Sequential`] (the classic alternating row-order
-//! sweep), which remains the default and the `parallelism = 1` special
-//! case throughout the workspace. Batched solves extend the contract per
-//! lane: a lane's iterate is bitwise identical to its standalone solve on
-//! every schedule, thread count, and compaction setting.
+//! produce bitwise-identical iterates, and both converge to the same
+//! fixed point as [`SweepSchedule::Sequential`] (the classic alternating
+//! row-order sweep), which remains the default and the `parallelism = 1`
+//! special case throughout the workspace. Batched solves extend the
+//! contract per lane: a lane's iterate is bitwise identical to its
+//! standalone solve on every schedule, thread count, and compaction
+//! setting.
 //!
 //! # Active-lane compaction
 //!
@@ -96,7 +94,7 @@
 //!
 //! Every batched inner loop is a **fixed-width blocked loop over the
 //! lanes** built from fused multiply-adds: the RHS-assembly, forward-
-//! and backward-substitution loops all process `[f64; 8]` (f32: 16)
+//! and backward-substitution loops all process `[f64; 8]`
 //! unit-stride chunks with `mul_add`, which the compiler turns into FMA
 //! vector code on any target with FMA — no nightly intrinsics. Because
 //! the remainder lanes run the *same* per-element fused operation, lane
@@ -107,18 +105,6 @@
 //! instead of streaming the whole batch through cache per row; lanes
 //! are independent, so this is invisible too. The scalar kernel uses
 //! the same fused forms, preserving the batch ≡ scalar contract.
-//!
-//! # Mixed precision
-//!
-//! [`TierEngine::solve_mixed`] / [`TierEngine::solve_batch_masked_mixed`]
-//! run the sweeps in f32 — halving memory traffic on this bandwidth-
-//! bound stencil — wrapped in classical iterative refinement: each round
-//! evaluates the exact f64 residual, solves the correction system in f32
-//! through a prefactored [`FactoredSegmentsF32`] mirror built once at
-//! construction, and applies the correction in f64. Refined results meet
-//! the same tolerance contract as the f64 path (gated in the
-//! cross-solver agreement suite); an exhausted sweep budget reports
-//! `converged = false` rather than a silently loose answer.
 //!
 //! # Row-band sharding
 //!
@@ -146,7 +132,7 @@ use crate::pool::{PoolJob, WorkerPool, WorkerScratch};
 use crate::rowbased::TierProblem;
 use crate::{LaneReport, SolveReport, SolverError};
 use voltprop_grid::ShardPlan;
-use voltprop_sparse::tridiag::{FactoredSegments, FactoredSegmentsF32};
+use voltprop_sparse::tridiag::FactoredSegments;
 
 /// How a [`TierEngine`] orders its row solves within one sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,22 +173,6 @@ impl SweepSchedule {
     }
 }
 
-/// How a [`TierEngine`] hands a parallel solve to its worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParDispatch {
-    /// The persistent [`WorkerPool`]: parked
-    /// threads, pinned scratch, allocation-free warm dispatch. The
-    /// default.
-    #[default]
-    Pool,
-    /// One `std::thread::scope` spawn per solve (the pre-pool behaviour,
-    /// with engine-owned reusable scratch like the old per-engine
-    /// scratch vectors). Kept as a benchmark baseline — results are
-    /// bitwise identical to [`ParDispatch::Pool`], only dispatch cost
-    /// differs.
-    ScopedSpawn,
-}
-
 /// One tridiagonal row segment between pinned nodes.
 #[derive(Debug, Clone, Copy)]
 struct Segment {
@@ -241,18 +211,11 @@ const MIN_LANE_BLOCK: usize = 8;
 /// widest multiple of [`MIN_LANE_BLOCK`] whose `len`-row scratch fits
 /// [`LANE_BLOCK_CACHE_BYTES`], clamped to `[MIN_LANE_BLOCK, k]`. A pure
 /// function of `(len, k)`, so every thread blocks identically.
-fn lane_block_width(len: usize, k: usize, elem_bytes: usize) -> usize {
-    let fit = LANE_BLOCK_CACHE_BYTES / (len.max(1) * elem_bytes);
+fn lane_block_width(len: usize, k: usize) -> usize {
+    let fit = LANE_BLOCK_CACHE_BYTES / (len.max(1) * std::mem::size_of::<f64>());
     let blk = (fit / MIN_LANE_BLOCK) * MIN_LANE_BLOCK;
     blk.max(MIN_LANE_BLOCK).min(k)
 }
-
-/// Relative stagnation cut-off of one mixed-precision correction solve:
-/// a lane stops sweeping its `f32` correction once the per-sweep update
-/// drops below this fraction of the round's peak update — about the
-/// point where `f32` rounding stops the iterate from improving — and
-/// hands back to the `f64` residual refinement loop.
-const MIXED_STAGNATION_REL: f32 = 1e-5;
 
 /// The batched sweep kernel selected for one sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,14 +261,6 @@ struct Topo {
     red_chunks: Vec<Range<usize>>,
     black_chunks: Vec<Range<usize>>,
     factors: FactoredSegments,
-    /// `f32` mirror of `factors`, built once at construction for the
-    /// mixed-precision sweep path.
-    factors32: FactoredSegmentsF32,
-    /// Per-node matrix diagonal (0 at pinned nodes). The sweeps never
-    /// need it — it is baked into `factors` — but the mixed-precision
-    /// path evaluates true `f64` residuals `r = b - A v` between its
-    /// `f32` correction solves, which needs the diagonal explicitly.
-    diag: Vec<f64>,
 }
 
 impl Topo {
@@ -319,8 +274,6 @@ impl Topo {
             + (self.red_idx.len() + self.black_idx.len()) * size_of::<u32>()
             + (self.red_chunks.len() + self.black_chunks.len()) * size_of::<Range<usize>>()
             + self.factors.memory_bytes()
-            + self.factors32.memory_bytes()
-            + self.diag.capacity() * size_of::<f64>()
             + self.fixed.len()
     }
 }
@@ -990,75 +943,6 @@ impl BatchState {
     }
 }
 
-/// Lane buffers of the mixed-precision (`f32` sweeps + `f64` residual
-/// refinement) solve path. The path works entirely in **residual form**
-/// — every round sweeps an `f32` *correction* image against an `f32`
-/// copy of the true `f64` residual, so no `f32` copy of the voltages or
-/// right-hand sides is ever needed. Grow-only: buffers are sized to the
-/// largest `(n, lane count)` the engine has served, so alternating
-/// single and batched mixed solves stay allocation-free once warm.
-#[derive(Debug, Default)]
-struct MixedState {
-    /// `f32` correction image of the current refinement round,
-    /// node-major/lane-minor (zero at pinned nodes, so pin terms vanish
-    /// from the correction equation).
-    d32: Vec<f32>,
-    /// `f32` residual right-hand sides of the current round.
-    r32: Vec<f32>,
-    /// `f32` forward-substitution scratch, `max_segment_len * lanes`.
-    scratch32: Vec<f32>,
-    /// Per-lane max-|update| accumulators of one `f32` sweep.
-    dmax32: Vec<f32>,
-    /// Per-lane peak sweep update within the current round (for the
-    /// stagnation cut-off).
-    peak32: Vec<f32>,
-    /// Per-lane live flags across refinement rounds.
-    active: Vec<bool>,
-    /// Per-lane live flags within one round's correction solve.
-    round_active: Vec<bool>,
-    /// One node's worth of `f64` residual accumulators (`k` lanes) —
-    /// the residual is accumulated here in full precision before the
-    /// single narrowing to `f32`.
-    rrow: Vec<f64>,
-}
-
-impl MixedState {
-    /// Grows every buffer to serve `k` lanes of an `n`-node tier with
-    /// segments up to `seg_len` (never shrinks).
-    fn ensure(&mut self, n: usize, seg_len: usize, k: usize) {
-        let nk = n * k;
-        if self.d32.len() < nk {
-            self.d32.resize(nk, 0.0);
-            self.r32.resize(nk, 0.0);
-        }
-        if self.scratch32.len() < seg_len * k {
-            self.scratch32.resize(seg_len * k, 0.0);
-        }
-        if self.dmax32.len() < k {
-            self.dmax32.resize(k, 0.0);
-            self.peak32.resize(k, 0.0);
-            self.active.resize(k, false);
-            self.round_active.resize(k, false);
-        }
-        if self.rrow.len() < k {
-            self.rrow.resize(k, 0.0);
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.d32.capacity()
-            + self.r32.capacity()
-            + self.scratch32.capacity()
-            + self.dmax32.capacity()
-            + self.peak32.capacity())
-            * size_of::<f32>()
-            + self.rrow.capacity() * size_of::<f64>()
-            + self.active.capacity()
-            + self.round_active.capacity()
-    }
-}
-
 /// A tier's prefactored row-sweep engine.
 ///
 /// Built once per tier, reused across every sweep and outer iteration:
@@ -1068,8 +952,7 @@ impl MixedState {
 /// so after the pool's one-time warm-up a parallel
 /// [`TierEngine::solve`] (or [`TierEngine::solve_batch`]) is
 /// allocation-free too — dispatching a solve to the parked workers costs
-/// two mutex hand-offs instead of the former per-solve scoped thread
-/// spawn.
+/// two mutex hand-offs.
 ///
 /// # Example
 ///
@@ -1098,17 +981,11 @@ impl MixedState {
 pub struct TierEngine {
     topo: Arc<Topo>,
     schedule: SweepSchedule,
-    dispatch: ParDispatch,
     /// Active-lane compaction for batched sweeps (default on; see the
     /// module docs for the crossover).
     compaction: bool,
     /// Optional pool override (`None` = the process-global pool).
     pool: Option<Arc<WorkerPool>>,
-    /// Per-thread scratch for the [`ParDispatch::ScopedSpawn`] baseline,
-    /// kept per engine so the baseline reproduces the pre-pool cost
-    /// model exactly (per-solve thread spawns, but engine-owned reusable
-    /// scratch) and the measured pool-vs-scoped delta is pure dispatch.
-    scoped_scratch: Vec<WorkerScratch>,
     /// Single-threaded forward-substitution scratch (one lane).
     scratch: Vec<f64>,
     /// One-lane parallel job, built eagerly when the schedule is
@@ -1120,11 +997,9 @@ pub struct TierEngine {
     /// Lazily sized parallel job for `k > 1` lanes (rebuilt when the
     /// lane count changes).
     batch_par: Option<Arc<BatchShared>>,
-    /// Lazily sized (grow-only) mixed-precision lane buffers.
-    mixed: MixedState,
     /// Row-band sharded dispatch (present when built with
     /// [`TierEngine::new_sharded`] and `shards >= 2`); replaces `par` /
-    /// `batch_par` on the f64 solve paths.
+    /// `batch_par` on every parallel solve path.
     shard: Option<ShardState>,
 }
 
@@ -1151,7 +1026,7 @@ impl TierEngine {
     }
 
     /// [`TierEngine::new`] with the tier additionally split into `shards`
-    /// row bands (see [`ShardPlan`]): every f64 solve path sweeps each
+    /// row bands (see [`ShardPlan`]): every solve path sweeps each
     /// band inside a private halo-extended voltage buffer, exchanging the
     /// 1-row halos between the red and black half-sweeps and reducing
     /// per-sweep convergence deltas across the shards in shard order.
@@ -1232,7 +1107,6 @@ impl TierEngine {
 
         let mut segments = Vec::new();
         let mut factors = FactoredSegments::new();
-        let mut node_diag = vec![0.0f64; n];
         // Segment-local coefficient buffers (setup only).
         let mut lower = Vec::new();
         let mut diag = Vec::new();
@@ -1269,7 +1143,6 @@ impl TierEngine {
                         d += g_v;
                     }
                     diag.push(d);
-                    node_diag[row0 + gx] = d;
                     if i + 1 < len {
                         lower.push(-g_h);
                         upper.push(-g_h);
@@ -1295,7 +1168,6 @@ impl TierEngine {
         let black_chunks = balance_chunks(&segments, &black_idx, threads);
 
         let scratch = vec![0.0; factors.max_segment_len()];
-        let factors32 = FactoredSegmentsF32::mirror(&factors);
         let topo = Arc::new(Topo {
             width,
             height,
@@ -1309,8 +1181,6 @@ impl TierEngine {
             red_chunks,
             black_chunks,
             factors,
-            factors32,
-            diag: node_diag,
         });
         let shard = (shards > 1 && height > 1).then(|| {
             let layout = Arc::new(ShardLayout::build(&topo, shards));
@@ -1326,15 +1196,12 @@ impl TierEngine {
         Ok(TierEngine {
             topo,
             schedule,
-            dispatch: ParDispatch::Pool,
             compaction: true,
             pool: None,
-            scoped_scratch: Vec::new(),
             scratch,
             par,
             batch: BatchState::default(),
             batch_par: None,
-            mixed: MixedState::default(),
             shard,
         })
     }
@@ -1365,22 +1232,10 @@ impl TierEngine {
         self.schedule
     }
 
-    /// Number of row-band shards the f64 solve paths sweep over (1 for
+    /// Number of row-band shards the solve paths sweep over (1 for
     /// an unsharded engine).
     pub fn shards(&self) -> usize {
         self.shard.as_ref().map_or(1, |s| s.layout.num_shards())
-    }
-
-    /// How parallel solves are handed to worker threads (default:
-    /// [`ParDispatch::Pool`]).
-    pub fn dispatch(&self) -> ParDispatch {
-        self.dispatch
-    }
-
-    /// Selects the parallel dispatch backend. Results are bitwise
-    /// identical on both; only latency and allocation behaviour differ.
-    pub fn set_dispatch(&mut self, dispatch: ParDispatch) {
-        self.dispatch = dispatch;
     }
 
     /// Whether batched sweeps compact to the active lanes (default
@@ -1407,10 +1262,9 @@ impl TierEngine {
     }
 
     /// A new engine sharing this engine's frozen half — the factored
-    /// segments, their f32 mirror, the pin mask, and the balanced sweep
-    /// chunks (one `Arc` bump, no refactorization) — with **fresh**
-    /// per-solve mutable state (substitution scratch, parallel job
-    /// images, batch arenas, mixed-precision buffers).
+    /// segments, the pin mask, and the balanced sweep chunks (one `Arc`
+    /// bump, no refactorization) — with **fresh** per-solve mutable state
+    /// (substitution scratch, parallel job images, batch arenas).
     ///
     /// This is the engine-level shared/scratch split: everything built by
     /// [`TierEngine::new`] that is read-only after construction lives
@@ -1420,9 +1274,9 @@ impl TierEngine {
     /// are bitwise identical to the original engine's (same factors, same
     /// sweep order, freshly re-initialized state every call).
     ///
-    /// Configuration knobs (schedule, dispatch, compaction, pool
-    /// override) are copied at fork time; later `set_*` calls on either
-    /// engine do not affect the other.
+    /// Configuration knobs (schedule, compaction, pool override) are
+    /// copied at fork time; later `set_*` calls on either engine do not
+    /// affect the other.
     #[must_use]
     pub fn fork(&self) -> TierEngine {
         let topo = Arc::clone(&self.topo);
@@ -1437,16 +1291,13 @@ impl TierEngine {
         });
         TierEngine {
             schedule: self.schedule,
-            dispatch: self.dispatch,
             compaction: self.compaction,
             pool: self.pool.clone(),
-            scoped_scratch: Vec::new(),
             scratch: vec![0.0; self.scratch.len()],
             par: (shard.is_none() && topo.threads > 1)
                 .then(|| Arc::new(BatchShared::new(Arc::clone(&topo), 1))),
             batch: BatchState::default(),
             batch_par: None,
-            mixed: MixedState::default(),
             shard,
             topo,
         }
@@ -1647,7 +1498,7 @@ impl TierEngine {
         Ok(aggregate_report(lanes, sweeps, self.memory_bytes()))
     }
 
-    /// The one f64 solve path: sweeps every lane that `lanes` does not
+    /// The one solve path: sweeps every lane that `lanes` does not
     /// already mark converged until it freezes or `max_sweeps` runs out,
     /// recording each lane's outcome; returns the sweeps run. The one
     /// place that picks the execution: a parallel job (the prebuilt
@@ -1787,222 +1638,6 @@ impl TierEngine {
         sweeps
     }
 
-    /// Mixed-precision [`TierEngine::solve`] (ω = 1): iteratively refined
-    /// f32 sweeps with f64 residual accumulation. See
-    /// [`TierEngine::solve_mixed_with_omega`].
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::DidNotConverge`] if the f32 sweep budget
-    /// `max_sweeps` runs out before the refinement converges.
-    pub fn solve_mixed(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-    ) -> Result<SolveReport, SolverError> {
-        self.solve_mixed_with_omega(injection, v, tolerance, max_sweeps, 1.0)
-    }
-
-    /// Mixed-precision solve: repeats *(true f64 residual → f32
-    /// correction sweeps → f64 update)* until the whole refinement round
-    /// moves the iterate by less than `tolerance`. Every round evaluates
-    /// `r = b − A·v` in full f64, then runs relaxed Gauss–Seidel sweeps
-    /// on the correction system `A·d = r` entirely in f32 (through the
-    /// prefactored f32 mirror built at construction) until the f32
-    /// iterate stagnates, and applies `v += d` in f64. The f32 buffers
-    /// live in the engine and only grow, so warm solves make no
-    /// allocator calls.
-    ///
-    /// The convergence criterion — a full round's largest applied
-    /// correction below `tolerance` — is at least as strict as the f64
-    /// path's per-sweep criterion, so a converged mixed solve meets the
-    /// same tolerance contract as [`TierEngine::solve_with_omega`].
-    /// `max_sweeps` budgets the *total f32 sweeps* across all rounds;
-    /// exhausting it reports the honest partial state instead of a
-    /// silently loose answer. The refinement always runs on the calling
-    /// thread, so its iterates are identical at every `parallelism`.
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::Unsupported`] for inconsistent array lengths or an
-    /// out-of-range `ω`; [`SolverError::DidNotConverge`] if `max_sweeps`
-    /// runs out.
-    pub fn solve_mixed_with_omega(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-    ) -> Result<SolveReport, SolverError> {
-        self.check_call(injection, v, omega)?;
-        let mut lanes = [LaneReport {
-            iterations: 0,
-            residual: f64::INFINITY,
-            converged: false,
-        }];
-        let sweeps = self.mixed_core(injection, v, tolerance, max_sweeps, omega, &mut lanes);
-        let report = aggregate_report(&lanes, sweeps, self.memory_bytes());
-        if report.converged {
-            Ok(report)
-        } else {
-            Err(SolverError::DidNotConverge {
-                iterations: report.iterations,
-                residual: report.residual,
-                tolerance,
-            })
-        }
-    }
-
-    /// Batched mixed-precision solve: the drop-in counterpart of
-    /// [`TierEngine::solve_batch_masked`] running the refinement of
-    /// [`TierEngine::solve_mixed_with_omega`] over all `lanes.len()`
-    /// right-hand sides at once (same node-major/lane-minor layout, same
-    /// mask semantics, same per-lane freezing — a lane whose refinement
-    /// round moves it by less than `tolerance` stops receiving
-    /// corrections). Lanes that exhaust the shared f32 sweep budget
-    /// report `converged = false`; the call still returns `Ok`.
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::Unsupported`] for an empty batch, inconsistent
-    /// array lengths, a bad mask length, or an out-of-range `ω`.
-    #[allow(clippy::too_many_arguments)] // mirrors solve_batch_masked
-    pub fn solve_batch_masked_mixed(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-        mask: Option<&[bool]>,
-        lanes: &mut [LaneReport],
-    ) -> Result<SolveReport, SolverError> {
-        let k = lanes.len();
-        self.check_batch_call(injection, v, omega, mask, k)?;
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            let on = mask.is_none_or(|m| m[j]);
-            *lane = LaneReport {
-                iterations: 0,
-                residual: if on { f64::INFINITY } else { 0.0 },
-                converged: !on,
-            };
-        }
-        let sweeps = self.mixed_core(injection, v, tolerance, max_sweeps, omega, lanes);
-        Ok(aggregate_report(lanes, sweeps, self.memory_bytes()))
-    }
-
-    /// The shared mixed-precision refinement loop. `lanes` arrives
-    /// pre-initialised (masked-off lanes already `converged`); returns
-    /// the total number of f32 sweeps spent. Runs entirely on the
-    /// calling thread.
-    fn mixed_core(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-        lanes: &mut [LaneReport],
-    ) -> usize {
-        let k = lanes.len();
-        let topo = Arc::clone(&self.topo);
-        let schedule = self.schedule;
-        let seg_len = topo.factors.max_segment_len();
-        self.mixed.ensure(topo.n(), seg_len, k);
-        let MixedState {
-            d32,
-            r32,
-            scratch32,
-            dmax32,
-            peak32,
-            active,
-            round_active,
-            rrow,
-        } = &mut self.mixed;
-        let omega32 = omega as f32;
-        let mut live = 0usize;
-        for (j, lane) in lanes.iter().enumerate() {
-            active[j] = !lane.converged;
-            if active[j] {
-                live += 1;
-            }
-        }
-        let mut sweeps_total = 0usize;
-        while live > 0 && sweeps_total < max_sweeps {
-            // f64 ground truth: the exact residual of the current iterate.
-            compute_residual_f32(&topo, injection, v, k, rrow, r32);
-            // f32 correction solve: relaxed sweeps on A·d = r from d = 0
-            // until each lane's sweep update stagnates relative to its
-            // peak (further f32 sweeps would only circulate roundoff).
-            d32[..topo.n() * k].fill(0.0);
-            peak32[..k].fill(0.0);
-            round_active[..k].copy_from_slice(&active[..k]);
-            let mut round_live = live;
-            while round_live > 0 && sweeps_total < max_sweeps {
-                dmax32[..k].fill(0.0);
-                mixed_sweep(
-                    &topo,
-                    schedule,
-                    sweeps_total % 2 == 0,
-                    r32,
-                    d32,
-                    omega32,
-                    k,
-                    round_active,
-                    scratch32,
-                    dmax32,
-                );
-                sweeps_total += 1;
-                for j in 0..k {
-                    if !round_active[j] {
-                        continue;
-                    }
-                    if dmax32[j] > peak32[j] {
-                        peak32[j] = dmax32[j];
-                    }
-                    let floor = (MIXED_STAGNATION_REL * peak32[j]).max(f32::MIN_POSITIVE);
-                    if dmax32[j] <= floor {
-                        round_active[j] = false;
-                        round_live -= 1;
-                    }
-                }
-            }
-            // Apply the round's correction in f64 and measure how far it
-            // moved each active lane (the refinement's convergence test).
-            // The correction is exactly 0.0 at pinned nodes and frozen
-            // lanes (their entries are zeroed at round start and never
-            // written by the gated sweeps), so the pass is dense and
-            // branch-free: zero entries change nothing and contribute
-            // nothing to the per-lane maxima.
-            dmax32[..k].fill(0.0);
-            for (vrow, drow) in v
-                .chunks_exact_mut(k)
-                .zip(d32[..topo.n() * k].chunks_exact(k))
-            {
-                for ((vj, &c), m) in vrow.iter_mut().zip(drow).zip(dmax32[..k].iter_mut()) {
-                    *m = m.max(c.abs());
-                    *vj += f64::from(c);
-                }
-            }
-            for (j, lane) in lanes.iter_mut().enumerate() {
-                if !active[j] {
-                    continue;
-                }
-                lane.iterations = sweeps_total;
-                lane.residual = f64::from(dmax32[j]);
-                if lane.residual < tolerance {
-                    lane.converged = true;
-                    active[j] = false;
-                    live -= 1;
-                }
-            }
-        }
-        sweeps_total
-    }
-
     /// Sizes the batch state for `k > 1` lanes (no-op when already sized,
     /// and for one lane, which runs on the prebuilt one-lane job or the
     /// scalar scratch): the in-place sweep buffers on single-threaded
@@ -2032,10 +1667,9 @@ impl TierEngine {
     }
 
     /// Stages a solve into a parallel job — lane states, inputs, and `v`
-    /// loaded into the job's atomic image — runs it on the configured
-    /// dispatch, and copies the solution and lane outcomes back. Returns
-    /// the sweeps run. Warm calls are allocation-free on the pool
-    /// dispatch.
+    /// loaded into the job's atomic image — runs it on the worker pool,
+    /// and copies the solution and lane outcomes back. Returns the sweeps
+    /// run. Warm calls are allocation-free.
     #[allow(clippy::too_many_arguments)] // run_lanes' surface plus the job
     fn run_job<J: LaneJob>(
         &mut self,
@@ -2069,13 +1703,7 @@ impl TierEngine {
         use std::mem::size_of;
         self.topo.memory_bytes()
             + self.scratch.capacity() * size_of::<f64>()
-            + self
-                .scoped_scratch
-                .iter()
-                .map(WorkerScratch::memory_bytes)
-                .sum::<usize>()
             + self.batch.memory_bytes()
-            + self.mixed.memory_bytes()
             + self.par.as_ref().map_or(0, |p| p.memory_bytes())
             + self.batch_par.as_ref().map_or(0, |b| b.memory_bytes())
             + self.shard.as_ref().map_or(0, |s| {
@@ -2104,9 +1732,7 @@ impl TierEngine {
         Ok(())
     }
 
-    /// Shared argument validation for the batched entry points
-    /// ([`TierEngine::solve_batch_masked`] and
-    /// [`TierEngine::solve_batch_masked_mixed`]).
+    /// Argument validation for [`TierEngine::solve_batch_masked`].
     fn check_batch_call(
         &self,
         injection: &[f64],
@@ -2193,35 +1819,13 @@ impl TierEngine {
         max_delta
     }
 
-    /// Hands a prepared job to the configured dispatch backend and blocks
-    /// until it drains.
-    fn dispatch_job(&mut self, job: Arc<dyn PoolJob>) {
+    /// Hands a prepared job to the worker pool and blocks until it
+    /// drains.
+    fn dispatch_job(&self, job: Arc<dyn PoolJob>) {
         let threads = self.topo.threads;
-        match self.dispatch {
-            ParDispatch::Pool => match &self.pool {
-                Some(pool) => pool.run(threads, job),
-                None => WorkerPool::global().run(threads, job),
-            },
-            ParDispatch::ScopedSpawn => {
-                // The pre-pool behaviour, kept as a benchmark baseline:
-                // fresh threads every solve, engine-owned reusable
-                // scratch (like the old per-engine scratch vectors), so
-                // the pool-vs-scoped delta measures dispatch cost alone.
-                if self.scoped_scratch.len() < threads {
-                    self.scoped_scratch
-                        .resize_with(threads, WorkerScratch::default);
-                }
-                let scratches = &mut self.scoped_scratch;
-                std::thread::scope(|scope| {
-                    let mut iter = scratches.iter_mut();
-                    let lead = iter.next().expect("thread-0 scratch");
-                    for (i, ws) in iter.enumerate() {
-                        let job = &*job;
-                        scope.spawn(move || job.run(i + 1, ws));
-                    }
-                    job.run(0, lead);
-                });
-            }
+        match &self.pool {
+            Some(pool) => pool.run(threads, job),
+            None => WorkerPool::global().run(threads, job),
         }
     }
 }
@@ -2528,7 +2132,7 @@ fn solve_segment_batch<V: VoltView>(
     delta: &mut [f64],
 ) {
     let len = seg.len as usize;
-    let bw = lane_block_width(len, k, std::mem::size_of::<f64>());
+    let bw = lane_block_width(len, k);
     let mut j0 = 0usize;
     while j0 < k {
         let w = bw.min(k - j0);
@@ -2722,277 +2326,6 @@ fn solve_segment_batch_ids<V: VoltView>(
     }
 }
 
-/// Exact f64 residual `r = b − A·v` of the tier system, narrowed to f32
-/// for the mixed-precision correction solve. Rows of pinned nodes are
-/// zero (their voltages are exact by definition); every free row
-/// accumulates the diagonal and all existing neighbour couplings in f64
-/// before the single final narrowing, so the correction targets the true
-/// remaining error, not an f32 approximation of it.
-fn compute_residual_f32(
-    topo: &Topo,
-    injection: &[f64],
-    v: &[f64],
-    k: usize,
-    rrow: &mut [f64],
-    r32: &mut [f32],
-) {
-    let (w, h) = (topo.width, topo.height);
-    let (g_h, g_v) = (topo.g_h, topo.g_v);
-    // One unit-stride pass per coupling term over the node's lane row
-    // (accumulated in the f64 `rrow` scratch), in the same term order as
-    // the scalar chain — slice windows keep every loop branch-free and
-    // vectorizable, and the result is bit-for-bit the scalar one.
-    let rrow = &mut rrow[..k];
-    for node in 0..topo.n() {
-        let base = node * k;
-        if topo.fixed[node] {
-            r32[base..base + k].fill(0.0);
-            continue;
-        }
-        let x = node % w;
-        let y = node / w;
-        let neg_d = -topo.diag[node];
-        let vc = &v[base..base + k];
-        let inj = &injection[base..base + k];
-        for j in 0..k {
-            rrow[j] = neg_d.mul_add(vc[j], inj[j]);
-        }
-        if x > 0 {
-            let vn = &v[base - k..base];
-            for j in 0..k {
-                rrow[j] = g_h.mul_add(vn[j], rrow[j]);
-            }
-        }
-        if x + 1 < w {
-            let vn = &v[base + k..base + 2 * k];
-            for j in 0..k {
-                rrow[j] = g_h.mul_add(vn[j], rrow[j]);
-            }
-        }
-        if y > 0 {
-            let vn = &v[base - w * k..base - w * k + k];
-            for j in 0..k {
-                rrow[j] = g_v.mul_add(vn[j], rrow[j]);
-            }
-        }
-        if y + 1 < h {
-            let vn = &v[base + w * k..base + w * k + k];
-            for j in 0..k {
-                rrow[j] = g_v.mul_add(vn[j], rrow[j]);
-            }
-        }
-        let out = &mut r32[base..base + k];
-        for j in 0..k {
-            out[j] = rrow[j] as f32;
-        }
-    }
-}
-
-/// One f32 correction sweep under the engine's schedule (both colors for
-/// red-black, alternating direction via `downward` for sequential).
-/// Always runs on the calling thread: the mixed path's iterates are
-/// identical at every parallelism setting.
-#[allow(clippy::too_many_arguments)]
-fn mixed_sweep(
-    topo: &Topo,
-    schedule: SweepSchedule,
-    downward: bool,
-    r32: &[f32],
-    d32: &mut [f32],
-    omega: f32,
-    k: usize,
-    active: &[bool],
-    scratch: &mut [f32],
-    dmax: &mut [f32],
-) {
-    match schedule {
-        SweepSchedule::Sequential => {
-            let nseg = topo.segments.len();
-            for s in 0..nseg {
-                let si = if downward { s } else { nseg - 1 - s };
-                solve_segment_batch_f32(
-                    topo,
-                    topo.segments[si],
-                    r32,
-                    omega,
-                    k,
-                    active,
-                    scratch,
-                    d32,
-                    dmax,
-                );
-            }
-        }
-        SweepSchedule::RedBlack { .. } => {
-            for idx in [&topo.red_idx, &topo.black_idx] {
-                for &si in idx.iter() {
-                    solve_segment_batch_f32(
-                        topo,
-                        topo.segments[si as usize],
-                        r32,
-                        omega,
-                        k,
-                        active,
-                        scratch,
-                        d32,
-                        dmax,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// f32 twin of [`solve_segment_batch`] for the mixed-precision
-/// correction system: sweeps one prefactored segment for all `k` lanes
-/// of the correction image `d32` against the f32 right-hand sides `r32`,
-/// through the [`FactoredSegmentsF32`] mirror. Same node-major/
-/// lane-minor layout, same cache-sized lane blocking (f32 elements pack
-/// twice as many lanes per block), same active-lane gating. Operates on
-/// plain slices — the mixed path is single-threaded by design.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn solve_segment_batch_f32(
-    topo: &Topo,
-    seg: Segment,
-    r32: &[f32],
-    omega: f32,
-    k: usize,
-    active: &[bool],
-    scratch: &mut [f32],
-    d32: &mut [f32],
-    dmax: &mut [f32],
-) {
-    let len = seg.len as usize;
-    // Fused singleton path: a one-node segment's correction equation has
-    // no horizontal terms at all (its neighbours are pinned, so their
-    // correction is identically zero) and its forward elimination is a
-    // single reciprocal-pivot multiply. Checkerboard-pinned tiers — the
-    // paper's TSV regime — are half singletons, so skipping the lane
-    // blocking and the row-kernel calls here matters. The arithmetic is
-    // the exact op chain of the general path (copy, vertical `mul_add`s,
-    // `* inv_m`, relax), so the iterates are bit-for-bit identical.
-    if len == 1 {
-        let w = topo.width;
-        let node = seg.row as usize * w + seg.start as usize;
-        let base = node * k;
-        let inv_m = topo.factors32.inv_m(seg.offset as usize);
-        let g_v = topo.g_v as f32;
-        let row = &mut scratch[..k];
-        row.copy_from_slice(&r32[base..base + k]);
-        if node >= w {
-            let up = &d32[base - w * k..base - w * k + k];
-            for j in 0..k {
-                row[j] = g_v.mul_add(up[j], row[j]);
-            }
-        }
-        if node + w < topo.n() {
-            let down = &d32[base + w * k..base + w * k + k];
-            for j in 0..k {
-                row[j] = g_v.mul_add(down[j], row[j]);
-            }
-        }
-        let drow = &mut d32[base..base + k];
-        for j in 0..k {
-            let xi = row[j] * inv_m;
-            let old = drow[j];
-            let relaxed = omega.mul_add(xi - old, old);
-            let new = if active[j] { relaxed } else { old };
-            let d = (new - old).abs();
-            if d > dmax[j] {
-                dmax[j] = d;
-            }
-            drow[j] = new;
-        }
-        return;
-    }
-    let bw = lane_block_width(len, k, std::mem::size_of::<f32>());
-    let mut j0 = 0usize;
-    while j0 < k {
-        let w = bw.min(k - j0);
-        solve_segment_batch_f32_block(topo, seg, r32, omega, k, j0, w, active, scratch, d32, dmax);
-        j0 += w;
-    }
-}
-
-/// One lane block of [`solve_segment_batch_f32`] (lanes `j0 .. j0 + bw`,
-/// scratch packed at stride `bw`).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn solve_segment_batch_f32_block(
-    topo: &Topo,
-    seg: Segment,
-    r32: &[f32],
-    omega: f32,
-    k: usize,
-    j0: usize,
-    bw: usize,
-    active: &[bool],
-    scratch: &mut [f32],
-    d32: &mut [f32],
-    dmax: &mut [f32],
-) {
-    let (w, h) = (topo.width, topo.height);
-    let g_v = topo.g_v as f32;
-    let factors = &topo.factors32;
-    let y = seg.row as usize;
-    let start = seg.start as usize;
-    let len = seg.len as usize;
-    let row0 = y * w;
-    let offset = seg.offset as usize;
-    for i in 0..len {
-        let gx = start + i;
-        let node = row0 + gx;
-        let base = node * k + j0;
-        let (done, rest) = scratch.split_at_mut(i * bw);
-        let row = &mut rest[..bw];
-        row.copy_from_slice(&r32[base..base + bw]);
-        // The correction is zero at pinned nodes by construction, so the
-        // fixed-horizontal-neighbour terms of the f64 kernel vanish here;
-        // only the vertical couplings feed back between sweeps.
-        if y > 0 {
-            let nb = (node - w) * k + j0;
-            for (j, b) in row.iter_mut().enumerate() {
-                *b = g_v.mul_add(d32[nb + j], *b);
-            }
-        }
-        if y + 1 < h {
-            let nb = (node + w) * k + j0;
-            for (j, b) in row.iter_mut().enumerate() {
-                *b = g_v.mul_add(d32[nb + j], *b);
-            }
-        }
-        let prev = if i == 0 {
-            None
-        } else {
-            Some(&done[(i - 1) * bw..])
-        };
-        factors.forward_row(offset + i, row, prev);
-    }
-    for i in (0..len).rev() {
-        let (head, tail) = scratch.split_at_mut((i + 1) * bw);
-        let row = &mut head[i * bw..];
-        let next = if i + 1 == len {
-            None
-        } else {
-            Some(&tail[..bw])
-        };
-        factors.backward_row(offset + i, row, next);
-        let node = row0 + start + i;
-        let base = node * k + j0;
-        for (j, &xi) in row.iter().enumerate() {
-            let old = d32[base + j];
-            let relaxed = omega.mul_add(xi - old, old);
-            let new = if active[j0 + j] { relaxed } else { old };
-            let d = (new - old).abs();
-            if d > dmax[j0 + j] {
-                dmax[j0 + j] = d;
-            }
-            d32[base + j] = new;
-        }
-    }
-}
-
 /// Splits `idx` into `threads` contiguous chunks with approximately equal
 /// total node counts (rows can have very different free-node counts when
 /// pins cluster).
@@ -3107,24 +2440,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pool_and_scoped_dispatch_are_bitwise_identical() {
-        let (w, h) = (19, 14);
-        let (fixed, v0, injection) = random_problem(6, w, h);
-        let mut v_pool = v0.clone();
-        let rep_pool = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 3 })
-            .solve(&injection, &mut v_pool, 1e-10, 100_000)
-            .unwrap();
-        let mut v_scoped = v0.clone();
-        let mut e = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 3 });
-        e.set_dispatch(ParDispatch::ScopedSpawn);
-        assert_eq!(e.dispatch(), ParDispatch::ScopedSpawn);
-        let rep_scoped = e.solve(&injection, &mut v_scoped, 1e-10, 100_000).unwrap();
-        assert_eq!(v_pool, v_scoped);
-        assert_eq!(rep_pool.iterations, rep_scoped.iterations);
-        assert_eq!(rep_pool.residual.to_bits(), rep_scoped.residual.to_bits());
     }
 
     #[test]
@@ -3264,66 +2579,6 @@ mod tests {
     /// cargo test -p voltprop-solvers --release \
     ///     measure_batch_kernel_crossover -- --ignored --nocapture
     /// ```
-    /// Manual timing harness: fixed-budget f64 vs mixed batched sweeps
-    /// on the perfsuite kernels fixture (256×256 checkerboard, 64
-    /// lanes). Not a regression test; run by hand whenever the sweep or
-    /// refinement kernels change:
-    ///
-    /// ```text
-    /// cargo test -p voltprop-solvers --release \
-    ///     measure_mixed_round_split -- --ignored --nocapture
-    /// ```
-    #[test]
-    #[ignore = "manual timing harness; run --release with --nocapture"]
-    fn measure_mixed_round_split() {
-        use std::time::Instant;
-        let (edge, k) = (256usize, 64usize);
-        let n = edge * edge;
-        let mut fixed = vec![false; n];
-        for y in (0..edge).step_by(2) {
-            for x in (0..edge).step_by(2) {
-                fixed[y * edge + x] = true;
-            }
-        }
-        let mut eng = TierEngine::new(
-            edge,
-            edge,
-            50.0,
-            50.0,
-            Arc::from(&fixed[..]),
-            None,
-            SweepSchedule::Sequential,
-        )
-        .unwrap();
-        let mut injection = vec![0.0; n * k];
-        let v0: Vec<f64> = vec![1.8; n * k];
-        for i in 0..n {
-            if fixed[i] {
-                continue;
-            }
-            for j in 0..k {
-                injection[i * k + j] = (0.75 + 0.5 * j as f64 / k as f64) * -5e-4;
-            }
-        }
-        let mut lanes = vec![LaneReport::default(); k];
-        for _ in 0..3 {
-            let mut v = v0.clone();
-            let t = Instant::now();
-            eng.solve_batch_masked(&injection, &mut v, 0.0, 96, 1.0, None, &mut lanes)
-                .unwrap();
-            let f64_ms = t.elapsed().as_secs_f64() * 1e3;
-            let mut v = v0.clone();
-            let t = Instant::now();
-            eng.solve_batch_masked_mixed(&injection, &mut v, 0.0, 96, 1.0, None, &mut lanes)
-                .unwrap();
-            let mixed_ms = t.elapsed().as_secs_f64() * 1e3;
-            println!(
-                "f64 {f64_ms:.1} ms  mixed {mixed_ms:.1} ms  ratio {:.3}",
-                f64_ms / mixed_ms
-            );
-        }
-    }
-
     #[test]
     #[ignore = "manual timing harness; run --release with --nocapture"]
     fn measure_batch_kernel_crossover() {
@@ -3740,136 +2995,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_solve_matches_f64_solution() {
-        for (seed, schedule) in [
-            (1u64, SweepSchedule::Sequential),
-            (5, SweepSchedule::RedBlack { threads: 1 }),
-            (23, SweepSchedule::RedBlack { threads: 1 }),
-        ] {
-            let (w, h) = (13, 9);
-            let (fixed, v0, injection) = random_problem(seed, w, h);
-            let mut v_f64 = v0.clone();
-            engine(w, h, &fixed, schedule)
-                .solve(&injection, &mut v_f64, 1e-11, 100_000)
-                .unwrap();
-            let mut v_mixed = v0.clone();
-            let report = engine(w, h, &fixed, schedule)
-                .solve_mixed(&injection, &mut v_mixed, 1e-10, 1_000_000)
-                .unwrap();
-            assert!(report.converged);
-            let worst = v_f64
-                .iter()
-                .zip(&v_mixed)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            assert!(
-                worst <= 1e-8,
-                "seed {seed} {schedule:?}: mixed deviates by {worst} V"
-            );
-        }
-    }
-
-    #[test]
-    fn mixed_batch_lanes_are_bitwise_identical_to_solo_mixed() {
-        let (w, h) = (14, 10);
-        // Lane counts straddle the f32 lane-block width.
-        for k in [1usize, 3, 9] {
-            // All lanes share one topology (the seed-40 pin mask); each
-            // lane's injection is perturbed deterministically so lanes
-            // genuinely differ.
-            let (fixed, _, _) = random_problem(40, w, h);
-            let mut solo = Vec::new();
-            for j in 0..k {
-                let (_, v0, injection) = random_problem(40, w, h);
-                let mut inj = injection;
-                for (i, x) in inj.iter_mut().enumerate() {
-                    if !fixed[i] {
-                        *x *= 1.0 + 0.1 * j as f64 + 1e-3 * (i % 7) as f64;
-                    }
-                }
-                let mut v = v0.clone();
-                engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 })
-                    .solve_mixed_with_omega(&inj, &mut v, 1e-9, 1_000_000, 1.2)
-                    .unwrap();
-                solo.push((inj, v0, v));
-            }
-            let inj_b = interleave(&solo.iter().map(|s| s.0.clone()).collect::<Vec<_>>());
-            let mut v_b = interleave(&solo.iter().map(|s| s.1.clone()).collect::<Vec<_>>());
-            let mut lanes = vec![LaneReport::default(); k];
-            engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 })
-                .solve_batch_masked_mixed(&inj_b, &mut v_b, 1e-9, 1_000_000, 1.2, None, &mut lanes)
-                .unwrap();
-            for (j, lane) in lanes.iter().enumerate() {
-                assert!(lane.converged, "k {k} lane {j} did not converge");
-                assert_eq!(
-                    lane_of(&v_b, j, k),
-                    solo[j].2,
-                    "k {k} lane {j} must match solo mixed bitwise"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_is_parallelism_invariant() {
-        let (w, h) = (17, 12);
-        let (fixed, v0, injection) = random_problem(7, w, h);
-        let mut v1 = v0.clone();
-        engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 })
-            .solve_mixed(&injection, &mut v1, 1e-9, 1_000_000)
-            .unwrap();
-        let mut v4 = v0.clone();
-        engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 4 })
-            .solve_mixed(&injection, &mut v4, 1e-9, 1_000_000)
-            .unwrap();
-        assert_eq!(v1, v4, "mixed refinement must not depend on parallelism");
-    }
-
-    #[test]
-    fn mixed_starved_budget_reports_unconverged() {
-        let (w, h) = (16, 16);
-        let (fixed, v0, injection) = random_problem(8, w, h);
-        let err = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 })
-            .solve_mixed(&injection, &mut v0.clone(), 1e-12, 3)
-            .unwrap_err();
-        assert!(
-            matches!(err, SolverError::DidNotConverge { iterations: 3, .. }),
-            "{err:?}"
-        );
-        let k = 2;
-        let inj_b = interleave(&vec![injection.clone(); k]);
-        let mut v_b = interleave(&vec![v0.clone(); k]);
-        let mut lanes = vec![LaneReport::default(); k];
-        let report = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 })
-            .solve_batch_masked_mixed(&inj_b, &mut v_b, 1e-12, 3, 1.0, None, &mut lanes)
-            .unwrap();
-        assert!(!report.converged);
-        for lane in &lanes {
-            assert!(!lane.converged, "starved lane must report converged=false");
-            assert!(lane.residual.is_finite() && lane.residual > 1e-12);
-        }
-    }
-
-    #[test]
-    fn mixed_warm_solves_do_not_grow_workspace() {
-        let (w, h) = (20, 15);
-        let (fixed, v0, injection) = random_problem(3, w, h);
-        let mut e = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 });
-        let mut v = v0.clone();
-        e.solve_mixed(&injection, &mut v, 1e-9, 1_000_000).unwrap();
-        let after_first = e.memory_bytes();
-        for _ in 0..3 {
-            let mut v = v0.clone();
-            e.solve_mixed(&injection, &mut v, 1e-9, 1_000_000).unwrap();
-        }
-        assert_eq!(
-            e.memory_bytes(),
-            after_first,
-            "warm mixed solves must reuse the sized f32 workspace"
-        );
-    }
-
-    #[test]
     fn chunks_cover_all_segments_without_overlap() {
         let (w, h) = (31, 23);
         let (fixed, _, _) = random_problem(4, w, h);
@@ -4070,20 +3195,6 @@ mod tests {
             results.push((v, lanes.to_vec()));
         }
         assert_eq!(results[0], results[1]);
-    }
-
-    #[test]
-    fn sharded_mixed_matches_unsharded_redblack_mixed() {
-        let (w, h) = (14, 10);
-        let (fixed, v0, injection) = random_problem(7, w, h);
-        let mut v_ref = v0.clone();
-        engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 })
-            .solve_mixed(&injection, &mut v_ref, 1e-9, 1_000_000)
-            .unwrap();
-        let mut e = sharded_engine(w, h, &fixed, 1, 4);
-        let mut v = v0.clone();
-        e.solve_mixed(&injection, &mut v, 1e-9, 1_000_000).unwrap();
-        assert_eq!(v, v_ref);
     }
 
     #[test]

@@ -45,9 +45,7 @@
 //! Multi-threaded solves run on the persistent [`WorkerPool`]: threads
 //! are spawned once per process, park between solves, and keep their
 //! substitution scratch pinned, so **warm parallel solves are
-//! allocation-free** end to end — the former per-solve scoped thread
-//! spawn (~60 allocator calls) survives only as the
-//! [`engine::ParDispatch::ScopedSpawn`] benchmark baseline.
+//! allocation-free** end to end.
 //! [`Rb3d::parallelism`] and `voltprop_core`'s `VpConfig::parallelism`
 //! expose the thread knob one level up.
 //!
@@ -102,7 +100,7 @@ mod traits;
 pub use amg::AmgHierarchy;
 pub use cg::ConjugateGradient;
 pub use direct::DirectCholesky;
-pub use engine::{ParDispatch, SweepSchedule, TierEngine};
+pub use engine::{SweepSchedule, TierEngine};
 pub use error::SolverError;
 pub use pcg::{Pcg, PcgEngine};
 pub use pool::{PoolJob, WorkerPool, WorkerScratch};

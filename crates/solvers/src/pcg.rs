@@ -187,41 +187,20 @@ impl LinearSolver for Pcg {
 
 /// The engine's prefactored preconditioner: IC(0) by default, with the
 /// diagonal (Jacobi) fallback when the incomplete factorization breaks
-/// down even after its diagonal-shift retries. Both variants carry an
-/// f32 shadow of their factor (built once) for the mixed-precision
-/// application.
+/// down even after its diagonal-shift retries.
 #[derive(Debug)]
 enum EnginePrecond {
     Ic0(IncompleteCholesky),
-    Jacobi {
-        inv_diag: Vec<f64>,
-        inv_diag32: Vec<f32>,
-    },
+    Jacobi { inv_diag: Vec<f64> },
 }
 
 impl EnginePrecond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         match self {
             EnginePrecond::Ic0(ic) => ic.solve_into(r, z),
-            EnginePrecond::Jacobi { inv_diag, .. } => {
+            EnginePrecond::Jacobi { inv_diag } => {
                 for (zi, (ri, di)) in z.iter_mut().zip(r.iter().zip(inv_diag)) {
                     *zi = ri * di;
-                }
-            }
-        }
-    }
-
-    /// Mixed-precision application: the triangular sweeps (or the
-    /// diagonal scaling) run in f32 through the shadow factor, with
-    /// `z32` as the working image. The preconditioner stays *fixed*
-    /// across iterations — the same `M₃₂` every call — so the CG
-    /// recurrence (which stays f64) is undisturbed.
-    fn apply_f32(&self, r: &[f64], z: &mut [f64], z32: &mut [f32]) {
-        match self {
-            EnginePrecond::Ic0(ic) => ic.solve_into_f32(r, z, z32),
-            EnginePrecond::Jacobi { inv_diag32, .. } => {
-                for (zi, (ri, di)) in z.iter_mut().zip(r.iter().zip(inv_diag32)) {
-                    *zi = f64::from((*ri as f32) * di);
                 }
             }
         }
@@ -230,10 +209,7 @@ impl EnginePrecond {
     fn memory_bytes(&self) -> usize {
         match self {
             EnginePrecond::Ic0(ic) => ic.memory_bytes(),
-            EnginePrecond::Jacobi {
-                inv_diag,
-                inv_diag32,
-            } => inv_diag.len() * 8 + inv_diag32.len() * 4,
+            EnginePrecond::Jacobi { inv_diag } => inv_diag.len() * 8,
         }
     }
 
@@ -287,9 +263,6 @@ pub struct PcgEngine {
     z: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
-    /// f32 working image for the mixed-precision preconditioner
-    /// application ([`PcgEngine::solve_mixed`]).
-    z32: Vec<f32>,
 }
 
 /// The read-only post-build half of a [`PcgEngine`]: the stamped system,
@@ -373,11 +346,7 @@ impl PcgEngine {
                     }
                     inv_diag.push(1.0 / d);
                 }
-                let inv_diag32 = inv_diag.iter().map(|&d| d as f32).collect();
-                EnginePrecond::Jacobi {
-                    inv_diag,
-                    inv_diag32,
-                }
+                EnginePrecond::Jacobi { inv_diag }
             }
             Err(e) => return Err(e.into()),
         };
@@ -397,13 +366,11 @@ impl PcgEngine {
             z: vec![0.0; dim],
             p: vec![0.0; dim],
             ap: vec![0.0; dim],
-            z32: vec![0.0; dim],
         })
     }
 
     /// A new engine sharing this engine's frozen half — the stamped
-    /// system, the factored preconditioner (and its f32 shadow), and the
-    /// RHS bases — with freshly allocated iteration scratch. No
+    /// system, the factored preconditioner, and the RHS bases — with freshly allocated iteration scratch. No
     /// restamping or refactorization happens; forks solve independently
     /// and reproduce the original's solves bitwise (every solve starts
     /// from the zero initial guess).
@@ -418,7 +385,6 @@ impl PcgEngine {
             z: vec![0.0; dim],
             p: vec![0.0; dim],
             ap: vec![0.0; dim],
-            z32: vec![0.0; dim],
         }
     }
 
@@ -462,7 +428,7 @@ impl PcgEngine {
         max_iterations: usize,
         v: &mut [f64],
     ) -> Result<SolveReport, SolverError> {
-        self.solve_inner(loads, net, None, tolerance, max_iterations, v, false)
+        self.solve_inner(loads, net, None, tolerance, max_iterations, v)
     }
 
     /// [`PcgEngine::solve`] with an additional per-node current source
@@ -484,41 +450,9 @@ impl PcgEngine {
         max_iterations: usize,
         v: &mut [f64],
     ) -> Result<SolveReport, SolverError> {
-        self.solve_inner(
-            loads,
-            net,
-            Some(source),
-            tolerance,
-            max_iterations,
-            v,
-            false,
-        )
+        self.solve_inner(loads, net, Some(source), tolerance, max_iterations, v)
     }
 
-    /// Like [`PcgEngine::solve`] with the preconditioner applied in f32
-    /// through its prebuilt shadow factor (the CG recurrence — spmv,
-    /// dot products, axpy updates, residual — stays f64). The residual
-    /// target is unchanged, so a converged mixed solve meets exactly the
-    /// same `‖b − Ax‖₂ / ‖b‖₂ ≤ tolerance` contract as the f64 path;
-    /// only the iteration count may differ (by the f32 perturbation of
-    /// the preconditioner quality). Warm calls perform zero heap
-    /// allocations.
-    ///
-    /// # Errors
-    ///
-    /// See [`PcgEngine::solve`].
-    pub fn solve_mixed(
-        &mut self,
-        loads: &[f64],
-        net: NetKind,
-        tolerance: f64,
-        max_iterations: usize,
-        v: &mut [f64],
-    ) -> Result<SolveReport, SolverError> {
-        self.solve_inner(loads, net, None, tolerance, max_iterations, v, true)
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal fan-in of the entry points
     fn solve_inner(
         &mut self,
         loads: &[f64],
@@ -527,7 +461,6 @@ impl PcgEngine {
         tolerance: f64,
         max_iterations: usize,
         v: &mut [f64],
-        mixed: bool,
     ) -> Result<SolveReport, SolverError> {
         let nn = self.shared.nn;
         if loads.len() != nn || v.len() != nn || source.is_some_and(|s| s.len() != nn) {
@@ -560,39 +493,21 @@ impl PcgEngine {
             z,
             p,
             ap,
-            z32,
         } = self;
         let sys = &shared.sys;
         let precond = &shared.precond;
-        // Two monomorphic calls rather than one boxed closure: boxing
-        // would put an allocation on the warm path.
-        let outcome = if mixed {
-            pcg_core(
-                sys.matrix(),
-                rhs,
-                &mut |r, z| precond.apply_f32(r, z, z32),
-                x,
-                r,
-                z,
-                p,
-                ap,
-                tolerance,
-                max_iterations,
-            )
-        } else {
-            pcg_core(
-                sys.matrix(),
-                rhs,
-                &mut |r, z| precond.apply(r, z),
-                x,
-                r,
-                z,
-                p,
-                ap,
-                tolerance,
-                max_iterations,
-            )
-        };
+        let outcome = pcg_core(
+            sys.matrix(),
+            rhs,
+            &mut |r, z| precond.apply(r, z),
+            x,
+            r,
+            z,
+            p,
+            ap,
+            tolerance,
+            max_iterations,
+        );
         // Expand on every path: on DidNotConverge `x` holds the last
         // iterate (mirroring `Rb3dEngine::solve`). `v` spans the grid's
         // `nn` nodes, so the virtual rail node of resistive-pad stamps
@@ -621,7 +536,6 @@ impl PcgEngine {
                 + self.p.len()
                 + self.ap.len())
                 * 8
-            + self.z32.len() * 4
     }
 }
 
@@ -756,26 +670,6 @@ mod tests {
             let one_shot = Pcg::default().solve_stack(&stack, net).unwrap();
             let drift = crate::residual::max_abs_error(&one_shot.voltages, &v);
             assert!(drift < 1e-9, "{net:?}: engine vs one-shot drift {drift}");
-        }
-    }
-
-    #[test]
-    fn mixed_precond_meets_same_residual_contract() {
-        let stack = bench_stack();
-        let mut engine = PcgEngine::build(&stack).unwrap();
-        let mut v64 = vec![0.0; engine.num_nodes()];
-        let mut v32 = vec![0.0; engine.num_nodes()];
-        for net in [NetKind::Power, NetKind::Ground] {
-            let r64 = engine
-                .solve(stack.loads(), net, 1e-8, 50_000, &mut v64)
-                .unwrap();
-            let r32 = engine
-                .solve_mixed(stack.loads(), net, 1e-8, 50_000, &mut v32)
-                .unwrap();
-            assert!(r64.converged && r32.converged);
-            assert!(r32.residual <= 1e-8, "{net:?}: residual {}", r32.residual);
-            let drift = crate::residual::max_abs_error(&v64, &v32);
-            assert!(drift < 5e-4, "{net:?}: mixed vs f64 drift {drift}");
         }
     }
 

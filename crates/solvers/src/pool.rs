@@ -40,8 +40,7 @@
 //!
 //! A panic inside a job is caught on worker threads and re-raised on the
 //! leader after the job drains, so the pool itself survives; note that a
-//! panicking worker can leave the job's own barriers desynchronized (the
-//! same hazard the scoped-spawn path had).
+//! panicking worker can leave the job's own barriers desynchronized.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -63,7 +62,7 @@ pub trait PoolJob: Send + Sync {
     fn run(&self, tid: usize, scratch: &mut WorkerScratch);
 }
 
-/// Per-thread scratch pinned to a pool worker (or a scoped thread).
+/// Per-thread scratch pinned to a pool worker.
 ///
 /// Buffers only ever grow (to the largest request seen), so warm jobs
 /// never allocate and the footprint is bounded by the biggest engine the

@@ -20,9 +20,8 @@
 //! both run on prefactored engines). The production path is the
 //! prefactored [`TierEngine`] (see [`RowBased::solve_tier_scheduled`]),
 //! which factors each segment once, sweeps batched lanes through blocked
-//! FMA kernels (optionally in refined f32 — see the
-//! [engine docs](crate::engine)), and can run the red-black row coloring
-//! across threads.
+//! FMA kernels (see the [engine docs](crate::engine)), and can run the
+//! red-black row coloring across threads.
 
 use crate::engine::{SweepSchedule, TierEngine};
 use crate::{SolveReport, SolverError};

@@ -33,10 +33,6 @@ pub struct IncompleteCholesky {
     /// Lower triangle of A's pattern with factored values, CSR, diagonal last
     /// in each row.
     l: CsrMatrix,
-    /// f32 shadow of the factored values (same CSR layout), built once at
-    /// construction for the mixed-precision preconditioner application
-    /// ([`IncompleteCholesky::solve_into_f32`]).
-    values32: Vec<f32>,
     shift: f64,
 }
 
@@ -79,10 +75,7 @@ impl IncompleteCholesky {
         let mut shift = 0.0;
         for attempt in 0..9 {
             match Self::try_factor(&lower, shift) {
-                Ok(l) => {
-                    let values32 = l.values().iter().map(|&v| v as f32).collect();
-                    return Ok(IncompleteCholesky { l, values32, shift });
-                }
+                Ok(l) => return Ok(IncompleteCholesky { l, shift }),
                 Err(SparseError::NotPositiveDefinite { column }) => {
                     if attempt == 8 {
                         return Err(SparseError::NotPositiveDefinite { column });
@@ -147,7 +140,7 @@ impl IncompleteCholesky {
 
     /// Estimated heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.l.memory_bytes() + self.values32.capacity() * std::mem::size_of::<f32>()
+        self.l.memory_bytes()
     }
 
     /// Applies the preconditioner: solves `L Lᵀ z = r`.
@@ -203,51 +196,6 @@ impl IncompleteCholesky {
                 let j = indices[p] as usize;
                 z[j] = (-values[p]).mul_add(zi, z[j]);
             }
-        }
-    }
-
-    /// Mixed-precision preconditioner application: solves `L Lᵀ z ≈ r`
-    /// with both triangular sweeps in f32 through the shadow values,
-    /// using `z32` (matrix-dimension length) as the working image. The
-    /// preconditioner this applies is *fixed* — the same slightly
-    /// perturbed `M₃₂` every call — so PCG's theory is untouched; only
-    /// the preconditioner quality changes, by f32 roundoff. No
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r.len()`, `z.len()`, or `z32.len()` differ from the
-    /// matrix dimension.
-    pub fn solve_into_f32(&self, r: &[f64], z: &mut [f64], z32: &mut [f32]) {
-        let n = self.l.nrows();
-        assert_eq!(r.len(), n, "rhs length mismatch");
-        assert_eq!(z.len(), n, "solution length mismatch");
-        assert_eq!(z32.len(), n, "f32 scratch length mismatch");
-        let indptr = self.l.indptr();
-        let indices = self.l.indices();
-        let values = &self.values32;
-        for (s, &x) in z32.iter_mut().zip(r.iter()) {
-            *s = x as f32;
-        }
-        for i in 0..n {
-            let (lo, hi) = (indptr[i], indptr[i + 1]);
-            let mut acc = z32[i];
-            for p in lo..hi - 1 {
-                acc = (-values[p]).mul_add(z32[indices[p] as usize], acc);
-            }
-            z32[i] = acc / values[hi - 1];
-        }
-        for i in (0..n).rev() {
-            let (lo, hi) = (indptr[i], indptr[i + 1]);
-            z32[i] /= values[hi - 1];
-            let zi = z32[i];
-            for p in lo..hi - 1 {
-                let j = indices[p] as usize;
-                z32[j] = (-values[p]).mul_add(zi, z32[j]);
-            }
-        }
-        for (x, &s) in z.iter_mut().zip(z32.iter()) {
-            *x = f64::from(s);
         }
     }
 }
@@ -386,24 +334,6 @@ mod tests {
         let ic = IncompleteCholesky::new(&a).unwrap();
         let z = ic.solve(&[1.0; 4]);
         assert!(z.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn f32_application_tracks_f64_application() {
-        let a = grid_spd(6, 6);
-        let ic = IncompleteCholesky::new(&a).unwrap();
-        let n = a.nrows();
-        let r: Vec<f64> = (0..n).map(|i| ((i * 13 % 17) as f64 - 8.0) * 0.1).collect();
-        let z64 = ic.solve(&r);
-        let mut z = vec![0.0; n];
-        let mut z32 = vec![0.0f32; n];
-        ic.solve_into_f32(&r, &mut z, &mut z32);
-        for (u, v) in z64.iter().zip(&z) {
-            assert!(
-                (u - v).abs() <= 1e-4 * u.abs().max(1.0),
-                "f32 application drifted: {u} vs {v}"
-            );
-        }
     }
 
     #[test]

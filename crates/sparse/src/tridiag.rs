@@ -14,10 +14,6 @@ use crate::SparseError;
 /// remainder lanes run the identical scalar operation.
 const ROW_BLOCK: usize = 8;
 
-/// Lane-block width of the `f32` mirror kernels (twice [`ROW_BLOCK`]:
-/// twice as many `f32` lanes fit one vector register).
-const ROW_BLOCK_F32: usize = 16;
-
 /// Reusable workspace for repeated tridiagonal solves of bounded size.
 ///
 /// The row-based solver calls [`TridiagWorkspace::solve`] once per grid row
@@ -585,161 +581,6 @@ impl FactoredSegments {
     }
 }
 
-/// An `f32` mirror of a [`FactoredSegments`] arena, for mixed-precision
-/// sweeps.
-///
-/// The mixed-precision solve path runs its coarse sweeps and its
-/// iterative-refinement correction solves in `f32` (halving the memory
-/// traffic of the memory-bound row sweeps and doubling the SIMD lane
-/// count), while residuals accumulate in `f64` against the original
-/// factors. The mirror is built **once** next to the `f64` arena —
-/// narrowing each stored coefficient with a plain `as f32` cast — so
-/// warm mixed solves touch the allocator exactly as often as the `f64`
-/// path: never.
-///
-/// The kernels mirror [`FactoredSegments::forward_row`] /
-/// [`FactoredSegments::backward_row`] with the same blocked
-/// fused-multiply-add structure (at twice the lane-block width, since
-/// twice as many `f32` lanes fit a vector register) and the same
-/// scalar-vs-blocked bitwise-identity contract — in `f32`.
-#[derive(Debug, Clone, Default)]
-pub struct FactoredSegmentsF32 {
-    lower: Vec<f32>,
-    cp: Vec<f32>,
-    inv_m: Vec<f32>,
-    max_len: usize,
-}
-
-impl FactoredSegmentsF32 {
-    /// Narrows every factored coefficient of `src` to `f32`.
-    pub fn mirror(src: &FactoredSegments) -> Self {
-        FactoredSegmentsF32 {
-            lower: src.lower.iter().map(|&x| x as f32).collect(),
-            cp: src.cp.iter().map(|&x| x as f32).collect(),
-            inv_m: src.inv_m.iter().map(|&x| x as f32).collect(),
-            max_len: src.max_len,
-        }
-    }
-
-    /// Total factored coefficient slots across all segments.
-    pub fn len(&self) -> usize {
-        self.inv_m.len()
-    }
-
-    /// Whether the mirror is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inv_m.is_empty()
-    }
-
-    /// Length of the longest mirrored segment.
-    pub fn max_segment_len(&self) -> usize {
-        self.max_len
-    }
-
-    /// `f32` [`FactoredSegments::forward_step`].
-    #[inline(always)]
-    pub fn forward_step(&self, k: usize, b: f32, prev_dp: f32) -> f32 {
-        (-self.lower[k]).mul_add(prev_dp, b) * self.inv_m[k]
-    }
-
-    /// `f32` [`FactoredSegments::backward_step`].
-    #[inline(always)]
-    pub fn backward_step(&self, k: usize, dp: f32, next_x: f32) -> f32 {
-        (-self.cp[k]).mul_add(next_x, dp)
-    }
-
-    /// The prefactored reciprocal pivot of global row `k` — the single
-    /// factor a one-row segment's forward elimination applies, exposed so
-    /// callers can fuse the trivial singleton solve into their own lane
-    /// pass instead of paying the row-kernel call machinery per node.
-    #[inline]
-    #[must_use]
-    pub fn inv_m(&self, k: usize) -> f32 {
-        self.inv_m[k]
-    }
-
-    /// `f32` [`FactoredSegments::forward_row`]: blocked fused
-    /// forward-elimination over one row of lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prev` is present with a length different from `row`.
-    #[inline]
-    pub fn forward_row(&self, k: usize, row: &mut [f32], prev: Option<&[f32]>) {
-        let inv_m = self.inv_m[k];
-        match prev {
-            Some(prev) => {
-                assert_eq!(prev.len(), row.len(), "lane count mismatch");
-                let neg_lower = -self.lower[k];
-                // Same narrow-batch fast path as the f64 kernel: skip the
-                // block iterator setup when the row holds no full block.
-                if row.len() < ROW_BLOCK_F32 {
-                    for (b, &p) in row.iter_mut().zip(prev) {
-                        *b = neg_lower.mul_add(p, *b) * inv_m;
-                    }
-                    return;
-                }
-                let mut rc = row.chunks_exact_mut(ROW_BLOCK_F32);
-                let mut pc = prev.chunks_exact(ROW_BLOCK_F32);
-                for (rb, pb) in rc.by_ref().zip(pc.by_ref()) {
-                    let rb: &mut [f32; ROW_BLOCK_F32] = rb.try_into().unwrap();
-                    let pb: &[f32; ROW_BLOCK_F32] = pb.try_into().unwrap();
-                    for j in 0..ROW_BLOCK_F32 {
-                        rb[j] = neg_lower.mul_add(pb[j], rb[j]) * inv_m;
-                    }
-                }
-                for (b, &p) in rc.into_remainder().iter_mut().zip(pc.remainder()) {
-                    *b = neg_lower.mul_add(p, *b) * inv_m;
-                }
-            }
-            None => {
-                for b in row.iter_mut() {
-                    *b *= inv_m;
-                }
-            }
-        }
-    }
-
-    /// `f32` [`FactoredSegments::backward_row`]: blocked fused
-    /// backward-substitution over one row of lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `next` is present with a length different from `row`.
-    #[inline]
-    pub fn backward_row(&self, k: usize, row: &mut [f32], next: Option<&[f32]>) {
-        if let Some(next) = next {
-            assert_eq!(next.len(), row.len(), "lane count mismatch");
-            let neg_cp = -self.cp[k];
-            // Same narrow-batch fast path as the f64 kernel.
-            if row.len() < ROW_BLOCK_F32 {
-                for (dp, &nx) in row.iter_mut().zip(next) {
-                    *dp = neg_cp.mul_add(nx, *dp);
-                }
-                return;
-            }
-            let mut rc = row.chunks_exact_mut(ROW_BLOCK_F32);
-            let mut nc = next.chunks_exact(ROW_BLOCK_F32);
-            for (rb, nb) in rc.by_ref().zip(nc.by_ref()) {
-                let rb: &mut [f32; ROW_BLOCK_F32] = rb.try_into().unwrap();
-                let nb: &[f32; ROW_BLOCK_F32] = nb.try_into().unwrap();
-                for j in 0..ROW_BLOCK_F32 {
-                    rb[j] = neg_cp.mul_add(nb[j], rb[j]);
-                }
-            }
-            for (dp, &nx) in rc.into_remainder().iter_mut().zip(nc.remainder()) {
-                *dp = neg_cp.mul_add(nx, *dp);
-            }
-        }
-    }
-
-    /// Estimated heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        (self.lower.capacity() + self.cp.capacity() + self.inv_m.capacity())
-            * std::mem::size_of::<f32>()
-    }
-}
-
 /// One-shot convenience wrapper around [`TridiagWorkspace::solve`].
 ///
 /// # Errors
@@ -994,98 +835,6 @@ mod tests {
         assert!(arena.memory_bytes() > 0);
         arena.clear();
         assert!(arena.is_empty());
-    }
-
-    #[test]
-    fn f32_mirror_matches_narrowed_factors() {
-        let mut seed = 4u64;
-        let mut rnd = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64) / (u32::MAX as f64) - 0.5
-        };
-        let mut arena = FactoredSegments::new();
-        for n in [1usize, 3, 29] {
-            let lower: Vec<f64> = (0..n - 1).map(|_| rnd()).collect();
-            let upper: Vec<f64> = (0..n - 1).map(|_| rnd()).collect();
-            let diag: Vec<f64> = (0..n).map(|_| 3.0 + rnd()).collect();
-            arena.push_segment(&lower, &diag, &upper).unwrap();
-        }
-        let mirror = FactoredSegmentsF32::mirror(&arena);
-        assert_eq!(mirror.len(), arena.len());
-        assert_eq!(mirror.max_segment_len(), arena.max_segment_len());
-        assert!(!mirror.is_empty());
-        assert!(mirror.memory_bytes() > 0);
-        for k in 0..arena.len() {
-            assert_eq!(mirror.lower[k], arena.lower[k] as f32);
-            assert_eq!(mirror.cp[k], arena.cp[k] as f32);
-            assert_eq!(mirror.inv_m[k], arena.inv_m[k] as f32);
-        }
-    }
-
-    #[test]
-    fn f32_rows_are_bitwise_identical_to_f32_steps() {
-        // The blocked f32 row kernels must match the scalar f32 step
-        // sequence bit for bit at every lane count (the same contract the
-        // f64 kernels pin), including counts straddling the block width.
-        let mut seed = 13u64;
-        let mut rnd = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64) / (u32::MAX as f64) - 0.5
-        };
-        let mut arena = FactoredSegments::new();
-        let n = 9usize;
-        let lower: Vec<f64> = (0..n - 1).map(|_| rnd()).collect();
-        let upper: Vec<f64> = (0..n - 1).map(|_| rnd()).collect();
-        let diag: Vec<f64> = (0..n).map(|_| 3.0 + rnd()).collect();
-        let offset = arena.push_segment(&lower, &diag, &upper).unwrap();
-        let mirror = FactoredSegmentsF32::mirror(&arena);
-        for lanes in [1usize, 7, 16, 19, 40] {
-            let rhs: Vec<f32> = (0..n * lanes).map(|_| (rnd() * 10.0) as f32).collect();
-            // Blocked path: forward then backward over the whole segment.
-            let mut buf = rhs.clone();
-            for i in 0..n {
-                let (done, rest) = buf.split_at_mut(i * lanes);
-                let prev = if i == 0 {
-                    None
-                } else {
-                    Some(&done[(i - 1) * lanes..])
-                };
-                mirror.forward_row(offset + i, &mut rest[..lanes], prev);
-            }
-            for i in (0..n).rev() {
-                let (head, tail) = buf.split_at_mut((i + 1) * lanes);
-                let next = if i + 1 == n {
-                    None
-                } else {
-                    Some(&tail[..lanes])
-                };
-                mirror.backward_row(offset + i, &mut head[i * lanes..], next);
-            }
-            // Scalar reference, lane by lane.
-            for j in 0..lanes {
-                let mut dp = vec![0.0f32; n];
-                let mut prev = 0.0f32;
-                for i in 0..n {
-                    let d = mirror.forward_step(offset + i, rhs[i * lanes + j], prev);
-                    dp[i] = d;
-                    prev = d;
-                }
-                let mut next = 0.0f32;
-                for i in (0..n).rev() {
-                    let xi = mirror.backward_step(offset + i, dp[i], next);
-                    assert_eq!(
-                        buf[i * lanes + j].to_bits(),
-                        xi.to_bits(),
-                        "lanes={lanes} lane={j} row={i}"
-                    );
-                    next = xi;
-                }
-            }
-        }
     }
 
     #[test]

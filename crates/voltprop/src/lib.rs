@@ -67,9 +67,9 @@ pub use voltprop_sparse as sparse;
 
 pub use voltprop_core::{
     Backend, BuildError, BuildParams, Deadline, FnWaveform, Integrator, LoadCase, LoadSet,
-    Precision, PwlWaveform, ScaledWaveform, Session, SessionCore, SessionError, SharedSession,
-    SharedSolution, SolutionView, SolveParams, SolveScratch, TraceSink, TransientParams,
-    TransientReport, TransientSink, TryCheckout, VpConfig, VpReport, VpSolver, Waveform,
+    PwlWaveform, ScaledWaveform, Session, SessionCore, SessionError, SharedSession, SharedSolution,
+    SolutionView, SolveParams, SolveScratch, TraceSink, TransientParams, TransientReport,
+    TransientSink, TryCheckout, VpConfig, VpReport, VpSolver, Waveform,
 };
 pub use voltprop_grid::{
     GridError, LoadProfile, NetKind, Netlist, NetlistCircuit, ShardBand, ShardPlan, Stack3d,

@@ -23,8 +23,8 @@ use voltprop_serve::json::Json;
 use voltprop_serve::{serve, Client, ServeConfig, ServerHandle};
 
 /// A solve request that cannot converge (outer epsilon far below
-/// attainable, inner tolerance pinned attainable so every inner solve —
-/// f64 or forced-mixed — succeeds) and cannot exhaust its iteration
+/// attainable, inner tolerance pinned attainable so every inner solve
+/// succeeds) and cannot exhaust its iteration
 /// budget before `deadline_ms`: it holds its scratch slot until the
 /// deadline fires.
 fn starved_solve(width: usize, deadline_ms: u64) -> String {

@@ -9,8 +9,8 @@ use std::fmt::Write as _;
 use voltprop::solvers::residual;
 use voltprop::{
     Backend, DirectCholesky, FnWaveform, Integrator, LoadCase, LoadProfile, LoadSet, NetKind, Pcg,
-    Precision, Rb3d, Session, SessionError, SolveParams, Stack3d, StackSolver, TraceSink,
-    TransientParams, VpConfig, VpReport,
+    Rb3d, Session, SessionError, SolveParams, Stack3d, StackSolver, TraceSink, TransientParams,
+    VpConfig, VpReport,
 };
 
 fn stack() -> Stack3d {
@@ -37,13 +37,6 @@ fn load_sweep(stack: &Stack3d, k: usize) -> Vec<f64> {
     loads
 }
 
-/// `true` when `VOLTPROP_FORCE_PRECISION` overrides every request's
-/// precision (the CI forced-mixed pass). Bitwise-pinning assertions
-/// compare against the f64 path and must skip under the override.
-fn forced_precision() -> bool {
-    std::env::var_os("VOLTPROP_FORCE_PRECISION").is_some()
-}
-
 /// The saved fixture that pins the session's bitwise behavior across
 /// releases. Regenerate deliberately with
 /// `VOLTPROP_BLESS=1 cargo test --test session pinned_fixture`.
@@ -60,10 +53,6 @@ fn pinned_fixture_guards_bitwise_behavior() {
     // reproduced) are committed as a fixture, so a refactor that
     // perturbs a single ULP anywhere in the solve pipeline fails loudly
     // and must re-bless deliberately.
-    if forced_precision() {
-        eprintln!("skipping: VOLTPROP_FORCE_PRECISION overrides the f64 path this fixture pins");
-        return;
-    }
     let stack = stack();
     let nn = stack.num_nodes();
     let mut session = Session::build(&stack, VpConfig::default()).unwrap();
@@ -183,7 +172,7 @@ fn check_fixture(path: &str, header: &str, blob: &[u64]) {
 
 /// The second saved fixture: the routes `session_pinned.txt` does not
 /// reach (companion transients, the planar single-tier case, sparse pads
-/// at parallelism 1 and 2, mixed precision). Regenerate deliberately
+/// at parallelism 1 and 2). Regenerate deliberately
 /// with `VOLTPROP_BLESS=1 cargo test --test session routes_fixture`.
 const ROUTES_FIXTURE_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -237,10 +226,6 @@ fn push_transient(bits: &mut Vec<u64>, stack: &Stack3d, integrator: Integrator, 
 
 #[test]
 fn routes_fixture_guards_bitwise_behavior() {
-    if forced_precision() {
-        eprintln!("skipping: VOLTPROP_FORCE_PRECISION overrides the f64 path this fixture pins");
-        return;
-    }
     let random = LoadProfile::UniformRandom {
         min: 1e-5,
         max: 1e-3,
@@ -279,7 +264,7 @@ fn routes_fixture_guards_bitwise_behavior() {
     //    lattice solve both change schedule with the thread count).
     let sparse = Stack3d::builder(16, 16, 3)
         .pad_lattice(4)
-        .load_profile(random.clone(), 34)
+        .load_profile(random, 34)
         .build()
         .unwrap();
     for parallelism in [1, 2] {
@@ -290,18 +275,6 @@ fn routes_fixture_guards_bitwise_behavior() {
             SolveParams::new(),
         );
     }
-
-    // 5. A mixed-precision single solve.
-    let mixed = Stack3d::builder(10, 10, 3)
-        .load_profile(random, 35)
-        .build()
-        .unwrap();
-    push_single(
-        &mut blob,
-        &mixed,
-        VpConfig::default(),
-        SolveParams::new().precision(Precision::MixedF32),
-    );
 
     check_fixture(
         ROUTES_FIXTURE_PATH,
@@ -485,11 +458,7 @@ fn pcg_backend_routes_through_the_same_session() {
         .max_inner_sweeps(50_000);
 
     // Single solve: agrees with the standalone Pcg solver (same IC(0)
-    // preconditioner, same tolerance) and with the direct reference. The
-    // standalone solver always runs the f64 path, so under a forced
-    // mixed-precision override the comparison loosens from near-bitwise
-    // to the shared accuracy budget.
-    let tight = if forced_precision() { 5e-4 } else { 1e-9 };
+    // preconditioner, same tolerance) and with the direct reference.
     let standalone = Pcg::default().solve_stack(&stack, NetKind::Power).unwrap();
     let routed = session
         .solve(
@@ -501,7 +470,7 @@ fn pcg_backend_routes_through_the_same_session() {
     assert!(routed.converged());
     assert!(routed.pillar_currents().is_empty(), "pcg computes none");
     let drift = residual::max_abs_error(&standalone.voltages, routed.voltages());
-    assert!(drift < tight, "session pcg vs standalone drift {drift}");
+    assert!(drift < 1e-9, "session pcg vs standalone drift {drift}");
     let exact = DirectCholesky::new()
         .solve_stack(&stack, NetKind::Power)
         .unwrap();
@@ -547,7 +516,7 @@ fn pcg_backend_routes_through_the_same_session() {
             .solve_stack(&lane_stack, NetKind::Power)
             .unwrap();
         let lane_drift = residual::max_abs_error(&solo.voltages, batch.lane_voltages(j).unwrap());
-        assert!(lane_drift < tight, "lane {j} drift {lane_drift}");
+        assert!(lane_drift < 1e-9, "lane {j} drift {lane_drift}");
     }
 
     // Step sweeps route through the same per-lane engine path.
@@ -642,7 +611,7 @@ fn budget_starved_solves_report_deadline_exceeded() {
     let stack = stack();
     let mut session = Session::build(&stack, VpConfig::default()).unwrap();
     // Unattainable outer tolerance (with the inner one pinned attainable
-    // so every inner solve succeeds, f64 or forced-mixed) + an iteration
+    // so every inner solve succeeds) + an iteration
     // budget too large to exhaust: only the deadline can end this solve.
     let starved = SolveParams::new()
         .epsilon(1e-300)

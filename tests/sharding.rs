@@ -1,8 +1,8 @@
 //! Shard-count invariance: `BuildParams::shards` partitions the sweep,
 //! never the answer. 1/2/4 shards must reproduce the unsharded engine
 //! bitwise on VoltProp and Rb3d (and within the tolerance contract on
-//! Pcg, which has no row structure to shard) in both precisions,
-//! including masked/compacted batches and a transient run with a
+//! Pcg, which has no row structure to shard), including
+//! masked/compacted batches and a transient run with a
 //! mid-run refactor.
 //!
 //! Both sides of every comparison run with `parallelism(2)` so the
@@ -15,8 +15,8 @@
 //! thread count as well as the shard count.
 
 use voltprop::{
-    Backend, FnWaveform, LoadCase, LoadProfile, LoadSet, Precision, Session, SolveParams, Stack3d,
-    TraceSink, TransientParams, VpConfig,
+    Backend, FnWaveform, LoadCase, LoadProfile, LoadSet, Session, SolveParams, Stack3d, TraceSink,
+    TransientParams, VpConfig,
 };
 
 const SHARD_COUNTS: [usize; 2] = [2, 4];
@@ -80,24 +80,18 @@ fn load_sweep(stack: &Stack3d, k: usize) -> Vec<f64> {
 fn single_solves_are_shard_count_invariant() {
     let stack = stack();
     for backend in [Backend::VoltProp, Backend::Rb3d] {
-        for precision in [Precision::F64, Precision::MixedF32] {
-            let case = || {
-                LoadCase::new(&stack)
-                    .backend(backend)
-                    .params(SolveParams::new().precision(precision))
-            };
-            let mut base = Session::build(&stack, config(1)).unwrap();
-            let want = base.solve(&case()).unwrap().voltages().to_vec();
-            for shards in SHARD_COUNTS {
-                let mut session = Session::build(&stack, config(shards)).unwrap();
-                let view = session.solve(&case()).unwrap();
-                assert!(view.converged(), "{backend:?} {precision:?} x{shards}");
-                assert_bits_eq(
-                    &want,
-                    view.voltages(),
-                    &format!("{backend:?}/{precision:?}/shards={shards}"),
-                );
-            }
+        let case = || LoadCase::new(&stack).backend(backend);
+        let mut base = Session::build(&stack, config(1)).unwrap();
+        let want = base.solve(&case()).unwrap().voltages().to_vec();
+        for shards in SHARD_COUNTS {
+            let mut session = Session::build(&stack, config(shards)).unwrap();
+            let view = session.solve(&case()).unwrap();
+            assert!(view.converged(), "{backend:?} x{shards}");
+            assert_bits_eq(
+                &want,
+                view.voltages(),
+                &format!("{backend:?}/shards={shards}"),
+            );
         }
     }
 }
@@ -107,31 +101,28 @@ fn sparse_pad_solves_are_thread_and_shard_count_invariant() {
     let stack = sparse_pad_stack();
     let k = 4;
     let loads = load_sweep(&stack, k);
-    for precision in [Precision::F64, Precision::MixedF32] {
-        let params = SolveParams::new().precision(precision);
-        let case = || LoadCase::new(&stack).params(params);
-        let set = || LoadSet::new(&stack, &loads).params(params);
-        let mut base = Session::build(&stack, config(1)).unwrap();
-        let view = base.solve(&case()).unwrap();
-        assert!(view.converged());
-        let want = view.voltages().to_vec();
-        let batch = base.solve_batch(&set()).unwrap();
-        let want_lanes: Vec<Vec<f64>> = (0..k)
-            .map(|j| batch.lane_voltages(j).unwrap().to_vec())
-            .collect();
-        for (parallelism, shards) in [(4, 1), (2, 2), (4, 2), (2, 4), (4, 4)] {
-            let what = format!("{precision:?}/parallelism={parallelism}/shards={shards}");
-            let config = VpConfig::new().parallelism(parallelism).shards(shards);
-            let mut session = Session::build(&stack, config).unwrap();
-            assert_bits_eq(&want, session.solve(&case()).unwrap().voltages(), &what);
-            let got = session.solve_batch(&set()).unwrap();
-            for (j, want_lane) in want_lanes.iter().enumerate() {
-                assert_bits_eq(
-                    want_lane,
-                    got.lane_voltages(j).unwrap(),
-                    &format!("{what}/lane={j}"),
-                );
-            }
+    let case = || LoadCase::new(&stack);
+    let set = || LoadSet::new(&stack, &loads);
+    let mut base = Session::build(&stack, config(1)).unwrap();
+    let view = base.solve(&case()).unwrap();
+    assert!(view.converged());
+    let want = view.voltages().to_vec();
+    let batch = base.solve_batch(&set()).unwrap();
+    let want_lanes: Vec<Vec<f64>> = (0..k)
+        .map(|j| batch.lane_voltages(j).unwrap().to_vec())
+        .collect();
+    for (parallelism, shards) in [(4, 1), (2, 2), (4, 2), (2, 4), (4, 4)] {
+        let what = format!("parallelism={parallelism}/shards={shards}");
+        let config = VpConfig::new().parallelism(parallelism).shards(shards);
+        let mut session = Session::build(&stack, config).unwrap();
+        assert_bits_eq(&want, session.solve(&case()).unwrap().voltages(), &what);
+        let got = session.solve_batch(&set()).unwrap();
+        for (j, want_lane) in want_lanes.iter().enumerate() {
+            assert_bits_eq(
+                want_lane,
+                got.lane_voltages(j).unwrap(),
+                &format!("{what}/lane={j}"),
+            );
         }
     }
 }
@@ -171,28 +162,22 @@ fn masked_batches_are_shard_count_invariant() {
     let k = 5;
     let loads = load_sweep(&stack, k);
     for backend in [Backend::VoltProp, Backend::Rb3d] {
-        for precision in [Precision::F64, Precision::MixedF32] {
-            let set = || {
-                LoadSet::new(&stack, &loads)
-                    .backend(backend)
-                    .params(SolveParams::new().precision(precision))
-            };
-            let mut base = Session::build(&stack, config(1)).unwrap();
-            let want = base.solve_batch(&set()).unwrap();
-            let want_lanes: Vec<Vec<f64>> = (0..k)
-                .map(|j| want.lane_voltages(j).unwrap().to_vec())
-                .collect();
-            for shards in SHARD_COUNTS {
-                let mut session = Session::build(&stack, config(shards)).unwrap();
-                let got = session.solve_batch(&set()).unwrap();
-                assert_eq!(got.lanes(), k);
-                for (j, want_lane) in want_lanes.iter().enumerate() {
-                    assert_bits_eq(
-                        want_lane,
-                        got.lane_voltages(j).unwrap(),
-                        &format!("{backend:?}/{precision:?}/shards={shards}/lane={j}"),
-                    );
-                }
+        let set = || LoadSet::new(&stack, &loads).backend(backend);
+        let mut base = Session::build(&stack, config(1)).unwrap();
+        let want = base.solve_batch(&set()).unwrap();
+        let want_lanes: Vec<Vec<f64>> = (0..k)
+            .map(|j| want.lane_voltages(j).unwrap().to_vec())
+            .collect();
+        for shards in SHARD_COUNTS {
+            let mut session = Session::build(&stack, config(shards)).unwrap();
+            let got = session.solve_batch(&set()).unwrap();
+            assert_eq!(got.lanes(), k);
+            for (j, want_lane) in want_lanes.iter().enumerate() {
+                assert_bits_eq(
+                    want_lane,
+                    got.lane_voltages(j).unwrap(),
+                    &format!("{backend:?}/shards={shards}/lane={j}"),
+                );
             }
         }
     }

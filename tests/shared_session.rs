@@ -1,15 +1,14 @@
 //! Concurrency determinism: N threads solving disjoint load cases on one
 //! `SharedSession` must produce voltages **bitwise identical** to the
 //! same cases solved sequentially on a plain `Session`, across all three
-//! backends and both precisions.
+//! backends.
 //!
 //! The pool is built with fewer slots than threads, so the run also
 //! exercises admission control (some threads block in checkout) — which
 //! must not perturb the numerics either.
 
 use voltprop::{
-    Backend, LoadCase, LoadProfile, Precision, Session, SharedSession, SolveParams, Stack3d,
-    TsvPattern, VpConfig,
+    Backend, LoadCase, LoadProfile, Session, SharedSession, Stack3d, TsvPattern, VpConfig,
 };
 
 /// More threads than pool slots, and at least the 4 the acceptance
@@ -65,20 +64,15 @@ fn sparse_pad_stack(seed: u64) -> Stack3d {
 /// Sequential reference on a plain `Session`, then the same cases (one
 /// `stack_of` seed per thread) fanned out over `THREADS` scoped threads
 /// on a `SharedSession`.
-fn run_determinism(
-    stack_of: fn(u64) -> Stack3d,
-    backend_of: impl Fn(usize) -> Backend + Sync,
-    precision: Precision,
-) {
+fn run_determinism(stack_of: fn(u64) -> Stack3d, backend_of: impl Fn(usize) -> Backend + Sync) {
     let stacks: Vec<Stack3d> = (0..THREADS as u64).map(stack_of).collect();
-    let params = SolveParams::new().precision(precision);
 
     let mut session = Session::build(&stacks[0], VpConfig::default()).expect("session builds");
     let expected: Vec<Vec<f64>> = stacks
         .iter()
         .enumerate()
         .map(|(i, stack)| {
-            let case = LoadCase::new(stack).backend(backend_of(i)).params(params);
+            let case = LoadCase::new(stack).backend(backend_of(i));
             session
                 .solve(&case)
                 .expect("sequential solve succeeds")
@@ -97,7 +91,7 @@ fn run_determinism(
                 let shared = &shared;
                 let backend_of = &backend_of;
                 scope.spawn(move || {
-                    let case = LoadCase::new(stack).backend(backend_of(i)).params(params);
+                    let case = LoadCase::new(stack).backend(backend_of(i));
                     let solution = shared.solve(&case).expect("concurrent solve succeeds");
                     solution.view().voltages().to_vec()
                 })
@@ -109,7 +103,7 @@ fn run_determinism(
             .collect()
     });
 
-    assert_bitwise(&expected, &got, &format!("{precision:?}"));
+    assert_bitwise(&expected, &got, "shared vs sequential");
     assert_eq!(
         shared.available(),
         SLOTS,
@@ -119,37 +113,22 @@ fn run_determinism(
 
 #[test]
 fn voltprop_backend_is_bitwise_deterministic_f64() {
-    run_determinism(case_stack, |_| Backend::VoltProp, Precision::F64);
-}
-
-#[test]
-fn voltprop_backend_is_bitwise_deterministic_mixedf32() {
-    run_determinism(case_stack, |_| Backend::VoltProp, Precision::MixedF32);
+    run_determinism(case_stack, |_| Backend::VoltProp);
 }
 
 #[test]
 fn voltprop_backend_is_bitwise_deterministic_on_sparse_pads() {
-    run_determinism(sparse_pad_stack, |_| Backend::VoltProp, Precision::F64);
+    run_determinism(sparse_pad_stack, |_| Backend::VoltProp);
 }
 
 #[test]
 fn rb3d_backend_is_bitwise_deterministic_f64() {
-    run_determinism(case_stack, |_| Backend::Rb3d, Precision::F64);
-}
-
-#[test]
-fn rb3d_backend_is_bitwise_deterministic_mixedf32() {
-    run_determinism(case_stack, |_| Backend::Rb3d, Precision::MixedF32);
+    run_determinism(case_stack, |_| Backend::Rb3d);
 }
 
 #[test]
 fn pcg_backend_is_bitwise_deterministic_f64() {
-    run_determinism(case_stack, |_| Backend::Pcg, Precision::F64);
-}
-
-#[test]
-fn pcg_backend_is_bitwise_deterministic_mixedf32() {
-    run_determinism(case_stack, |_| Backend::Pcg, Precision::MixedF32);
+    run_determinism(case_stack, |_| Backend::Pcg);
 }
 
 /// Threads cycling through *different* backends on one shared session:
@@ -158,5 +137,5 @@ fn pcg_backend_is_bitwise_deterministic_mixedf32() {
 #[test]
 fn interleaved_backends_stay_bitwise_deterministic() {
     let rotation = [Backend::VoltProp, Backend::Rb3d, Backend::Pcg];
-    run_determinism(case_stack, |i| rotation[i % rotation.len()], Precision::F64);
+    run_determinism(case_stack, |i| rotation[i % rotation.len()]);
 }
