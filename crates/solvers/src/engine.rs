@@ -1495,7 +1495,12 @@ impl TierEngine {
             };
         }
         let sweeps = self.run_lanes(injection, v, tolerance, max_sweeps, omega, lanes);
-        Ok(aggregate_report(lanes, sweeps, self.memory_bytes()))
+        Ok(SolveReport {
+            iterations: sweeps,
+            residual: lanes.iter().fold(0.0f64, |m, l| m.max(l.residual)),
+            converged: lanes.iter().all(|l| l.converged),
+            workspace_bytes: self.memory_bytes(),
+        })
     }
 
     /// The one solve path: sweeps every lane that `lanes` does not
@@ -1827,17 +1832,6 @@ impl TierEngine {
             Some(pool) => pool.run(threads, job),
             None => WorkerPool::global().run(threads, job),
         }
-    }
-}
-
-/// Collapses per-lane outcomes into the aggregate [`SolveReport`] of a
-/// batched solve.
-fn aggregate_report(lanes: &[LaneReport], sweeps: usize, workspace_bytes: usize) -> SolveReport {
-    SolveReport {
-        iterations: sweeps,
-        residual: lanes.iter().fold(0.0f64, |m, l| m.max(l.residual)),
-        converged: lanes.iter().all(|l| l.converged),
-        workspace_bytes,
     }
 }
 
