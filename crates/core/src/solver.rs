@@ -4,7 +4,7 @@ use crate::anderson::Anderson;
 use crate::lattice::PillarLattice;
 use crate::tier_cache::CachedTier;
 use crate::{VpConfig, VpReport};
-use voltprop_grid::{NetKind, Stack3d};
+use voltprop_grid::{loads::first_invalid, NetKind, Stack3d};
 use voltprop_solvers::{LaneReport, SolverError, StackSolution, StackSolver};
 
 /// The 3-D voltage propagation solver (see the [crate docs](crate) for the
@@ -511,9 +511,10 @@ impl VpScratch {
 /// The transient companion context of a voltage-propagation solve: the
 /// companion-augmented tier factors (`G_tier + diag(α·C)`), the `α·C`
 /// diagonal itself (shared by every lane; the pinned-site KCL needs it),
-/// and the per-step companion currents `i_eq` (absolute sign, positive
-/// into the node), lane-major like the loads. `None` in [`run_lanes`]
-/// is the static solve.
+/// the per-step companion currents `i_eq` (absolute sign, positive into
+/// the node), lane-major like the loads, and the previous step's
+/// voltages `v_n` the step starts from. `None` in [`run_lanes`] is the
+/// static solve.
 pub(crate) struct CompanionRef<'a> {
     /// Companion-augmented tier engines (from
     /// [`VpScratch::build_companion_tiers`]), one per tier.
@@ -523,6 +524,12 @@ pub(crate) struct CompanionRef<'a> {
     /// Companion injections `i_eq` per lane and node (lane-major,
     /// `k · nn` entries, amperes).
     pub source: &'a [f64],
+    /// The previous step's voltages `v_n` of a one-lane step (`nn`
+    /// entries, flat tier-major): the node image and the layer-0 pillar
+    /// guesses start from them instead of the rail. `None` on a stack
+    /// without capacitance, whose every step *is* the DC solve and starts
+    /// from the rail like one.
+    pub v_n: Option<&'a [f64]>,
 }
 
 impl VpSolver {
@@ -614,12 +621,13 @@ pub(crate) fn validate_loads(nn: usize, loads: &[f64]) -> Result<usize, SolverEr
             ),
         });
     }
-    for (i, &a) in loads.iter().enumerate() {
-        if !a.is_finite() || a < 0.0 {
-            return Err(SolverError::Unsupported {
-                what: format!("load {a} at batch index {i} is not a finite, non-negative current"),
-            });
-        }
+    if let Some(i) = first_invalid(loads) {
+        return Err(SolverError::Unsupported {
+            what: format!(
+                "load {} at batch index {i} is not a finite, non-negative current",
+                loads[i]
+            ),
+        });
     }
     Ok(loads.len() / nn)
 }
@@ -660,6 +668,12 @@ pub(crate) fn run_batch(
 /// untouched — its fixed point is whatever system the tier solves and
 /// the KCL describe.
 ///
+/// Every lane starts from the rail, except a companion step that carries
+/// `v_n`: its node image starts from `v_n`, and on multi-tier stacks its
+/// layer-0 pillar guesses from `v_n`'s tier-0 pillar sites. With
+/// capacitance the state moves little in one step, so that start is
+/// already close to the answer.
+///
 /// The scratch **must already match the stack's geometry**. The arena
 /// grows to `k` lanes on first use; after that the loop is
 /// allocation-free. The [`Deadline`](crate::Deadline) is checked once
@@ -682,7 +696,10 @@ pub(crate) fn run_lanes(
         NetKind::Power => (scratch.vdd, 1.0),
         NetKind::Ground => (0.0, -1.0),
     };
-    scratch.arena.v[..nodes * k].fill(rail);
+    match companion.as_ref().and_then(|c| c.v_n) {
+        Some(v_n) => scratch.arena.v[..nodes * k].copy_from_slice(v_n),
+        None => scratch.arena.v[..nodes * k].fill(rail),
+    }
     if scratch.tiers == 1 {
         // One opaque planar solve: check on entry, budget bounds the tail.
         deadline.check(0)?;
@@ -790,14 +807,27 @@ fn propagate<const ONE: bool>(
     // The companion context swaps in the augmented tier factors; the
     // `α·C` / `i_eq` slices stay empty on the static path so the hot
     // loops branch on one bool.
+    let v_n = companion.as_ref().and_then(|c| c.v_n);
     let (tier_cache, alpha_c, source): (&mut [CachedTier], &[f64], &[f64]) = match companion {
         Some(c) => (c.tiers, c.alpha_c, c.source),
         None => (tier_cache, &[], &[]),
     };
     let dynamic = !alpha_c.is_empty();
     let v = &mut arena.v[..nn * k];
-    arena.v0[..ns * k].fill(rail);
-    arena.last_good_v0[..ns * k].fill(rail);
+    match v_n {
+        // A seeded one-lane step guesses its layer-0 pillars where the
+        // previous step left them (tier 0 is the head of `v_n`).
+        Some(v_n) => {
+            for (kk, &s) in site_flat.iter().enumerate() {
+                arena.v0[kk] = v_n[s];
+                arena.last_good_v0[kk] = v_n[s];
+            }
+        }
+        None => {
+            arena.v0[..ns * k].fill(rail);
+            arena.last_good_v0[..ns * k].fill(rail);
+        }
+    }
     arena.last_good_correction[..ns * k].fill(0.0);
 
     let mut n_running = k;

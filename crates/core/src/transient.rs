@@ -27,8 +27,19 @@
 //! currents zero), which makes runs deterministic and reproducible —
 //! rerunning the same waveform with the same step size is bitwise
 //! identical.
+//!
+//! Every step after the first starts its solve from the previous step's
+//! voltages `v_n`, which on a capacitive stack are nearly the answer: the
+//! state moves little in one step. The [`Backend::Rb3d`] and
+//! [`Backend::Pcg`] routes iterate on `v_n` itself; the
+//! [`Backend::VoltProp`] route seeds its node image and its layer-0
+//! pillar guesses from it, so a warm step takes one outer pass. On a
+//! stack without capacitance the VoltProp route keeps the rail start:
+//! each of its steps *is* the DC solve, and starting it like one keeps it
+//! equal to [`Session::solve`] (a start from `v_n` would move the answer
+//! within the solver tolerance).
 
-use voltprop_grid::{NetKind, Stack3d};
+use voltprop_grid::{loads::first_invalid, NetKind, Stack3d};
 use voltprop_solvers::{PcgEngine, Rb3dEngine, SolverError};
 
 use crate::session::{Backend, Session, SessionError};
@@ -455,7 +466,8 @@ pub(crate) struct TransientState {
     rb: Option<Rb3dEngine>,
     /// Companion PCG engine (lazily built).
     pcg: Option<PcgEngine>,
-    /// The integration state `v_n` (reset to the rail each run).
+    /// The integration state `v_n` (reset to the rail each run), and the
+    /// start of the next step's solve.
     v: Vec<f64>,
     /// `v_{n-1}` staging for the trapezoidal current update.
     v_prev: Vec<f64>,
@@ -542,8 +554,12 @@ impl Session {
     ///
     /// The run starts from the unloaded steady state — every node at the
     /// net's rail, capacitor currents zero — so identical runs are
-    /// bitwise reproducible. A stack without capacitance degenerates to
-    /// quasi-static per-step solves (`α·C = 0`).
+    /// bitwise reproducible. Each later step's solve starts from the
+    /// previous step's voltages, which on a capacitive stack are already
+    /// close to its answer (a warm VoltProp step takes one outer pass). A
+    /// stack without capacitance degenerates to quasi-static per-step
+    /// solves (`α·C = 0`); VoltProp starts each from the rail, like the DC
+    /// solve it equals.
     ///
     /// # Errors
     ///
@@ -760,7 +776,9 @@ fn solve_companion_step(
             }
             let tiers = state.vp_tiers.as_mut().expect("just ensured");
             // One lane through the outer loop; the waveform sample was
-            // validated when it was drawn.
+            // validated when it was drawn. With capacitance the solve
+            // starts from v_n; a resistive step is the DC solve and
+            // starts from the rail like one.
             run_lanes(
                 params,
                 request.net,
@@ -771,6 +789,7 @@ fn solve_companion_step(
                     tiers,
                     alpha_c: &state.alpha_c,
                     source: &state.source,
+                    v_n: (!state.caps.is_empty()).then_some(&state.v[..]),
                 }),
                 Deadline::NONE,
             )?;
@@ -836,16 +855,15 @@ fn remap_step(step: usize) -> impl FnOnce(SolverError) -> SessionError {
 
 /// Rejects a waveform sample containing negative or non-finite currents.
 fn validate_sample(step: usize, loads: &[f64]) -> Result<(), SessionError> {
-    for (i, &a) in loads.iter().enumerate() {
-        if !a.is_finite() || a < 0.0 {
-            return Err(SolverError::Unsupported {
-                what: format!(
-                    "waveform step {step} produced load {a} A at node {i}; \
-                     loads must be finite, non-negative currents"
-                ),
-            }
-            .into());
+    if let Some(i) = first_invalid(loads) {
+        return Err(SolverError::Unsupported {
+            what: format!(
+                "waveform step {step} produced load {} A at node {i}; \
+                 loads must be finite, non-negative currents",
+                loads[i]
+            ),
         }
+        .into());
     }
     Ok(())
 }

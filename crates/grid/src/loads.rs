@@ -3,7 +3,8 @@
 //! The paper attaches "an independent current source … to simulate a device
 //! or a group of devices" to every non-TSV node (TSV sites have keep-out
 //! zones). These profiles generate such load vectors deterministically from
-//! a seed.
+//! a seed, and [`first_invalid`] is the one check every load vector entering
+//! a stack, a batch or a transient step passes.
 
 use crate::rng::SmallRng;
 
@@ -110,9 +111,56 @@ impl LoadProfile {
     }
 }
 
+/// The index of the first entry of `loads` that is not a finite,
+/// non-negative current (NaN, ±∞, or below zero; `-0.0` is accepted), or
+/// `None` when every entry is one.
+///
+/// The common all-valid case costs one branch-free pass that vectorizes;
+/// only a failing vector pays for the search of the first bad index.
+pub fn first_invalid(loads: &[f64]) -> Option<usize> {
+    let valid = |a: f64| (0.0..f64::INFINITY).contains(&a);
+    if loads.iter().fold(true, |ok, &a| ok & valid(a)) {
+        return None;
+    }
+    loads.iter().position(|&a| !valid(a))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_invalid_rejects_exactly_non_finite_or_negative() {
+        let subnormal = f64::from_bits(1);
+        assert!(subnormal > 0.0 && !subnormal.is_normal());
+        for good in [-0.0, 0.0, subnormal, f64::MIN_POSITIVE, 1e-4, f64::MAX] {
+            assert_eq!(first_invalid(&[1e-4, good, 2e-4]), None, "{good:e}");
+        }
+        for bad in [
+            -f64::MIN_POSITIVE,
+            -subnormal,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            // The historical rule, `!a.is_finite() || a < 0.0`, rejects
+            // the same set.
+            assert!(!bad.is_finite() || bad < 0.0);
+            assert_eq!(first_invalid(&[1e-4, 0.0, bad, 2e-4]), Some(2), "{bad:e}");
+        }
+        // The first bad index is named, however many follow it, and
+        // vectors of any length (the vectorized pass has a tail) are
+        // checked to the end.
+        assert_eq!(first_invalid(&[1.0, -1.0, f64::NAN, -2.0]), Some(1));
+        assert_eq!(first_invalid(&[]), None);
+        for len in 1..40 {
+            let mut v = vec![1e-3; len];
+            assert_eq!(first_invalid(&v), None);
+            v[len - 1] = f64::NAN;
+            assert_eq!(first_invalid(&v), Some(len - 1));
+        }
+    }
 
     fn mask_with_tsv_at(width: usize, height: usize, sites: &[(usize, usize)]) -> Vec<bool> {
         let mut m = vec![false; width * height];

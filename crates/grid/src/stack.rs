@@ -1,4 +1,4 @@
-use crate::{GridError, LoadProfile};
+use crate::{loads::first_invalid, GridError, LoadProfile};
 
 /// Which supply net of the power delivery network is being analyzed.
 ///
@@ -239,10 +239,11 @@ impl Stack3d {
                 value: loads.len(),
             });
         }
-        for (node, &a) in loads.iter().enumerate() {
-            if !a.is_finite() || a < 0.0 {
-                return Err(GridError::InvalidLoad { node, amps: a });
-            }
+        if let Some(node) = first_invalid(&loads) {
+            return Err(GridError::InvalidLoad {
+                node,
+                amps: loads[node],
+            });
         }
         self.loads = loads;
         Ok(())
@@ -653,10 +654,11 @@ impl StackBuilder {
             (None, Some((profile, seed))) => profile.generate(w, h, self.tiers, &tsv_mask, seed),
             (None, None) => vec![0.0; n],
         };
-        for (node, &a) in loads.iter().enumerate() {
-            if !a.is_finite() || a < 0.0 {
-                return Err(GridError::InvalidLoad { node, amps: a });
-            }
+        if let Some(node) = first_invalid(&loads) {
+            return Err(GridError::InvalidLoad {
+                node,
+                amps: loads[node],
+            });
         }
 
         for (what, c) in [("grid", self.c_grid), ("pad", self.c_pad)] {

@@ -1,16 +1,16 @@
 //! End-to-end validation of the true transient engine
 //! (`Session::transient_dynamic`): companion models against closed-form
 //! RC exponentials, integration-order checks, cross-backend agreement
-//! against a direct companion-system reference, prefactor-reuse
-//! accounting, step-size-change determinism, and mid-waveform deadline
-//! cancellation.
+//! against a direct companion-system reference, accuracy at default
+//! parameters, warm-started steps, prefactor-reuse accounting,
+//! step-size-change determinism, and mid-waveform deadline cancellation.
 
 use std::time::Duration;
 
 use voltprop::{
-    Backend, Deadline, DirectCholesky, FnWaveform, Integrator, LinearSolver, NetKind, PwlWaveform,
-    Session, SessionError, SolveParams, SolverError, Stack3d, TraceSink, TransientParams,
-    TsvPattern, VpConfig,
+    Backend, Deadline, DirectCholesky, FnWaveform, Integrator, LinearSolver, LoadProfile, NetKind,
+    PwlWaveform, Session, SessionError, SolveParams, SolverError, Stack3d, TraceSink,
+    TransientParams, TsvPattern, VpConfig, Waveform,
 };
 
 /// A 2×2 single-tier stack with one free node: pads pin three corners at
@@ -174,6 +174,50 @@ fn integration_orders_hold_as_h_halves() {
     }
 }
 
+/// A direct backward-Euler reference: steps
+/// `(G + C/h) v_{n+1} = b_{n+1} + (C/h) v_n` exactly from the rail with a
+/// Cholesky solve of the companion system, returning every step's
+/// voltages, step-major.
+fn direct_be_reference(stack: &Stack3d, h: f64, wave: &mut dyn Waveform) -> Vec<f64> {
+    let nn = stack.num_nodes();
+    let steps = wave.steps();
+    let sys = stack.stamp_dynamic(NetKind::Power, 1.0 / h).unwrap();
+    let caps = stack.capacitances().unwrap();
+    let direct = DirectCholesky::new();
+    let mut v = vec![stack.vdd(); nn];
+    let mut loads = vec![0.0; nn];
+    let mut source = vec![0.0; nn];
+    let mut reference = Vec::with_capacity(steps * nn);
+    for s in 0..steps {
+        wave.sample(s, (s as f64 + 1.0) * h, &mut loads);
+        let mut shifted = stack.clone();
+        shifted.set_loads(loads.clone()).unwrap();
+        let shifted_sys = shifted.stamp_dynamic(NetKind::Power, 1.0 / h).unwrap();
+        let mut rhs = shifted_sys.rhs().to_vec();
+        for i in 0..nn {
+            source[i] = caps[i] / h * v[i];
+        }
+        for (ri, extra) in sys.restrict(&source).iter().enumerate() {
+            rhs[ri] += extra;
+        }
+        let x = direct.solve(sys.matrix(), &rhs).unwrap();
+        sys.expand_into(&x.x, stack.vdd(), &mut v);
+        reference.extend_from_slice(&v);
+    }
+    reference
+}
+
+/// The worst per-node, per-step gap between two step-major traces, with
+/// the step it occurs at.
+fn worst_gap(a: &[f64], b: &[f64], nn: usize) -> (f64, usize) {
+    assert_eq!(a.len(), b.len());
+    a.iter()
+        .zip(b)
+        .enumerate()
+        .map(|(i, (x, y))| ((x - y).abs(), i / nn))
+        .fold((0.0, 0), |w, g| if g.0 > w.0 { g } else { w })
+}
+
 /// A multi-tier grid with mixed capacitances: all three backends step the
 /// same companion system and agree with a direct Cholesky reference that
 /// steps `(G + C/h) v_{n+1} = b_{n+1} + (C/h) v_n` exactly.
@@ -194,33 +238,7 @@ fn backends_agree_with_direct_companion_reference() {
             .breakpoint(0.0, 0.0)
             .breakpoint(10.0 * h, 1.0)
     };
-
-    // Direct reference: factor the companion matrix once, step exactly.
-    let sys = stack.stamp_dynamic(NetKind::Power, 1.0 / h).unwrap();
-    let direct = DirectCholesky::new();
-    let mut v = vec![stack.vdd(); nn];
-    let mut loads = vec![0.0; nn];
-    let mut reference = Vec::with_capacity(steps * nn);
-    let mut wave = ramp();
-    use voltprop::Waveform;
-    for s in 0..steps {
-        wave.sample(s, (s as f64 + 1.0) * h, &mut loads);
-        let mut shifted = stack.clone();
-        shifted.set_loads(loads.clone()).unwrap();
-        let shifted_sys = shifted.stamp_dynamic(NetKind::Power, 1.0 / h).unwrap();
-        let mut rhs = shifted_sys.rhs().to_vec();
-        let caps = stack.capacitances().unwrap();
-        let mut source = vec![0.0; nn];
-        for i in 0..nn {
-            source[i] = caps[i] / h * v[i];
-        }
-        for (ri, extra) in sys.restrict(&source).iter().enumerate() {
-            rhs[ri] += extra;
-        }
-        let x = direct.solve(sys.matrix(), &rhs).unwrap();
-        sys.expand_into(&x.x, stack.vdd(), &mut v);
-        reference.extend_from_slice(&v);
-    }
+    let reference = direct_be_reference(&stack, h, &mut ramp());
 
     let params = tight();
     for (backend, tol) in [
@@ -306,6 +324,135 @@ fn step_size_change_reprefactors_deterministically() {
         )
         .unwrap();
     assert_eq!(report.refactors, 1);
+}
+
+/// Loads that move every step: up from a fifth of the stack's own to
+/// full over `steps / 2` steps, then down to two fifths.
+fn swing(stack: &Stack3d, steps: usize, h: f64) -> PwlWaveform {
+    PwlWaveform::new(stack.loads().to_vec(), steps, h)
+        .breakpoint(0.0, 0.2)
+        .breakpoint(0.5 * steps as f64 * h, 1.0)
+        .breakpoint(steps as f64 * h, 0.4)
+}
+
+/// At the session's default parameters (ε = 0.1 mV), VoltProp stays
+/// inside the paper's 0.5 mV budget at every node and every step: against
+/// the direct companion reference (backward Euler, a multi-tier decap
+/// stack) and against a tight Rb3d run (trapezoidal, sparse pads, where
+/// the coarse lattice correction runs inside every step). Each step
+/// starts from the previous one's answer, so an error a step leaves
+/// behind would carry into the next; this pins that it does not pile up.
+#[test]
+fn voltprop_at_default_params_stays_within_half_a_millivolt() {
+    const BUDGET: f64 = 5e-4;
+    let random = LoadProfile::UniformRandom {
+        min: 1e-5,
+        max: 1e-3,
+    };
+    let h = 2e-11;
+    let steps = 24;
+
+    let decap = Stack3d::builder(16, 16, 3)
+        .load_profile(random.clone(), 41)
+        .grid_capacitance(2e-13)
+        .decap(0, 5, 5, 2e-10)
+        .pad_capacitance(5e-13)
+        .build()
+        .unwrap();
+    let nn = decap.num_nodes();
+    let reference = direct_be_reference(&decap, h, &mut swing(&decap, steps, h));
+    let mut sink = TraceSink::with_capacity(steps, nn);
+    session_for(&decap)
+        .transient_dynamic(
+            &mut swing(&decap, steps, h),
+            &mut sink,
+            &TransientParams::new(&decap, h),
+        )
+        .unwrap();
+    let (worst, at) = worst_gap(sink.values(), &reference, nn);
+    assert!(
+        worst < BUDGET,
+        "backward Euler drifts {worst} V from the direct reference at step {at}"
+    );
+
+    let sparse = Stack3d::builder(16, 16, 3)
+        .pad_lattice(4)
+        .load_profile(random, 42)
+        .grid_capacitance(2e-13)
+        .decap(1, 6, 6, 2e-10)
+        .build()
+        .unwrap();
+    let nn = sparse.num_nodes();
+    let mut session = session_for(&sparse);
+    let mut run = |backend: Backend, params: SolveParams| -> Vec<f64> {
+        let mut sink = TraceSink::with_capacity(steps, nn);
+        let request = TransientParams::new(&sparse, h)
+            .integrator(Integrator::Trapezoidal)
+            .backend(backend)
+            .params(params);
+        session
+            .transient_dynamic(&mut swing(&sparse, steps, h), &mut sink, &request)
+            .unwrap();
+        sink.values().to_vec()
+    };
+    let reference = run(Backend::Rb3d, tight());
+    let voltprop = run(Backend::VoltProp, SolveParams::new());
+    let (worst, at) = worst_gap(&voltprop, &reference, nn);
+    assert!(
+        worst < BUDGET,
+        "trapezoidal on sparse pads drifts {worst} V from a tight Rb3d run at step {at}"
+    );
+}
+
+/// Summed solver iterations of a `steps`-step backward-Euler run whose
+/// loads ramp from half the stack's own to full over 20 steps.
+fn ramp_iterations(session: &mut Session, stack: &Stack3d, h: f64, steps: usize) -> usize {
+    let mut wave = PwlWaveform::new(stack.loads().to_vec(), steps, h)
+        .breakpoint(0.0, 0.5)
+        .breakpoint(20.0 * h, 1.0);
+    session
+        .transient_dynamic(
+            &mut wave,
+            &mut |_: usize, _: f64, _: &[f64]| {},
+            &TransientParams::new(stack, h),
+        )
+        .unwrap()
+        .solver_iterations
+}
+
+/// On a capacitive stack every VoltProp step after the first starts from
+/// the previous step's voltages, which are nearly its answer, so once
+/// step 0 has climbed from the rail a later step costs a fraction of it.
+/// Step 0 starts from the rail in both runs (it is the same solve), so
+/// `(c20 − c1) / 19` is the mean cost of steps 1–19.
+#[test]
+fn warm_steps_cost_a_fraction_of_the_first() {
+    let h = 2e-11;
+    let decap = Stack3d::builder(32, 32, 3)
+        .uniform_load(1e-4)
+        .grid_capacitance(2e-13)
+        .decap(0, 10, 10, 2e-10)
+        .pad_capacitance(5e-13)
+        .build()
+        .unwrap();
+    // Sparse pads: the coarse lattice correction runs in every step.
+    let sparse = Stack3d::builder(16, 16, 3)
+        .pad_lattice(4)
+        .uniform_load(1e-4)
+        .grid_capacitance(2e-13)
+        .decap(0, 5, 5, 2e-10)
+        .build()
+        .unwrap();
+    for (name, stack) in [("decap", &decap), ("sparse pads", &sparse)] {
+        let mut session = session_for(stack);
+        let c1 = ramp_iterations(&mut session, stack, h, 1);
+        let c20 = ramp_iterations(&mut session, stack, h, 20);
+        let later = (c20 - c1) as f64 / 19.0;
+        assert!(
+            later <= 0.5 * c1 as f64,
+            "{name}: steps 1-19 average {later} iterations against step 0's {c1}"
+        );
+    }
 }
 
 /// A stack with no capacitance degenerates to quasi-static stepping:
