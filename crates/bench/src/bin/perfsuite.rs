@@ -54,14 +54,14 @@
 //!   axpy/dot core, plus the warm per-RHS latency of a converging solve
 //!   at parallelism 2 — **asserting zero allocator calls** on the warm
 //!   batched sweeps and the warm solve;
-//! * row-band sharding: band-scaling per-sweep throughput of the
-//!   halo-exchanging sharded engine on a tier footprint that exceeds one
-//!   shard's cache, against the unsharded red-black pool path at the
-//!   same thread count — **asserting bitwise-identical** fixed-budget
-//!   states and **zero allocator calls** on every warm sharded pass —
+//! * row-band sharding: per-sweep throughput of engines asked for more
+//!   bands than threads on a tier footprint that exceeds one band's
+//!   cache, against the default 2-thread engine — **asserting
+//!   bitwise-identical** fixed-budget states against the one-thread
+//!   red-black slices and **zero allocator calls** on every warm pass —
 //!   plus the sharded-`Session` contract (warm single / batch /
-//!   transient requests at `shards = 2`: 0 allocs, bitwise equal to the
-//!   unsharded session, zero mid-loop re-prefactors);
+//!   transient requests at `shards = 4`: 0 allocs, bitwise equal to the
+//!   default parallelism-2 session, zero mid-loop re-prefactors);
 //! * the overload/admission path: bounded-wait `try_solve_for` shed
 //!   decision latency against a saturated one-slot pool (asserted close
 //!   to the configured wait — a shed must not dawdle), admission
@@ -1312,20 +1312,29 @@ fn kernels_block(edge: usize, k: usize, sweeps: usize, vec_len: usize) -> String
     )
 }
 
-/// The row-band sharding experiment: band-scaling throughput of the
-/// sharded engine on a tier footprint that exceeds one shard's cache,
-/// against the unsharded red-black pool path at the same thread count
-/// (both sides pay the atomic-image copy, so the ratio isolates the
-/// halo-exchange and barrier overhead). Fixed sweep budgets from the
-/// same start vector must leave **bitwise identical** states — the
-/// `BuildParams::shards` determinism contract, asserted here on the
-/// bench geometry and pinned across backends by `tests/sharding.rs` —
-/// and every warm sharded pass must make **zero allocator calls**.
+/// The row-band sharding experiment: per-sweep throughput of engines
+/// asked for more bands than threads (`shard_counts`, all above the 2
+/// threads) on a tier footprint that exceeds one band's cache, against
+/// the default 2-thread engine, which sweeps one band per thread. Every
+/// parallel engine runs the same band job, so the ratio isolates the
+/// cost of the extra bands' halo pushes. Fixed sweep budgets from the
+/// same start vector must leave states **bitwise identical** to the
+/// one-thread red-black slices — the `BuildParams::shards` determinism
+/// contract, asserted here on the bench geometry and pinned across
+/// backends by `tests/sharding.rs` — and every warm pass must make
+/// **zero allocator calls**.
 ///
 /// The session half re-asserts both contracts at the `Session` layer:
-/// warm single, batch, and true-transient requests on a `shards = 2`
-/// session (0 allocs, bitwise equal to the unsharded session, zero
-/// mid-loop re-prefactors).
+/// warm single, batch, and true-transient requests on a `shards = 4`
+/// session against the default parallelism-2 session (two partitions:
+/// 4 bands against 2; 0 allocs, bitwise equal, zero mid-loop
+/// re-prefactors).
+///
+/// The JSON keeps its field names: `unsharded_redblack_ns_per_sweep` is
+/// the default 2-thread engine, `throughput_shards2_vs_unsharded` the
+/// first listed band count (two bands per thread) against it,
+/// `bitwise_identical_vs_unsharded` the check against the one-thread
+/// slices, and the `session_*` fields the `shards = 4` session.
 #[allow(clippy::too_many_arguments)] // one committed experiment, two geometries
 fn sharding_block(
     edge: usize,
@@ -1339,14 +1348,14 @@ fn sharding_block(
     transient_steps: usize,
 ) -> String {
     eprintln!("row-band sharding {edge}x{edge} ({sweeps} sweeps, shards {shard_counts:?})...");
+    const SESSION_SHARDS: usize = 4;
     let fixture = TierFixture::new(edge);
     let threads = 2usize;
     let footprint_mb = (fixture.v0.len() * 8) as f64 / (1024.0 * 1024.0);
 
-    // One engine per configuration: the unsharded red-black pool path
-    // first (the reference), then each shard count through the sharded
-    // constructor (shards = 1 builds no halo machinery and is asserted
-    // to cost nothing). All configurations are timed through the same
+    // One engine per configuration: the default 2-thread engine first
+    // (the throughput reference), then each band count through the
+    // sharded constructor. All configurations are timed through the same
     // loop with interleaved passes, keeping each one's fastest — the
     // scheduler-drift guard the pool block uses, applied across the
     // whole comparison so no side gets a quieter slice of the host.
@@ -1367,22 +1376,21 @@ fn sharding_block(
         );
     }
     // Warm every engine (pool workers, halo images, page faults) and
-    // capture its fixed-budget final state for the bitwise assertion.
+    // check its fixed-budget final state against the one-thread slices.
+    let mut reference = fixture.v0.clone();
+    let _ = fixture
+        .engine(SweepSchedule::RedBlack { threads: 1 })
+        .solve(&fixture.injection, &mut reference, 0.0, sweeps);
     let mut v = fixture.v0.clone();
-    let mut finals: Vec<Vec<f64>> = Vec::with_capacity(engines.len());
-    for engine in engines.iter_mut() {
+    for (engine, shards) in engines.iter_mut().zip([1].iter().chain(shard_counts)) {
         v.copy_from_slice(&fixture.v0);
         let _ = engine.solve(&fixture.injection, &mut v, 0.0, sweeps);
-        finals.push(v.clone());
-    }
-    for (i, &shards) in shard_counts.iter().enumerate() {
         assert!(
-            finals[i + 1]
-                .iter()
-                .zip(&finals[0])
+            v.iter()
+                .zip(&reference)
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "shards {shards}: fixed-budget sharded state must be bitwise \
-             identical to the unsharded red-black state"
+            "shards {shards}: fixed-budget state must be bitwise identical \
+             to the one-thread red-black state"
         );
     }
     // Short 4-sweep chunks, many interleaved passes, and a rotated
@@ -1406,6 +1414,10 @@ fn sharding_block(
     let timed_sweeps = chunk * passes;
     let unsharded_ns = best[0];
     let mut band_lines = Vec::new();
+    assert_eq!(
+        allocs[0], 0,
+        "warm 2-thread sweeps must make zero allocator calls"
+    );
     let mut shards2_ratio = f64::NAN;
     for (i, &shards) in shard_counts.iter().enumerate() {
         let (ns, config_allocs) = (best[i + 1], allocs[i + 1]);
@@ -1414,7 +1426,7 @@ fn sharding_block(
             "shards {shards}: warm sharded sweeps must make zero allocator calls"
         );
         let ratio = unsharded_ns / ns;
-        if shards == 2 {
+        if i == 0 {
             shards2_ratio = ratio;
         }
         band_lines.push(format!(
@@ -1425,9 +1437,9 @@ fn sharding_block(
         ));
     }
 
-    // Session layer: a shards = 2 session must serve warm single, batch,
+    // Session layer: a shards = 4 session must serve warm single, batch,
     // and transient requests with zero allocator calls and reproduce the
-    // unsharded session bitwise.
+    // default parallelism-2 session (2 bands) bitwise.
     eprintln!("sharded session {w}x{h}x{tiers} (batch {k}, transient {transient_steps})...");
     let stack = Stack3d::builder(w, h, tiers)
         .uniform_load(2e-4)
@@ -1436,8 +1448,11 @@ fn sharding_block(
     let loads = sweep_loads(&stack, k);
     let mut base =
         Session::build(&stack, VpConfig::new().parallelism(threads)).expect("session builds");
-    let mut sharded = Session::build(&stack, VpConfig::new().parallelism(threads).shards(2))
-        .expect("sharded session builds");
+    let mut sharded = Session::build(
+        &stack,
+        VpConfig::new().parallelism(threads).shards(SESSION_SHARDS),
+    )
+    .expect("sharded session builds");
     let case = LoadCase::new(&stack);
     let set = LoadSet::new(&stack, &loads);
 
@@ -1513,8 +1528,11 @@ fn sharding_block(
     };
     let mut tbase =
         Session::build(&tstack, VpConfig::new().parallelism(threads)).expect("session builds");
-    let mut tsharded = Session::build(&tstack, VpConfig::new().parallelism(threads).shards(2))
-        .expect("sharded session builds");
+    let mut tsharded = Session::build(
+        &tstack,
+        VpConfig::new().parallelism(threads).shards(SESSION_SHARDS),
+    )
+    .expect("sharded session builds");
     let mut base_sink = TraceSink::with_capacity(transient_steps, tnn);
     run_transient(&mut tbase, &mut base_sink);
     let mut sink = TraceSink::with_capacity(transient_steps, tnn);
@@ -1545,7 +1563,7 @@ fn sharding_block(
          \"bands\": [\n{}\n    ],\n    \
          \"throughput_shards2_vs_unsharded\": {},\n    \
          \"bitwise_identical_vs_unsharded\": {},\n    \
-         \"session_grid\": \"{w}x{h}x{tiers}\",\n    \"session_shards\": 2,\n    \
+         \"session_grid\": \"{w}x{h}x{tiers}\",\n    \"session_shards\": {SESSION_SHARDS},\n    \
          \"session_single_warm_ms\": {},\n    \
          \"session_batch_warm_ms\": {},\n    \
          \"session_single_warm_alloc_calls\": {single_allocs},\n    \
@@ -1721,25 +1739,16 @@ fn main() {
         vec![overload_block(128, 128, 3, 25, 120)]
     };
 
-    // The row-band sharding trajectory: band-scaling throughput on a
-    // tier footprint that exceeds one shard's cache, bitwise-asserted
-    // against the unsharded red-black path, plus the zero-allocation
-    // sharded-session contract (single / batch / transient). The quick
-    // run is the CI smoke for both contracts.
+    // The row-band sharding trajectory: throughput at band counts above
+    // the 2 threads on a tier footprint that exceeds one band's cache,
+    // against the default 2-thread engine and bitwise-asserted against
+    // the one-thread slices, plus the zero-allocation sharded-session
+    // contract (single / batch / transient). The quick run is the CI
+    // smoke for both contracts.
     let sharding_blocks = if quick {
-        vec![sharding_block(1024, &[1, 2, 4], 12, 8, 96, 96, 4, 8, 40)]
+        vec![sharding_block(1024, &[4], 12, 8, 96, 96, 4, 8, 40)]
     } else {
-        vec![sharding_block(
-            2048,
-            &[1, 2, 4, 8],
-            10,
-            40,
-            256,
-            256,
-            8,
-            8,
-            200,
-        )]
+        vec![sharding_block(2048, &[4, 8], 10, 40, 256, 256, 8, 8, 200)]
     };
 
     // The vectorized-kernel bandwidth trajectory: effective GB/s of the

@@ -58,8 +58,10 @@ pub struct VpConfig {
     /// parallel solves stay allocation-free. Red-black results are
     /// deterministic in the thread count.
     pub parallelism: usize,
-    /// Row-band shards per tier for the inner sweeps (see
-    /// [`BuildParams::shards`]). `0` and `1` both mean unsharded.
+    /// The least row-band count per tier for the inner sweeps; each tier
+    /// sweeps `max(shards, parallelism)` bands (see
+    /// [`BuildParams::shards`]). `0` and `1` both mean one band per
+    /// thread.
     pub shards: usize,
 }
 
@@ -129,8 +131,8 @@ impl VpConfig {
         self
     }
 
-    /// Sets the per-tier row-band shard count (`0` and `1` both mean
-    /// unsharded; see [`BuildParams::shards`]).
+    /// Sets the least per-tier row-band count (`0` and `1` both mean one
+    /// band per thread; see [`BuildParams::shards`]).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -186,29 +188,31 @@ pub struct BuildParams {
     /// Worker threads for the inner row sweeps (see
     /// [`VpConfig::parallelism`]).
     pub parallelism: usize,
-    /// Row-band shards per tier: each tier footprint is split along the
-    /// y-axis into this many contiguous bands with 1-row halos, and
-    /// every inner sweep runs per band against a private halo-extended
-    /// voltage image, exchanging the halos between the red and black
-    /// half-sweeps. The buffers are built once at
+    /// The least row-band count per tier. Whenever `max(shards,
+    /// parallelism) >= 2`, each tier footprint is split along the y-axis
+    /// into that many contiguous bands (clamped to the tier height) with
+    /// 1-row halos, and every inner sweep runs per band against a
+    /// private halo-extended voltage image, pushing the halos between
+    /// the red and black half-sweeps. So `shards` at or below
+    /// `parallelism` changes nothing: every parallel session already
+    /// sweeps one band per thread. The images are built once at
     /// [`Session::build`](crate::Session::build), so single, batched,
-    /// and transient solves all run sharded with no warm allocator
-    /// calls. `0` and `1` both mean unsharded; the count is clamped to
-    /// the tier height.
+    /// and transient solves all run banded with no warm allocator
+    /// calls. `0` and `1` both mean one band per thread.
     ///
     /// # Determinism contract
     ///
-    /// Sharding restructures dispatch and memory layout, never
+    /// Banding restructures dispatch and memory layout, never
     /// arithmetic. `shards >= 2` forces the red-black sweep schedule
     /// (keeping `parallelism` as the thread count), and on that schedule
     /// the row-based routes — single solves, masked/compacted batches,
     /// transient steps — produce **bitwise identical**
-    /// voltages, iteration counts, and residuals at every shard count
-    /// and thread count: per-sweep convergence deltas are reduced across
-    /// shards in shard order with exact `f64::max` folds, so lane
-    /// freezing cannot depend on the partition. The PCG backend has no
-    /// row structure to shard; it accepts the knob, runs unsharded, and
-    /// keeps its usual tolerance contract.
+    /// voltages, iteration counts, and residuals at every band count
+    /// and thread count: per-sweep convergence deltas are folded with
+    /// exact `f64::max`, so lane freezing cannot depend on the
+    /// partition. The PCG backend has no row structure to band; it
+    /// accepts the knob, runs unbanded, and keeps its usual tolerance
+    /// contract.
     pub shards: usize,
 }
 
@@ -234,8 +238,8 @@ impl BuildParams {
         self
     }
 
-    /// Sets the per-tier row-band shard count (`0` and `1` both mean
-    /// unsharded; see [`BuildParams::shards`] for the determinism
+    /// Sets the least per-tier row-band count (`0` and `1` both mean one
+    /// band per thread; see [`BuildParams::shards`] for the determinism
     /// contract).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);

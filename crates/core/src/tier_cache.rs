@@ -34,9 +34,9 @@ pub(crate) struct CachedTier {
 
 impl CachedTier {
     /// Builds the cache for a tier with the given (shared) pin mask,
-    /// inner-sweep thread count, and row-band shard count (`shards >= 2`
-    /// sweeps per band against halo-extended images; see
-    /// [`TierEngine::new_sharded`]).
+    /// inner-sweep thread count, and least row-band count: with
+    /// `max(shards, parallelism) >= 2` the tier sweeps that many bands
+    /// against halo-extended images (see [`TierEngine::new_sharded`]).
     ///
     /// # Errors
     ///

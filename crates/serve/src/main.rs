@@ -22,6 +22,10 @@
 //! well-behaved requests). The `VOLTPROP_CHAOS` environment variable (or
 //! `--chaos`) overrides the soak's default fault mix and enables chaos
 //! for the plain serving mode.
+//!
+//! The flags are strict: `--help` prints the usage and exits 0; an
+//! unknown flag, a missing or invalid value, or `--smoke` with `--soak`
+//! prints the error and the usage and exits 2, before anything starts.
 
 use std::io::{BufRead, BufReader, Write};
 use std::time::{Duration, Instant};
@@ -29,6 +33,24 @@ use std::time::{Duration, Instant};
 use voltprop_serve::{
     json::Json, serve, ChaosConfig, Client, ServeConfig, ServeStats, ServerHandle,
 };
+
+/// The command-line help.
+const USAGE: &str = "usage: voltprop-serve [--port N] [--slots N] [--parallelism N]
+                      [--max-connections N] [--registry-bytes N]
+                      [--deadline-default-ms N] [--checkout-wait-ms N]
+                      [--max-rps N] [--chaos drop=F,truncate=F,slow=F,slow_ms=N,breakdown=F,seed=N]
+       voltprop-serve --smoke [--clients N] [...]
+       voltprop-serve --soak [--seconds N] [--clients N] [...]
+
+Defaults: --port 7317 --slots 4 --parallelism 1 --max-connections 64
+          --checkout-wait-ms 250; registry bytes unbounded; no default
+          deadline; no rate limit; chaos off (VOLTPROP_CHAOS overrides).";
+
+/// Prints `msg` and the usage to stderr and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n\n{USAGE}");
+    std::process::exit(2);
+}
 
 fn main() {
     let mut port: u16 = 7317;
@@ -42,10 +64,8 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {arg} needs a {what} argument");
-                std::process::exit(2);
-            })
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a {what} argument")))
         };
         match arg.as_str() {
             "--port" => port = parse(&value("port"), "--port"),
@@ -68,39 +88,21 @@ fn main() {
             "--max-rps" => config.max_rps_per_conn = parse(&value("count"), "--max-rps"),
             "--chaos" => match ChaosConfig::parse(&value("spec")) {
                 Ok(chaos) => chaos_flag = Some(chaos),
-                Err(what) => {
-                    eprintln!("error: invalid --chaos spec: {what}");
-                    std::process::exit(2);
-                }
+                Err(what) => usage_error(&format!("invalid --chaos spec: {what}")),
             },
             "--clients" => clients = parse_positive(&value("count"), "--clients"),
             "--seconds" => seconds = parse_positive(&value("count"), "--seconds") as u64,
             "--smoke" => smoke = true,
             "--soak" => soak = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: voltprop-serve [--port N] [--slots N] [--parallelism N]\n\
-                     \x20                     [--max-connections N] [--registry-bytes N]\n\
-                     \x20                     [--deadline-default-ms N] [--checkout-wait-ms N]\n\
-                     \x20                     [--max-rps N] [--chaos drop=F,truncate=F,slow=F,slow_ms=N,breakdown=F,seed=N]\n\
-                     \x20      voltprop-serve --smoke [--clients N] [...]\n\
-                     \x20      voltprop-serve --soak [--seconds N] [--clients N] [...]\n\
-                     \n\
-                     Defaults: --port 7317 --slots 4 --parallelism 1 --max-connections 64\n\
-                     \x20         --checkout-wait-ms 250; registry bytes unbounded; no default\n\
-                     \x20         deadline; no rate limit; chaos off (VOLTPROP_CHAOS overrides)."
-                );
+                println!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("error: unknown argument {other:?} (try --help)");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
     if smoke && soak {
-        eprintln!("error: --smoke and --soak are mutually exclusive");
-        std::process::exit(2);
+        usage_error("--smoke and --soak are mutually exclusive");
     }
 
     // Precedence: explicit --chaos flag, then VOLTPROP_CHAOS, then off
@@ -158,10 +160,8 @@ fn main() {
 }
 
 fn parse<T: std::str::FromStr>(text: &str, flag: &str) -> T {
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid value {text:?} for {flag}");
-        std::process::exit(2);
-    })
+    text.parse()
+        .unwrap_or_else(|_| usage_error(&format!("invalid value {text:?} for {flag}")))
 }
 
 /// Like [`parse`] for counts where zero makes no sense (zero slots can
@@ -169,8 +169,7 @@ fn parse<T: std::str::FromStr>(text: &str, flag: &str) -> T {
 fn parse_positive(text: &str, flag: &str) -> usize {
     let n: usize = parse(text, flag);
     if n == 0 {
-        eprintln!("error: {flag} must be positive, got 0");
-        std::process::exit(2);
+        usage_error(&format!("{flag} must be positive, got 0"));
     }
     n
 }

@@ -15,24 +15,32 @@
 //!    (even rows red, odd rows black) every red row can be solved
 //!    simultaneously while the black rows are frozen, and vice versa.
 //!    The [`SweepSchedule::RedBlack`] schedule exploits this to run row
-//!    solves across OS threads; voltages live in an atomic buffer during
-//!    the parallel solve, and barriers separate the two color phases.
+//!    solves across OS threads, each sweeping its own row bands, with
+//!    barriers separating the two color phases.
+//!
+//! # Two execution paths
+//!
+//! An engine picks its path once, at construction:
+//!
+//! * **The single-thread slices** (one thread, no sharding): the
+//!   sequential or red-black sweep runs in place on the caller's vector.
+//! * **The band job** (two or more threads, or two or more shards): the
+//!   tier is split into row bands that sweep inside private
+//!   halo-extended images on the persistent [`WorkerPool`] (see *Row
+//!   bands* below).
 //!
 //! # One solve path: a scalar solve is a batch of one
 //!
 //! [`TierEngine::solve`], [`TierEngine::solve_with_omega`] and the
-//! multi-threaded [`TierEngine::sweep_once`] run as one-lane batched
-//! solves on every path, keeping the scalar error semantics (an
-//! exhausted budget is [`SolverError::DidNotConverge`]). A one-lane
-//! batch never stages rows through the lane-blocked kernels: on one
-//! thread it sweeps the plain image with the scalar per-segment loop,
-//! and inside a parallel job the batched segment dispatch hands `k = 1`
-//! straight to the scalar kernel. Each multi-threaded engine keeps an
-//! eagerly built one-lane pool job beside the lazily sized job for
-//! wider batches, so alternating single and batched requests never
-//! rebuild a job. There is no separate scalar parallel job: three
-//! execution paths remain — the single-threaded slice sweeps and the
-//! red-black and sharded pool jobs.
+//! band-job [`TierEngine::sweep_once`] run as one-lane batched solves,
+//! keeping the scalar error semantics (an exhausted budget is
+//! [`SolverError::DidNotConverge`]). A one-lane batch never stages rows
+//! through the lane-blocked kernels: on one thread it sweeps the plain
+//! image with the scalar per-segment loop, and inside the band job the
+//! batched segment dispatch hands `k = 1` straight to the scalar kernel.
+//! Each band engine keeps an eagerly built one-lane job beside the
+//! lazily sized job for wider batches, so alternating single and
+//! batched requests never rebuild a job.
 //!
 //! # Pool lifecycle
 //!
@@ -106,23 +114,32 @@
 //! are independent, so this is invisible too. The scalar kernel uses
 //! the same fused forms, preserving the batch ≡ scalar contract.
 //!
-//! # Row-band sharding
+//! # Row bands
 //!
-//! [`TierEngine::new_sharded`] splits the tier into contiguous row bands
-//! (a [`ShardPlan`]) with 1-row halos. Each shard sweeps its owned rows
-//! inside a **private halo-extended voltage buffer** instead of the one
-//! global image; between the red and black half-sweeps, each shard
-//! refreshes its halo rows of the just-updated color from the owning
-//! neighbour's buffer. Because a red row reads only frozen odd rows (and
-//! vice versa), the exchanged rows are exactly the values the unsharded
-//! red-black sweep would read — sharding is a restructuring of dispatch
-//! and memory layout, not of arithmetic, and results are **bitwise
-//! identical to the unsharded red-black engine at every shard count and
-//! thread count**. Convergence deltas are reduced across shards in shard
-//! order with `f64::max` (exact), so per-lane freezing is partition-
-//! invariant too. Scalar solves run through the same job as one-lane
-//! batches (the batch-of-1 ≡ solo contract above), so single, batched,
-//! and sweep-once paths share one sharded code path.
+//! The band job splits the tier into `max(shards, threads)` contiguous
+//! row bands (a [`ShardPlan`], clamped to the tier height) with 1-row
+//! halos, and hands each pool thread an equal share of contiguous
+//! bands, at least one. Each band sweeps its owned rows
+//! inside a **private halo-extended voltage image**. A sweep waits at
+//! three barriers:
+//!
+//! 1. after the red half-sweep and its **push**: each band writes its
+//!    boundary rows of the color it just swept into the halo images of
+//!    the neighbours that read them;
+//! 2. after the black half-sweep, its push, and each thread's store of
+//!    its per-lane deltas;
+//! 3. after thread 0 folds the deltas and freezes converged lanes.
+//!
+//! The push needs no barrier of its own. A red row reads only black rows
+//! and vice versa, so a band reads a halo row only in the *other*
+//! color's half-sweep, after the barrier that ends the push; and a band
+//! never writes its own halo rows, only its neighbours'. The halo rows
+//! therefore hold exactly the values the one-image red-black sweep
+//! reads: banding restructures dispatch and memory layout, not
+//! arithmetic, and results are **bitwise identical to the single-thread
+//! red-black slices at every band and thread count**. Convergence deltas
+//! fold with `f64::max` (exact), so per-lane freezing is
+//! partition-invariant too.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -242,24 +259,20 @@ fn choose_batch_kernel(active: usize, lanes: usize, compaction: bool) -> BatchKe
 }
 
 /// The immutable per-tier structure shared between the engine and its
-/// pool jobs: geometry, factors, and the per-thread work partition.
+/// pool jobs: geometry and factors.
 #[derive(Debug)]
 struct Topo {
     width: usize,
     height: usize,
     g_h: f64,
     g_v: f64,
-    threads: usize,
     fixed: Arc<[bool]>,
     /// All segments in natural (row-major) order.
     segments: Vec<Segment>,
-    /// Indices into `segments` for even (red) and odd (black) rows.
+    /// Indices into `segments` for even (red) and odd (black) rows,
+    /// ascending, so a row band's segments of one color are one range.
     red_idx: Vec<u32>,
     black_idx: Vec<u32>,
-    /// Per-thread index ranges into `red_idx` / `black_idx`, balanced by
-    /// node count.
-    red_chunks: Vec<Range<usize>>,
-    black_chunks: Vec<Range<usize>>,
     factors: FactoredSegments,
 }
 
@@ -272,7 +285,6 @@ impl Topo {
         use std::mem::size_of;
         self.segments.len() * size_of::<Segment>()
             + (self.red_idx.len() + self.black_idx.len()) * size_of::<u32>()
-            + (self.red_chunks.len() + self.black_chunks.len()) * size_of::<Range<usize>>()
             + self.factors.memory_bytes()
             + self.fixed.len()
     }
@@ -288,16 +300,14 @@ struct BatchInput {
     max_sweeps: usize,
 }
 
-/// The per-solve inputs and per-lane bookkeeping both parallel jobs
-/// share: the staged right-hand sides, which lanes still sweep, every
-/// lane's outcome, and the job status. The dispatching engine writes it
-/// before a job starts; while the job runs, thread 0 is its only writer.
+/// The band job's per-solve inputs and per-lane bookkeeping: the staged
+/// right-hand sides, which lanes still sweep, every lane's outcome, and
+/// the job status. The dispatching engine writes it before a job starts;
+/// while the job runs, thread 0 is its only writer.
 #[derive(Debug)]
 struct LaneSlots {
     input: RwLock<BatchInput>,
-    /// `parts × k` per-sweep delta slots (`parts` is the thread count of
-    /// the red-black job, the shard count of the sharded one), reduced
-    /// over the parts in order.
+    /// `threads × k` per-sweep delta slots, reduced over the threads.
     deltas: Vec<AtomicU64>,
     /// Per-lane active flags.
     active: Vec<AtomicBool>,
@@ -316,7 +326,7 @@ struct LaneSlots {
 }
 
 impl LaneSlots {
-    fn new(n: usize, k: usize, parts: usize, threads: usize) -> Self {
+    fn new(n: usize, k: usize, threads: usize) -> Self {
         LaneSlots {
             input: RwLock::new(BatchInput {
                 injection: vec![0.0; n * k],
@@ -324,7 +334,7 @@ impl LaneSlots {
                 tolerance: 0.0,
                 max_sweeps: 0,
             }),
-            deltas: (0..parts * k).map(|_| AtomicU64::new(0)).collect(),
+            deltas: (0..threads * k).map(|_| AtomicU64::new(0)).collect(),
             active: (0..k).map(|_| AtomicBool::new(true)).collect(),
             active_ids: (0..k).map(|_| AtomicU32::new(0)).collect(),
             n_active: AtomicUsize::new(0),
@@ -337,7 +347,6 @@ impl LaneSlots {
             barrier: Barrier::new(threads),
         }
     }
-
     /// Stages one solve: its inputs and every lane's starting state.
     /// Returns the number of lanes that will sweep.
     fn publish(
@@ -410,15 +419,16 @@ impl LaneSlots {
     }
 
     /// Thread 0's end-of-sweep step: folds each live lane's deltas over
-    /// the `parts` slots in order (`f64::max`, exact), freezes the lanes
-    /// that met the tolerance, and sets the job status. Freezing — and so
-    /// every lane's iterate — therefore cannot depend on the thread or
-    /// shard count. It writes only what changed: a lane's outcome when it
+    /// the threads' slots (`f64::max`, exact), freezes the lanes that met
+    /// the tolerance, and sets the job status. Freezing — and so every
+    /// lane's iterate — therefore cannot depend on the thread or band
+    /// count. It writes only what changed: a lane's outcome when it
     /// freezes or the job ends, the active list when a lane froze. The
     /// other workers read these slots every sweep, and a store to them
     /// would cost each worker a cache miss per sweep — what a one-lane
     /// job on a small tier cannot afford.
-    fn reduce(&self, k: usize, parts: usize, tolerance: f64, max_sweeps: usize) {
+    fn reduce(&self, k: usize, tolerance: f64, max_sweeps: usize) {
+        let parts = self.deltas.len() / k;
         let sweep = self.sweeps_done.fetch_add(1, Ordering::Relaxed) + 1;
         let last = sweep >= max_sweeps;
         let (mut live, mut froze) = (0usize, false);
@@ -477,353 +487,167 @@ impl LaneSlots {
     }
 }
 
-/// A parallel pool job the engine stages solves into: its lane slots
-/// plus how it loads the caller's node-major image and stores the
-/// solution back.
-trait LaneJob: PoolJob + 'static {
-    fn slots(&self) -> &LaneSlots;
-    /// Copies `v` into the job's atomic image.
-    fn load(&self, v: &[f64]);
-    /// Copies the job's solved image back into `v`.
-    fn store(&self, v: &mut [f64]);
-}
-
-/// The pool job of a parallel red-black solve, sized for a fixed lane
-/// count `k`. Every multi-threaded unsharded engine builds a `k = 1` job
-/// eagerly (scalar solves and sweeps) and a wider one on demand.
+/// One row band: its owned and halo-extended rows, and its owned
+/// segments of each color as ranges into `Topo::red_idx` /
+/// `Topo::black_idx`.
 #[derive(Debug)]
-struct BatchShared {
-    topo: Arc<Topo>,
-    k: usize,
-    slots: LaneSlots,
-    /// Atomic voltage image (`n * k` slots, node-major/lane-minor).
-    atomic_v: Vec<AtomicU64>,
-}
-
-impl BatchShared {
-    fn new(topo: Arc<Topo>, k: usize) -> Self {
-        let n = topo.n();
-        let threads = topo.threads;
-        BatchShared {
-            slots: LaneSlots::new(n, k, threads, threads),
-            atomic_v: (0..n * k).map(|_| AtomicU64::new(0)).collect(),
-            topo,
-            k,
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.slots.memory_bytes() + self.atomic_v.len() * std::mem::size_of::<AtomicU64>()
-    }
-}
-
-impl LaneJob for BatchShared {
-    fn slots(&self) -> &LaneSlots {
-        &self.slots
-    }
-
-    fn load(&self, v: &[f64]) {
-        for (slot, &x) in self.atomic_v.iter().zip(v) {
-            slot.store(x.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    fn store(&self, v: &mut [f64]) {
-        for (slot, x) in self.atomic_v.iter().zip(v) {
-            *x = f64::from_bits(slot.load(Ordering::Relaxed));
-        }
-    }
-}
-
-/// The per-thread loop of a parallel red-black solve. Every sweep costs
-/// four barrier waits: red→black, black→delta-publish, publish→reduce,
-/// reduce→next sweep; thread 0 reduces the per-lane deltas between
-/// sweeps (see [`LaneSlots::reduce`]).
-impl PoolJob for BatchShared {
-    fn run(&self, tid: usize, ws: &mut WorkerScratch) {
-        let topo = &*self.topo;
-        let k = self.k;
-        let slots = &self.slots;
-        let input = slots.input.read().expect("lane input lock");
-        let injection: &[f64] = &input.injection;
-        ws.ensure(topo.factors.max_segment_len() * k, k);
-        let WorkerScratch {
-            f,
-            active,
-            delta,
-            ids,
-            ..
-        } = ws;
-        let scratch = &mut f[..];
-        let active = &mut active[..k];
-        let delta = &mut delta[..k];
-        let ids = &mut ids[..k];
-        let compaction = slots.compaction.load(Ordering::Relaxed);
-        let mut m = usize::MAX;
-        loop {
-            m = slots.snapshot(m, ids, active);
-            delta.fill(0.0);
-            let kernel = choose_batch_kernel(m, k, compaction);
-            for phase in 0..2 {
-                let (idx, chunk) = if phase == 0 {
-                    (&topo.red_idx, &topo.red_chunks[tid])
-                } else {
-                    (&topo.black_idx, &topo.black_chunks[tid])
-                };
-                sweep_segments(
-                    kernel,
-                    topo,
-                    idx[chunk.clone()]
-                        .iter()
-                        .map(|&si| topo.segments[si as usize]),
-                    injection,
-                    input.omega,
-                    k,
-                    active,
-                    &ids[..m],
-                    scratch,
-                    &mut AtomicView(&self.atomic_v),
-                    delta,
-                );
-                // All writes of this color must land before any thread
-                // reads them in the next phase.
-                slots.barrier.wait();
-            }
-            for (j, &d) in delta.iter().enumerate() {
-                slots.deltas[tid * k + j].store(d.to_bits(), Ordering::Relaxed);
-            }
-            slots.barrier.wait();
-            if tid == 0 {
-                slots.reduce(k, topo.threads, input.tolerance, input.max_sweeps);
-            }
-            slots.barrier.wait();
-            if !slots.running() {
-                return;
-            }
-        }
-    }
-}
-
-/// One row band of a sharded tier, resolved from the [`ShardPlan`]
-/// descriptor into execution terms: owned/halo row ranges plus the
-/// owned segments pre-split by sweep color.
-#[derive(Debug)]
-struct ShardBandExec {
+struct Band {
     /// First owned row.
     y0: usize,
     /// One past the last owned row.
     y1: usize,
-    /// First halo-extended row (`y0 - 1` when a shard sits above).
+    /// First halo-extended row (`y0 - 1` when a band sits above).
     lo: usize,
     /// One past the last halo-extended row.
     hi: usize,
-    /// Owned even-row segment indices into `Topo::segments`, ascending.
-    red: Vec<u32>,
-    /// Owned odd-row segment indices, ascending.
-    black: Vec<u32>,
+    red: Range<usize>,
+    black: Range<usize>,
 }
 
-/// The frozen execution layout of a sharded tier: the per-band segment
-/// lists and a contiguous shard→thread assignment balanced by owned
-/// node count. Shared (via `Arc`) between the scalar and batched shard
+/// The frozen band layout of a tier: the bands and a contiguous
+/// band→thread split. Shared (via `Arc`) between the one-lane and wide
 /// jobs and across [`TierEngine::fork`]s.
 #[derive(Debug)]
-struct ShardLayout {
-    bands: Vec<ShardBandExec>,
-    /// Per-thread contiguous shard ranges (`chunks.len() == threads`).
+struct BandLayout {
+    bands: Vec<Band>,
+    /// Per-thread contiguous band ranges, none empty; their count is the
+    /// job's thread count.
     chunks: Vec<Range<usize>>,
 }
 
-impl ShardLayout {
-    fn build(topo: &Topo, shards: usize) -> ShardLayout {
-        let plan = ShardPlan::new(topo.height, shards);
-        let bands: Vec<ShardBandExec> = plan
+impl BandLayout {
+    /// Splits the tier into `bands` row bands and hands each of at most
+    /// `threads` threads an equal share (±1) of them, at least one band.
+    fn build(topo: &Topo, bands: usize, threads: usize) -> BandLayout {
+        let span = |idx: &[u32], y0: usize, y1: usize| {
+            let below =
+                |y: usize| idx.partition_point(|&si| (topo.segments[si as usize].row as usize) < y);
+            below(y0)..below(y1)
+        };
+        let bands: Vec<Band> = ShardPlan::new(topo.height, bands)
             .bands()
             .iter()
-            .map(|b| {
-                let mut red = Vec::new();
-                let mut black = Vec::new();
-                for (i, seg) in topo.segments.iter().enumerate() {
-                    let y = seg.row as usize;
-                    if y >= b.y0() && y < b.y1() {
-                        if y % 2 == 0 {
-                            red.push(i as u32);
-                        } else {
-                            black.push(i as u32);
-                        }
-                    }
-                }
-                ShardBandExec {
-                    y0: b.y0(),
-                    y1: b.y1(),
-                    lo: b.lo(),
-                    hi: b.hi(),
-                    red,
-                    black,
-                }
+            .map(|b| Band {
+                y0: b.y0(),
+                y1: b.y1(),
+                lo: b.lo(),
+                hi: b.hi(),
+                red: span(&topo.red_idx, b.y0(), b.y1()),
+                black: span(&topo.black_idx, b.y0(), b.y1()),
             })
             .collect();
-        // Contiguous shard→thread split balanced by owned node count,
-        // same greedy rule as `balance_chunks` over segments.
-        let weights: Vec<usize> = bands
-            .iter()
-            .map(|b| {
-                b.red
-                    .iter()
-                    .chain(&b.black)
-                    .map(|&i| topo.segments[i as usize].len as usize)
-                    .sum()
-            })
+        let nb = bands.len();
+        let threads = threads.min(nb);
+        let chunks = (0..threads)
+            .map(|t| t * nb / threads..(t + 1) * nb / threads)
             .collect();
-        let total: usize = weights.iter().sum();
-        let threads = topo.threads;
-        let mut chunks = Vec::with_capacity(threads);
-        let mut pos = 0usize;
-        let mut acc = 0usize;
-        for t in 0..threads {
-            let begin = pos;
-            if t + 1 == threads {
-                pos = bands.len();
-            } else {
-                let target = total * (t + 1) / threads;
-                while pos < bands.len() && acc < target {
-                    acc += weights[pos];
-                    pos += 1;
-                }
-            }
-            chunks.push(begin..pos);
-        }
-        ShardLayout { bands, chunks }
-    }
-
-    fn num_shards(&self) -> usize {
-        self.bands.len()
+        BandLayout { bands, chunks }
     }
 
     fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.bands
-            .iter()
-            .map(|b| (b.red.capacity() + b.black.capacity()) * size_of::<u32>())
-            .sum::<usize>()
-            + self.bands.capacity() * size_of::<ShardBandExec>()
+        self.bands.capacity() * size_of::<Band>()
             + self.chunks.capacity() * size_of::<Range<usize>>()
     }
 }
 
-/// The pool job of a sharded solve, sized for a fixed lane count `k`
+/// The pool job of a band engine, sized for a fixed lane count `k`
 /// (scalar solves run as `k = 1` — the batch-of-1 ≡ solo contract makes
-/// that bitwise-free). Each shard owns a private halo-extended voltage
-/// image; the job interleaves color half-sweeps with halo exchanges and
-/// reduces convergence deltas **across shards in shard order**, so the
-/// outcome is invariant in both the thread and the shard count.
+/// that bitwise-free). Each band owns a private halo-extended voltage
+/// image.
 #[derive(Debug)]
-struct ShardShared {
+struct BandJob {
     topo: Arc<Topo>,
-    layout: Arc<ShardLayout>,
+    layout: Arc<BandLayout>,
     k: usize,
-    /// Lane bookkeeping; its delta slots are `shards × k`.
     slots: LaneSlots,
-    /// Per-shard halo-extended voltage images, `(hi - lo) * width * k`
+    /// Per-band halo-extended voltage images, `(hi - lo) * width * k`
     /// slots each, node-major/lane-minor in halo-local coordinates.
-    bufs: Vec<Vec<AtomicU64>>,
+    images: Vec<Vec<AtomicU64>>,
 }
 
-impl ShardShared {
-    fn new(topo: Arc<Topo>, layout: Arc<ShardLayout>, k: usize) -> Self {
+impl BandJob {
+    fn new(topo: Arc<Topo>, layout: Arc<BandLayout>, k: usize) -> Self {
         let wk = topo.width * k;
-        let bufs = layout
+        let images = layout
             .bands
             .iter()
             .map(|b| (0..(b.hi - b.lo) * wk).map(|_| AtomicU64::new(0)).collect())
             .collect();
-        ShardShared {
-            slots: LaneSlots::new(topo.n(), k, layout.num_shards(), topo.threads),
-            bufs,
+        BandJob {
+            slots: LaneSlots::new(topo.n(), k, layout.chunks.len()),
+            images,
             layout,
             topo,
             k,
         }
     }
 
-    /// Refreshes shard `s`'s halo rows whose color matches `phase`
-    /// (0 = even/red, 1 = odd/black) from the owning neighbours'
-    /// buffers. Pull model: during an exchange, shard `s`'s buffer is
-    /// written only at `s`'s halo rows and read only at `s`'s owned
-    /// rows, so concurrent exchanges on different threads touch
-    /// disjoint slots (the surrounding barriers order them against the
-    /// sweeps).
-    fn exchange_halos(&self, s: usize, phase: usize) {
+    /// Band `s`'s push after its `phase` half-sweep (0 = red/even rows,
+    /// 1 = black/odd): copies each owned boundary row of that color into
+    /// the halo image of the neighbour that reads it.
+    fn push_halos(&self, s: usize, phase: usize) {
         let band = &self.layout.bands[s];
-        if band.lo < band.y0 && band.lo % 2 == phase {
-            self.copy_halo_row(s, s - 1, band.lo);
+        if band.lo < band.y0 && band.y0 % 2 == phase {
+            self.copy_row(s, s - 1, band.y0);
         }
-        if band.hi > band.y1 && band.y1 % 2 == phase {
-            self.copy_halo_row(s, s + 1, band.y1);
+        if band.hi > band.y1 && (band.y1 - 1) % 2 == phase {
+            self.copy_row(s, s + 1, band.y1 - 1);
         }
     }
 
-    /// Copies global row `y` (owned by shard `src`) into shard `dst`'s
-    /// halo image.
-    fn copy_halo_row(&self, dst: usize, src: usize, y: usize) {
+    /// Copies global row `y` from band `src`'s image into band `dst`'s.
+    fn copy_row(&self, src: usize, dst: usize, y: usize) {
         let wk = self.topo.width * self.k;
         let row0 = y * wk;
         let d0 = row0 - self.layout.bands[dst].lo * wk;
         let s0 = row0 - self.layout.bands[src].lo * wk;
-        for (d, s) in self.bufs[dst][d0..d0 + wk]
+        for (d, s) in self.images[dst][d0..d0 + wk]
             .iter()
-            .zip(&self.bufs[src][s0..s0 + wk])
+            .zip(&self.images[src][s0..s0 + wk])
         {
             d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
         }
     }
 
-    fn memory_bytes(&self) -> usize {
-        let buf_slots: usize = self.bufs.iter().map(Vec::capacity).sum();
-        self.slots.memory_bytes() + buf_slots * std::mem::size_of::<AtomicU64>()
-    }
-}
-
-impl LaneJob for ShardShared {
-    fn slots(&self) -> &LaneSlots {
-        &self.slots
-    }
-
-    /// Scatters `v` into every shard image, halo rows included, so the
+    /// Scatters `v` into every band image, halo rows included, so the
     /// first red half-sweep reads correct neighbour values.
     fn load(&self, v: &[f64]) {
         let wk = self.topo.width * self.k;
-        for (band, buf) in self.layout.bands.iter().zip(&self.bufs) {
-            for (slot, &x) in buf.iter().zip(&v[band.lo * wk..]) {
+        for (band, image) in self.layout.bands.iter().zip(&self.images) {
+            for (slot, &x) in image.iter().zip(&v[band.lo * wk..]) {
                 slot.store(x.to_bits(), Ordering::Relaxed);
             }
         }
     }
 
-    /// Gathers every shard's **owned** rows back into `v`.
+    /// Gathers every band's **owned** rows back into `v`.
     fn store(&self, v: &mut [f64]) {
         let wk = self.topo.width * self.k;
-        for (band, buf) in self.layout.bands.iter().zip(&self.bufs) {
+        for (band, image) in self.layout.bands.iter().zip(&self.images) {
             let own = (band.y0 - band.lo) * wk;
             let len = (band.y1 - band.y0) * wk;
             let g0 = band.y0 * wk;
-            for (slot, x) in buf[own..own + len].iter().zip(&mut v[g0..g0 + len]) {
+            for (slot, x) in image[own..own + len].iter().zip(&mut v[g0..g0 + len]) {
                 *x = f64::from_bits(slot.load(Ordering::Relaxed));
             }
         }
     }
+
+    fn memory_bytes(&self) -> usize {
+        let image_slots: usize = self.images.iter().map(Vec::capacity).sum();
+        self.slots.memory_bytes() + image_slots * std::mem::size_of::<AtomicU64>()
+    }
 }
 
-/// The per-thread loop of a sharded solve. Five barriers per sweep:
-/// red half-sweep → barrier → even-halo exchange → barrier → black
-/// half-sweep → barrier → odd-halo exchange → barrier → reduce/freeze →
-/// barrier. A color's halo rows are exchanged immediately after that
-/// color updates, so the next half-sweep reads exactly the values the
-/// unsharded red-black sweep would.
-impl PoolJob for ShardShared {
+/// The per-thread loop of the band job, three barriers per sweep (see
+/// the module docs): thread `tid` sweeps its chunk of bands one color at
+/// a time, pushing each band's boundary rows after its half-sweep, and
+/// stores its per-lane deltas before the black barrier; thread 0 reduces
+/// them (see [`LaneSlots::reduce`]).
+impl PoolJob for BandJob {
     fn run(&self, tid: usize, ws: &mut WorkerScratch) {
         let topo = &*self.topo;
-        let lay = &*self.layout;
         let k = self.k;
         let wk = topo.width * k;
         let slots = &self.slots;
@@ -842,55 +666,49 @@ impl PoolJob for ShardShared {
         let delta = &mut delta[..k];
         let ids = &mut ids[..k];
         let compaction = slots.compaction.load(Ordering::Relaxed);
-        let mine = lay.chunks[tid].clone();
+        let mine = self.layout.chunks[tid].clone();
         let mut m = usize::MAX;
         loop {
             m = slots.snapshot(m, ids, active);
+            delta.fill(0.0);
             let kernel = choose_batch_kernel(m, k, compaction);
             for phase in 0..2 {
                 for s in mine.clone() {
-                    let band = &lay.bands[s];
-                    let segs = if phase == 0 { &band.red } else { &band.black };
-                    delta.fill(0.0);
-                    let mut view = ShardAtomicView {
-                        buf: &self.bufs[s],
-                        off: band.lo * wk,
+                    let band = &self.layout.bands[s];
+                    let (idx, own) = if phase == 0 {
+                        (&topo.red_idx, band.red.clone())
+                    } else {
+                        (&topo.black_idx, band.black.clone())
                     };
                     sweep_segments(
                         kernel,
                         topo,
-                        segs.iter().map(|&si| topo.segments[si as usize]),
+                        idx[own].iter().map(|&si| topo.segments[si as usize]),
                         injection,
                         input.omega,
                         k,
                         active,
                         &ids[..m],
                         scratch,
-                        &mut view,
+                        &mut BandView {
+                            image: &self.images[s],
+                            off: band.lo * wk,
+                        },
                         delta,
                     );
-                    // Red overwrites the shard's slots (self-resetting
-                    // between sweeps), black folds its maxima in.
+                    self.push_halos(s, phase);
+                }
+                if phase == 1 {
                     for (j, &d) in delta.iter().enumerate() {
-                        let slot = &slots.deltas[s * k + j];
-                        let bits = if phase == 0 {
-                            d.to_bits()
-                        } else {
-                            f64::from_bits(slot.load(Ordering::Relaxed))
-                                .max(d)
-                                .to_bits()
-                        };
-                        slot.store(bits, Ordering::Relaxed);
+                        slots.deltas[tid * k + j].store(d.to_bits(), Ordering::Relaxed);
                     }
                 }
-                slots.barrier.wait();
-                for s in mine.clone() {
-                    self.exchange_halos(s, phase);
-                }
+                // This color's rows, pushed halo copies included, land
+                // before any band reads them in the next half-sweep.
                 slots.barrier.wait();
             }
             if tid == 0 {
-                slots.reduce(k, lay.num_shards(), input.tolerance, input.max_sweeps);
+                slots.reduce(k, input.tolerance, input.max_sweeps);
             }
             slots.barrier.wait();
             if !slots.running() {
@@ -900,18 +718,26 @@ impl PoolJob for ShardShared {
     }
 }
 
-/// Sharded-dispatch state of a [`TierEngine`]: the frozen layout plus
-/// the prebuilt one-lane job and the lazily (re)built wider job,
-/// mirroring `par` / `batch_par` on the unsharded side.
+/// A band engine's jobs: the frozen layout plus the prebuilt one-lane
+/// job and the lazily (re)built wider job.
 #[derive(Debug)]
-struct ShardState {
-    layout: Arc<ShardLayout>,
+struct BandState {
+    layout: Arc<BandLayout>,
     /// `k = 1` job serving scalar solves, sweeps and one-lane batches,
     /// built eagerly so warm scalar solves never allocate.
-    scalar: Arc<ShardShared>,
-    /// Job for `k > 1` lanes, rebuilt when the lane count changes (like
-    /// `batch_par`).
-    batch: Option<Arc<ShardShared>>,
+    scalar: Arc<BandJob>,
+    /// Job for `k > 1` lanes, rebuilt when the lane count changes.
+    batch: Option<Arc<BandJob>>,
+}
+
+impl BandState {
+    fn new(topo: &Arc<Topo>, layout: Arc<BandLayout>) -> Self {
+        BandState {
+            scalar: Arc::new(BandJob::new(Arc::clone(topo), Arc::clone(&layout), 1)),
+            batch: None,
+            layout,
+        }
+    }
 }
 
 /// Single-threaded state for batched solves of `k > 1` lanes (one lane
@@ -946,9 +772,9 @@ impl BatchState {
 /// A tier's prefactored row-sweep engine.
 ///
 /// Built once per tier, reused across every sweep and outer iteration:
-/// after construction the single-threaded schedules perform **no heap
-/// allocation** on any solve or sweep path. The multi-threaded red-black
-/// path runs on the persistent [`WorkerPool`],
+/// after construction the single-thread slices perform **no heap
+/// allocation** on any solve or sweep path. The band job runs on the
+/// persistent [`WorkerPool`],
 /// so after the pool's one-time warm-up a parallel
 /// [`TierEngine::solve`] (or [`TierEngine::solve_batch`]) is
 /// allocation-free too — dispatching a solve to the parked workers costs
@@ -988,19 +814,11 @@ pub struct TierEngine {
     pool: Option<Arc<WorkerPool>>,
     /// Single-threaded forward-substitution scratch (one lane).
     scratch: Vec<f64>,
-    /// One-lane parallel job, built eagerly when the schedule is
-    /// multi-threaded and unsharded: scalar solves, sweeps and one-lane
-    /// batches run on it.
-    par: Option<Arc<BatchShared>>,
     /// Lazily sized single-threaded batch state (`k > 1`).
     batch: BatchState,
-    /// Lazily sized parallel job for `k > 1` lanes (rebuilt when the
-    /// lane count changes).
-    batch_par: Option<Arc<BatchShared>>,
-    /// Row-band sharded dispatch (present when built with
-    /// [`TierEngine::new_sharded`] and `shards >= 2`); replaces `par` /
-    /// `batch_par` on every parallel solve path.
-    shard: Option<ShardState>,
+    /// The band job (present with two or more bands); every solve path
+    /// runs on it.
+    bands: Option<BandState>,
 }
 
 impl TierEngine {
@@ -1025,26 +843,26 @@ impl TierEngine {
         Self::new_inner(width, height, g_h, g_v, fixed, extra_diag, schedule, 1)
     }
 
-    /// [`TierEngine::new`] with the tier additionally split into `shards`
-    /// row bands (see [`ShardPlan`]): every solve path sweeps each
-    /// band inside a private halo-extended voltage buffer, exchanging the
-    /// 1-row halos between the red and black half-sweeps and reducing
-    /// per-sweep convergence deltas across the shards in shard order.
+    /// [`TierEngine::new`] asking for at least `shards` row bands (see
+    /// [`ShardPlan`]). The engine sweeps `max(shards, threads)` bands,
+    /// clamped to the tier height, on the band job (see the module
+    /// docs); [`TierEngine::shards`] reports the count. So `shards` at or
+    /// below the thread count builds the same engine as
+    /// [`TierEngine::new`].
     ///
-    /// `shards <= 1` builds the plain engine. `shards >= 2` forces the
-    /// [`SweepSchedule::RedBlack`] schedule (on the passed schedule's
-    /// thread count) — a red row reads only frozen odd rows and vice
-    /// versa, which is exactly what makes the halo image exact — and the
-    /// band count is clamped to the tier height.
+    /// `shards >= 2` forces the [`SweepSchedule::RedBlack`] schedule (on
+    /// the passed schedule's thread count): a red row reads only frozen
+    /// odd rows and vice versa, which is exactly what makes the halo
+    /// image exact.
     ///
     /// # Determinism contract
     ///
-    /// Sharding restructures dispatch and memory layout, not arithmetic:
+    /// Banding restructures dispatch and memory layout, not arithmetic:
     /// solves, sweeps, and batched solves (masked or compacted) are
-    /// **bitwise identical** to the unsharded red-black engine at every
-    /// shard count and thread count. The cross-shard reduction folds
-    /// per-shard/per-lane deltas with `f64::max` (exact), so
-    /// [`LaneReport`] freezing cannot depend on the partition either.
+    /// **bitwise identical** to the single-thread red-black engine at
+    /// every band count and thread count. The delta reduction folds
+    /// per-lane maxima with `f64::max` (exact), so [`LaneReport`]
+    /// freezing cannot depend on the partition either.
     ///
     /// # Errors
     ///
@@ -1075,8 +893,8 @@ impl TierEngine {
         shards: usize,
     ) -> Result<Self, SolverError> {
         // Sharding requires the red-black ordering: the per-color halo
-        // exchange is what keeps a sharded sweep bitwise equal to the
-        // unsharded sweep, so shards >= 2 forces the schedule (keeping
+        // push is what keeps a banded sweep bitwise equal to the
+        // one-image sweep, so shards >= 2 forces the schedule (keeping
         // the caller's thread count).
         let schedule = if shards > 1 {
             SweepSchedule::RedBlack {
@@ -1164,8 +982,6 @@ impl TierEngine {
         let black_idx: Vec<u32> = (0..segments.len() as u32)
             .filter(|&i| segments[i as usize].row % 2 == 1)
             .collect();
-        let red_chunks = balance_chunks(&segments, &red_idx, threads);
-        let black_chunks = balance_chunks(&segments, &black_idx, threads);
 
         let scratch = vec![0.0; factors.max_segment_len()];
         let topo = Arc::new(Topo {
@@ -1173,25 +989,15 @@ impl TierEngine {
             height,
             g_h,
             g_v,
-            threads,
             fixed,
             segments,
             red_idx,
             black_idx,
-            red_chunks,
-            black_chunks,
             factors,
         });
-        let shard = (shards > 1 && height > 1).then(|| {
-            let layout = Arc::new(ShardLayout::build(&topo, shards));
-            ShardState {
-                scalar: Arc::new(ShardShared::new(Arc::clone(&topo), Arc::clone(&layout), 1)),
-                batch: None,
-                layout,
-            }
-        });
-        let par = (shard.is_none() && threads > 1)
-            .then(|| Arc::new(BatchShared::new(Arc::clone(&topo), 1)));
+        let nb = shards.max(threads).min(height);
+        let bands = (nb > 1)
+            .then(|| BandState::new(&topo, Arc::new(BandLayout::build(&topo, nb, threads))));
 
         Ok(TierEngine {
             topo,
@@ -1199,10 +1005,8 @@ impl TierEngine {
             compaction: true,
             pool: None,
             scratch,
-            par,
             batch: BatchState::default(),
-            batch_par: None,
-            shard,
+            bands,
         })
     }
 
@@ -1232,10 +1036,11 @@ impl TierEngine {
         self.schedule
     }
 
-    /// Number of row-band shards the solve paths sweep over (1 for
-    /// an unsharded engine).
+    /// Number of row bands the solve paths sweep: `max(shards, threads)`
+    /// clamped to the tier height on the band job, 1 on the
+    /// single-thread slices.
     pub fn shards(&self) -> usize {
-        self.shard.as_ref().map_or(1, |s| s.layout.num_shards())
+        self.bands.as_ref().map_or(1, |b| b.layout.bands.len())
     }
 
     /// Whether batched sweeps compact to the active lanes (default
@@ -1262,9 +1067,9 @@ impl TierEngine {
     }
 
     /// A new engine sharing this engine's frozen half — the factored
-    /// segments, the pin mask, and the balanced sweep chunks (one `Arc`
-    /// bump, no refactorization) — with **fresh** per-solve mutable state
-    /// (substitution scratch, parallel job images, batch arenas).
+    /// segments, the pin mask, and the band layout (one `Arc` bump, no
+    /// refactorization) — with **fresh** per-solve mutable state
+    /// (substitution scratch, band images, batch arenas).
     ///
     /// This is the engine-level shared/scratch split: everything built by
     /// [`TierEngine::new`] that is read-only after construction lives
@@ -1279,27 +1084,17 @@ impl TierEngine {
     /// affect the other.
     #[must_use]
     pub fn fork(&self) -> TierEngine {
-        let topo = Arc::clone(&self.topo);
-        let shard = self.shard.as_ref().map(|s| ShardState {
-            layout: Arc::clone(&s.layout),
-            scalar: Arc::new(ShardShared::new(
-                Arc::clone(&topo),
-                Arc::clone(&s.layout),
-                1,
-            )),
-            batch: None,
-        });
         TierEngine {
+            topo: Arc::clone(&self.topo),
             schedule: self.schedule,
             compaction: self.compaction,
             pool: self.pool.clone(),
             scratch: vec![0.0; self.scratch.len()],
-            par: (shard.is_none() && topo.threads > 1)
-                .then(|| Arc::new(BatchShared::new(Arc::clone(&topo), 1))),
             batch: BatchState::default(),
-            batch_par: None,
-            shard,
-            topo,
+            bands: self
+                .bands
+                .as_ref()
+                .map(|b| BandState::new(&self.topo, Arc::clone(&b.layout))),
         }
     }
 
@@ -1376,7 +1171,7 @@ impl TierEngine {
         omega: f64,
     ) -> Result<f64, SolverError> {
         self.check_call(injection, v, omega)?;
-        if self.shard.is_none() && self.par.is_none() {
+        if self.bands.is_none() {
             return Ok(match self.schedule {
                 SweepSchedule::Sequential => {
                     self.sweep_sequential_slice(injection, v, downward, omega)
@@ -1384,7 +1179,7 @@ impl TierEngine {
                 SweepSchedule::RedBlack { .. } => self.sweep_redblack_slice(injection, v, omega),
             });
         }
-        // Parallel: one sweep of a one-lane batch that cannot converge.
+        // Band job: one sweep of a one-lane batch that cannot converge.
         let mut lanes = [LaneReport {
             iterations: 0,
             residual: f64::INFINITY,
@@ -1506,7 +1301,7 @@ impl TierEngine {
     /// The one solve path: sweeps every lane that `lanes` does not
     /// already mark converged until it freezes or `max_sweeps` runs out,
     /// recording each lane's outcome; returns the sweeps run. The one
-    /// place that picks the execution: a parallel job (the prebuilt
+    /// place that picks the execution: the band job (the prebuilt
     /// one-lane job when `k = 1`), the scalar slice loop for one lane on
     /// one thread, or the in-place batched loop.
     fn run_lanes(
@@ -1520,21 +1315,13 @@ impl TierEngine {
     ) -> usize {
         let k = lanes.len();
         self.ensure_batch(k);
-        if let Some(shard) = &self.shard {
-            let job = Arc::clone(if k == 1 {
-                &shard.scalar
+        if let Some(bands) = &self.bands {
+            let job = if k == 1 {
+                &bands.scalar
             } else {
-                shard.batch.as_ref().expect("sized by ensure_batch")
-            });
-            return self.run_job(&job, injection, v, tolerance, max_sweeps, omega, lanes);
-        }
-        if let Some(one) = &self.par {
-            let job = Arc::clone(if k == 1 {
-                one
-            } else {
-                self.batch_par.as_ref().expect("sized by ensure_batch")
-            });
-            return self.run_job(&job, injection, v, tolerance, max_sweeps, omega, lanes);
+                bands.batch.as_ref().expect("sized by ensure_batch")
+            };
+            return self.run_job(job, injection, v, tolerance, max_sweeps, omega, lanes);
         }
         if k == 1 {
             return self.sweep_lane(injection, v, tolerance, max_sweeps, omega, &mut lanes[0]);
@@ -1645,22 +1432,20 @@ impl TierEngine {
 
     /// Sizes the batch state for `k > 1` lanes (no-op when already sized,
     /// and for one lane, which runs on the prebuilt one-lane job or the
-    /// scalar scratch): the in-place sweep buffers on single-threaded
-    /// schedules, the shared pool job on multi-threaded ones (whose
-    /// workers bring their own pinned scratch).
+    /// scalar scratch): the in-place sweep buffers on the single-thread
+    /// slices, the wide band job otherwise (whose workers bring their
+    /// own pinned scratch).
     fn ensure_batch(&mut self, k: usize) {
         if k == 1 || self.batch.lanes == k {
             return;
         }
         self.batch.lanes = k;
-        if let Some(shard) = &mut self.shard {
-            shard.batch = Some(Arc::new(ShardShared::new(
+        if let Some(bands) = &mut self.bands {
+            bands.batch = Some(Arc::new(BandJob::new(
                 Arc::clone(&self.topo),
-                Arc::clone(&shard.layout),
+                Arc::clone(&bands.layout),
                 k,
             )));
-        } else if self.topo.threads > 1 {
-            self.batch_par = Some(Arc::new(BatchShared::new(Arc::clone(&self.topo), k)));
         } else {
             let seg_len = self.topo.factors.max_segment_len();
             let b = &mut self.batch;
@@ -1671,14 +1456,14 @@ impl TierEngine {
         }
     }
 
-    /// Stages a solve into a parallel job — lane states, inputs, and `v`
-    /// loaded into the job's atomic image — runs it on the worker pool,
-    /// and copies the solution and lane outcomes back. Returns the sweeps
+    /// Stages a solve into a band job — lane states, inputs, and `v`
+    /// loaded into the band images — runs it on the worker pool, and
+    /// copies the solution and lane outcomes back. Returns the sweeps
     /// run. Warm calls are allocation-free.
     #[allow(clippy::too_many_arguments)] // run_lanes' surface plus the job
-    fn run_job<J: LaneJob>(
-        &mut self,
-        job: &Arc<J>,
+    fn run_job(
+        &self,
+        job: &Arc<BandJob>,
         injection: &[f64],
         v: &mut [f64],
         tolerance: f64,
@@ -1686,7 +1471,7 @@ impl TierEngine {
         omega: f64,
         lanes: &mut [LaneReport],
     ) -> usize {
-        let slots = job.slots();
+        let slots = &job.slots;
         let m = slots.publish(
             injection,
             omega,
@@ -1697,7 +1482,12 @@ impl TierEngine {
         );
         job.load(v);
         if m > 0 && max_sweeps > 0 {
-            self.dispatch_job(Arc::clone(job) as Arc<dyn PoolJob>);
+            let threads = job.layout.chunks.len();
+            let job = Arc::clone(job) as Arc<dyn PoolJob>;
+            match &self.pool {
+                Some(pool) => pool.run(threads, job),
+                None => WorkerPool::global().run(threads, job),
+            }
         }
         job.store(v);
         slots.collect(lanes)
@@ -1709,12 +1499,10 @@ impl TierEngine {
         self.topo.memory_bytes()
             + self.scratch.capacity() * size_of::<f64>()
             + self.batch.memory_bytes()
-            + self.par.as_ref().map_or(0, |p| p.memory_bytes())
-            + self.batch_par.as_ref().map_or(0, |b| b.memory_bytes())
-            + self.shard.as_ref().map_or(0, |s| {
-                s.layout.memory_bytes()
-                    + s.scalar.memory_bytes()
-                    + s.batch.as_ref().map_or(0, |b| b.memory_bytes())
+            + self.bands.as_ref().map_or(0, |b| {
+                b.layout.memory_bytes()
+                    + b.scalar.memory_bytes()
+                    + b.batch.as_ref().map_or(0, |j| j.memory_bytes())
             })
     }
 
@@ -1802,7 +1590,7 @@ impl TierEngine {
         max_delta
     }
 
-    /// Red-black sweep on one thread (same iterates as the parallel path).
+    /// Red-black sweep on one thread (same iterates as the band job).
     fn sweep_redblack_slice(&mut self, injection: &[f64], v: &mut [f64], omega: f64) -> f64 {
         let topo = &self.topo;
         let scratch = &mut self.scratch;
@@ -1823,20 +1611,10 @@ impl TierEngine {
         }
         max_delta
     }
-
-    /// Hands a prepared job to the worker pool and blocks until it
-    /// drains.
-    fn dispatch_job(&self, job: Arc<dyn PoolJob>) {
-        let threads = self.topo.threads;
-        match &self.pool {
-            Some(pool) => pool.run(threads, job),
-            None => WorkerPool::global().run(threads, job),
-        }
-    }
 }
 
 /// Read/write access to the voltage image, monomorphized so the slice
-/// (single-thread) and atomic (multi-thread) paths share one kernel.
+/// (single-thread) and band-image (band job) paths share one kernel.
 trait VoltView {
     fn get(&self, i: usize) -> f64;
     fn set(&mut self, i: usize, value: f64);
@@ -1856,47 +1634,31 @@ impl VoltView for SliceView<'_> {
     }
 }
 
-/// Atomic image view. Relaxed ordering suffices: phase barriers establish
-/// the happens-before edges between writers of one color and readers of
-/// the next phase, and within a phase no two threads touch the same node.
-struct AtomicView<'a>(&'a [AtomicU64]);
-
-impl VoltView for AtomicView<'_> {
-    #[inline(always)]
-    fn get(&self, i: usize) -> f64 {
-        f64::from_bits(self.0[i].load(Ordering::Relaxed))
-    }
-
-    #[inline(always)]
-    fn set(&mut self, i: usize, value: f64) {
-        self.0[i].store(value.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// A shard's halo-extended image viewed in **global** node coordinates:
+/// A band's halo-extended image viewed in **global** node coordinates:
 /// the kernels keep indexing `node * k + j` exactly as on the global
-/// image, and the view translates into the shard-local buffer (whose
+/// image, and the view translates into the band-local image (whose
 /// slot 0 is global row `lo`). Every index a kernel touches while
-/// sweeping a shard's owned segments — own row, in-row pinned
+/// sweeping a band's owned segments — own row, in-row pinned
 /// neighbours, and the rows above/below — lies inside `lo..hi`, so the
-/// offset never underflows. Same relaxed-ordering argument as
-/// [`AtomicView`], with the halo exchange supplying the cross-shard
-/// edges.
-struct ShardAtomicView<'a> {
-    buf: &'a [AtomicU64],
-    /// `lo * width * k` of the shard this view wraps.
+/// offset never underflows. Relaxed ordering suffices: the color
+/// barriers order every write of one color, halo pushes included,
+/// before the next phase's reads, and within a phase no two threads
+/// touch the same slot.
+struct BandView<'a> {
+    image: &'a [AtomicU64],
+    /// `lo * width * k` of the band this view wraps.
     off: usize,
 }
 
-impl VoltView for ShardAtomicView<'_> {
+impl VoltView for BandView<'_> {
     #[inline(always)]
     fn get(&self, i: usize) -> f64 {
-        f64::from_bits(self.buf[i - self.off].load(Ordering::Relaxed))
+        f64::from_bits(self.image[i - self.off].load(Ordering::Relaxed))
     }
 
     #[inline(always)]
     fn set(&mut self, i: usize, value: f64) {
-        self.buf[i - self.off].store(value.to_bits(), Ordering::Relaxed);
+        self.image[i - self.off].store(value.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -2318,30 +2080,6 @@ fn solve_segment_batch_ids<V: VoltView>(
             view.set(base + j, new);
         }
     }
-}
-
-/// Splits `idx` into `threads` contiguous chunks with approximately equal
-/// total node counts (rows can have very different free-node counts when
-/// pins cluster).
-fn balance_chunks(segments: &[Segment], idx: &[u32], threads: usize) -> Vec<Range<usize>> {
-    let total: usize = idx.iter().map(|&i| segments[i as usize].len as usize).sum();
-    let mut chunks = Vec::with_capacity(threads);
-    let mut pos = 0usize;
-    let mut acc = 0usize;
-    for t in 0..threads {
-        let begin = pos;
-        if t + 1 == threads {
-            pos = idx.len();
-        } else {
-            let target = total * (t + 1) / threads;
-            while pos < idx.len() && acc < target {
-                acc += segments[idx[pos] as usize].len as usize;
-                pos += 1;
-            }
-        }
-        chunks.push(begin..pos);
-    }
-    chunks
 }
 
 #[cfg(test)]
@@ -2988,29 +2726,6 @@ mod tests {
         assert_eq!(pool.workers_spawned(), 2);
     }
 
-    #[test]
-    fn chunks_cover_all_segments_without_overlap() {
-        let (w, h) = (31, 23);
-        let (fixed, _, _) = random_problem(4, w, h);
-        let e = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 5 });
-        let topo = &e.topo;
-        for (idx, chunks) in [
-            (&topo.red_idx, &topo.red_chunks),
-            (&topo.black_idx, &topo.black_chunks),
-        ] {
-            assert_eq!(chunks.len(), 5);
-            let mut covered = 0usize;
-            let mut expect_begin = 0usize;
-            for c in chunks.iter() {
-                assert_eq!(c.start, expect_begin, "chunks must be contiguous");
-                expect_begin = c.end;
-                covered += c.len();
-            }
-            assert_eq!(covered, idx.len());
-            assert_eq!(expect_begin, idx.len());
-        }
-    }
-
     fn sharded_engine(
         w: usize,
         h: usize,
@@ -3037,15 +2752,16 @@ mod tests {
         let (fixed, _, _) = random_problem(8, w, h);
         for (threads, shards) in [(1usize, 2usize), (3, 4), (4, 17), (2, 5)] {
             let e = sharded_engine(w, h, &fixed, threads, shards);
-            let lay = &e.shard.as_ref().unwrap().layout;
-            assert_eq!(lay.num_shards(), shards.min(h));
+            let lay = &e.bands.as_ref().unwrap().layout;
+            assert_eq!(lay.bands.len(), shards.min(h));
             let mut seen = vec![0usize; e.topo.segments.len()];
             for band in &lay.bands {
-                for &si in band.red.iter().chain(&band.black) {
+                let red = &e.topo.red_idx[band.red.clone()];
+                for &si in red.iter().chain(&e.topo.black_idx[band.black.clone()]) {
                     let seg = e.topo.segments[si as usize];
                     let y = seg.row as usize;
                     assert!(y >= band.y0 && y < band.y1, "segment outside owned rows");
-                    assert_eq!(y % 2 == 0, band.red.contains(&si));
+                    assert_eq!(y % 2 == 0, red.contains(&si));
                     seen[si as usize] += 1;
                 }
             }
@@ -3055,11 +2771,32 @@ mod tests {
             );
             let mut expect_begin = 0usize;
             for c in &lay.chunks {
-                assert_eq!(c.start, expect_begin, "shard chunks must be contiguous");
+                assert_eq!(c.start, expect_begin, "band chunks must be contiguous");
                 expect_begin = c.end;
             }
-            assert_eq!(expect_begin, lay.num_shards());
+            assert_eq!(expect_begin, lay.bands.len());
             assert_eq!(lay.chunks.len(), threads);
+        }
+    }
+
+    #[test]
+    fn every_pool_thread_owns_a_band() {
+        let (w, h) = (16, 16);
+        let (fixed, _, _) = random_problem(6, w, h);
+        for (threads, shards) in [(2usize, 1usize), (3, 1), (3, 2), (4, 2), (8, 4)] {
+            let e = sharded_engine(w, h, &fixed, threads, shards);
+            assert_eq!(
+                e.shards(),
+                shards.max(threads),
+                "threads {threads} shards {shards}"
+            );
+            let lay = &e.bands.as_ref().expect("a band job").layout;
+            assert_eq!(lay.chunks.len(), threads);
+            assert!(
+                lay.chunks.iter().all(|c| !c.is_empty()),
+                "threads {threads} shards {shards}: {:?}",
+                lay.chunks
+            );
         }
     }
 
@@ -3069,13 +2806,13 @@ mod tests {
         for seed in [2u64, 7] {
             let (fixed, v0, injection) = random_problem(seed, w, h);
             let mut v_ref = v0.clone();
-            let rep_ref = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 2 })
+            let rep_ref = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 })
                 .solve(&injection, &mut v_ref, 1e-10, 100_000)
                 .unwrap();
             for shards in [2usize, 3, 4, 12] {
                 for threads in [1usize, 2, 3] {
                     let mut e = sharded_engine(w, h, &fixed, threads, shards);
-                    assert_eq!(e.shards(), shards);
+                    assert_eq!(e.shards(), shards.max(threads));
                     let mut v = v0.clone();
                     let rep = e.solve(&injection, &mut v, 1e-10, 100_000).unwrap();
                     assert_eq!(v, v_ref, "seed {seed} shards {shards} threads {threads}");
@@ -3137,7 +2874,7 @@ mod tests {
         for mask in &masks {
             let mut v_ref = interleave(&v0s);
             let mut lanes_ref = vec![LaneReport::default(); k];
-            engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 2 })
+            engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 })
                 .solve_batch_masked(
                     &injection,
                     &mut v_ref,
@@ -3230,7 +2967,7 @@ mod tests {
             "warm sharded solves must reuse the halo images"
         );
         // The halo images and layout show up in the accounting.
-        let plain = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 2 });
+        let plain = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 });
         assert!(e.memory_bytes() > plain.memory_bytes());
     }
 }

@@ -128,11 +128,11 @@ impl Rb3dEngine {
         Self::build_inner(stack, parallelism, 0.0, 1)
     }
 
-    /// [`Rb3dEngine::build`] with every tier split into `shards` row
-    /// bands (see [`TierEngine::new_sharded`]): each tier sweep runs
-    /// sharded with per-color halo exchanges, and results stay bitwise
-    /// identical to the unsharded red-black engine at every shard and
-    /// thread count.
+    /// [`Rb3dEngine::build`] with every tier split into at least `shards`
+    /// row bands (see [`TierEngine::new_sharded`]): each tier sweeps
+    /// `max(shards, parallelism)` bands with per-color halo pushes, and
+    /// results stay bitwise identical to the one-thread red-black engine
+    /// at every band and thread count.
     ///
     /// # Errors
     ///
