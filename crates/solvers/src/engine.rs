@@ -118,10 +118,9 @@
 //!
 //! The band job splits the tier into `max(shards, threads)` contiguous
 //! row bands (a [`ShardPlan`], clamped to the tier height) with 1-row
-//! halos, and hands each pool thread an equal share of contiguous
-//! bands, at least one. Each band sweeps its owned rows
-//! inside a **private halo-extended voltage image**. A sweep waits at
-//! three barriers:
+//! halos, and hands each pool thread an equal share of contiguous bands,
+//! at least one. Each band sweeps its owned rows inside a **private
+//! halo-extended voltage image**. A sweep waits at three barriers:
 //!
 //! 1. after the red half-sweep and its **push**: each band writes its
 //!    boundary rows of the color it just swept into the halo images of
