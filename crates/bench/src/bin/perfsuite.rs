@@ -4,7 +4,9 @@
 //!
 //! * the row-sweep kernels: the seed's re-eliminating sequential
 //!   [`RowBased`] baseline vs the prefactored [`TierEngine`] under the
-//!   sequential and red-black schedules (1, 2, and 4 threads);
+//!   sequential and red-black schedules (1, 2, and 4 threads), timed in
+//!   interleaved, rotated passes keeping each kernel's fastest (the
+//!   loop the `sharding` section shares);
 //! * numerical agreement between the schedules (max |ΔV| of the
 //!   converged solutions, required ≤ 1e-9);
 //! * full `Session` solves at `parallelism` 1 and 4;
@@ -59,9 +61,10 @@
 //!   cache, against the default 2-thread engine — **asserting
 //!   bitwise-identical** fixed-budget states against the one-thread
 //!   red-black slices and **zero allocator calls** on every warm pass —
-//!   plus the sharded-`Session` contract (warm single / batch /
-//!   transient requests at `shards = 4`: 0 allocs, bitwise equal to the
-//!   default parallelism-2 session, zero mid-loop re-prefactors);
+//!   plus the same contracts at the `Session` layer, where the band
+//!   count is the `parallelism` (warm single / batch / transient
+//!   requests on a parallelism-4 session: 0 allocs, bitwise equal to the
+//!   parallelism-2 session, zero mid-loop re-prefactors);
 //! * the overload/admission path: bounded-wait `try_solve_for` shed
 //!   decision latency against a saturated one-slot pool (asserted close
 //!   to the configured wait — a shed must not dawdle), admission
@@ -167,22 +170,45 @@ fn time_engine_sweeps(fixture: &TierFixture, schedule: SweepSchedule, sweeps: us
     start.elapsed().as_nanos() as f64 / sweeps as f64
 }
 
-/// Times the seed's re-eliminating sequential kernel, returning ns/sweep.
-fn time_baseline_sweeps(fixture: &TierFixture, sweeps: usize) -> f64 {
-    let zeros = vec![0.0; fixture.edge * fixture.edge];
-    let problem = fixture.problem(&zeros);
-    let rb = RowBased::default();
-    let mut ws = RbWorkspace::new(fixture.edge);
-    let mut v = fixture.v0.clone();
-    for i in 0..sweeps.min(8) {
-        let _ = rb.sweep_once(&problem, &mut v, &mut ws, i % 2 == 0);
+/// One timed configuration: runs the given number of sweeps on the
+/// voltage vector it is handed.
+type SweepRun<'a> = Box<dyn FnMut(&mut [f64], usize) + 'a>;
+
+/// Times every configuration in `chunk`-sweep runs over `passes`
+/// interleaved passes, each pass visiting them in a rotated order, after
+/// one untimed warm-up run each (pool workers, page faults, branch
+/// history); every run restarts from `v0`. Returns each configuration's
+/// fastest ns per sweep and its allocator calls summed over the timed
+/// runs. Min-of-many needs each configuration to see at least one quiet
+/// slice of the host, interleaving gives no configuration a quieter
+/// stretch than the others, and the rotation keeps a periodic noise
+/// source from always landing on the same one.
+fn min_of_passes(
+    v0: &[f64],
+    runs: &mut [SweepRun<'_>],
+    chunk: usize,
+    passes: usize,
+) -> Vec<(f64, usize)> {
+    let mut v = v0.to_vec();
+    for run in runs.iter_mut() {
+        v.copy_from_slice(v0);
+        run(&mut v, chunk);
     }
-    let mut v = fixture.v0.clone();
-    let start = Instant::now();
-    for i in 0..sweeps {
-        let _ = rb.sweep_once(&problem, &mut v, &mut ws, i % 2 == 0);
+    let n = runs.len();
+    let mut best = vec![(f64::INFINITY, 0usize); n];
+    for pass in 0..passes {
+        for idx in 0..n {
+            let i = (idx + pass) % n;
+            v.copy_from_slice(v0);
+            let calls_before = alloc::alloc_calls();
+            let start = Instant::now();
+            runs[i](&mut v, chunk);
+            let ns = start.elapsed().as_nanos() as f64 / chunk as f64;
+            best[i].0 = best[i].0.min(ns);
+            best[i].1 += alloc::alloc_calls() - calls_before;
+        }
     }
-    start.elapsed().as_nanos() as f64 / sweeps as f64
+    best
 }
 
 fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
@@ -192,24 +218,46 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// One row-sweep comparison block on an `edge × edge` tier.
-fn row_sweep_block(edge: usize, sweeps: usize) -> String {
-    eprintln!("row sweeps {edge}x{edge} ({sweeps} sweeps per kernel)...");
+/// One row-sweep comparison block on an `edge × edge` tier: the seed's
+/// re-eliminating sequential kernel, the prefactored engine's sequential
+/// schedule, and its red-black schedule at 1, 2 and 4 threads, timed
+/// together through [`min_of_passes`].
+fn row_sweep_block(edge: usize, chunk: usize, passes: usize) -> String {
+    eprintln!("row sweeps {edge}x{edge} ({passes} interleaved passes of {chunk} sweeps)...");
     let fixture = TierFixture::new(edge);
-    let baseline = time_baseline_sweeps(&fixture, sweeps);
-    let engine_seq = time_engine_sweeps(&fixture, SweepSchedule::Sequential, sweeps);
-    let mut rb_lines = Vec::new();
-    let mut rb4 = f64::NAN;
-    for threads in [1usize, 2, 4] {
-        let ns = time_engine_sweeps(&fixture, SweepSchedule::RedBlack { threads }, sweeps);
-        if threads == 4 {
-            rb4 = ns;
+    let zeros = vec![0.0; edge * edge];
+    let problem = fixture.problem(&zeros);
+    let rb = RowBased::default();
+    let mut ws = RbWorkspace::new(edge);
+    let mut runs: Vec<SweepRun<'_>> = vec![Box::new(|v, sweeps| {
+        for i in 0..sweeps {
+            let _ = rb.sweep_once(&problem, v, &mut ws, i % 2 == 0);
         }
-        rb_lines.push(format!(
-            "      {{ \"threads\": {threads}, \"ns_per_sweep\": {} }}",
-            json_f64(ns)
-        ));
+    })];
+    const THREADS: [usize; 3] = [1, 2, 4];
+    let schedules = std::iter::once(SweepSchedule::Sequential)
+        .chain(THREADS.map(|threads| SweepSchedule::RedBlack { threads }));
+    for schedule in schedules {
+        let mut engine = fixture.engine(schedule);
+        let injection = &fixture.injection;
+        // tolerance 0 never triggers, so exactly `sweeps` sweeps run.
+        runs.push(Box::new(move |v, sweeps| {
+            let _ = engine.solve(injection, v, 0.0, sweeps);
+        }));
     }
+    let best = min_of_passes(&fixture.v0, &mut runs, chunk, passes);
+    let (baseline, engine_seq, rb4) = (best[0].0, best[1].0, best[4].0);
+    let rb_lines: Vec<String> = THREADS
+        .iter()
+        .zip(&best[2..])
+        .map(|(threads, (ns, _))| {
+            format!(
+                "      {{ \"threads\": {threads}, \"ns_per_sweep\": {} }}",
+                json_f64(*ns)
+            )
+        })
+        .collect();
+    let sweeps = chunk * passes;
 
     // Converged-solution agreement: sequential vs 4-thread red-black.
     let mut v_seq = fixture.v0.clone();
@@ -1314,27 +1362,27 @@ fn kernels_block(edge: usize, k: usize, sweeps: usize, vec_len: usize) -> String
 
 /// The row-band sharding experiment: per-sweep throughput of engines
 /// asked for more bands than threads (`shard_counts`, all above the 2
-/// threads) on a tier footprint that exceeds one band's cache, against
-/// the default 2-thread engine, which sweeps one band per thread. Every
-/// parallel engine runs the same band job, so the ratio isolates the
-/// cost of the extra bands' halo pushes. Fixed sweep budgets from the
-/// same start vector must leave states **bitwise identical** to the
-/// one-thread red-black slices — the `BuildParams::shards` determinism
-/// contract, asserted here on the bench geometry and pinned across
-/// backends by `tests/sharding.rs` — and every warm pass must make
-/// **zero allocator calls**.
+/// threads, through [`TierEngine::new_sharded`]) on a tier footprint
+/// that exceeds one band's cache, against the default 2-thread engine,
+/// which sweeps one band per thread. Every parallel engine runs the same
+/// band job, so the ratio isolates the cost of the extra bands' halo
+/// pushes. Fixed sweep budgets from the same start vector must leave
+/// states **bitwise identical** to the one-thread red-black slices — the
+/// band-job determinism contract, asserted here on the bench geometry
+/// and pinned across backends by `tests/sharding.rs` — and every warm
+/// pass must make **zero allocator calls**.
 ///
-/// The session half re-asserts both contracts at the `Session` layer:
-/// warm single, batch, and true-transient requests on a `shards = 4`
-/// session against the default parallelism-2 session (two partitions:
-/// 4 bands against 2; 0 allocs, bitwise equal, zero mid-loop
-/// re-prefactors).
+/// The session half re-asserts both contracts at the `Session` layer,
+/// where the band count is the `parallelism`: warm single, batch, and
+/// true-transient requests on a parallelism-4 session (4 bands) against
+/// the parallelism-2 session (2 bands): 0 allocs, bitwise equal, zero
+/// mid-loop re-prefactors.
 ///
 /// The JSON keeps its field names: `unsharded_redblack_ns_per_sweep` is
 /// the default 2-thread engine, `throughput_shards2_vs_unsharded` the
-/// first listed band count (two bands per thread) against it,
+/// first listed band count (two bands per thread) against it, and
 /// `bitwise_identical_vs_unsharded` the check against the one-thread
-/// slices, and the `session_*` fields the `shards = 4` session.
+/// slices; the `session_*` fields describe the parallelism-4 session.
 #[allow(clippy::too_many_arguments)] // one committed experiment, two geometries
 fn sharding_block(
     edge: usize,
@@ -1348,17 +1396,14 @@ fn sharding_block(
     transient_steps: usize,
 ) -> String {
     eprintln!("row-band sharding {edge}x{edge} ({sweeps} sweeps, shards {shard_counts:?})...");
-    const SESSION_SHARDS: usize = 4;
+    const SESSION_PARALLELISM: usize = 4;
     let fixture = TierFixture::new(edge);
     let threads = 2usize;
     let footprint_mb = (fixture.v0.len() * 8) as f64 / (1024.0 * 1024.0);
 
     // One engine per configuration: the default 2-thread engine first
     // (the throughput reference), then each band count through the
-    // sharded constructor. All configurations are timed through the same
-    // loop with interleaved passes, keeping each one's fastest — the
-    // scheduler-drift guard the pool block uses, applied across the
-    // whole comparison so no side gets a quieter slice of the host.
+    // sharded constructor.
     let mut engines = vec![fixture.engine(SweepSchedule::RedBlack { threads })];
     for &shards in shard_counts {
         engines.push(
@@ -1393,34 +1438,28 @@ fn sharding_block(
              to the one-thread red-black state"
         );
     }
-    // Short 4-sweep chunks, many interleaved passes, and a rotated
-    // visit order per pass: min-of-many needs each configuration to
-    // see at least one quiet slice of the host, and the rotation keeps
-    // a periodic noise source from always landing on the same engine.
-    let mut best = vec![f64::INFINITY; engines.len()];
-    let mut allocs = vec![0usize; engines.len()];
+    let injection = &fixture.injection;
+    let mut runs: Vec<SweepRun<'_>> = engines
+        .into_iter()
+        .map(|mut engine| -> SweepRun<'_> {
+            Box::new(move |v, sweeps| {
+                let _ = engine.solve(injection, v, 0.0, sweeps);
+            })
+        })
+        .collect();
     let chunk = 4usize;
-    for pass in 0..passes {
-        for idx in 0..engines.len() {
-            let i = (idx + pass) % engines.len();
-            v.copy_from_slice(&fixture.v0);
-            let calls_before = alloc::alloc_calls();
-            let start = Instant::now();
-            let _ = engines[i].solve(&fixture.injection, &mut v, 0.0, chunk);
-            best[i] = best[i].min(start.elapsed().as_nanos() as f64 / chunk as f64);
-            allocs[i] += alloc::alloc_calls() - calls_before;
-        }
-    }
+    let best = min_of_passes(&fixture.v0, &mut runs, chunk, passes);
+    drop(runs); // frees the big tier's engines before the session half
     let timed_sweeps = chunk * passes;
-    let unsharded_ns = best[0];
+    let (unsharded_ns, unsharded_allocs) = best[0];
     let mut band_lines = Vec::new();
     assert_eq!(
-        allocs[0], 0,
+        unsharded_allocs, 0,
         "warm 2-thread sweeps must make zero allocator calls"
     );
     let mut shards2_ratio = f64::NAN;
     for (i, &shards) in shard_counts.iter().enumerate() {
-        let (ns, config_allocs) = (best[i + 1], allocs[i + 1]);
+        let (ns, config_allocs) = best[i + 1];
         assert_eq!(
             config_allocs, 0,
             "shards {shards}: warm sharded sweeps must make zero allocator calls"
@@ -1437,63 +1476,64 @@ fn sharding_block(
         ));
     }
 
-    // Session layer: a shards = 4 session must serve warm single, batch,
-    // and transient requests with zero allocator calls and reproduce the
-    // default parallelism-2 session (2 bands) bitwise.
-    eprintln!("sharded session {w}x{h}x{tiers} (batch {k}, transient {transient_steps})...");
+    // Session layer: a parallelism-4 session (4 bands) must serve warm
+    // single, batch, and transient requests with zero allocator calls and
+    // reproduce the parallelism-2 session (2 bands) bitwise.
+    eprintln!(
+        "parallelism-{SESSION_PARALLELISM} session {w}x{h}x{tiers} \
+         (batch {k}, transient {transient_steps})..."
+    );
     let stack = Stack3d::builder(w, h, tiers)
         .uniform_load(2e-4)
         .build()
         .expect("valid stack");
     let loads = sweep_loads(&stack, k);
-    let mut base =
-        Session::build(&stack, VpConfig::new().parallelism(threads)).expect("session builds");
-    let mut sharded = Session::build(
-        &stack,
-        VpConfig::new().parallelism(threads).shards(SESSION_SHARDS),
-    )
-    .expect("sharded session builds");
+    let build = |stack: &Stack3d, parallelism: usize| {
+        Session::build(stack, VpConfig::new().parallelism(parallelism)).expect("session builds")
+    };
+    let mut base = build(&stack, threads);
+    let mut wide = build(&stack, SESSION_PARALLELISM);
     let case = LoadCase::new(&stack);
     let set = LoadSet::new(&stack, &loads);
 
     let base_v = base
         .solve(&case)
-        .expect("unsharded solve")
+        .expect("parallelism-2 solve")
         .voltages()
         .to_vec();
-    sharded.solve(&case).expect("warm sharded solve");
+    wide.solve(&case).expect("warm parallelism-4 solve");
     let calls_before = alloc::alloc_calls();
     let start = Instant::now();
-    let view = sharded.solve(&case).expect("timed sharded solve");
+    let view = wide.solve(&case).expect("timed parallelism-4 solve");
     let single_ms = start.elapsed().as_secs_f64() * 1e3;
     let single_allocs = alloc::alloc_calls() - calls_before;
     assert_eq!(
         single_allocs, 0,
-        "warm sharded session solve must not allocate"
+        "warm parallelism-4 session solve must not allocate"
     );
     assert!(
         view.voltages()
             .iter()
             .zip(&base_v)
             .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "sharded session solve must be bitwise identical to the unsharded session"
+        "parallelism-4 session solve must be bitwise identical to the parallelism-2 session"
     );
 
     let base_batch: Vec<Vec<f64>> = {
-        let view = base.solve_batch(&set).expect("unsharded batch");
+        let view = base.solve_batch(&set).expect("parallelism-2 batch");
         (0..k)
             .map(|j| view.lane_voltages(j).expect("lane in range").to_vec())
             .collect()
     };
-    sharded.solve_batch(&set).expect("warm sharded batch");
+    wide.solve_batch(&set).expect("warm parallelism-4 batch");
     let calls_before = alloc::alloc_calls();
     let start = Instant::now();
-    let view = sharded.solve_batch(&set).expect("timed sharded batch");
+    let view = wide.solve_batch(&set).expect("timed parallelism-4 batch");
     let batch_ms = start.elapsed().as_secs_f64() * 1e3;
     let batch_allocs = alloc::alloc_calls() - calls_before;
     assert_eq!(
         batch_allocs, 0,
-        "warm sharded session batch must not allocate"
+        "warm parallelism-4 session batch must not allocate"
     );
     for (j, base_lane) in base_batch.iter().enumerate() {
         assert!(
@@ -1502,13 +1542,13 @@ fn sharding_block(
                 .iter()
                 .zip(base_lane)
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "sharded batch lane {j} must be bitwise identical to the unsharded session"
+            "parallelism-4 batch lane {j} must be bitwise identical to the parallelism-2 session"
         );
     }
 
-    // True transient on a decap stack: the sharded companion engines must
+    // True transient on a decap stack: the 4-band companion engines must
     // reuse their prefactors (zero mid-loop refactors), stay warm-clean,
-    // and trace bitwise with the unsharded run.
+    // and trace bitwise with the 2-band run.
     let tstack = Stack3d::builder(w / 2, h / 2, 2)
         .uniform_load(1e-4)
         .grid_capacitance(2e-13)
@@ -1526,34 +1566,29 @@ fn sharding_block(
             .transient_dynamic(&mut wave, sink, &TransientParams::new(&tstack, 2e-11))
             .expect("transient run")
     };
-    let mut tbase =
-        Session::build(&tstack, VpConfig::new().parallelism(threads)).expect("session builds");
-    let mut tsharded = Session::build(
-        &tstack,
-        VpConfig::new().parallelism(threads).shards(SESSION_SHARDS),
-    )
-    .expect("sharded session builds");
+    let mut tbase = build(&tstack, threads);
+    let mut twide = build(&tstack, SESSION_PARALLELISM);
     let mut base_sink = TraceSink::with_capacity(transient_steps, tnn);
     run_transient(&mut tbase, &mut base_sink);
     let mut sink = TraceSink::with_capacity(transient_steps, tnn);
-    run_transient(&mut tsharded, &mut sink); // cold: factors the companion system
+    run_transient(&mut twide, &mut sink); // cold: factors the companion system
     let calls_before = alloc::alloc_calls();
-    let report = run_transient(&mut tsharded, &mut sink);
+    let report = run_transient(&mut twide, &mut sink);
     let transient_allocs = alloc::alloc_calls() - calls_before;
     assert_eq!(
         transient_allocs, 0,
-        "warm sharded transient step loop must not allocate"
+        "warm parallelism-4 transient step loop must not allocate"
     );
     assert_eq!(
         report.refactors, 0,
-        "warm sharded step loop must reuse the prefactored companion system"
+        "warm parallelism-4 step loop must reuse the prefactored companion system"
     );
     assert!(
         sink.values()
             .iter()
             .zip(base_sink.values())
             .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "sharded transient trace must be bitwise identical to the unsharded session"
+        "parallelism-4 transient trace must be bitwise identical to the parallelism-2 session"
     );
 
     format!(
@@ -1563,7 +1598,8 @@ fn sharding_block(
          \"bands\": [\n{}\n    ],\n    \
          \"throughput_shards2_vs_unsharded\": {},\n    \
          \"bitwise_identical_vs_unsharded\": {},\n    \
-         \"session_grid\": \"{w}x{h}x{tiers}\",\n    \"session_shards\": {SESSION_SHARDS},\n    \
+         \"session_grid\": \"{w}x{h}x{tiers}\",\n    \
+         \"session_parallelism\": {SESSION_PARALLELISM},\n    \
          \"session_single_warm_ms\": {},\n    \
          \"session_batch_warm_ms\": {},\n    \
          \"session_single_warm_alloc_calls\": {single_allocs},\n    \
@@ -1632,11 +1668,11 @@ fn main() {
     };
     let batch_sizes = batch.unwrap_or_else(|| if quick { vec![1, 8] } else { vec![1, 8, 64] });
 
-    // (edge, sweeps) for row-sweep micro-benchmarks.
+    // (edge, passes) for row-sweep micro-benchmarks, 4 sweeps a pass.
     let sweep_cases: Vec<(usize, usize)> = if quick {
-        vec![(64, 40)]
+        vec![(64, 10)]
     } else {
-        vec![(256, 60), (512, 24)]
+        vec![(256, 15), (512, 10)]
     };
     // (w, h, tiers) for full-solver runs.
     let vp_cases: Vec<(usize, usize, usize)> = if quick {
@@ -1647,7 +1683,7 @@ fn main() {
 
     let row_blocks: Vec<String> = sweep_cases
         .iter()
-        .map(|&(edge, sweeps)| row_sweep_block(edge, sweeps))
+        .map(|&(edge, passes)| row_sweep_block(edge, 4, passes))
         .collect();
 
     let mut vp_blocks = Vec::new();
@@ -1742,9 +1778,10 @@ fn main() {
     // The row-band sharding trajectory: throughput at band counts above
     // the 2 threads on a tier footprint that exceeds one band's cache,
     // against the default 2-thread engine and bitwise-asserted against
-    // the one-thread slices, plus the zero-allocation sharded-session
-    // contract (single / batch / transient). The quick run is the CI
-    // smoke for both contracts.
+    // the one-thread slices, plus the zero-allocation, bitwise
+    // parallelism-4 against parallelism-2 session contract (single /
+    // batch / transient). The quick run is the CI smoke for both
+    // contracts.
     let sharding_blocks = if quick {
         vec![sharding_block(1024, &[4], 12, 8, 96, 96, 4, 8, 40)]
     } else {

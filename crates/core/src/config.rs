@@ -50,19 +50,15 @@ pub struct VpConfig {
     pub max_inner_sweeps: usize,
     /// Worker threads for the inner row sweeps. `1` (the default) keeps
     /// the paper's sequential alternating-direction schedule; larger
-    /// values switch the multi-tier tier solves to the red-black row
-    /// coloring, whose same-color rows are solved concurrently (see
-    /// [`voltprop_solvers::SweepSchedule`]) on the persistent
-    /// process-wide [`voltprop_solvers::WorkerPool`] — threads spawn on
-    /// the first parallel solve and park between solves, so warm
-    /// parallel solves stay allocation-free. Red-black results are
-    /// deterministic in the thread count.
+    /// values switch the tier solves to the red-black row coloring (see
+    /// [`voltprop_solvers::SweepSchedule`]) and split every tier into
+    /// `parallelism` near-equal row bands (clamped to the tier height),
+    /// one per thread of the persistent process-wide
+    /// [`voltprop_solvers::WorkerPool`] — threads spawn on the first
+    /// parallel solve and park between solves, so warm parallel solves
+    /// stay allocation-free. Red-black results are bitwise identical at
+    /// every `parallelism >= 2` (see [`BuildParams`]).
     pub parallelism: usize,
-    /// The least row-band count per tier for the inner sweeps; each tier
-    /// sweeps `max(shards, parallelism)` bands (see
-    /// [`BuildParams::shards`]). `0` and `1` both mean one band per
-    /// thread.
-    pub shards: usize,
 }
 
 impl Default for VpConfig {
@@ -75,7 +71,6 @@ impl Default for VpConfig {
             inner_tolerance: 1e-5,
             max_inner_sweeps: 10_000,
             parallelism: 1,
-            shards: 1,
         }
     }
 }
@@ -131,19 +126,11 @@ impl VpConfig {
         self
     }
 
-    /// Sets the least per-tier row-band count (`0` and `1` both mean one
-    /// band per thread; see [`BuildParams::shards`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// The build-time half of this config (what a
     /// [`Session`](crate::Session) fixes at construction).
     pub fn build_params(&self) -> BuildParams {
         BuildParams {
             parallelism: self.parallelism.max(1),
-            shards: self.shards.max(1),
         }
     }
 
@@ -170,7 +157,6 @@ impl VpConfig {
             inner_tolerance: solve.inner_tolerance,
             max_inner_sweeps: solve.max_inner_sweeps,
             parallelism: build.parallelism.max(1),
-            shards: build.shards.max(1),
         }
     }
 }
@@ -179,54 +165,42 @@ impl VpConfig {
 /// state a [`Session`](crate::Session) allocates up front and therefore
 /// cannot change between solves on one session.
 ///
-/// Today this is the worker-thread count and the row-band shard count; a
-/// geometry-compatible stack can be served with any per-solve
-/// [`SolveParams`], but changing either build parameter requires building
+/// Today this is the worker-thread count, which also fixes the row
+/// bands every tier sweeps; a geometry-compatible stack can be served
+/// with any per-solve [`SolveParams`], but changing it requires building
 /// a new session.
+///
+/// # Determinism contract
+///
+/// At `parallelism >= 2` each tier footprint is split along the y-axis
+/// into `parallelism` contiguous bands (clamped to the tier height) with
+/// 1-row halos, and every inner sweep runs per band against a private
+/// halo-extended voltage image, pushing the halos between the red and
+/// black half-sweeps. The images are built once at
+/// [`Session::build`](crate::Session::build), so single, batched, and
+/// transient solves all run banded with no warm allocator calls. Banding
+/// restructures dispatch and memory layout, never arithmetic: the
+/// row-based routes — single solves, masked/compacted batches, transient
+/// steps — produce **bitwise identical** voltages, iteration counts, and
+/// residuals at every `parallelism >= 2`, because per-sweep convergence
+/// deltas are folded with exact `f64::max`, so lane freezing cannot
+/// depend on the partition. The PCG backend has no row structure to
+/// band and keeps its usual tolerance contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildParams {
-    /// Worker threads for the inner row sweeps (see
-    /// [`VpConfig::parallelism`]).
+    /// Worker threads (and row bands per tier) for the inner row sweeps
+    /// (see [`VpConfig::parallelism`]).
     pub parallelism: usize,
-    /// The least row-band count per tier. Whenever `max(shards,
-    /// parallelism) >= 2`, each tier footprint is split along the y-axis
-    /// into that many contiguous bands (clamped to the tier height) with
-    /// 1-row halos, and every inner sweep runs per band against a
-    /// private halo-extended voltage image, pushing the halos between
-    /// the red and black half-sweeps. So `shards` at or below
-    /// `parallelism` changes nothing: every parallel session already
-    /// sweeps one band per thread. The images are built once at
-    /// [`Session::build`](crate::Session::build), so single, batched,
-    /// and transient solves all run banded with no warm allocator
-    /// calls. `0` and `1` both mean one band per thread.
-    ///
-    /// # Determinism contract
-    ///
-    /// Banding restructures dispatch and memory layout, never
-    /// arithmetic. `shards >= 2` forces the red-black sweep schedule
-    /// (keeping `parallelism` as the thread count), and on that schedule
-    /// the row-based routes — single solves, masked/compacted batches,
-    /// transient steps — produce **bitwise identical**
-    /// voltages, iteration counts, and residuals at every band count
-    /// and thread count: per-sweep convergence deltas are folded with
-    /// exact `f64::max`, so lane freezing cannot depend on the
-    /// partition. The PCG backend has no row structure to band; it
-    /// accepts the knob, runs unbanded, and keeps its usual tolerance
-    /// contract.
-    pub shards: usize,
 }
 
 impl Default for BuildParams {
     fn default() -> Self {
-        BuildParams {
-            parallelism: 1,
-            shards: 1,
-        }
+        BuildParams { parallelism: 1 }
     }
 }
 
 impl BuildParams {
-    /// The default build parameters (sequential sweeps, unsharded).
+    /// The default build parameters (sequential sweeps).
     pub fn new() -> Self {
         Self::default()
     }
@@ -235,14 +209,6 @@ impl BuildParams {
     /// the sequential schedule).
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads.max(1);
-        self
-    }
-
-    /// Sets the least per-tier row-band count (`0` and `1` both mean one
-    /// band per thread; see [`BuildParams::shards`] for the determinism
-    /// contract).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 }
@@ -375,16 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_default_to_one_and_clamp() {
-        assert_eq!(VpConfig::default().shards, 1);
-        assert_eq!(BuildParams::default().shards, 1);
-        assert_eq!(VpConfig::new().shards(0).shards, 1);
-        assert_eq!(BuildParams::new().shards(0).shards, 1);
-        assert_eq!(VpConfig::new().shards(4).build_params().shards, 4);
-        assert_eq!(BuildParams::new().shards(3).shards, 3);
-    }
-
-    #[test]
     fn split_roundtrips() {
         let c = VpConfig::new()
             .epsilon(2e-5)
@@ -392,8 +348,7 @@ mod tests {
             .max_outer_iterations(33)
             .sor_omega(1.4)
             .max_inner_sweeps(99)
-            .parallelism(3)
-            .shards(2);
+            .parallelism(3);
         let rebuilt = VpConfig::from_parts(c.build_params(), c.solve_params());
         assert_eq!(rebuilt, c);
     }

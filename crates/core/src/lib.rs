@@ -146,7 +146,6 @@ mod report;
 mod session;
 mod shared;
 mod solver;
-mod tier_cache;
 pub mod transient;
 mod vda;
 

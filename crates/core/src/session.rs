@@ -539,10 +539,12 @@ pub struct SolveScratch {
     pub(crate) vp: VpScratch,
     pub(crate) rb: Rb3dEngine,
     pub(crate) pcg: Option<PcgEngine>,
-    /// Lane-major Rb3d voltages (grown to the largest lane count seen).
-    pub(crate) rb_voltages: Vec<f64>,
-    /// Lane-major Pcg voltages (grown to the largest lane count seen).
-    pub(crate) pcg_voltages: Vec<f64>,
+    /// Lane-major voltages of the engine routes ([`Backend::Rb3d`] and
+    /// [`Backend::Pcg`]; grown to the largest lane count seen). One arena
+    /// serves both: each engine overwrites every entry it reports before
+    /// reading any (Rb3d starts from the rail, PCG expands its own
+    /// zero-started iterate).
+    pub(crate) voltages: Vec<f64>,
     /// Staging buffer for [`Session::solve_steps`] load sequences.
     pub(crate) transient_loads: Vec<f64>,
     /// Per-lane reports of the most recent request.
@@ -557,7 +559,7 @@ impl SolveScratch {
         self.vp.memory_bytes()
             + self.rb.memory_bytes()
             + self.pcg.as_ref().map_or(0, PcgEngine::memory_bytes)
-            + (self.rb_voltages.len() + self.pcg_voltages.len() + self.transient_loads.len()) * 8
+            + (self.voltages.len() + self.transient_loads.len()) * 8
             + self.reports.capacity() * std::mem::size_of::<VpReport>()
     }
 }
@@ -581,7 +583,7 @@ impl SessionCore {
     /// on a single tier), or a factorization fails.
     pub fn build(stack: &Stack3d, config: VpConfig) -> Result<SessionCore, BuildError> {
         let vp = VpScratch::new(stack, &config)?;
-        let rb = Rb3dEngine::build_sharded(stack, config.parallelism, config.shards)?;
+        let rb = Rb3dEngine::build(stack, config.parallelism)?;
         let (pcg, pcg_unavailable) = match PcgEngine::build(stack) {
             Ok(engine) => (Some(engine), None),
             Err(e) => (None, Some(format!("build-time PCG prefactor failed: {e}"))),
@@ -598,8 +600,7 @@ impl SessionCore {
                 vp,
                 rb,
                 pcg,
-                rb_voltages: vec![0.0; nn],
-                pcg_voltages: vec![0.0; nn],
+                voltages: vec![0.0; nn],
                 transient_loads: Vec::new(),
                 reports: Vec::new(),
             },
@@ -618,8 +619,7 @@ impl SessionCore {
             vp: self.proto.vp.fork(),
             rb: self.proto.rb.fork(),
             pcg: self.proto.pcg.as_ref().map(PcgEngine::fork),
-            rb_voltages: vec![0.0; self.nn],
-            pcg_voltages: vec![0.0; self.nn],
+            voltages: vec![0.0; self.nn],
             transient_loads: Vec::new(),
             reports: Vec::new(),
         }
@@ -676,7 +676,8 @@ impl SessionCore {
 
     /// Runs one [`LoadCase`] into `scratch` (no view yet — the borrow of
     /// the case stays separable from the result view, which
-    /// [`SessionCore::single_view`] builds afterwards).
+    /// [`SessionCore::view`] builds afterwards: a single solve is a
+    /// one-lane batch on every backend).
     pub(crate) fn solve_on(
         &self,
         scratch: &mut SolveScratch,
@@ -709,7 +710,7 @@ impl SessionCore {
                     params.sor_omega,
                     params.inner_tolerance,
                     params.max_inner_sweeps,
-                    &mut scratch.rb_voltages[..self.nn],
+                    &mut scratch.voltages[..self.nn],
                 )?;
                 scratch.reports.clear();
                 scratch.reports.push(rb_report(&rep, self.tiers));
@@ -723,41 +724,12 @@ impl SessionCore {
                     case.net,
                     params.inner_tolerance,
                     params.max_inner_sweeps,
-                    &mut scratch.pcg_voltages[..self.nn],
+                    &mut scratch.voltages[..self.nn],
                 )?;
                 scratch.reports.clear();
                 scratch.reports.push(pcg_report(&rep));
                 Ok(())
             }
-        }
-    }
-
-    /// The one-lane view over the arena a successful
-    /// [`SessionCore::solve_on`] wrote.
-    pub(crate) fn single_view<'s>(
-        &self,
-        scratch: &'s SolveScratch,
-        backend: Backend,
-    ) -> SolutionView<'s> {
-        match backend {
-            // A single solve is a one-lane batch.
-            Backend::VoltProp => self.batch_view(scratch, backend),
-            Backend::Rb3d => SolutionView {
-                voltages: &scratch.rb_voltages[..self.nn],
-                pillar_currents: &[],
-                reports: &scratch.reports,
-                lanes: 1,
-                nodes: self.nn,
-                sites: 0,
-            },
-            Backend::Pcg => SolutionView {
-                voltages: &scratch.pcg_voltages[..self.nn],
-                pillar_currents: &[],
-                reports: &scratch.reports,
-                lanes: 1,
-                nodes: self.nn,
-                sites: 0,
-            },
         }
     }
 
@@ -804,7 +776,7 @@ impl SessionCore {
                 run_engine_batch(
                     self.nn,
                     loads,
-                    &mut scratch.rb_voltages,
+                    &mut scratch.voltages,
                     &mut scratch.reports,
                     deadline,
                     |lane_loads, v| match rb.solve(
@@ -837,7 +809,7 @@ impl SessionCore {
                 run_engine_batch(
                     self.nn,
                     loads,
-                    &mut scratch.pcg_voltages,
+                    &mut scratch.voltages,
                     &mut scratch.reports,
                     deadline,
                     |lane_loads, v| match engine.solve(
@@ -867,13 +839,10 @@ impl SessionCore {
         }
     }
 
-    /// The view over the arena the given backend's batched results live
-    /// in (call only after a successful [`SessionCore::batch_on`]).
-    pub(crate) fn batch_view<'s>(
-        &self,
-        scratch: &'s SolveScratch,
-        backend: Backend,
-    ) -> SolutionView<'s> {
+    /// The view over the arena the given backend's results live in (call
+    /// only after a successful [`SessionCore::solve_on`] or
+    /// [`SessionCore::batch_on`]).
+    pub(crate) fn view<'s>(&self, scratch: &'s SolveScratch, backend: Backend) -> SolutionView<'s> {
         match backend {
             Backend::VoltProp => {
                 let (voltages, pillar_currents, k) = scratch.vp.solution();
@@ -886,21 +855,10 @@ impl SessionCore {
                     sites: scratch.vp.num_sites(),
                 }
             }
-            Backend::Rb3d => {
+            Backend::Rb3d | Backend::Pcg => {
                 let k = scratch.reports.len();
                 SolutionView {
-                    voltages: &scratch.rb_voltages[..k * self.nn],
-                    pillar_currents: &[],
-                    reports: &scratch.reports,
-                    lanes: k,
-                    nodes: self.nn,
-                    sites: 0,
-                }
-            }
-            Backend::Pcg => {
-                let k = scratch.reports.len();
-                SolutionView {
-                    voltages: &scratch.pcg_voltages[..k * self.nn],
+                    voltages: &scratch.voltages[..k * self.nn],
                     pillar_currents: &[],
                     reports: &scratch.reports,
                     lanes: k,
@@ -1085,7 +1043,7 @@ impl Session {
     ///   budget exhausted, numerical breakdown, invalid loads).
     pub fn solve(&mut self, case: &LoadCase<'_>) -> Result<SolutionView<'_>, SessionError> {
         self.core.solve_on(&mut self.scratch, case)?;
-        Ok(self.core.single_view(&self.scratch, case.backend))
+        Ok(self.core.view(&self.scratch, case.backend))
     }
 
     /// Serves `k` load patterns as one batched request. On the
@@ -1116,7 +1074,7 @@ impl Session {
             set.loads,
             set.deadline,
         )?;
-        Ok(self.core.batch_view(&self.scratch, set.backend))
+        Ok(self.core.view(&self.scratch, set.backend))
     }
 
     /// Serves a sequence of load steps: `steps` load vectors produced by
@@ -1149,7 +1107,7 @@ impl Session {
     {
         self.core
             .transient_on(&mut self.scratch, case, steps, fill)?;
-        Ok(self.core.batch_view(&self.scratch, case.backend))
+        Ok(self.core.view(&self.scratch, case.backend))
     }
 }
 

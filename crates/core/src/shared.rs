@@ -207,7 +207,7 @@ impl SharedSession {
     /// scratch is returned to the pool in a reusable state (no slot is
     /// leaked).
     pub fn solve<'s>(&'s self, case: &LoadCase<'_>) -> Result<SharedSolution<'s>, SessionError> {
-        let scratch = self.checkout();
+        let scratch = self.checkout(None).expect("an unbounded wait admits");
         self.run_single(scratch, case)
     }
 
@@ -222,7 +222,7 @@ impl SharedSession {
         &'s self,
         case: &LoadCase<'_>,
     ) -> Result<TryCheckout<SharedSolution<'s>>, SessionError> {
-        match self.try_checkout() {
+        match self.checkout(Some(Instant::now())) {
             Some(scratch) => self.run_single(scratch, case).map(TryCheckout::Ready),
             None => Ok(TryCheckout::Busy),
         }
@@ -240,7 +240,7 @@ impl SharedSession {
         &'s self,
         set: &LoadSet<'_>,
     ) -> Result<SharedSolution<'s>, SessionError> {
-        let scratch = self.checkout();
+        let scratch = self.checkout(None).expect("an unbounded wait admits");
         self.run_batch(scratch, set)
     }
 
@@ -253,7 +253,7 @@ impl SharedSession {
         &'s self,
         set: &LoadSet<'_>,
     ) -> Result<TryCheckout<SharedSolution<'s>>, SessionError> {
-        match self.try_checkout() {
+        match self.checkout(Some(Instant::now())) {
             Some(scratch) => self.run_batch(scratch, set).map(TryCheckout::Ready),
             None => Ok(TryCheckout::Busy),
         }
@@ -273,7 +273,7 @@ impl SharedSession {
         case: &LoadCase<'_>,
         wait: Duration,
     ) -> Result<TryCheckout<SharedSolution<'s>>, SessionError> {
-        match self.checkout_for(wait) {
+        match self.checkout(Some(Instant::now() + wait)) {
             Some(scratch) => self.run_single(scratch, case).map(TryCheckout::Ready),
             None => Ok(TryCheckout::Busy),
         }
@@ -290,7 +290,7 @@ impl SharedSession {
         set: &LoadSet<'_>,
         wait: Duration,
     ) -> Result<TryCheckout<SharedSolution<'s>>, SessionError> {
-        match self.checkout_for(wait) {
+        match self.checkout(Some(Instant::now() + wait)) {
             Some(scratch) => self.run_batch(scratch, set).map(TryCheckout::Ready),
             None => Ok(TryCheckout::Busy),
         }
@@ -310,7 +310,6 @@ impl SharedSession {
             pool: self,
             scratch: Some(scratch),
             backend: case.backend,
-            batched: false,
         };
         let scratch = guard.scratch.as_mut().expect("scratch present until drop");
         self.core.solve_on(scratch, case)?;
@@ -327,7 +326,6 @@ impl SharedSession {
             pool: self,
             scratch: Some(scratch),
             backend: set.backend,
-            batched: true,
         };
         let scratch = guard.scratch.as_mut().expect("scratch present until drop");
         self.core.batch_on(
@@ -342,36 +340,15 @@ impl SharedSession {
         Ok(guard)
     }
 
-    /// Blocks until a scratch slot frees up. Warm path: a `Vec::pop`
-    /// under the mutex — no allocation. If a quarantined slot left a
-    /// vacancy, a replacement scratch is rebuilt (outside the lock; this
-    /// is a cold, allocating path).
-    fn checkout(&self) -> SolveScratch {
-        let mut state = lock_recover(&self.state);
-        loop {
-            if let Some(scratch) = state.ready.pop() {
-                state.live += 1;
-                return scratch;
-            }
-            if state.live < self.slots {
-                // A quarantined slot's vacancy: claim it, then rebuild
-                // its scratch without holding the lock.
-                state.live += 1;
-                drop(state);
-                return self.core.new_scratch();
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Bounded-wait [`SharedSession::checkout`]: waits on the condvar
-    /// against an absolute deadline (immune to spurious wakeups), `None`
-    /// once `wait` has elapsed with every slot still out.
-    fn checkout_for(&self, wait: Duration) -> Option<SolveScratch> {
-        let until = Instant::now() + wait;
+    /// Checks a scratch out, waiting for a free slot until `deadline`:
+    /// `None` waits indefinitely, an instant already past never waits.
+    /// `None` once the deadline passes with every slot still out. Warm
+    /// path: a `Vec::pop` under the mutex — no allocation. If a
+    /// quarantined slot left a vacancy, a replacement scratch is rebuilt
+    /// (outside the lock; this is a cold, allocating path). Timed waits
+    /// run against the absolute deadline, so spurious wakeups cannot
+    /// stretch them.
+    fn checkout(&self, deadline: Option<Instant>) -> Option<SolveScratch> {
         let mut state = lock_recover(&self.state);
         loop {
             if let Some(scratch) = state.ready.pop() {
@@ -379,10 +356,19 @@ impl SharedSession {
                 return Some(scratch);
             }
             if state.live < self.slots {
+                // A quarantined slot's vacancy: claim it, then rebuild
+                // its scratch without holding the lock.
                 state.live += 1;
                 drop(state);
                 return Some(self.core.new_scratch());
             }
+            let Some(until) = deadline else {
+                state = self
+                    .available
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
             let left = until.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return None;
@@ -393,22 +379,6 @@ impl SharedSession {
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
-    }
-
-    /// Non-blocking [`SharedSession::checkout`]: `None` when every slot
-    /// is out.
-    fn try_checkout(&self) -> Option<SolveScratch> {
-        let mut state = lock_recover(&self.state);
-        if let Some(scratch) = state.ready.pop() {
-            state.live += 1;
-            return Some(scratch);
-        }
-        if state.live < self.slots {
-            state.live += 1;
-            drop(state);
-            return Some(self.core.new_scratch());
-        }
-        None
     }
 
     /// Returns a scratch to the pool and wakes one waiter. `ready` was
@@ -456,7 +426,6 @@ pub struct SharedSolution<'s> {
     /// `Some` until `Drop` takes it back.
     scratch: Option<SolveScratch>,
     backend: Backend,
-    batched: bool,
 }
 
 impl SharedSolution<'_> {
@@ -465,11 +434,7 @@ impl SharedSolution<'_> {
     /// [`SharedSession::solve_batch`]).
     pub fn view(&self) -> SolutionView<'_> {
         let scratch = self.scratch.as_ref().expect("scratch present until drop");
-        if self.batched {
-            self.pool.core.batch_view(scratch, self.backend)
-        } else {
-            self.pool.core.single_view(scratch, self.backend)
-        }
+        self.pool.core.view(scratch, self.backend)
     }
 }
 

@@ -2,10 +2,11 @@ use std::sync::Arc;
 
 use crate::anderson::Anderson;
 use crate::lattice::PillarLattice;
-use crate::tier_cache::CachedTier;
 use crate::{VpConfig, VpReport};
 use voltprop_grid::{loads::first_invalid, NetKind, Stack3d};
-use voltprop_solvers::{LaneReport, SolverError, StackSolution, StackSolver};
+use voltprop_solvers::{
+    LaneReport, SolverError, StackSolution, StackSolver, SweepSchedule, TierEngine,
+};
 
 /// The 3-D voltage propagation solver (see the [crate docs](crate) for the
 /// algorithm).
@@ -67,7 +68,11 @@ pub(crate) struct VpScratch {
     /// (single-tier). One allocation serves every tier engine.
     fixed: Arc<[bool]>,
     lattice: Option<PillarLattice>,
-    tier_cache: Vec<CachedTier>,
+    /// One prefactored engine per tier: every row segment is factored
+    /// once here, so each sweep is pure substitution with zero heap
+    /// allocation. At `parallelism > 1` each sweeps `parallelism` row
+    /// bands on the persistent worker pool.
+    engines: Vec<TierEngine>,
     /// Error amplification factor baked from the geometry (see
     /// [`VpScratch::new`]); scales the inner tolerance.
     amplification: f64,
@@ -239,7 +244,6 @@ impl VpScratch {
         let (w, h, tiers) = (stack.width(), stack.height(), stack.tiers());
         let per = w * h;
         let parallelism = config.parallelism.max(1);
-        let shards = config.shards.max(1);
         let tier_g: Vec<(f64, f64)> = (0..tiers)
             .map(|t| (1.0 / stack.r_horizontal(t), 1.0 / stack.r_vertical(t)))
             .collect();
@@ -299,10 +303,7 @@ impl VpScratch {
             (site_flat, is_pad_site)
         };
         let fixed: Arc<[bool]> = fixed.into();
-        let tier_cache: Vec<CachedTier> = tier_g
-            .iter()
-            .map(|&(g_h, g_v)| CachedTier::new(w, h, g_h, g_v, fixed.clone(), parallelism, shards))
-            .collect::<Result<_, _>>()?;
+        let engines = tier_engines(w, h, &tier_g, &fixed, None, parallelism)?;
         let lattice = if tiers == 1 {
             None
         } else {
@@ -346,7 +347,7 @@ impl VpScratch {
             is_pad_site,
             fixed,
             lattice,
-            tier_cache,
+            engines,
             amplification,
             arena,
         })
@@ -354,7 +355,7 @@ impl VpScratch {
 
     /// A new scratch sharing this one's frozen half with fresh per-solve
     /// mutable state: the prefactored tier engines and the pillar
-    /// lattice's coarse engine are shared through [`CachedTier::fork`]
+    /// lattice's coarse engine are shared through [`TierEngine::fork`]
     /// and [`PillarLattice::fork`] (no refactorization), the pin mask
     /// `Arc` is cloned, and a fresh one-lane arena is allocated (wider
     /// batches grow it on the fork's first such solve).
@@ -378,7 +379,7 @@ impl VpScratch {
             is_pad_site: self.is_pad_site.clone(),
             fixed: Arc::clone(&self.fixed),
             lattice: self.lattice.as_ref().map(PillarLattice::fork),
-            tier_cache: self.tier_cache.iter().map(CachedTier::fork).collect(),
+            engines: self.engines.iter().map(TierEngine::fork).collect(),
             amplification: self.amplification,
             arena: LaneArena::new(per * self.tiers, per, self.site_flat.len()),
         }
@@ -459,9 +460,9 @@ impl VpScratch {
         self.fixed.len()
             + self.lattice.as_ref().map_or(0, PillarLattice::memory_bytes)
             + self
-                .tier_cache
+                .engines
                 .iter()
-                .map(CachedTier::memory_bytes)
+                .map(TierEngine::memory_bytes)
                 .sum::<usize>()
             + self.arena.memory_bytes()
     }
@@ -481,31 +482,51 @@ impl VpScratch {
     ///
     /// # Errors
     ///
-    /// See [`CachedTier::new_companion`].
+    /// See [`TierEngine::new`].
     pub(crate) fn build_companion_tiers(
         &self,
         alpha_c: &[f64],
         parallelism: usize,
-        shards: usize,
-    ) -> Result<Vec<CachedTier>, SolverError> {
-        let per = self.width * self.height;
-        self.tier_g
-            .iter()
-            .enumerate()
-            .map(|(t, &(g_h, g_v))| {
-                CachedTier::new_companion(
-                    self.width,
-                    self.height,
-                    g_h,
-                    g_v,
-                    self.fixed.clone(),
-                    Some(&alpha_c[t * per..(t + 1) * per]),
-                    parallelism,
-                    shards,
-                )
-            })
-            .collect()
+    ) -> Result<Vec<TierEngine>, SolverError> {
+        tier_engines(
+            self.width,
+            self.height,
+            &self.tier_g,
+            &self.fixed,
+            Some(alpha_c),
+            parallelism,
+        )
     }
+}
+
+/// Prefactors one engine per tier on the shared pin mask, sweeping on
+/// the schedule `parallelism` maps to. `extra_diag` (flat tier-major)
+/// adds the transient companion conductances `α·C` to the diagonal
+/// before factoring.
+fn tier_engines(
+    w: usize,
+    h: usize,
+    tier_g: &[(f64, f64)],
+    fixed: &Arc<[bool]>,
+    extra_diag: Option<&[f64]>,
+    parallelism: usize,
+) -> Result<Vec<TierEngine>, SolverError> {
+    let per = w * h;
+    tier_g
+        .iter()
+        .enumerate()
+        .map(|(t, &(g_h, g_v))| {
+            TierEngine::new(
+                w,
+                h,
+                g_h,
+                g_v,
+                Arc::clone(fixed),
+                extra_diag.map(|e| &e[t * per..(t + 1) * per]),
+                SweepSchedule::from_parallelism(parallelism),
+            )
+        })
+        .collect()
 }
 
 /// The transient companion context of a voltage-propagation solve: the
@@ -518,7 +539,7 @@ impl VpScratch {
 pub(crate) struct CompanionRef<'a> {
     /// Companion-augmented tier engines (from
     /// [`VpScratch::build_companion_tiers`]), one per tier.
-    pub tiers: &'a mut [CachedTier],
+    pub tiers: &'a mut [TierEngine],
     /// `α·C` per node (flat tier-major, `nn` entries, siemens).
     pub alpha_c: &'a [f64],
     /// Companion injections `i_eq` per lane and node (lane-major,
@@ -742,17 +763,15 @@ fn planar(
     companion: Option<CompanionRef<'_>>,
 ) -> Result<(), SolverError> {
     let per = scratch.width * scratch.height;
-    let VpScratch {
-        tier_cache, arena, ..
-    } = scratch;
-    let (tier_cache, source): (&mut [CachedTier], &[f64]) = match companion {
+    let VpScratch { engines, arena, .. } = scratch;
+    let (engines, source): (&mut [TierEngine], &[f64]) = match companion {
         Some(c) => (c.tiers, c.source),
-        None => (tier_cache, &[]),
+        None => (engines, &[]),
     };
     let injection = &mut arena.injection[..per * k];
     fill_injection::<false>(k, injection, loads, source, per, 0, -sign, &arena.mask);
     let lanes = &mut arena.lanes[..k];
-    tier_cache[0].solve_lanes(
+    engines[0].solve_batch_masked(
         injection,
         &mut arena.v[..per * k],
         params.inner_tolerance,
@@ -798,7 +817,7 @@ fn propagate<const ONE: bool>(
         site_flat,
         is_pad_site,
         lattice,
-        tier_cache,
+        engines,
         tier_g,
         arena,
         ..
@@ -808,9 +827,9 @@ fn propagate<const ONE: bool>(
     // `α·C` / `i_eq` slices stay empty on the static path so the hot
     // loops branch on one bool.
     let v_n = companion.as_ref().and_then(|c| c.v_n);
-    let (tier_cache, alpha_c, source): (&mut [CachedTier], &[f64], &[f64]) = match companion {
+    let (engines, alpha_c, source): (&mut [TierEngine], &[f64], &[f64]) = match companion {
         Some(c) => (c.tiers, c.alpha_c, c.source),
-        None => (tier_cache, &[], &[]),
+        None => (engines, &[], &[]),
     };
     let dynamic = !alpha_c.is_empty();
     let v = &mut arena.v[..nn * k];
@@ -881,7 +900,7 @@ fn propagate<const ONE: bool>(
             // (net-independent) sign.
             let injection = &mut arena.injection[..per * k];
             fill_injection::<ONE>(k, injection, loads, source, nn, t * per, -sign, mask);
-            tier_cache[t].solve_lanes(
+            engines[t].solve_batch_masked(
                 injection,
                 &mut v[t * per * k..(t + 1) * per * k],
                 tight_tol,

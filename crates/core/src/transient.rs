@@ -40,11 +40,10 @@
 //! within the solver tolerance).
 
 use voltprop_grid::{loads::first_invalid, NetKind, Stack3d};
-use voltprop_solvers::{PcgEngine, Rb3dEngine, SolverError};
+use voltprop_solvers::{PcgEngine, Rb3dEngine, SolverError, TierEngine};
 
 use crate::session::{Backend, Session, SessionError};
 use crate::solver::{run_lanes, single_report, CompanionRef};
-use crate::tier_cache::CachedTier;
 use crate::{Deadline, SolveParams};
 
 /// The implicit integration rule of a transient run — both fold the
@@ -461,7 +460,7 @@ pub(crate) struct TransientState {
     /// `α·C` per node — the companion conductances (siemens).
     alpha_c: Vec<f64>,
     /// Companion tier factors for the VoltProp route (lazily built).
-    vp_tiers: Option<Vec<CachedTier>>,
+    vp_tiers: Option<Vec<TierEngine>>,
     /// Companion Rb3d engine (lazily built).
     rb: Option<Rb3dEngine>,
     /// Companion PCG engine (lazily built).
@@ -535,7 +534,7 @@ impl TransientState {
             + self
                 .vp_tiers
                 .as_ref()
-                .map_or(0, |ts| ts.iter().map(CachedTier::memory_bytes).sum())
+                .map_or(0, |ts| ts.iter().map(TierEngine::memory_bytes).sum())
             + self.rb.as_ref().map_or(0, Rb3dEngine::memory_bytes)
             + self.pcg.as_ref().map_or(0, PcgEngine::memory_bytes)
     }
@@ -609,7 +608,6 @@ impl Session {
         let caps = request.stack.capacitances();
         let params = request.params.unwrap_or(core.defaults());
         let parallelism = core.build_params().parallelism.max(1);
-        let shards = core.build_params().shards.max(1);
         let rail = match request.net {
             NetKind::Power => request.stack.vdd(),
             NetKind::Ground => 0.0,
@@ -673,7 +671,6 @@ impl Session {
                     &params,
                     alpha,
                     parallelism,
-                    shards,
                     &mut refactors,
                     &mut solver_iterations,
                 )?;
@@ -688,7 +685,6 @@ impl Session {
                     &params,
                     alpha,
                     parallelism,
-                    shards,
                     &mut refactors,
                     &mut solver_iterations,
                 )?;
@@ -715,7 +711,6 @@ impl Session {
                     &params,
                     alpha,
                     parallelism,
-                    shards,
                     &mut refactors,
                     &mut solver_iterations,
                 )?;
@@ -760,18 +755,17 @@ fn solve_companion_step(
     params: &SolveParams,
     alpha: f64,
     parallelism: usize,
-    shards: usize,
     refactors: &mut usize,
     solver_iterations: &mut usize,
 ) -> Result<(), SessionError> {
     match request.backend {
         Backend::VoltProp => {
             if state.vp_tiers.is_none() {
-                state.vp_tiers = Some(scratch.vp.build_companion_tiers(
-                    &state.alpha_c,
-                    parallelism,
-                    shards,
-                )?);
+                state.vp_tiers = Some(
+                    scratch
+                        .vp
+                        .build_companion_tiers(&state.alpha_c, parallelism)?,
+                );
                 *refactors += 1;
             }
             let tiers = state.vp_tiers.as_mut().expect("just ensured");
@@ -799,11 +793,10 @@ fn solve_companion_step(
         }
         Backend::Rb3d => {
             if state.rb.is_none() {
-                state.rb = Some(Rb3dEngine::build_companion_sharded(
+                state.rb = Some(Rb3dEngine::build_companion(
                     request.stack,
                     parallelism,
                     alpha,
-                    shards,
                 )?);
                 *refactors += 1;
             }

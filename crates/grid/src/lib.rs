@@ -45,7 +45,6 @@ mod error;
 pub mod loads;
 pub mod netlist;
 pub mod rng;
-pub mod shard;
 mod stack;
 pub mod stamp;
 pub mod stats;
@@ -55,7 +54,6 @@ mod validate;
 pub use error::GridError;
 pub use loads::LoadProfile;
 pub use netlist::{Netlist, NetlistCircuit};
-pub use shard::{ShardBand, ShardPlan};
 pub use stack::{NetKind, Stack3d, StackBuilder, TsvPattern};
 pub use stamp::StampedSystem;
 pub use synth::{SynthConfig, TableCircuit};

@@ -22,12 +22,12 @@
 //!
 //! An engine picks its path once, at construction:
 //!
-//! * **The single-thread slices** (one thread, no sharding): the
+//! * **The single-thread slices** (one thread, one band): the
 //!   sequential or red-black sweep runs in place on the caller's vector.
-//! * **The band job** (two or more threads, or two or more shards): the
-//!   tier is split into row bands that sweep inside private
-//!   halo-extended images on the persistent [`WorkerPool`] (see *Row
-//!   bands* below).
+//! * **The band job** (two or more threads, or two or more bands asked
+//!   of [`TierEngine::new_sharded`]): the tier is split into row bands
+//!   that sweep inside private halo-extended images on the persistent
+//!   [`WorkerPool`] (see *Row bands* below).
 //!
 //! # One solve path: a scalar solve is a batch of one
 //!
@@ -116,10 +116,10 @@
 //!
 //! # Row bands
 //!
-//! The band job splits the tier into `max(shards, threads)` contiguous
-//! row bands (a [`ShardPlan`], clamped to the tier height) with 1-row
-//! halos, and hands each pool thread an equal share of contiguous bands,
-//! at least one. Each band sweeps its owned rows inside a **private
+//! The band job splits the tier into `max(shards, threads)` near-equal
+//! contiguous row bands (clamped to the tier height) with 1-row halos,
+//! and hands each pool thread an equal share of contiguous bands, at
+//! least one. Each band sweeps its owned rows inside a **private
 //! halo-extended voltage image**. A sweep waits at three barriers:
 //!
 //! 1. after the red half-sweep and its **push**: each band writes its
@@ -147,7 +147,6 @@ use std::sync::{Arc, Barrier, RwLock};
 use crate::pool::{PoolJob, WorkerPool, WorkerScratch};
 use crate::rowbased::TierProblem;
 use crate::{LaneReport, SolveReport, SolverError};
-use voltprop_grid::ShardPlan;
 use voltprop_sparse::tridiag::FactoredSegments;
 
 /// How a [`TierEngine`] orders its row solves within one sweep.
@@ -515,24 +514,30 @@ struct BandLayout {
 }
 
 impl BandLayout {
-    /// Splits the tier into `bands` row bands and hands each of at most
-    /// `threads` threads an equal share (±1) of them, at least one band.
+    /// Splits the tier into `bands` (in `1..=height`) near-equal row
+    /// bands, the first `height % bands` one row taller, and hands each
+    /// of at most `threads` threads an equal share (±1) of them, at least
+    /// one band.
     fn build(topo: &Topo, bands: usize, threads: usize) -> BandLayout {
         let span = |idx: &[u32], y0: usize, y1: usize| {
             let below =
                 |y: usize| idx.partition_point(|&si| (topo.segments[si as usize].row as usize) < y);
             below(y0)..below(y1)
         };
-        let bands: Vec<Band> = ShardPlan::new(topo.height, bands)
-            .bands()
-            .iter()
-            .map(|b| Band {
-                y0: b.y0(),
-                y1: b.y1(),
-                lo: b.lo(),
-                hi: b.hi(),
-                red: span(&topo.red_idx, b.y0(), b.y1()),
-                black: span(&topo.black_idx, b.y0(), b.y1()),
+        let height = topo.height;
+        let mut y1 = 0;
+        let bands: Vec<Band> = (0..bands)
+            .map(|i| {
+                let y0 = y1;
+                y1 = y0 + height / bands + usize::from(i < height % bands);
+                Band {
+                    y0,
+                    y1,
+                    lo: y0.saturating_sub(1),
+                    hi: (y1 + 1).min(height),
+                    red: span(&topo.red_idx, y0, y1),
+                    black: span(&topo.black_idx, y0, y1),
+                }
             })
             .collect();
         let nb = bands.len();
@@ -839,15 +844,17 @@ impl TierEngine {
         extra_diag: Option<&[f64]>,
         schedule: SweepSchedule,
     ) -> Result<Self, SolverError> {
-        Self::new_inner(width, height, g_h, g_v, fixed, extra_diag, schedule, 1)
+        Self::new_sharded(width, height, g_h, g_v, fixed, extra_diag, schedule, 1)
     }
 
-    /// [`TierEngine::new`] asking for at least `shards` row bands (see
-    /// [`ShardPlan`]). The engine sweeps `max(shards, threads)` bands,
-    /// clamped to the tier height, on the band job (see the module
-    /// docs); [`TierEngine::shards`] reports the count. So `shards` at or
-    /// below the thread count builds the same engine as
-    /// [`TierEngine::new`].
+    /// [`TierEngine::new`] asking for at least `shards` row bands. The
+    /// engine sweeps `max(shards, threads)` near-equal bands, clamped to
+    /// the tier height, on the band job (see the module docs);
+    /// [`TierEngine::shards`] reports the count. So `shards` at or below
+    /// the thread count builds the same engine as [`TierEngine::new`],
+    /// which is what every session builds: its tiers sweep one band per
+    /// `parallelism` thread. More bands than threads stay reachable here
+    /// for experiments on the band layout.
     ///
     /// `shards >= 2` forces the [`SweepSchedule::RedBlack`] schedule (on
     /// the passed schedule's thread count): a red row reads only frozen
@@ -868,20 +875,6 @@ impl TierEngine {
     /// See [`TierEngine::new`].
     #[allow(clippy::too_many_arguments)] // mirrors `new` plus the band count
     pub fn new_sharded(
-        width: usize,
-        height: usize,
-        g_h: f64,
-        g_v: f64,
-        fixed: Arc<[bool]>,
-        extra_diag: Option<&[f64]>,
-        schedule: SweepSchedule,
-        shards: usize,
-    ) -> Result<Self, SolverError> {
-        Self::new_inner(width, height, g_h, g_v, fixed, extra_diag, schedule, shards)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn new_inner(
         width: usize,
         height: usize,
         g_h: f64,
@@ -2749,10 +2742,28 @@ mod tests {
     fn shard_layout_covers_every_segment_exactly_once() {
         let (w, h) = (29, 17);
         let (fixed, _, _) = random_problem(8, w, h);
-        for (threads, shards) in [(1usize, 2usize), (3, 4), (4, 17), (2, 5)] {
+        // One band is the single-thread slices: no layout, no halo.
+        assert!(sharded_engine(w, h, &fixed, 1, 1).bands.is_none());
+        for (threads, shards) in [(1usize, 2usize), (3, 4), (4, 17), (2, 5), (3, 8), (2, 40)] {
             let e = sharded_engine(w, h, &fixed, threads, shards);
             let lay = &e.bands.as_ref().unwrap().layout;
+            // A band count above the height clamps to one band per row.
             assert_eq!(lay.bands.len(), shards.min(h));
+            // Rows tile contiguously, band heights within 1 of each
+            // other, halo rows exactly at the interior boundaries.
+            let last = lay.bands.len() - 1;
+            let mut y = 0usize;
+            for (i, band) in lay.bands.iter().enumerate() {
+                assert_eq!(band.y0, y, "threads {threads} shards {shards}");
+                assert!(band.y1 > band.y0);
+                assert_eq!(band.lo, if i == 0 { 0 } else { band.y0 - 1 });
+                assert_eq!(band.hi, if i == last { h } else { band.y1 + 1 });
+                y = band.y1;
+            }
+            assert_eq!(y, h);
+            let rows = lay.bands.iter().map(|b| b.y1 - b.y0);
+            let (min, max) = (rows.clone().min().unwrap(), rows.max().unwrap());
+            assert!(max - min <= 1, "threads {threads} shards {shards}");
             let mut seen = vec![0usize; e.topo.segments.len()];
             for band in &lay.bands {
                 let red = &e.topo.red_idx[band.red.clone()];

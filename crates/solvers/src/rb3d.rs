@@ -125,24 +125,7 @@ impl Rb3dEngine {
     /// [`SolverError::Grid`] if the stack fails validation;
     /// [`SolverError::Sparse`] if a tier factorization fails.
     pub fn build(stack: &Stack3d, parallelism: usize) -> Result<Self, SolverError> {
-        Self::build_inner(stack, parallelism, 0.0, 1)
-    }
-
-    /// [`Rb3dEngine::build`] with every tier split into at least `shards`
-    /// row bands (see [`TierEngine::new_sharded`]): each tier sweeps
-    /// `max(shards, parallelism)` bands with per-color halo pushes, and
-    /// results stay bitwise identical to the one-thread red-black engine
-    /// at every band and thread count.
-    ///
-    /// # Errors
-    ///
-    /// See [`Rb3dEngine::build`].
-    pub fn build_sharded(
-        stack: &Stack3d,
-        parallelism: usize,
-        shards: usize,
-    ) -> Result<Self, SolverError> {
-        Self::build_inner(stack, parallelism, 0.0, shards)
+        Self::build_companion(stack, parallelism, 0.0)
     }
 
     /// Builds the transient companion variant of the engine: every node's
@@ -150,7 +133,8 @@ impl Rb3dEngine {
     /// for backward Euler or `2/h` for trapezoidal) is folded into that
     /// node's diagonal before the tier rows are factored, so the engine
     /// iterates on `G + α·diag(C)`. The per-step companion *currents* are
-    /// passed to [`Rb3dEngine::solve_with_source`].
+    /// passed to [`Rb3dEngine::solve_with_source`]. `alpha = 0` builds
+    /// the static engine.
     ///
     /// # Errors
     ///
@@ -159,30 +143,6 @@ impl Rb3dEngine {
         stack: &Stack3d,
         parallelism: usize,
         alpha: f64,
-    ) -> Result<Self, SolverError> {
-        Self::build_inner(stack, parallelism, alpha, 1)
-    }
-
-    /// [`Rb3dEngine::build_companion`] with every tier split into
-    /// `shards` row bands (see [`Rb3dEngine::build_sharded`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Rb3dEngine::build`].
-    pub fn build_companion_sharded(
-        stack: &Stack3d,
-        parallelism: usize,
-        alpha: f64,
-        shards: usize,
-    ) -> Result<Self, SolverError> {
-        Self::build_inner(stack, parallelism, alpha, shards)
-    }
-
-    fn build_inner(
-        stack: &Stack3d,
-        parallelism: usize,
-        alpha: f64,
-        shards: usize,
     ) -> Result<Self, SolverError> {
         stack.validate()?;
         let (w, h, tiers) = (stack.width(), stack.height(), stack.tiers());
@@ -253,7 +213,7 @@ impl Rb3dEngine {
             } else {
                 free_mask.clone()
             };
-            engines.push(TierEngine::new_sharded(
+            engines.push(TierEngine::new(
                 w,
                 h,
                 tier_g[t].0,
@@ -261,7 +221,6 @@ impl Rb3dEngine {
                 mask,
                 Some(&extra[t]),
                 schedule,
-                shards,
             )?);
         }
 

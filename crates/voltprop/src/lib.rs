@@ -72,8 +72,8 @@ pub use voltprop_core::{
     TransientSink, TryCheckout, VpConfig, VpReport, VpSolver, Waveform,
 };
 pub use voltprop_grid::{
-    GridError, LoadProfile, NetKind, Netlist, NetlistCircuit, ShardBand, ShardPlan, Stack3d,
-    StampedSystem, SynthConfig, TableCircuit, TsvPattern,
+    GridError, LoadProfile, NetKind, Netlist, NetlistCircuit, Stack3d, StampedSystem, SynthConfig,
+    TableCircuit, TsvPattern,
 };
 pub use voltprop_solvers::{
     ConjugateGradient, DirectCholesky, LaneReport, LinearSolver, Pcg, PcgEngine, PrecondKind,

@@ -48,10 +48,6 @@ use voltprop::{
     Session,
     SessionCore,
     SessionError,
-    // Row-band sharding (new this release): the partition descriptor is
-    // public; `BuildParams::shards` turns it on through `Session::build`.
-    ShardBand,
-    ShardPlan,
     SharedSession,
     SharedSolution,
     SolutionView,
@@ -200,26 +196,20 @@ fn session_api_signatures_hold() {
             .unwrap();
     }
 
-    // Config split, including the build-time sharding knob (new this
-    // release; see `BuildParams::shards` for the determinism contract).
+    // Config split.
     let bp: BuildParams = VpConfig::default().build_params();
     let sp: SolveParams = VpConfig::default().solve_params();
     let _join: VpConfig = VpConfig::from_parts(bp, sp);
-    let sharded_cfg: VpConfig = VpConfig::new().parallelism(2).shards(2);
-    let _shards: usize = sharded_cfg.build_params().shards;
-    let _bp_sharded: BuildParams = BuildParams::new().parallelism(2).shards(4);
 
     // Backend routing covers at least these variants.
     let _backends = [Backend::VoltProp, Backend::Rb3d, Backend::Pcg];
 
-    // Prefactored Rb3d engine (the cross-backend substrate), plain and
-    // row-band sharded.
+    // Prefactored Rb3d engine (the cross-backend substrate).
     let rb: Result<Rb3dEngine, SolverError> = Rb3dEngine::build(&stack, 1);
     let mut rb: Rb3dEngine = rb.unwrap();
     let mut v = vec![0.0; rb.num_nodes()];
     let _rb_rep: Result<SolveReport, SolverError> =
         rb.solve(stack.loads(), NetKind::Power, 1.0, 1e-7, 200_000, &mut v);
-    let _rb_sharded: Result<Rb3dEngine, SolverError> = Rb3dEngine::build_sharded(&stack, 1, 2);
 
     // Prefactored PCG engine (the reference backend's substrate).
     let pe: Result<PcgEngine, SolverError> = PcgEngine::build(&stack);

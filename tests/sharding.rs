@@ -1,25 +1,30 @@
-//! Shard-count invariance: `BuildParams::shards` partitions the sweep,
-//! never the answer. 1/2/4 shards must reproduce the unsharded engine
-//! bitwise on VoltProp and Rb3d (and within the tolerance contract on
-//! Pcg, which has no row structure to shard), including
-//! masked/compacted batches and a transient run with a
-//! mid-run refactor.
+//! Band-count invariance: a session's tiers sweep one row band per
+//! `parallelism` thread, and the bands partition the sweep, never the
+//! answer. Sessions at parallelism 2, 3 and 4 (2, 3 and 4 bands, three
+//! distinct partitions) must agree bitwise on VoltProp and Rb3d single
+//! solves, masked/compacted batches, step sweeps, the sparse-pad coarse
+//! solve, and transient runs with a mid-run refactor.
 //!
-//! Both sides of every comparison run with `parallelism(2)` so the
-//! baseline uses the red-black schedule that `shards >= 2` forces —
-//! the determinism contract is stated on `BuildParams::shards`.
+//! Every comparison is against the parallelism-2 session. Parallelism 1
+//! runs the sequential schedule, which reaches the same fixed point by a
+//! different path, so it is no bitwise reference. The independent
+//! references for the band job are the engine tests against the
+//! one-thread red-black slices (`RedBlack { threads: 1 }`) and the
+//! parallelism-2 block of `tests/fixtures/routes_pinned.txt`.
 //!
 //! The default stack puts a pad on every pillar, which leaves the VDA's
 //! pillar-lattice solve nothing to do; a sparse-pad stack runs that
-//! coarse solve on every outer iteration, and must be invariant in the
-//! thread count as well as the shard count.
+//! coarse solve on every outer iteration, on an engine banded by
+//! `parallelism` as well.
 
 use voltprop::{
-    Backend, FnWaveform, LoadCase, LoadProfile, LoadSet, Session, SolveParams, Stack3d, TraceSink,
+    Backend, FnWaveform, LoadCase, LoadProfile, LoadSet, Session, Stack3d, TraceSink,
     TransientParams, VpConfig,
 };
 
-const SHARD_COUNTS: [usize; 2] = [2, 4];
+/// The reference parallelism, and the ones compared against it.
+const BASE: usize = 2;
+const PARALLELISMS: [usize; 2] = [3, 4];
 
 fn stack() -> Stack3d {
     Stack3d::builder(12, 12, 3)
@@ -50,8 +55,8 @@ fn sparse_pad_stack() -> Stack3d {
         .unwrap()
 }
 
-fn config(shards: usize) -> VpConfig {
-    VpConfig::new().parallelism(2).shards(shards)
+fn session(stack: &Stack3d, parallelism: usize) -> Session {
+    Session::build(stack, VpConfig::new().parallelism(parallelism)).unwrap()
 }
 
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
@@ -81,16 +86,19 @@ fn single_solves_are_shard_count_invariant() {
     let stack = stack();
     for backend in [Backend::VoltProp, Backend::Rb3d] {
         let case = || LoadCase::new(&stack).backend(backend);
-        let mut base = Session::build(&stack, config(1)).unwrap();
-        let want = base.solve(&case()).unwrap().voltages().to_vec();
-        for shards in SHARD_COUNTS {
-            let mut session = Session::build(&stack, config(shards)).unwrap();
+        let want = session(&stack, BASE)
+            .solve(&case())
+            .unwrap()
+            .voltages()
+            .to_vec();
+        for p in PARALLELISMS {
+            let mut session = session(&stack, p);
             let view = session.solve(&case()).unwrap();
-            assert!(view.converged(), "{backend:?} x{shards}");
+            assert!(view.converged(), "{backend:?} x{p}");
             assert_bits_eq(
                 &want,
                 view.voltages(),
-                &format!("{backend:?}/shards={shards}"),
+                &format!("{backend:?}/parallelism={p}"),
             );
         }
     }
@@ -103,7 +111,7 @@ fn sparse_pad_solves_are_thread_and_shard_count_invariant() {
     let loads = load_sweep(&stack, k);
     let case = || LoadCase::new(&stack);
     let set = || LoadSet::new(&stack, &loads);
-    let mut base = Session::build(&stack, config(1)).unwrap();
+    let mut base = session(&stack, BASE);
     let view = base.solve(&case()).unwrap();
     assert!(view.converged());
     let want = view.voltages().to_vec();
@@ -111,10 +119,9 @@ fn sparse_pad_solves_are_thread_and_shard_count_invariant() {
     let want_lanes: Vec<Vec<f64>> = (0..k)
         .map(|j| batch.lane_voltages(j).unwrap().to_vec())
         .collect();
-    for (parallelism, shards) in [(4, 1), (2, 2), (4, 2), (2, 4), (4, 4)] {
-        let what = format!("parallelism={parallelism}/shards={shards}");
-        let config = VpConfig::new().parallelism(parallelism).shards(shards);
-        let mut session = Session::build(&stack, config).unwrap();
+    for p in PARALLELISMS {
+        let what = format!("parallelism={p}");
+        let mut session = session(&stack, p);
         assert_bits_eq(&want, session.solve(&case()).unwrap().voltages(), &what);
         let got = session.solve_batch(&set()).unwrap();
         for (j, want_lane) in want_lanes.iter().enumerate() {
@@ -128,55 +135,26 @@ fn sparse_pad_solves_are_thread_and_shard_count_invariant() {
 }
 
 #[test]
-fn pcg_accepts_the_shards_knob_within_its_tolerance_contract() {
-    // Pcg has no row-band structure: the knob is accepted (so one config
-    // can drive all backends) but the Krylov solve runs unsharded, and
-    // the contract is agreement within the requested tolerance rather
-    // than bitwise identity.
-    let stack = stack();
-    let case = || {
-        LoadCase::new(&stack).backend(Backend::Pcg).params(
-            SolveParams::new()
-                .inner_tolerance(1e-10)
-                .max_inner_sweeps(50_000),
-        )
-    };
-    let mut base = Session::build(&stack, config(1)).unwrap();
-    let want = base.solve(&case()).unwrap().voltages().to_vec();
-    for shards in SHARD_COUNTS {
-        let mut session = Session::build(&stack, config(shards)).unwrap();
-        let view = session.solve(&case()).unwrap();
-        assert!(view.converged(), "pcg x{shards}");
-        let worst = want
-            .iter()
-            .zip(view.voltages())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(worst < 1e-8, "pcg shards={shards} drifts {worst:e} V");
-    }
-}
-
-#[test]
 fn masked_batches_are_shard_count_invariant() {
     let stack = stack();
     let k = 5;
     let loads = load_sweep(&stack, k);
     for backend in [Backend::VoltProp, Backend::Rb3d] {
         let set = || LoadSet::new(&stack, &loads).backend(backend);
-        let mut base = Session::build(&stack, config(1)).unwrap();
+        let mut base = session(&stack, BASE);
         let want = base.solve_batch(&set()).unwrap();
         let want_lanes: Vec<Vec<f64>> = (0..k)
             .map(|j| want.lane_voltages(j).unwrap().to_vec())
             .collect();
-        for shards in SHARD_COUNTS {
-            let mut session = Session::build(&stack, config(shards)).unwrap();
+        for p in PARALLELISMS {
+            let mut session = session(&stack, p);
             let got = session.solve_batch(&set()).unwrap();
             assert_eq!(got.lanes(), k);
             for (j, want_lane) in want_lanes.iter().enumerate() {
                 assert_bits_eq(
                     want_lane,
                     got.lane_voltages(j).unwrap(),
-                    &format!("{backend:?}/shards={shards}/lane={j}"),
+                    &format!("{backend:?}/parallelism={p}/lane={j}"),
                 );
             }
         }
@@ -189,23 +167,28 @@ fn step_sweeps_are_shard_count_invariant() {
     let nn = stack.num_nodes();
     let steps = 3;
     let loads = load_sweep(&stack, steps);
-    let run = |session: &mut Session| -> Vec<Vec<f64>> {
-        let view = session
-            .solve_steps(&LoadCase::new(&stack), steps, |s, lane: &mut [f64]| {
-                lane.copy_from_slice(&loads[s * nn..(s + 1) * nn]);
-            })
-            .unwrap();
-        (0..steps)
-            .map(|s| view.lane_voltages(s).unwrap().to_vec())
-            .collect()
-    };
-    let mut base = Session::build(&stack, config(1)).unwrap();
-    let want = run(&mut base);
-    for shards in SHARD_COUNTS {
-        let mut session = Session::build(&stack, config(shards)).unwrap();
-        let got = run(&mut session);
-        for s in 0..steps {
-            assert_bits_eq(&want[s], &got[s], &format!("shards={shards}/step={s}"));
+    for backend in [Backend::VoltProp, Backend::Rb3d] {
+        let run = |session: &mut Session| -> Vec<Vec<f64>> {
+            let case = LoadCase::new(&stack).backend(backend);
+            let view = session
+                .solve_steps(&case, steps, |s, lane: &mut [f64]| {
+                    lane.copy_from_slice(&loads[s * nn..(s + 1) * nn]);
+                })
+                .unwrap();
+            (0..steps)
+                .map(|s| view.lane_voltages(s).unwrap().to_vec())
+                .collect()
+        };
+        let want = run(&mut session(&stack, BASE));
+        for p in PARALLELISMS {
+            let got = run(&mut session(&stack, p));
+            for s in 0..steps {
+                assert_bits_eq(
+                    &want[s],
+                    &got[s],
+                    &format!("{backend:?}/parallelism={p}/step={s}"),
+                );
+            }
         }
     }
 }
@@ -227,55 +210,72 @@ fn transient_with_a_mid_run_refactor_is_shard_count_invariant() {
         .unwrap();
     let nn = stack.num_nodes();
     let base_loads = stack.loads().to_vec();
-    // Two segments at different step sizes on one session: the h change
-    // between them forces a companion re-prefactor mid-run, and the
-    // rebuilt sharded factors must still match the unsharded rebuild.
-    let run = |session: &mut Session| -> (Vec<f64>, usize) {
-        let mut trace = Vec::new();
-        let mut refactors = 0;
-        for h in [1e-11, 4e-12] {
-            let steps = 4;
-            let mut wave = FnWaveform::new(steps, |s, _t, loads: &mut [f64]| {
-                for (l, b) in loads.iter_mut().zip(&base_loads) {
-                    *l = b * (1.0 + 0.15 * s as f64);
-                }
-            });
-            let mut sink = TraceSink::with_capacity(steps, nn);
-            let report = session
-                .transient_dynamic(&mut wave, &mut sink, &TransientParams::new(&stack, h))
-                .unwrap();
-            assert_eq!(report.steps, steps);
-            refactors += report.refactors;
-            trace.extend_from_slice(sink.values());
+    for backend in [Backend::VoltProp, Backend::Rb3d] {
+        // Two segments at different step sizes on one session: the h
+        // change between them forces a companion re-prefactor mid-run,
+        // and the rebuilt banded factors must still match the
+        // parallelism-2 rebuild.
+        let run = |session: &mut Session| -> (Vec<f64>, usize) {
+            let mut trace = Vec::new();
+            let mut refactors = 0;
+            for h in [1e-11, 4e-12] {
+                let steps = 4;
+                let mut wave = FnWaveform::new(steps, |s, _t, loads: &mut [f64]| {
+                    for (l, b) in loads.iter_mut().zip(&base_loads) {
+                        *l = b * (1.0 + 0.15 * s as f64);
+                    }
+                });
+                let mut sink = TraceSink::with_capacity(steps, nn);
+                let params = TransientParams::new(&stack, h).backend(backend);
+                let report = session
+                    .transient_dynamic(&mut wave, &mut sink, &params)
+                    .unwrap();
+                assert_eq!(report.steps, steps);
+                refactors += report.refactors;
+                trace.extend_from_slice(sink.values());
+            }
+            (trace, refactors)
+        };
+        let (want, base_refactors) = run(&mut session(&stack, BASE));
+        assert_eq!(base_refactors, 2, "cold prefactor + mid-run re-prefactor");
+        for p in PARALLELISMS {
+            let (got, refactors) = run(&mut session(&stack, p));
+            assert_eq!(refactors, 2, "{backend:?}/parallelism={p}");
+            assert_bits_eq(
+                &want,
+                &got,
+                &format!("{backend:?}/transient/parallelism={p}"),
+            );
         }
-        (trace, refactors)
-    };
-    let mut base = Session::build(&stack, config(1)).unwrap();
-    let (want, base_refactors) = run(&mut base);
-    assert_eq!(base_refactors, 2, "cold prefactor + mid-run re-prefactor");
-    for shards in SHARD_COUNTS {
-        let mut session = Session::build(&stack, config(shards)).unwrap();
-        let (got, refactors) = run(&mut session);
-        assert_eq!(refactors, 2, "shards={shards}");
-        assert_bits_eq(&want, &got, &format!("transient/shards={shards}"));
     }
 }
 
 #[test]
 fn oversized_shard_counts_clamp_and_stay_invariant() {
-    // More shards than grid rows clamps to one band per row; the result
-    // is still bitwise identical and memory accounting stays positive.
-    let stack = stack();
-    let mut base = Session::build(&stack, config(1)).unwrap();
+    // Three rows under four threads clamp to one band per row; the
+    // result is still bitwise identical, and the third band's halo
+    // images show up in the memory accounting.
+    let stack = Stack3d::builder(12, 3, 3)
+        .load_profile(
+            LoadProfile::UniformRandom {
+                min: 1e-5,
+                max: 1e-3,
+            },
+            79,
+        )
+        .build()
+        .unwrap();
+    let mut base = session(&stack, BASE);
     let want = base
         .solve(&LoadCase::new(&stack))
         .unwrap()
         .voltages()
         .to_vec();
     let base_bytes = base.memory_bytes();
-    let mut session = Session::build(&stack, config(64)).unwrap();
+    let mut session = session(&stack, 4);
     let view = session.solve(&LoadCase::new(&stack)).unwrap();
-    assert_bits_eq(&want, view.voltages(), "shards=64");
+    assert!(view.converged());
+    assert_bits_eq(&want, view.voltages(), "parallelism=4 on 3 rows");
     assert!(
         session.memory_bytes() > base_bytes,
         "halo images must be accounted: {} !> {}",
