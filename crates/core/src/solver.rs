@@ -71,7 +71,7 @@ pub(crate) struct VpScratch {
     /// One prefactored engine per tier: every row segment is factored
     /// once here, so each sweep is pure substitution with zero heap
     /// allocation. At `parallelism > 1` each sweeps `parallelism` row
-    /// bands on the persistent worker pool.
+    /// bands (at most one a row) on the persistent worker pool.
     engines: Vec<TierEngine>,
     /// Error amplification factor baked from the geometry (see
     /// [`VpScratch::new`]); scales the inner tolerance.
@@ -478,7 +478,7 @@ impl VpScratch {
     /// conductances, siemens, flat tier-major over all `nn` nodes) on its
     /// diagonal, sharing this scratch's pin mask. Built once per step
     /// size by the transient engine and then reused across every step —
-    /// the same factor-once contract as the static tier cache.
+    /// the same factor-once contract as the static tier engines.
     ///
     /// # Errors
     ///
