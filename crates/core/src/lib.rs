@@ -146,6 +146,7 @@ mod report;
 mod session;
 mod shared;
 mod solver;
+mod tier_cache;
 pub mod transient;
 mod vda;
 

@@ -2,11 +2,10 @@ use std::sync::Arc;
 
 use crate::anderson::Anderson;
 use crate::lattice::PillarLattice;
+use crate::tier_cache::tier_engines;
 use crate::{VpConfig, VpReport};
 use voltprop_grid::{loads::first_invalid, NetKind, Stack3d};
-use voltprop_solvers::{
-    LaneReport, SolverError, StackSolution, StackSolver, SweepSchedule, TierEngine,
-};
+use voltprop_solvers::{LaneReport, SolverError, StackSolution, StackSolver, TierEngine};
 
 /// The 3-D voltage propagation solver (see the [crate docs](crate) for the
 /// algorithm).
@@ -497,36 +496,6 @@ impl VpScratch {
             parallelism,
         )
     }
-}
-
-/// Prefactors one engine per tier on the shared pin mask, sweeping on
-/// the schedule `parallelism` maps to. `extra_diag` (flat tier-major)
-/// adds the transient companion conductances `α·C` to the diagonal
-/// before factoring.
-fn tier_engines(
-    w: usize,
-    h: usize,
-    tier_g: &[(f64, f64)],
-    fixed: &Arc<[bool]>,
-    extra_diag: Option<&[f64]>,
-    parallelism: usize,
-) -> Result<Vec<TierEngine>, SolverError> {
-    let per = w * h;
-    tier_g
-        .iter()
-        .enumerate()
-        .map(|(t, &(g_h, g_v))| {
-            TierEngine::new(
-                w,
-                h,
-                g_h,
-                g_v,
-                Arc::clone(fixed),
-                extra_diag.map(|e| &e[t * per..(t + 1) * per]),
-                SweepSchedule::from_parallelism(parallelism),
-            )
-        })
-        .collect()
 }
 
 /// The transient companion context of a voltage-propagation solve: the

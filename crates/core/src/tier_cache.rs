@@ -1,131 +1,46 @@
-//! A row-based tier solver with cached tridiagonal factorizations.
+//! The per-tier engine cache of a voltage-propagation solve.
 //!
 //! Inside the VP loop every tier is solved dozens of times with the *same*
-//! matrix — only the right-hand side (neighbour rows, VDA-adjusted pinned
-//! values) changes. [`CachedTier`] wraps the prefactored
-//! [`TierEngine`](voltprop_solvers::TierEngine): every row segment is
-//! factored once at construction (the Thomas `c'` and `1/m` coefficients
-//! are constant) and each sweep performs only forward/backward
-//! substitution — roughly `3N` multiplies per row instead of `5N-4` —
-//! with zero heap allocation.
-//!
-//! The engine also carries the solver's `parallelism` knob: with more
-//! than one thread the tier sweeps switch from the sequential
-//! alternating-direction schedule to red-black row coloring, whose
-//! same-color rows are solved concurrently (and deterministically in the
-//! thread count) on the persistent process-wide
-//! [`voltprop_solvers::WorkerPool`] — every tier's engine dispatches to
-//! the same parked workers, so a multi-tier solve pays no per-solve
-//! thread spawns. Batched tier solves compact to the unfrozen lanes (see
-//! [`TierEngine::solve_batch_masked`]), so lanes the VP outer loop has
-//! masked out cost nothing in later inner solves. All tiers share one
-//! pin-mask allocation (`Arc<[bool]>`) — the VP algorithm pins the same
+//! matrix: only the right-hand side (neighbour rows, VDA-adjusted pinned
+//! values) changes. [`tier_engines`] builds one prefactored
+//! [`TierEngine`] per tier: every row segment is factored once and each
+//! sweep performs only forward/backward substitution, with zero heap
+//! allocation. The scratch keeps the engines for the session's lifetime;
+//! the transient engine builds a companion set per step size. All tiers
+//! share one pin mask (`Arc<[bool]>`): the VP algorithm pins the same
 //! pillar sites on every tier.
 
 use std::sync::Arc;
-use voltprop_solvers::{LaneReport, SolveReport, SolverError, SweepSchedule, TierEngine};
+use voltprop_solvers::{SolverError, SweepSchedule, TierEngine};
 
-/// Per-tier cached structure: prefactored row segments plus the sweep
-/// schedule.
-#[derive(Debug)]
-pub(crate) struct CachedTier {
-    engine: TierEngine,
-}
-
-impl CachedTier {
-    /// Builds the cache for a tier with the given (shared) pin mask,
-    /// inner-sweep thread count, and least row-band count: with
-    /// `max(shards, parallelism) >= 2` the tier sweeps that many bands
-    /// against halo-extended images (see [`TierEngine::new_sharded`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`TierEngine::new`].
-    pub(crate) fn new(
-        width: usize,
-        height: usize,
-        g_h: f64,
-        g_v: f64,
-        fixed: Arc<[bool]>,
-        parallelism: usize,
-        shards: usize,
-    ) -> Result<Self, SolverError> {
-        Self::new_companion(width, height, g_h, g_v, fixed, None, parallelism, shards)
-    }
-
-    /// [`CachedTier::new`] with per-node grounded conductances added to
-    /// the diagonal before factoring — the transient companion terms
-    /// `α·C` (`extra_diag[site]`, siemens). The augmented tridiagonal
-    /// factors are built once here and reused by every sweep, exactly
-    /// like the static path; `None` (or all-zero) degenerates to
-    /// [`CachedTier::new`].
-    ///
-    /// # Errors
-    ///
-    /// See [`TierEngine::new`].
-    #[allow(clippy::too_many_arguments)] // mirrors the engine constructor
-    pub(crate) fn new_companion(
-        width: usize,
-        height: usize,
-        g_h: f64,
-        g_v: f64,
-        fixed: Arc<[bool]>,
-        extra_diag: Option<&[f64]>,
-        parallelism: usize,
-        shards: usize,
-    ) -> Result<Self, SolverError> {
-        Ok(CachedTier {
-            engine: TierEngine::new_sharded(
-                width,
-                height,
+/// Prefactors one engine per tier on the shared pin mask, sweeping on
+/// the schedule `parallelism` maps to. `extra_diag` (flat tier-major)
+/// adds the transient companion conductances `α·C` to the diagonal
+/// before factoring.
+pub(crate) fn tier_engines(
+    w: usize,
+    h: usize,
+    tier_g: &[(f64, f64)],
+    fixed: &Arc<[bool]>,
+    extra_diag: Option<&[f64]>,
+    parallelism: usize,
+) -> Result<Vec<TierEngine>, SolverError> {
+    let per = w * h;
+    tier_g
+        .iter()
+        .enumerate()
+        .map(|(t, &(g_h, g_v))| {
+            TierEngine::new(
+                w,
+                h,
                 g_h,
                 g_v,
-                fixed,
-                extra_diag,
+                Arc::clone(fixed),
+                extra_diag.map(|e| &e[t * per..(t + 1) * per]),
                 SweepSchedule::from_parallelism(parallelism),
-                shards,
-            )?,
+            )
         })
-    }
-
-    /// Batched multi-right-hand-side solve: `lanes.len()` load vectors
-    /// sweep together against the shared factors, node-major/lane-minor
-    /// layout, each lane freezing independently at `tolerance`. `mask`
-    /// marks lanes to leave untouched (the VP outer loop freezes whole
-    /// lanes once they converge). See [`TierEngine::solve_batch_masked`].
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::Unsupported`] for malformed batch arrays; per-lane
-    /// non-convergence is reported in `lanes`, not as an error.
-    #[allow(clippy::too_many_arguments)] // mirrors the engine entry points
-    pub(crate) fn solve_lanes(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-        mask: Option<&[bool]>,
-        lanes: &mut [LaneReport],
-    ) -> Result<SolveReport, SolverError> {
-        self.engine
-            .solve_batch_masked(injection, v, tolerance, max_sweeps, omega, mask, lanes)
-    }
-
-    /// A new cache sharing this one's frozen factors with fresh per-solve
-    /// scratch. See [`TierEngine::fork`].
-    #[must_use]
-    pub(crate) fn fork(&self) -> CachedTier {
-        CachedTier {
-            engine: self.engine.fork(),
-        }
-    }
-
-    /// Estimated heap footprint in bytes.
-    pub(crate) fn memory_bytes(&self) -> usize {
-        self.engine.memory_bytes()
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -157,44 +72,53 @@ mod tests {
         (fixed, v, injection)
     }
 
+    /// One engine per tier, each with its own conductances and its own
+    /// slice of the companion diagonal (zero on tier 0).
     #[test]
     fn matches_generic_rowbased() {
+        let tier_g = [(1.25, 0.8), (0.6, 1.9)];
         for seed in [1u64, 9, 42] {
             let (w, h) = (13, 9);
+            let n = w * h;
             let (fixed, v_init, injection) = fixture(w, h, seed);
-            let g_h = 1.25;
-            let g_v = 0.8;
+            let mut alpha_c = vec![0.0; 2 * n];
+            for (i, a) in alpha_c[n..].iter_mut().enumerate() {
+                *a = 0.01 * (1 + i % 7) as f64;
+            }
+            let mut engines =
+                tier_engines(w, h, &tier_g, &Arc::from(&fixed[..]), Some(&alpha_c), 1).unwrap();
+            assert_eq!(engines.len(), tier_g.len());
 
-            let mut v_cached = v_init.clone();
-            let mut cached = CachedTier::new(w, h, g_h, g_v, Arc::from(&fixed[..]), 1, 1).unwrap();
-            cached
-                .engine
-                .solve(&injection, &mut v_cached, 1e-10, 100_000)
-                .unwrap();
+            for (t, &(g_h, g_v)) in tier_g.iter().enumerate() {
+                let mut v_cached = v_init.clone();
+                engines[t]
+                    .solve(&injection, &mut v_cached, 1e-10, 100_000)
+                    .unwrap();
 
-            let mut v_ref = v_init.clone();
-            let problem = TierProblem {
-                width: w,
-                height: h,
-                g_h,
-                g_v,
-                fixed: &fixed,
-                extra_diag: &vec![0.0; w * h],
-                injection: &injection,
-            };
-            let rb = RowBased {
-                tolerance: 1e-10,
-                ..Default::default()
-            };
-            rb.solve_tier(&problem, &mut v_ref).unwrap();
+                let mut v_ref = v_init.clone();
+                let problem = TierProblem {
+                    width: w,
+                    height: h,
+                    g_h,
+                    g_v,
+                    fixed: &fixed,
+                    extra_diag: &alpha_c[t * n..(t + 1) * n],
+                    injection: &injection,
+                };
+                let rb = RowBased {
+                    tolerance: 1e-10,
+                    ..Default::default()
+                };
+                rb.solve_tier(&problem, &mut v_ref).unwrap();
 
-            for i in 0..w * h {
-                assert!(
-                    (v_cached[i] - v_ref[i]).abs() < 1e-7,
-                    "seed {seed} node {i}: cached {} vs generic {}",
-                    v_cached[i],
-                    v_ref[i]
-                );
+                for i in 0..n {
+                    assert!(
+                        (v_cached[i] - v_ref[i]).abs() < 1e-7,
+                        "seed {seed} tier {t} node {i}: cached {} vs generic {}",
+                        v_cached[i],
+                        v_ref[i]
+                    );
+                }
             }
         }
     }
@@ -206,15 +130,11 @@ mod tests {
             let (fixed, v_init, injection) = fixture(w, h, seed);
             let shared: Arc<[bool]> = Arc::from(&fixed[..]);
             let mut v_seq = v_init.clone();
-            CachedTier::new(w, h, 2.0, 1.5, shared.clone(), 1, 1)
-                .unwrap()
-                .engine
+            tier_engines(w, h, &[(2.0, 1.5)], &shared, None, 1).unwrap()[0]
                 .solve(&injection, &mut v_seq, 1e-12, 100_000)
                 .unwrap();
             let mut v_par = v_init.clone();
-            CachedTier::new(w, h, 2.0, 1.5, shared, 4, 1)
-                .unwrap()
-                .engine
+            tier_engines(w, h, &[(2.0, 1.5)], &shared, None, 4).unwrap()[0]
                 .solve(&injection, &mut v_par, 1e-12, 100_000)
                 .unwrap();
             for i in 0..w * h {
@@ -236,16 +156,17 @@ mod tests {
         let mut v = vec![0.0; w * h];
         v[0] = 1.8;
         let injection = vec![0.0; w * h];
-        let mut cached = CachedTier::new(w, h, 1.0, 1.0, Arc::from(fixed), 1, 1).unwrap();
+        let mut engines = tier_engines(w, h, &[(1.0, 1.0)], &Arc::from(fixed), None, 1).unwrap();
         assert!(matches!(
-            cached.engine.solve(&injection, &mut v, 1e-15, 2),
+            engines[0].solve(&injection, &mut v, 1e-15, 2),
             Err(SolverError::DidNotConverge { .. })
         ));
     }
 
     #[test]
     fn reports_positive_memory() {
-        let cached = CachedTier::new(5, 3, 1.0, 1.0, Arc::from(vec![false; 15]), 1, 1).unwrap();
-        assert!(cached.memory_bytes() > 0);
+        let engines =
+            tier_engines(5, 3, &[(1.0, 1.0)], &Arc::from(vec![false; 15]), None, 1).unwrap();
+        assert!(engines[0].memory_bytes() > 0);
     }
 }

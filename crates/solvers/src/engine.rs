@@ -146,6 +146,7 @@ use std::sync::{Arc, Barrier, RwLock};
 
 use crate::pool::{PoolJob, WorkerPool, WorkerScratch};
 use crate::rowbased::TierProblem;
+use crate::shard::{row_bands, RowBand};
 use crate::{LaneReport, SolveReport, SolverError};
 use voltprop_sparse::tridiag::FactoredSegments;
 
@@ -524,20 +525,14 @@ impl BandLayout {
                 |y: usize| idx.partition_point(|&si| (topo.segments[si as usize].row as usize) < y);
             below(y0)..below(y1)
         };
-        let height = topo.height;
-        let mut y1 = 0;
-        let bands: Vec<Band> = (0..bands)
-            .map(|i| {
-                let y0 = y1;
-                y1 = y0 + height / bands + usize::from(i < height % bands);
-                Band {
-                    y0,
-                    y1,
-                    lo: y0.saturating_sub(1),
-                    hi: (y1 + 1).min(height),
-                    red: span(&topo.red_idx, y0, y1),
-                    black: span(&topo.black_idx, y0, y1),
-                }
+        let bands: Vec<Band> = row_bands(topo.height, bands)
+            .map(|RowBand { y0, y1, lo, hi }| Band {
+                y0,
+                y1,
+                lo,
+                hi,
+                red: span(&topo.red_idx, y0, y1),
+                black: span(&topo.black_idx, y0, y1),
             })
             .collect();
         let nb = bands.len();

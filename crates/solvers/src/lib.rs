@@ -95,6 +95,7 @@ pub mod relax;
 mod report;
 pub mod residual;
 pub mod rowbased;
+mod shard;
 mod traits;
 
 pub use amg::AmgHierarchy;
