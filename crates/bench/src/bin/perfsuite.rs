@@ -31,10 +31,15 @@
 //!   per-RHS time against warm sequential per-RHS time, **asserting zero
 //!   allocator calls** on both warm requests (the other blocks build a
 //!   pad on every pillar and never run that solve);
-//! * the `Session` lifecycle: warm single, batch-64, and 24-step
-//!   `solve_steps` requests on one prefactored session, **asserting zero
-//!   allocator calls** per warm request (bitwise behavior is pinned by
-//!   the saved fixture in `tests/session.rs`);
+//! * the `Session` lifecycle: where the build cost goes — the build time
+//!   and heap of a VoltProp-only session, then the time and heap of the
+//!   first Pcg and the first Rb3d request, which build those engines —
+//!   asserting `memory_bytes` within 5% of the heap at each step and
+//!   **zero allocator calls** on the second Pcg and Rb3d requests; then
+//!   warm single, batch-64, and 24-step `solve_steps` requests on the
+//!   same session, **asserting zero allocator calls** per warm request
+//!   (bitwise behavior is pinned by the saved fixture in
+//!   `tests/session.rs`);
 //! * the true-transient engine: `Session::transient_dynamic` stepping a
 //!   waveform with backward-Euler companion models on a decap-loaded
 //!   stack — warm steps/s per backend on the **single** prefactored
@@ -742,10 +747,15 @@ fn vp_voltages(w: usize, h: usize, tiers: usize, parallelism: usize) -> Vec<f64>
     view.voltages().to_vec()
 }
 
-/// The session-API experiment: one prefactored [`Session`] serving a warm
-/// single solve, a warm batch of `k` lanes, and a warm `steps`-step
-/// quasi-static `solve_steps` sweep — asserting **zero allocator calls**
-/// on each warm request.
+/// The session-API experiment. First where the build cost goes: a
+/// VoltProp-only [`Session::build`] (time and retained heap), then the
+/// first [`Backend::Pcg`] and the first [`Backend::Rb3d`] request, each
+/// of which builds its engine (time and heap added), asserting
+/// `memory_bytes` within 5% of the heap after each step and **zero
+/// allocator calls** on each backend's second request. Then the same
+/// session serves a warm single solve, a warm batch of `k` lanes, and a
+/// warm `steps`-step quasi-static `solve_steps` sweep — asserting **zero
+/// allocator calls** on each warm request.
 /// (Bitwise behavior is pinned separately by the saved fixture in
 /// `tests/session.rs`, which replaced the deleted `VpSolver` legacy
 /// comparison paths.)
@@ -759,8 +769,45 @@ fn session_block(w: usize, h: usize, tiers: usize, k: usize, steps: usize) -> St
     let loads = sweep_loads(&stack, k);
     let wave = sweep_loads(&stack, steps);
 
-    // Build once, serve all three request shapes warm.
+    // Build the VoltProp engines only; each other backend is built by
+    // its first request. `memory_bytes` must follow the heap throughout.
+    let base = alloc::current_bytes();
+    let start = Instant::now();
     let mut session = Session::build(&stack, VpConfig::default()).expect("session builds");
+    let build_ms = start.elapsed().as_secs_f64() * 1e3;
+    let build_heap = alloc::current_bytes() - base;
+    let heap_ratio = |what: &str, session: &Session| -> f64 {
+        let ratio = session.memory_bytes() as f64 / (alloc::current_bytes() - base) as f64;
+        assert!(
+            (ratio - 1.0).abs() <= 0.05,
+            "{what}: memory_bytes is {ratio:.3}x the heap (outside 5%)"
+        );
+        ratio
+    };
+    let build_ratio = heap_ratio("voltprop-only build", &session);
+    let first_request = |label: &str, session: &mut Session, backend: Backend| {
+        let case = LoadCase::new(&stack).backend(backend);
+        let before = alloc::current_bytes();
+        let start = Instant::now();
+        session.solve(&case).expect("first request");
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        let heap = alloc::current_bytes() - before;
+        let ratio = heap_ratio(label, session);
+        let calls_before = alloc::alloc_calls();
+        session.solve(&case).expect("second request");
+        let second_allocs = alloc::alloc_calls() - calls_before;
+        assert_eq!(
+            second_allocs, 0,
+            "{label}: second request must not allocate"
+        );
+        (ms, heap, ratio, second_allocs)
+    };
+    let (pcg_ms, pcg_heap, pcg_ratio, pcg_second_allocs) =
+        first_request("first pcg", &mut session, Backend::Pcg);
+    let (rb_ms, rb_heap, rb_ratio, rb_second_allocs) =
+        first_request("first rb3d", &mut session, Backend::Rb3d);
+    let mib = |bytes: usize| json_f64(bytes as f64 / (1024.0 * 1024.0));
+
     let case = LoadCase::new(&stack);
     let timed =
         |label: &str, session: &mut Session, run: &mut dyn FnMut(&mut Session)| -> (f64, usize) {
@@ -793,12 +840,30 @@ fn session_block(w: usize, h: usize, tiers: usize, k: usize, steps: usize) -> St
     format!(
         "{{\n    \"grid\": \"{w}x{h}x{tiers}\",\n    \"batch\": {k},\n    \
          \"transient_steps\": {steps},\n    \
+         \"voltprop_build_ms\": {},\n    \
+         \"voltprop_build_heap_mib\": {},\n    \
+         \"first_pcg_request_ms\": {},\n    \
+         \"first_pcg_request_heap_mib\": {},\n    \
+         \"first_rb3d_request_ms\": {},\n    \
+         \"first_rb3d_request_heap_mib\": {},\n    \
+         \"memory_bytes_over_heap\": [{}, {}, {}],\n    \
+         \"pcg_second_alloc_calls\": {pcg_second_allocs},\n    \
+         \"rb3d_second_alloc_calls\": {rb_second_allocs},\n    \
          \"session_single_warm_ms\": {},\n    \
          \"session_batch_warm_ms\": {},\n    \
          \"session_transient_warm_ms\": {},\n    \
          \"session_single_warm_alloc_calls\": {single_allocs},\n    \
          \"session_batch_warm_alloc_calls\": {batch_allocs},\n    \
          \"session_transient_warm_alloc_calls\": {transient_allocs}\n  }}",
+        json_f64(build_ms),
+        mib(build_heap),
+        json_f64(pcg_ms),
+        mib(pcg_heap),
+        json_f64(rb_ms),
+        mib(rb_heap),
+        json_f64(build_ratio),
+        json_f64(pcg_ratio),
+        json_f64(rb_ratio),
         json_f64(single_ms),
         json_f64(batch_ms),
         json_f64(transient_ms),
@@ -941,7 +1006,8 @@ fn median(xs: &mut [f64]) -> f64 {
 }
 
 /// The PCG-reference experiment: `Backend::Pcg` served from the session's
-/// prefactored engine (system stamped + IC(0) factored at build) — warm
+/// prefactored engine (system stamped + IC(0) factored by the first Pcg
+/// request, outside the timed windows) — warm
 /// single and batch-`k` requests, **asserting zero allocator calls** on
 /// each, with the warm VoltProp latencies alongside so the method's
 /// speedup over the general sparse reference is a committed trajectory

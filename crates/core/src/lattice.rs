@@ -45,9 +45,9 @@ pub(crate) enum PillarLattice {
         /// The prefactored coarse solve; `None` when every pillar has a
         /// pad.
         engine: Option<TierEngine>,
-        /// Reusable coarse injection vector, so
-        /// [`PillarLattice::correction`] stays allocation-free inside
-        /// the solver's outer loop.
+        /// Reusable coarse injection vector, sized by the first
+        /// [`PillarLattice::correction`], so later ones stay
+        /// allocation-free inside the solver's outer loop.
         injection: Vec<f64>,
     },
     /// Irregular pillar pattern: diagonal scaling only.
@@ -122,7 +122,7 @@ impl PillarLattice {
                 return Ok(PillarLattice::Grid {
                     fixed,
                     engine,
-                    injection: vec![0.0; sites.len()],
+                    injection: Vec::new(),
                 });
             }
         }
@@ -138,18 +138,15 @@ impl PillarLattice {
     }
 
     /// A lattice sharing this one's coarse factors (see
-    /// [`TierEngine::fork`]) with fresh solve scratch.
+    /// [`TierEngine::fork`]) with fresh solve scratch, sized by its first
+    /// correction.
     #[must_use]
     pub(crate) fn fork(&self) -> PillarLattice {
         match self {
-            PillarLattice::Grid {
-                fixed,
-                engine,
-                injection,
-            } => PillarLattice::Grid {
+            PillarLattice::Grid { fixed, engine, .. } => PillarLattice::Grid {
                 fixed: Arc::clone(fixed),
                 engine: engine.as_ref().map(TierEngine::fork),
-                injection: vec![0.0; injection.len()],
+                injection: Vec::new(),
             },
             PillarLattice::Diagonal {
                 is_pad,
@@ -178,6 +175,9 @@ impl PillarLattice {
                 injection,
             } => {
                 debug_assert_eq!(mismatch.len(), fixed.len());
+                if injection.len() != fixed.len() {
+                    *injection = vec![0.0; fixed.len()];
+                }
                 // Dirichlet values at pads; interior driven by -excess.
                 for k in 0..fixed.len() {
                     if fixed[k] {

@@ -34,8 +34,8 @@
 //!
 //! The method's asset is *reuse*: tier factorizations and the pillar
 //! lattice are built once and amortized across every load pattern. The
-//! API mirrors that through [`Session`]: [`Session::build`] performs all
-//! allocation and factorization up front, and every request — a single
+//! API mirrors that through [`Session`]: [`Session::build`] factors the
+//! voltage propagation engines up front, and every request — a single
 //! [`LoadCase`], a batched [`LoadSet`], a [`Session::solve_steps`]
 //! sequence, or a [`Session::transient_dynamic`] waveform (see below) —
 //! flows through the same prefactored state and returns a
@@ -43,8 +43,9 @@
 //! (mismatches surface as [`SessionError::GeometryChanged`], never a
 //! silent rebuild), while loads, nets, tolerances ([`SolveParams`]) and
 //! the [`Backend`] routing may change per request — [`Backend::Rb3d`]
-//! and [`Backend::Pcg`] run the paper's baselines on the same
-//! prefactored state. (The deprecated `VpSolver::solve{,_with,_batch}`
+//! and [`Backend::Pcg`] run the paper's baselines, each prefactored once
+//! by the first request routed to it and shared by every later one. (The
+//! deprecated `VpSolver::solve{,_with,_batch}`
 //! shims and panicking scratch accessors were removed in this release;
 //! see `MIGRATION.md` at the repository root.)
 //!
@@ -64,8 +65,9 @@
 //!   [`voltprop_solvers::WorkerPool`]: threads spawn once and park
 //!   between solves, so warm parallel solves are allocation-free too.
 //! * **Zero-allocation warm solves** — a [`Session`] owns every solve
-//!   buffer (the internal scratch arena absorbed at build), so warm
-//!   requests run the entire outer loop — tier sweeps, pillar-current
+//!   buffer (the internal scratch arena, sized by the first request of
+//!   each backend and lane count), so warm requests run the entire
+//!   outer loop — tier sweeps, pillar-current
 //!   accumulation, VDA distribution, Anderson mixing — without touching
 //!   the heap (measured by `perfsuite`: zero allocator calls across
 //!   warm single, batch-64, and 24-step transient requests, at

@@ -4,8 +4,10 @@
 //! The paper's central asset is *reuse*: the tier factorizations and the
 //! pillar lattice are built once and amortized across every load pattern
 //! that follows. A [`Session`] makes that the shape of the API —
-//! [`Session::build`] does all allocation and factorization up front,
-//! and every request flows through one request/response surface:
+//! [`Session::build`] factors the voltage propagation engines up front,
+//! the comparison backends ([`Backend::Rb3d`], [`Backend::Pcg`]) are
+//! factored once by the first request routed to each, and every request
+//! flows through one request/response surface:
 //!
 //! * [`Session::solve`] — one load pattern ([`LoadCase`]);
 //! * [`Session::solve_batch`] — `k` load patterns swept together
@@ -26,6 +28,10 @@
 //! preconditioned-CG reference solver for apples-to-apples comparisons
 //! on shared prefactored state.
 //!
+//! A session holds only what it serves: a VoltProp-only session never
+//! stamps the 3-D system or factors the PCG preconditioner, and each
+//! scratch sizes a backend's buffers on its first request to it.
+//!
 //! Geometry is a build-time contract: a session never silently rebuilds.
 //! Presenting a stack whose geometry differs from the one the session
 //! was built for surfaces [`SessionError::GeometryChanged`]; loads (and
@@ -33,7 +39,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use voltprop_grid::{GridError, NetKind, Stack3d};
 use voltprop_solvers::{PcgEngine, Rb3dEngine, SolverError};
@@ -44,9 +50,11 @@ use crate::{BuildParams, Deadline, SolveParams, VpConfig, VpReport};
 
 /// The solver engine a request is routed through.
 ///
-/// All backends share one [`Session`]'s prefactored state, so switching
-/// backends between requests costs nothing — the tier factors for both
-/// routes are built by [`Session::build`].
+/// All backends share one [`Session`]'s prefactored state. The
+/// [`Backend::VoltProp`] engines are built by [`Session::build`]; the
+/// [`Backend::Rb3d`] and [`Backend::Pcg`] engines are built once, by the
+/// first request routed to each, and shared by every later request (and
+/// every scratch of a [`SharedSession`](crate::SharedSession)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum Backend {
@@ -68,13 +76,14 @@ pub enum Backend {
     /// the paper's general-purpose comparator (refs \[6\], \[12\]),
     /// served from the session's prefactored
     /// [`voltprop_solvers::PcgEngine`]: the full MNA system is stamped
-    /// and the IC(0) preconditioner factored once at [`Session::build`]
-    /// (falling back to Jacobi scaling on a non-positive pivot), so warm
-    /// requests are allocation-free. Parameter mapping:
+    /// and the IC(0) preconditioner factored once, by the first Pcg
+    /// request (falling back to Jacobi scaling on a non-positive pivot),
+    /// so warm requests are allocation-free. Parameter mapping:
     /// [`SolveParams::inner_tolerance`] is the relative residual target
     /// `‖b − Ax‖₂ / ‖b‖₂`, [`SolveParams::max_inner_sweeps`] the CG
-    /// iteration budget. If the build-time prefactor failed, requests
-    /// return [`SessionError::BackendUnavailable`] carrying the reason.
+    /// iteration budget. If the prefactor failed, this and every later
+    /// Pcg request return [`SessionError::BackendUnavailable`] carrying
+    /// the reason.
     Pcg,
 }
 
@@ -154,9 +163,11 @@ pub enum SessionError {
         what: String,
     },
     /// The requested [`Backend`] exists but this session cannot serve it
-    /// — its build-time prefactor failed (e.g. the PCG preconditioner
-    /// could not be factored for this grid). The other backends remain
-    /// usable; `reason` records what went wrong at build.
+    /// — its prefactor, run by the first request routed to it, failed
+    /// (e.g. the PCG preconditioner could not be factored for this grid).
+    /// The failure is kept: later requests to the backend get the same
+    /// error without retrying. The other backends remain usable;
+    /// `reason` records what went wrong.
     BackendUnavailable {
         /// The backend that was requested.
         backend: Backend,
@@ -482,15 +493,18 @@ impl<'a> SolutionView<'a> {
 
 /// The frozen, shareable half of a session: every piece of read-only
 /// post-build state — the voltage-propagation tier factors and pillar
-/// lattice, the [`Backend::Rb3d`] engine topology, the [`Backend::Pcg`]
-/// stamped system with its IC(0) factor — plus the session's build-time
-/// and default per-solve parameters.
+/// lattice, and, once a request has been routed to them, the
+/// [`Backend::Rb3d`] engine topology and the [`Backend::Pcg`] stamped
+/// system with its IC(0) factor — plus the session's build-time and
+/// default per-solve parameters.
 ///
 /// # Ownership rules
 ///
-/// * A `SessionCore` is **immutable after build**: no method takes
+/// * A `SessionCore` is **frozen after build**: no method takes
 ///   `&mut self`, so one core behind an [`Arc`] serves any number of
-///   threads.
+///   threads. The Rb3d and Pcg engines are each built at most once, by
+///   the first request routed to them (concurrent first requests wait
+///   for that one build), and never change afterwards.
 /// * All per-request mutable state lives in [`SolveScratch`]es created
 ///   by [`SessionCore::new_scratch`]. A scratch internally holds its own
 ///   `Arc` references to the core's factors (forking never restamps or
@@ -509,14 +523,16 @@ pub struct SessionCore {
     height: usize,
     tiers: usize,
     nn: usize,
-    /// The pristine scratch template built alongside the factors. Its
-    /// engine-internal `Arc`s *are* the frozen state every fork shares;
-    /// its mutable arenas are never written after build (one scratch set
-    /// of standby memory, the price of fork-based sharing).
-    proto: SolveScratch,
-    /// Why the build-time PCG prefactor failed, if it did (served as
-    /// [`SessionError::BackendUnavailable`]).
-    pcg_unavailable: Option<String>,
+    /// The voltage-propagation template: its tier factors and lattice are
+    /// what every scratch forks; no solve ever runs on it, so it holds no
+    /// per-solve buffers.
+    vp: VpScratch,
+    /// The Rb3d engine, built by the first [`Backend::Rb3d`] request (or
+    /// why that build failed). Never solved on: scratches fork it.
+    rb: OnceLock<Result<Rb3dEngine, String>>,
+    /// The PCG engine, built by the first [`Backend::Pcg`] request (or
+    /// why that build failed). Never solved on: scratches fork it.
+    pcg: OnceLock<Result<PcgEngine, String>>,
 }
 
 /// The per-request mutable half of a session: every buffer a solve
@@ -531,50 +547,56 @@ pub struct SessionCore {
 /// state internally and has no public operations of its own — solves
 /// are driven through [`Session`] (which permanently owns one scratch)
 /// or [`SharedSession`](crate::SharedSession) (which pools them and
-/// checks one out per request). Every solve re-initializes the buffers
-/// it reads, so a scratch never leaks one request's state into the
-/// next.
+/// checks one out per request). A new scratch holds the one-lane
+/// VoltProp arena; the Rb3d and Pcg halves (and the engine routes'
+/// voltage arena) are made by its first request to that backend. Every
+/// solve re-initializes the buffers it reads, so a scratch never leaks
+/// one request's state into the next.
 #[derive(Debug)]
 pub struct SolveScratch {
     pub(crate) vp: VpScratch,
-    pub(crate) rb: Rb3dEngine,
+    pub(crate) rb: Option<Rb3dEngine>,
     pub(crate) pcg: Option<PcgEngine>,
     /// Lane-major voltages of the engine routes ([`Backend::Rb3d`] and
-    /// [`Backend::Pcg`]; grown to the largest lane count seen). One arena
-    /// serves both: each engine overwrites every entry it reports before
-    /// reading any (Rb3d starts from the rail, PCG expands its own
-    /// zero-started iterate).
+    /// [`Backend::Pcg`]; grown to the largest lane count seen, empty
+    /// until the first such request). One arena serves both: each engine
+    /// overwrites every entry it reports before reading any (Rb3d starts
+    /// from the rail, PCG expands its own zero-started iterate).
     pub(crate) voltages: Vec<f64>,
     /// Staging buffer for [`Session::solve_steps`] load sequences.
     pub(crate) transient_loads: Vec<f64>,
     /// Per-lane reports of the most recent request.
     pub(crate) reports: Vec<VpReport>,
+    /// What the engines above report for the frozen halves they share
+    /// with the core: [`SolveScratch::memory_bytes`] subtracts it, so a
+    /// scratch counts only its own buffers.
+    shared_bytes: usize,
 }
 
 impl SolveScratch {
-    /// Estimated heap footprint of this scratch's buffers plus the
-    /// shared factors it references (forks of one core count the shared
-    /// factor bytes each).
+    /// Estimated heap footprint of this scratch's own buffers. The
+    /// factors it shares with its core are counted once, by
+    /// [`SessionCore::memory_bytes`]. The figure grows when the scratch
+    /// first serves a backend, and when a request needs more lanes than
+    /// any before; warm requests leave it unchanged.
     pub fn memory_bytes(&self) -> usize {
-        self.vp.memory_bytes()
-            + self.rb.memory_bytes()
+        let reached = self.vp.memory_bytes()
+            + self.rb.as_ref().map_or(0, Rb3dEngine::memory_bytes)
             + self.pcg.as_ref().map_or(0, PcgEngine::memory_bytes)
-            + (self.voltages.len() + self.transient_loads.len()) * 8
-            + self.reports.capacity() * std::mem::size_of::<VpReport>()
+            + (self.voltages.capacity() + self.transient_loads.capacity()) * 8
+            + self.reports.capacity() * std::mem::size_of::<VpReport>();
+        // Never below zero: a pooled scratch is measured inside `Drop`.
+        reached.saturating_sub(self.shared_bytes)
     }
 }
 
 impl SessionCore {
-    /// Validates the stack and builds all prefactored solve state: the
-    /// voltage propagation scratch (tier factors, pillar lattice, outer
-    /// buffers), the [`Backend::Rb3d`] engine, **and** the
-    /// [`Backend::Pcg`] engine (the full 3-D system stamped and its
-    /// IC(0) preconditioner factored, with Jacobi fallback), so any
-    /// backend can serve without further factorization.
-    ///
-    /// A failed PCG prefactor does **not** fail the build — the other
-    /// backends stay usable, and Pcg requests surface the recorded
-    /// reason as [`SessionError::BackendUnavailable`].
+    /// Validates the stack and factors the voltage propagation engines
+    /// (tier factors, pillar lattice). The [`Backend::Rb3d`] and
+    /// [`Backend::Pcg`] engines are not built here: the first request
+    /// routed to each builds it, from that request's stack (whose
+    /// geometry is checked first), and a failed build is served as
+    /// [`SessionError::BackendUnavailable`] from then on.
     ///
     /// # Errors
     ///
@@ -583,45 +605,35 @@ impl SessionCore {
     /// on a single tier), or a factorization fails.
     pub fn build(stack: &Stack3d, config: VpConfig) -> Result<SessionCore, BuildError> {
         let vp = VpScratch::new(stack, &config)?;
-        let rb = Rb3dEngine::build(stack, config.parallelism)?;
-        let (pcg, pcg_unavailable) = match PcgEngine::build(stack) {
-            Ok(engine) => (Some(engine), None),
-            Err(e) => (None, Some(format!("build-time PCG prefactor failed: {e}"))),
-        };
-        let nn = stack.num_nodes();
         Ok(SessionCore {
             build: config.build_params(),
             defaults: config.solve_params(),
             width: stack.width(),
             height: stack.height(),
             tiers: stack.tiers(),
-            nn,
-            proto: SolveScratch {
-                vp,
-                rb,
-                pcg,
-                voltages: vec![0.0; nn],
-                transient_loads: Vec::new(),
-                reports: Vec::new(),
-            },
-            pcg_unavailable,
+            nn: stack.num_nodes(),
+            vp,
+            rb: OnceLock::new(),
+            pcg: OnceLock::new(),
         })
     }
 
     /// A fresh [`SolveScratch`] for this core: the prefactored read-only
-    /// state (tier factors, pin mask, stamped system, preconditioner) is
-    /// shared via `Arc` — nothing is restamped or refactored — and every
-    /// mutable buffer is freshly allocated. This is the cold, allocating
-    /// step; warm solves on the returned scratch allocate nothing.
+    /// state (tier factors, pin mask, lattice) is shared via `Arc` —
+    /// nothing is refactored — and the one-lane VoltProp arena is freshly
+    /// allocated. This is the cold, allocating step; the first request
+    /// of each backend sizes that backend's buffers, and warm requests
+    /// allocate nothing.
     #[must_use]
     pub fn new_scratch(&self) -> SolveScratch {
         SolveScratch {
-            vp: self.proto.vp.fork(),
-            rb: self.proto.rb.fork(),
-            pcg: self.proto.pcg.as_ref().map(PcgEngine::fork),
-            voltages: vec![0.0; self.nn],
+            vp: self.vp.fork(),
+            rb: None,
+            pcg: None,
+            voltages: Vec::new(),
             transient_loads: Vec::new(),
             reports: Vec::new(),
+            shared_bytes: self.vp.memory_bytes(),
         }
     }
 
@@ -641,17 +653,60 @@ impl SessionCore {
         self.nn
     }
 
-    /// Estimated heap footprint of the prefactored state (including the
-    /// pristine scratch template; checked-out scratches count
-    /// separately).
+    /// Estimated heap footprint of the prefactored state, each shared
+    /// factor counted once: the voltage propagation engines, plus the
+    /// Rb3d and Pcg engines once a request has built them. Scratches
+    /// count their own buffers separately.
     pub fn memory_bytes(&self) -> usize {
-        self.proto.memory_bytes()
+        let rb = self.rb.get().and_then(|r| r.as_ref().ok());
+        let pcg = self.pcg.get().and_then(|r| r.as_ref().ok());
+        self.vp.frozen_bytes()
+            + rb.map_or(0, Rb3dEngine::memory_bytes)
+            + pcg.map_or(0, PcgEngine::memory_bytes)
     }
 
     /// Whether the stack's geometry matches what this core was built for
     /// (loads are ignored).
     pub fn serves(&self, stack: &Stack3d) -> bool {
-        self.proto.vp.geometry_matches(stack)
+        self.vp.geometry_matches(stack)
+    }
+
+    /// `scratch`'s Rb3d half: the core's engine, built from `stack` by
+    /// the first Rb3d request of any scratch, is forked into the scratch
+    /// on its own first one. `stack` must already have passed
+    /// [`SessionCore::check_geometry`].
+    fn rb_half<'s>(
+        &self,
+        half: &'s mut Option<Rb3dEngine>,
+        shared_bytes: &mut usize,
+        stack: &Stack3d,
+    ) -> Result<&'s mut Rb3dEngine, SessionError> {
+        let built = self.rb.get_or_init(|| {
+            Rb3dEngine::build(stack, self.build.parallelism)
+                .map_err(|e| format!("Rb3d prefactor failed: {e}"))
+        });
+        let engine = built_or_unavailable(Backend::Rb3d, built)?;
+        Ok(half.get_or_insert_with(|| {
+            *shared_bytes += engine.memory_bytes();
+            engine.fork()
+        }))
+    }
+
+    /// `scratch`'s Pcg half, made like [`SessionCore::rb_half`]'s.
+    fn pcg_half<'s>(
+        &self,
+        half: &'s mut Option<PcgEngine>,
+        shared_bytes: &mut usize,
+        stack: &Stack3d,
+    ) -> Result<&'s mut PcgEngine, SessionError> {
+        let built = self.pcg.get_or_init(|| {
+            PcgEngine::build(stack).map_err(|e| format!("PCG prefactor failed: {e}"))
+        });
+        let engine = built_or_unavailable(Backend::Pcg, built)?;
+        Ok(half.get_or_insert_with(|| {
+            *shared_bytes += engine.memory_bytes();
+            engine.fork()
+        }))
     }
 
     pub(crate) fn check_geometry(&self, stack: &Stack3d) -> Result<(), SessionError> {
@@ -704,13 +759,14 @@ impl SessionCore {
                 // deadline is checked on entry only — the iteration
                 // budget bounds the tail.
                 case.deadline.check(0)?;
-                let rep = scratch.rb.solve(
+                let rb = self.rb_half(&mut scratch.rb, &mut scratch.shared_bytes, case.stack)?;
+                let rep = rb.solve(
                     case.stack.loads(),
                     case.net,
                     params.sor_omega,
                     params.inner_tolerance,
                     params.max_inner_sweeps,
-                    &mut scratch.voltages[..self.nn],
+                    lane_voltages(&mut scratch.voltages, self.nn),
                 )?;
                 scratch.reports.clear();
                 scratch.reports.push(rb_report(&rep, self.tiers));
@@ -718,13 +774,14 @@ impl SessionCore {
             }
             Backend::Pcg => {
                 case.deadline.check(0)?;
-                let engine = pcg_engine(&mut scratch.pcg, &self.pcg_unavailable)?;
+                let engine =
+                    self.pcg_half(&mut scratch.pcg, &mut scratch.shared_bytes, case.stack)?;
                 let rep = engine.solve(
                     case.stack.loads(),
                     case.net,
                     params.inner_tolerance,
                     params.max_inner_sweeps,
-                    &mut scratch.voltages[..self.nn],
+                    lane_voltages(&mut scratch.voltages, self.nn),
                 )?;
                 scratch.reports.clear();
                 scratch.reports.push(pcg_report(&rep));
@@ -771,7 +828,7 @@ impl SessionCore {
             // numerical breakdown, which more lanes cannot fix — still
             // fails the whole request.
             Backend::Rb3d => {
-                let rb = &mut scratch.rb;
+                let rb = self.rb_half(&mut scratch.rb, &mut scratch.shared_bytes, stack)?;
                 let tiers = self.tiers;
                 run_engine_batch(
                     self.nn,
@@ -805,7 +862,7 @@ impl SessionCore {
                 )
             }
             Backend::Pcg => {
-                let engine = pcg_engine(&mut scratch.pcg, &self.pcg_unavailable)?;
+                let engine = self.pcg_half(&mut scratch.pcg, &mut scratch.shared_bytes, stack)?;
                 run_engine_batch(
                     self.nn,
                     loads,
@@ -904,8 +961,11 @@ impl SessionCore {
 }
 
 /// The prefactored solve handle: tier factorizations, the pillar
-/// lattice, and every solve buffer, built once by [`Session::build`] and
-/// amortized across all following requests.
+/// lattice, and the solve buffers, built once and amortized across all
+/// following requests. [`Session::build`] builds what voltage
+/// propagation needs; the first request routed to [`Backend::Rb3d`] or
+/// [`Backend::Pcg`] builds that engine, so a session holds only what it
+/// serves.
 ///
 /// A session is tied to one grid *geometry* (footprint, tiers,
 /// resistances, TSV and pad sites) and one build-time configuration
@@ -913,7 +973,8 @@ impl SessionCore {
 /// request: loads, net, tolerances, and the [`Backend`] the request is
 /// routed through — voltage propagation, the naive row-based baseline,
 /// and the prefactored PCG reference all serve from this one handle.
-/// Warm requests perform **zero heap allocations** on the
+/// Warm requests — every request after the first of its backend and
+/// lane count — perform **zero heap allocations** on the
 /// [`Backend::VoltProp`] and [`Backend::Pcg`] routes (single, batched,
 /// and transient — measured by `perfsuite`), on stacks with a pad on
 /// every pillar and on sparse-pad stacks alike (whose VDA runs a
@@ -962,15 +1023,11 @@ pub struct Session {
 }
 
 impl Session {
-    /// Validates the stack and builds all prefactored solve state — see
-    /// [`SessionCore::build`] for what is factored. The config's
-    /// build-time half is fixed for the session's lifetime; its
-    /// per-solve half becomes the session defaults that a
-    /// [`LoadCase`]/[`LoadSet`] may override.
-    ///
-    /// A failed PCG prefactor does **not** fail the build — the other
-    /// backends stay usable, and Pcg requests surface the recorded
-    /// reason as [`SessionError::BackendUnavailable`].
+    /// Validates the stack and factors the voltage propagation engines —
+    /// see [`SessionCore::build`] for what is factored, and when the
+    /// other backends are. The config's build-time half is fixed for the
+    /// session's lifetime; its per-solve half becomes the session
+    /// defaults that a [`LoadCase`]/[`LoadSet`] may override.
     ///
     /// The VoltProp outer loop runs every request as `k` lanes of one
     /// arena, built for one lane and grown by the first batch wider than
@@ -1018,7 +1075,14 @@ impl Session {
         self.core.defaults()
     }
 
-    /// Estimated heap footprint of all prefactored state and arenas.
+    /// Estimated heap footprint of all prefactored state and arenas, each
+    /// allocation counted once: the core's factors (growing when a
+    /// request first builds the Rb3d or Pcg engine) plus this session's
+    /// own buffers (growing when a backend is first served, or a batch
+    /// is wider than any before). Warm requests leave it unchanged. The
+    /// transient companion state of [`Session::transient_dynamic`] is
+    /// reported by its [`TransientReport`](crate::TransientReport)
+    /// instead.
     pub fn memory_bytes(&self) -> usize {
         self.core.memory_bytes() + self.scratch.memory_bytes()
     }
@@ -1030,15 +1094,16 @@ impl Session {
     }
 
     /// Serves one load pattern (the stack's own loads), routed through
-    /// the case's [`Backend`]. Warm calls are allocation-free on every
-    /// route.
+    /// the case's [`Backend`]. The first request to [`Backend::Rb3d`] or
+    /// [`Backend::Pcg`] builds that engine (after the geometry check);
+    /// warm calls are allocation-free on every route.
     ///
     /// # Errors
     ///
     /// * [`SessionError::GeometryChanged`] if the case's stack differs
     ///   geometrically from the build-time stack.
     /// * [`SessionError::BackendUnavailable`] for a backend whose
-    ///   build-time prefactor failed (carrying the reason).
+    ///   prefactor failed (carrying the reason).
     /// * [`SessionError::Solver`] for engine failures (convergence
     ///   budget exhausted, numerical breakdown, invalid loads).
     pub fn solve(&mut self, case: &LoadCase<'_>) -> Result<SolutionView<'_>, SessionError> {
@@ -1111,23 +1176,27 @@ impl Session {
     }
 }
 
-/// The scratch's prefactored PCG engine, or the core's recorded
-/// build-time failure as [`SessionError::BackendUnavailable`]. A free
-/// function over the field (not a method) so callers can keep borrowing
-/// the scratch's other arenas while they hold the engine.
-fn pcg_engine<'a>(
-    pcg: &'a mut Option<PcgEngine>,
-    unavailable: &Option<String>,
-) -> Result<&'a mut PcgEngine, SessionError> {
-    match pcg {
-        Some(engine) => Ok(engine),
-        None => Err(SessionError::BackendUnavailable {
-            backend: Backend::Pcg,
-            reason: unavailable
-                .clone()
-                .unwrap_or_else(|| "PCG engine missing".into()),
-        }),
+/// The built engine, or its recorded build failure as
+/// [`SessionError::BackendUnavailable`].
+fn built_or_unavailable<E>(
+    backend: Backend,
+    built: &Result<E, String>,
+) -> Result<&E, SessionError> {
+    built
+        .as_ref()
+        .map_err(|reason| SessionError::BackendUnavailable {
+            backend,
+            reason: reason.clone(),
+        })
+}
+
+/// The first `nn` entries of the engine routes' voltage arena, grown to
+/// one lane on the first engine-route request.
+fn lane_voltages(voltages: &mut Vec<f64>, nn: usize) -> &mut [f64] {
+    if voltages.len() < nn {
+        voltages.resize(nn, 0.0);
     }
+    &mut voltages[..nn]
 }
 
 /// The shared per-lane batch loop of the engine-backed routes

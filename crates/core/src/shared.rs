@@ -2,11 +2,12 @@
 //!
 //! A [`Session`](crate::Session) is the single-owner handle — `solve`
 //! takes `&mut self`, one caller at a time — even though the expensive
-//! state (tier factors, pillar lattice, stamped PCG system) is read-only
-//! after build. `SharedSession` exposes the same factorization through
-//! `&self`: the frozen [`SessionCore`] sits behind an `Arc`, and a
-//! bounded pool of [`SolveScratch`]es supplies the per-request mutable
-//! half. N threads solve concurrently against one set of factors; when
+//! state (tier factors, pillar lattice, and the stamped PCG system once
+//! a request has built it) is read-only once built. `SharedSession`
+//! exposes the same factorization through `&self`: the frozen
+//! [`SessionCore`] sits behind an `Arc`, and a bounded pool of
+//! [`SolveScratch`]es supplies the per-request mutable half. N threads
+//! solve concurrently against one set of factors; when
 //! requests outnumber scratch slots, admission control either blocks
 //! ([`SharedSession::solve`]) or reports [`TryCheckout::Busy`]
 //! ([`SharedSession::try_solve`]).
@@ -19,6 +20,7 @@
 //! pool rebuilds a replacement on demand — a failed request never leaks
 //! a slot.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -83,6 +85,10 @@ pub enum TryCheckout<T> {
 ///
 /// Warm requests perform zero heap allocations end to end (checkout →
 /// solve → give-back), measured by `perfsuite`'s `concurrency` section.
+/// A request is warm once its slot has served one request of that
+/// backend (and of that lane count): the first one sizes the slot's
+/// buffers, and the first Rb3d or Pcg request of the pool builds that
+/// engine in the shared core.
 ///
 /// # Example
 ///
@@ -111,18 +117,19 @@ pub enum TryCheckout<T> {
 pub struct SharedSession {
     core: Arc<SessionCore>,
     slots: usize,
-    /// Heap footprint (core + all slot scratches), computed once at
-    /// build. Quarantined slots are rebuilt like-for-like, so the figure
-    /// never drifts — registries can budget against it without locking.
-    bytes: usize,
+    /// Heap footprint of the slot scratches, ready and checked out, as of
+    /// their last give-back: a request that grew its scratch adds the
+    /// growth when it returns it, a quarantined slot takes its scratch's
+    /// bytes away, and a rebuilt one adds its fresh scratch's.
+    scratch_bytes: AtomicUsize,
     state: Mutex<PoolState>,
     available: Condvar,
 }
 
 impl SharedSession {
     /// Builds the factorization once and a pool of `slots` scratches
-    /// (clamped to at least 1) to serve it. All allocation happens here;
-    /// warm requests are allocation-free.
+    /// (clamped to at least 1) to serve it. Warm requests are
+    /// allocation-free (see the type docs for when a request is warm).
     ///
     /// # Errors
     ///
@@ -146,12 +153,11 @@ impl SharedSession {
         for _ in 0..slots {
             ready.push(core.new_scratch());
         }
-        let bytes =
-            core.memory_bytes() + ready.iter().map(SolveScratch::memory_bytes).sum::<usize>();
+        let bytes = ready.iter().map(SolveScratch::memory_bytes).sum();
         SharedSession {
             core,
             slots,
-            bytes,
+            scratch_bytes: AtomicUsize::new(bytes),
             state: Mutex::new(PoolState { ready, live: 0 }),
             available: Condvar::new(),
         }
@@ -183,11 +189,13 @@ impl SharedSession {
     }
 
     /// Estimated heap footprint of the whole pool: the prefactored core
-    /// plus every slot's scratch. Computed once at build and stable
-    /// thereafter (quarantine rebuilds are like-for-like), so eviction
-    /// byte budgets can rely on it without re-measuring.
+    /// (each shared factor once) plus every slot's own buffers. It grows
+    /// when a request builds the Rb3d or Pcg engine in the core, and when
+    /// a slot first serves a backend or a wider batch (counted when the
+    /// slot returns to the pool); warm requests leave it unchanged.
+    /// Reading it takes no lock, so byte budgets can re-read it freely.
     pub fn memory_bytes(&self) -> usize {
-        self.bytes
+        self.core.memory_bytes() + self.scratch_bytes.load(Ordering::Relaxed)
     }
 
     /// Whether the stack's geometry matches what this pool's core was
@@ -308,6 +316,7 @@ impl SharedSession {
     ) -> Result<SharedSolution<'s>, SessionError> {
         let mut guard = SharedSolution {
             pool: self,
+            bytes: scratch.memory_bytes(),
             scratch: Some(scratch),
             backend: case.backend,
         };
@@ -324,6 +333,7 @@ impl SharedSession {
     ) -> Result<SharedSolution<'s>, SessionError> {
         let mut guard = SharedSolution {
             pool: self,
+            bytes: scratch.memory_bytes(),
             scratch: Some(scratch),
             backend: set.backend,
         };
@@ -360,7 +370,10 @@ impl SharedSession {
                 // its scratch without holding the lock.
                 state.live += 1;
                 drop(state);
-                return Some(self.core.new_scratch());
+                let scratch = self.core.new_scratch();
+                self.scratch_bytes
+                    .fetch_add(scratch.memory_bytes(), Ordering::Relaxed);
+                return Some(scratch);
             }
             let Some(until) = deadline else {
                 state = self
@@ -381,10 +394,15 @@ impl SharedSession {
         }
     }
 
-    /// Returns a scratch to the pool and wakes one waiter. `ready` was
+    /// Returns a scratch to the pool, counting what it grew by since
+    /// checkout (it held `bytes` then), and wakes one waiter. `ready` was
     /// reserved to `slots` capacity at build and never exceeds it, so
     /// the push cannot allocate.
-    fn give_back(&self, scratch: SolveScratch) {
+    fn give_back(&self, scratch: SolveScratch, bytes: usize) {
+        let grown = scratch.memory_bytes().saturating_sub(bytes);
+        if grown > 0 {
+            self.scratch_bytes.fetch_add(grown, Ordering::Relaxed);
+        }
         let mut state = lock_recover(&self.state);
         debug_assert!(state.ready.len() < self.slots, "pool overfull");
         state.live -= 1;
@@ -393,10 +411,12 @@ impl SharedSession {
         self.available.notify_one();
     }
 
-    /// Retires a checked-out scratch without returning it (its slot's
-    /// replacement is rebuilt at the next checkout) and wakes one waiter
-    /// — the vacancy is immediately claimable.
-    fn quarantine(&self) {
+    /// Retires a checked-out scratch that held `bytes` at checkout
+    /// without returning it (its slot's replacement is rebuilt at the
+    /// next checkout) and wakes one waiter — the vacancy is immediately
+    /// claimable.
+    fn quarantine(&self, bytes: usize) {
+        self.scratch_bytes.fetch_sub(bytes, Ordering::Relaxed);
         let mut state = lock_recover(&self.state);
         state.live -= 1;
         drop(state);
@@ -423,6 +443,8 @@ impl SharedSession {
 #[derive(Debug)]
 pub struct SharedSolution<'s> {
     pool: &'s SharedSession,
+    /// The scratch's [`SolveScratch::memory_bytes`] at checkout.
+    bytes: usize,
     /// `Some` until `Drop` takes it back.
     scratch: Option<SolveScratch>,
     backend: Backend,
@@ -443,9 +465,9 @@ impl Drop for SharedSolution<'_> {
         if let Some(scratch) = self.scratch.take() {
             if std::thread::panicking() {
                 drop(scratch);
-                self.pool.quarantine();
+                self.pool.quarantine(self.bytes);
             } else {
-                self.pool.give_back(scratch);
+                self.pool.give_back(scratch, self.bytes);
             }
         }
     }
@@ -569,26 +591,52 @@ mod tests {
     fn memory_bytes_is_stable_and_accounts_core_plus_slots() {
         let s = stack();
         let shared = SharedSession::build(&s, VpConfig::default(), 2).unwrap();
-        let bytes = shared.memory_bytes();
         let core_bytes = shared.core().memory_bytes();
         assert!(
-            bytes > core_bytes,
-            "pool bytes ({bytes}) must include the slot scratches on top of the core ({core_bytes})"
+            shared.memory_bytes() > core_bytes,
+            "pool bytes must include the slot scratches on top of the core ({core_bytes})"
         );
-        // Stable across solves and across a quarantine rebuild.
-        let sol = shared.solve(&LoadCase::new(&s)).unwrap();
-        drop(sol);
+        // Warm both slots: each sizes its buffers on its first request.
+        let a = shared.solve(&LoadCase::new(&s)).unwrap();
+        let b = shared.solve(&LoadCase::new(&s)).unwrap();
+        drop((a, b));
+        let warm = shared.memory_bytes();
+        // Stable across warm solves and across a quarantine rebuild.
+        drop(shared.solve(&LoadCase::new(&s)).unwrap());
+        assert_eq!(shared.memory_bytes(), warm, "warm solves add nothing");
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             let _held = shared.solve(&LoadCase::new(&s)).unwrap();
             panic!("quarantine the slot");
         }));
         assert!(unwound.is_err());
-        let _rebuilt = shared.solve(&LoadCase::new(&s)).unwrap();
+        assert!(shared.memory_bytes() < warm, "the retired scratch leaves");
+        // Both slots at once: one is the rebuilt replacement.
+        let a = shared.solve(&LoadCase::new(&s)).unwrap();
+        let b = shared.solve(&LoadCase::new(&s)).unwrap();
+        drop((a, b));
         assert_eq!(
             shared.memory_bytes(),
-            bytes,
+            warm,
             "byte accounting must not drift"
         );
+    }
+
+    #[test]
+    fn first_pcg_request_builds_once_and_is_counted() {
+        let s = stack();
+        let shared = SharedSession::build(&s, VpConfig::default(), 2).unwrap();
+        let fresh = shared.memory_bytes();
+        let core_fresh = shared.core().memory_bytes();
+        let pcg = LoadCase::new(&s).backend(Backend::Pcg);
+        drop(shared.solve(&pcg).unwrap());
+        let core_built = shared.core().memory_bytes();
+        assert!(core_built > core_fresh, "the PCG factors land in the core");
+        let once = shared.memory_bytes();
+        assert!(once > fresh + (core_built - core_fresh));
+        // A second request on a warm slot adds nothing.
+        drop(shared.solve(&pcg).unwrap());
+        assert_eq!(shared.memory_bytes(), once);
+        assert_eq!(shared.core().memory_bytes(), core_built, "built once");
     }
 
     #[test]

@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use crate::anderson::Anderson;
 use crate::lattice::PillarLattice;
-use crate::tier_cache::tier_engines;
+use crate::tier_cache::{shares_earlier_tier, tier_engines};
 use crate::{VpConfig, VpReport};
 use voltprop_grid::{loads::first_invalid, NetKind, Stack3d};
 use voltprop_solvers::{LaneReport, SolverError, StackSolution, StackSolver, TierEngine};
@@ -36,16 +36,21 @@ pub struct VpSolver {
 /// Reusable solve state: prefactored tier engines, the pillar lattice, and
 /// the one outer-loop arena.
 ///
-/// Building the scratch is the only allocating step of a solve; once it
-/// exists, the outer loop ([`run_lanes`], wrapped by [`run_single`] and
+/// [`VpScratch::new`] factors the frozen half (tier engines, lattice,
+/// geometry) and leaves every per-solve buffer unsized, so a scratch that
+/// is only forked from — a session core's template — costs its frozen
+/// half alone; [`VpScratch::fork`] shares that half and brings a one-lane
+/// arena. The first solve sizes what is still missing; after it the
+/// outer loop ([`run_lanes`], wrapped by [`run_single`] and
 /// [`run_batch`]) runs the entire iteration — tier sweeps,
 /// pillar-current accumulation, VDA distribution, Anderson mixing —
 /// without touching the heap for any lane count it has served before.
 /// That holds with sparse pads too: the VDA distribution's coarse
 /// lattice solve runs on an engine prefactored here (see
 /// [`PillarLattice`]), and on the persistent worker pool once it is
-/// warm. This is internal state: [`Session`](crate::Session) absorbs one
-/// at build and serves every request from it.
+/// warm. This is internal state: a [`Session`](crate::Session)'s core
+/// keeps one as the frozen template, and each of its scratches serves
+/// requests from a fork.
 ///
 /// A scratch is tied to the stack's *geometry* (footprint, tiers,
 /// resistances, TSV and pad sites) and the config's `parallelism`; loads
@@ -59,24 +64,25 @@ pub(crate) struct VpScratch {
     r_tsv: f64,
     r_pad: f64,
     /// Per-tier `(g_h, g_v)` used to detect resistance changes.
-    tier_g: Vec<(f64, f64)>,
+    tier_g: Arc<[(f64, f64)]>,
     /// Flat (row-major) index of every pillar site. Empty for single-tier.
-    site_flat: Vec<usize>,
-    is_pad_site: Vec<bool>,
+    site_flat: Arc<[usize]>,
+    is_pad_site: Arc<[bool]>,
     /// Shared pin mask: pillar terminals (multi-tier) or pads
     /// (single-tier). One allocation serves every tier engine.
     fixed: Arc<[bool]>,
     lattice: Option<PillarLattice>,
     /// One prefactored engine per tier: every row segment is factored
     /// once here, so each sweep is pure substitution with zero heap
-    /// allocation. At `parallelism > 1` each sweeps `parallelism` row
-    /// bands (at most one a row) on the persistent worker pool.
+    /// allocation. Tiers with equal conductances share one set of
+    /// factors. At `parallelism > 1` each sweeps `parallelism` row bands
+    /// (at most one a row) on the persistent worker pool.
     engines: Vec<TierEngine>,
     /// Error amplification factor baked from the geometry (see
     /// [`VpScratch::new`]); scales the inner tolerance.
     amplification: f64,
-    /// The outer-loop state of every lane: one lane at build, grown by
-    /// wider batches, never shrunk.
+    /// The outer-loop state of every lane: empty in a new scratch, one
+    /// lane in a fork, grown by wider requests, never shrunk.
     arena: LaneArena,
 }
 
@@ -231,8 +237,8 @@ impl LaneArena {
 }
 
 impl VpScratch {
-    /// Validates the stack for voltage propagation and builds the full
-    /// solve state (prefactored tier engines, lattice, a one-lane arena).
+    /// Validates the stack for voltage propagation and factors the frozen
+    /// half (tier engines, lattice); the first solve sizes the arena.
     ///
     /// # Errors
     ///
@@ -333,7 +339,6 @@ impl VpScratch {
             1.0 + stack.tsv_resistance() * g_local_max * (tiers as f64 - 1.0) * cluster
         };
 
-        let arena = LaneArena::new(per * tiers, per, site_flat.len());
         Ok(VpScratch {
             width: w,
             height: h,
@@ -341,23 +346,24 @@ impl VpScratch {
             vdd: stack.vdd(),
             r_tsv: stack.tsv_resistance(),
             r_pad: stack.pad_resistance(),
-            tier_g,
-            site_flat,
-            is_pad_site,
+            tier_g: tier_g.into(),
+            site_flat: site_flat.into(),
+            is_pad_site: is_pad_site.into(),
             fixed,
             lattice,
             engines,
             amplification,
-            arena,
+            arena: LaneArena::default(),
         })
     }
 
     /// A new scratch sharing this one's frozen half with fresh per-solve
     /// mutable state: the prefactored tier engines and the pillar
     /// lattice's coarse engine are shared through [`TierEngine::fork`]
-    /// and [`PillarLattice::fork`] (no refactorization), the pin mask
-    /// `Arc` is cloned, and a fresh one-lane arena is allocated (wider
-    /// batches grow it on the fork's first such solve).
+    /// and [`PillarLattice::fork`] (no refactorization), the pin mask and
+    /// site lists are shared `Arc`s, and a fresh one-lane arena is
+    /// allocated (wider batches grow it on the fork's first such solve;
+    /// the engines size their sweep buffers on their first solve).
     ///
     /// Forks solve independently — two forks may run concurrently from
     /// different threads — and reproduce the original scratch's solves
@@ -373,9 +379,9 @@ impl VpScratch {
             vdd: self.vdd,
             r_tsv: self.r_tsv,
             r_pad: self.r_pad,
-            tier_g: self.tier_g.clone(),
-            site_flat: self.site_flat.clone(),
-            is_pad_site: self.is_pad_site.clone(),
+            tier_g: Arc::clone(&self.tier_g),
+            site_flat: Arc::clone(&self.site_flat),
+            is_pad_site: Arc::clone(&self.is_pad_site),
             fixed: Arc::clone(&self.fixed),
             lattice: self.lattice.as_ref().map(PillarLattice::fork),
             engines: self.engines.iter().map(TierEngine::fork).collect(),
@@ -445,18 +451,23 @@ impl VpScratch {
                 && stack.num_pads() == num_pad_sites
                 && sites
                     .iter()
-                    .zip(&self.site_flat)
+                    .zip(self.site_flat.iter())
                     .all(|(&(x, y), &s)| y as usize * w + x as usize == s)
                 && sites
                     .iter()
-                    .zip(&self.is_pad_site)
+                    .zip(self.is_pad_site.iter())
                     .all(|(&(x, y), &p)| stack.is_pad(x as usize, y as usize) == p)
         }
     }
 
-    /// Estimated heap footprint in bytes.
+    /// Estimated heap footprint in bytes of everything this scratch
+    /// reaches: the frozen half (counted per tier where tiers share
+    /// factors, and again by every fork) plus its own buffers.
     pub fn memory_bytes(&self) -> usize {
-        self.fixed.len()
+        use std::mem::size_of;
+        self.tier_g.len() * size_of::<(f64, f64)>()
+            + self.site_flat.len() * size_of::<usize>()
+            + self.is_pad_site.len()
             + self.lattice.as_ref().map_or(0, PillarLattice::memory_bytes)
             + self
                 .engines
@@ -464,6 +475,17 @@ impl VpScratch {
                 .map(TierEngine::memory_bytes)
                 .sum::<usize>()
             + self.arena.memory_bytes()
+    }
+
+    /// Heap bytes of the frozen half with every allocation counted once
+    /// (tiers sharing factors count them once). Exact on a scratch no
+    /// solve has run on, such as a session core's template.
+    pub(crate) fn frozen_bytes(&self) -> usize {
+        let twins: usize = (0..self.tiers)
+            .filter(|&t| shares_earlier_tier(&self.tier_g, t))
+            .map(|t| self.engines[t].memory_bytes())
+            .sum();
+        self.memory_bytes() - twins
     }
 
     /// Number of pillar sites this scratch serves (0 for single-tier).

@@ -8,7 +8,8 @@
 //! allocation. The scratch keeps the engines for the session's lifetime;
 //! the transient engine builds a companion set per step size. All tiers
 //! share one pin mask (`Arc<[bool]>`): the VP algorithm pins the same
-//! pillar sites on every tier.
+//! pillar sites on every tier, so tiers with bitwise-equal conductances
+//! and diagonals have equal factors and share them.
 
 use std::sync::Arc;
 use voltprop_solvers::{SolverError, SweepSchedule, TierEngine};
@@ -16,7 +17,9 @@ use voltprop_solvers::{SolverError, SweepSchedule, TierEngine};
 /// Prefactors one engine per tier on the shared pin mask, sweeping on
 /// the schedule `parallelism` maps to. `extra_diag` (flat tier-major)
 /// adds the transient companion conductances `α·C` to the diagonal
-/// before factoring.
+/// before factoring. A tier whose `(g_h, g_v)` and diagonal are bitwise
+/// equal to an earlier tier's is a [`TierEngine::fork`] of it: one
+/// factorization, shared.
 pub(crate) fn tier_engines(
     w: usize,
     h: usize,
@@ -26,21 +29,38 @@ pub(crate) fn tier_engines(
     parallelism: usize,
 ) -> Result<Vec<TierEngine>, SolverError> {
     let per = w * h;
-    tier_g
-        .iter()
-        .enumerate()
-        .map(|(t, &(g_h, g_v))| {
-            TierEngine::new(
+    let diag = |t: usize| extra_diag.map(|e| &e[t * per..(t + 1) * per]);
+    let same_diag = |a: usize, b: usize| match (diag(a), diag(b)) {
+        (Some(x), Some(y)) => x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits()),
+        _ => true,
+    };
+    let mut engines: Vec<TierEngine> = Vec::with_capacity(tier_g.len());
+    for (t, &(g_h, g_v)) in tier_g.iter().enumerate() {
+        let twin = (0..t).find(|&e| g_bits(tier_g[e]) == g_bits(tier_g[t]) && same_diag(e, t));
+        engines.push(match twin {
+            Some(e) => engines[e].fork(),
+            None => TierEngine::new(
                 w,
                 h,
                 g_h,
                 g_v,
                 Arc::clone(fixed),
-                extra_diag.map(|e| &e[t * per..(t + 1) * per]),
+                diag(t),
                 SweepSchedule::from_parallelism(parallelism),
-            )
-        })
-        .collect()
+            )?,
+        });
+    }
+    Ok(engines)
+}
+
+fn g_bits((g_h, g_v): (f64, f64)) -> (u64, u64) {
+    (g_h.to_bits(), g_v.to_bits())
+}
+
+/// Whether tier `t` shares an earlier tier's factors in the static set
+/// [`tier_engines`] builds from `tier_g` (no diagonal).
+pub(crate) fn shares_earlier_tier(tier_g: &[(f64, f64)], t: usize) -> bool {
+    tier_g[..t].iter().any(|&g| g_bits(g) == g_bits(tier_g[t]))
 }
 
 #[cfg(test)]
@@ -161,6 +181,31 @@ mod tests {
             engines[0].solve(&injection, &mut v, 1e-15, 2),
             Err(SolverError::DidNotConverge { .. })
         ));
+    }
+
+    #[test]
+    fn equal_tiers_share_one_factorization() {
+        let (w, h) = (12, 10);
+        let (fixed, v_init, injection) = fixture(w, h, 5);
+        let fixed: Arc<[bool]> = Arc::from(&fixed[..]);
+        let tier_g = [(1.5, 0.7), (0.9, 1.1), (1.5, 0.7)];
+        assert!(!shares_earlier_tier(&tier_g, 1));
+        assert!(shares_earlier_tier(&tier_g, 2));
+        let mut shared = tier_engines(w, h, &tier_g, &fixed, None, 2).unwrap();
+        let mut alone = tier_engines(w, h, &tier_g[2..], &fixed, None, 2).unwrap();
+        let (mut a, mut b) = (v_init.clone(), v_init.clone());
+        shared[2].solve(&injection, &mut a, 1e-10, 100_000).unwrap();
+        alone[0].solve(&injection, &mut b, 1e-10, 100_000).unwrap();
+        assert_eq!(a, b, "a forked tier solves like a freshly factored one");
+        // Different diagonals keep their own factors.
+        let mut diag = vec![0.0; 3 * w * h];
+        diag[2 * w * h..].fill(0.5);
+        let mut own = tier_engines(w, h, &tier_g, &fixed, Some(&diag), 1).unwrap();
+        let mut twin = tier_engines(w, h, &tier_g[..1], &fixed, Some(&diag[..w * h]), 1).unwrap();
+        let (mut c, mut d) = (v_init.clone(), v_init);
+        own[2].solve(&injection, &mut c, 1e-10, 100_000).unwrap();
+        twin[0].solve(&injection, &mut d, 1e-10, 100_000).unwrap();
+        assert_ne!(c, d, "tier 2's diagonal differs from tier 0's");
     }
 
     #[test]

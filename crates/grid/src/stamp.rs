@@ -264,6 +264,29 @@ impl Stack3d {
     /// [`GridError::InvalidCapacitance`] for a negative or non-finite
     /// `alpha`; otherwise as [`Stack3d::stamp`].
     pub fn stamp_dynamic(&self, net: NetKind, alpha: f64) -> Result<StampedSystem, GridError> {
+        self.stamp_with(net, alpha, true)
+    }
+
+    /// [`Stack3d::stamp_dynamic`] with the loads left out: the same
+    /// matrix, with a right-hand side holding only the rail-folding terms
+    /// of the pads. A solver that stamps once and serves many load
+    /// vectors adds each request's loads to this base, so its answers
+    /// cannot depend on the loads the stack carried when it was stamped.
+    /// On [`NetKind::Ground`] the rail is 0 V and the base is all zeros.
+    ///
+    /// # Errors
+    ///
+    /// As [`Stack3d::stamp_dynamic`].
+    pub fn stamp_unloaded(&self, net: NetKind, alpha: f64) -> Result<StampedSystem, GridError> {
+        self.stamp_with(net, alpha, false)
+    }
+
+    fn stamp_with(
+        &self,
+        net: NetKind,
+        alpha: f64,
+        loaded: bool,
+    ) -> Result<StampedSystem, GridError> {
         if !(alpha.is_finite() && alpha >= 0.0) {
             return Err(GridError::InvalidCapacitance {
                 what: "companion coefficient (alpha, 1/s)",
@@ -283,8 +306,10 @@ impl Stack3d {
         };
 
         let mut injections = vec![0.0; n];
-        for (i, &l) in self.loads().iter().enumerate() {
-            injections[i] = load_sign * l;
+        if loaded {
+            for (i, &l) in self.loads().iter().enumerate() {
+                injections[i] = load_sign * l;
+            }
         }
 
         let ideal_pads = self.pad_resistance() == 0.0;
@@ -577,6 +602,27 @@ mod tests {
             s.stamp_dynamic(NetKind::Power, -1.0),
             Err(GridError::InvalidCapacitance { .. })
         ));
+    }
+
+    #[test]
+    fn unloaded_stamp_keeps_the_matrix_and_only_the_rail_terms() {
+        for r_pad in [0.0, 0.3] {
+            let s = Stack3d::builder(5, 4, 3)
+                .pad_resistance(r_pad)
+                .uniform_load(2e-4)
+                .build()
+                .unwrap();
+            let mut zero = s.clone();
+            zero.set_loads(vec![0.0; s.num_nodes()]).unwrap();
+            for net in [NetKind::Power, NetKind::Ground] {
+                let loaded = s.stamp(net).unwrap();
+                let base = s.stamp_unloaded(net, 0.0).unwrap();
+                assert_eq!(loaded.matrix().values(), base.matrix().values());
+                assert_eq!(base.rhs(), zero.stamp(net).unwrap().rhs());
+            }
+            let ground = s.stamp_unloaded(NetKind::Ground, 0.0).unwrap();
+            assert!(ground.rhs().iter().all(|&b| b.to_bits() == 0));
+        }
     }
 
     #[test]

@@ -12,9 +12,14 @@
 //! never evicted, even if that leaves the registry over budget until the
 //! request completes.
 //!
-//! Byte accounting uses [`SharedSession::memory_bytes`], which is
-//! computed once at build and stable for the pool's lifetime, so the
-//! running total cannot drift from the sum of the entries.
+//! Byte accounting uses [`SharedSession::memory_bytes`]. A session grows
+//! after insert — its first Rb3d or Pcg request builds that engine, and
+//! a slot's first request to a backend sizes its buffers — so the
+//! registry re-reads an entry's bytes whenever [`SessionRegistry::get`]
+//! touches it, and every entry's in [`SessionRegistry::enforce_budget`],
+//! evicting idle sessions if the growth pushed the total past the
+//! budget. The running total is always the sum of the entries' last
+//! readings.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -25,7 +30,8 @@ use voltprop_core::SharedSession;
 #[derive(Debug)]
 struct Entry {
     session: Arc<SharedSession>,
-    /// Footprint captured at insert ([`SharedSession::memory_bytes`]).
+    /// Footprint at the last reading ([`SharedSession::memory_bytes`]:
+    /// at insert, then at every `get` and `enforce_budget`).
     bytes: usize,
     /// Logical timestamp of the last `get`/insert touch.
     last_used: u64,
@@ -87,15 +93,22 @@ impl SessionRegistry {
         self.budget_bytes
     }
 
-    /// The cached session for `hash`, refreshing its recency. `None` on
-    /// a miss.
+    /// The cached session for `hash`, refreshing its recency and
+    /// re-reading its bytes (evicting idle sessions if they grew past the
+    /// budget; the returned session is pinned by the caller's `Arc`).
+    /// `None` on a miss.
     pub fn get(&self, hash: u64) -> Option<Arc<SharedSession>> {
         let mut state = lock_recover(&self.state);
         state.clock += 1;
         let clock = state.clock;
         let entry = state.entries.get_mut(&hash)?;
         entry.last_used = clock;
-        Some(Arc::clone(&entry.session))
+        let session = Arc::clone(&entry.session);
+        let (old, new) = (entry.bytes, session.memory_bytes());
+        entry.bytes = new;
+        state.total_bytes = state.total_bytes - old + new;
+        Self::evict_to_budget(&mut state, self.budget_bytes);
+        Some(session)
     }
 
     /// Inserts a freshly built session, returning the one actually
@@ -182,10 +195,17 @@ impl SessionRegistry {
         session
     }
 
-    /// Re-runs budget enforcement without inserting (e.g. after requests
-    /// drain, from a maintenance tick).
+    /// Re-reads every entry's bytes and re-runs budget enforcement
+    /// without inserting (e.g. after requests drain, from a maintenance
+    /// tick).
     pub fn enforce_budget(&self) {
         let mut state = lock_recover(&self.state);
+        let mut total = 0;
+        for entry in state.entries.values_mut() {
+            entry.bytes = entry.session.memory_bytes();
+            total += entry.bytes;
+        }
+        state.total_bytes = total;
         Self::evict_to_budget(&mut state, self.budget_bytes);
     }
 
@@ -277,6 +297,41 @@ mod tests {
         let stats = reg.stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.total_bytes <= budget);
+    }
+
+    #[test]
+    fn a_lazy_build_past_the_budget_evicts_the_idle_lru_session() {
+        let stack = Stack3d::builder(6, 6, 2)
+            .uniform_load(1e-4)
+            .build()
+            .unwrap();
+        let pcg = voltprop_core::LoadCase::new(&stack).backend(voltprop_core::Backend::Pcg);
+        // A probe measures a session before and after its first Pcg
+        // request, which builds the engine in its core.
+        let probe = session(6);
+        let fresh = probe.memory_bytes();
+        drop(probe.solve(&pcg).unwrap());
+        let grown = probe.memory_bytes();
+        assert!(grown > fresh * 3 / 2, "the build adds bytes");
+        // Room for two fresh sessions, or for the grown one alone.
+        let reg = SessionRegistry::new(grown + fresh / 2);
+        reg.insert(1, session(6));
+        reg.insert(2, session(6));
+        assert_eq!(reg.stats().evictions, 0, "two fresh sessions fit");
+        let two = reg.get(2).unwrap();
+        drop(two.solve(&pcg).unwrap());
+        assert_eq!(two.memory_bytes(), grown);
+        drop(two);
+        assert!(reg.contains(1) && reg.contains(2), "growth is not yet read");
+        reg.enforce_budget();
+        assert!(
+            !reg.contains(1),
+            "the idle least-recently-used session goes"
+        );
+        assert!(reg.contains(2));
+        let stats = reg.stats();
+        assert_eq!(stats.evictions, 1);
+        assert_eq!(stats.total_bytes, grown);
     }
 
     #[test]

@@ -282,8 +282,8 @@ impl Topo {
 
     fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.segments.len() * size_of::<Segment>()
-            + (self.red_idx.len() + self.black_idx.len()) * size_of::<u32>()
+        self.segments.capacity() * size_of::<Segment>()
+            + (self.red_idx.capacity() + self.black_idx.capacity()) * size_of::<u32>()
             + self.factors.memory_bytes()
             + self.fixed.len()
     }
@@ -717,24 +717,24 @@ impl PoolJob for BandJob {
     }
 }
 
-/// A band engine's jobs: the frozen layout plus the prebuilt one-lane
-/// job and the lazily (re)built wider job.
+/// A band engine's jobs: the frozen layout plus the one-lane job and the
+/// wider job, each built by the first solve that needs it.
 #[derive(Debug)]
 struct BandState {
     layout: Arc<BandLayout>,
     /// `k = 1` job serving scalar solves, sweeps and one-lane batches,
-    /// built eagerly so warm scalar solves never allocate.
-    scalar: Arc<BandJob>,
+    /// built by the first of them; warm scalar solves never allocate.
+    scalar: Option<Arc<BandJob>>,
     /// Job for `k > 1` lanes, rebuilt when the lane count changes.
     batch: Option<Arc<BandJob>>,
 }
 
 impl BandState {
-    fn new(topo: &Arc<Topo>, layout: Arc<BandLayout>) -> Self {
+    fn new(layout: Arc<BandLayout>) -> Self {
         BandState {
-            scalar: Arc::new(BandJob::new(Arc::clone(topo), Arc::clone(&layout), 1)),
-            batch: None,
             layout,
+            scalar: None,
+            batch: None,
         }
     }
 }
@@ -770,10 +770,13 @@ impl BatchState {
 
 /// A tier's prefactored row-sweep engine.
 ///
-/// Built once per tier, reused across every sweep and outer iteration:
-/// after construction the single-thread slices perform **no heap
-/// allocation** on any solve or sweep path. The band job runs on the
-/// persistent [`WorkerPool`],
+/// Built once per tier, reused across every sweep and outer iteration.
+/// Construction factors the frozen half (segments, pin mask, band
+/// layout); the per-solve buffers are sized by the first solve that
+/// needs them, so an engine that is only forked from costs its frozen
+/// half alone. After that first solve the single-thread slices perform
+/// **no heap allocation** on any solve or sweep path. The band job runs
+/// on the persistent [`WorkerPool`],
 /// so after the pool's one-time warm-up a parallel
 /// [`TierEngine::solve`] (or [`TierEngine::solve_batch`]) is
 /// allocation-free too — dispatching a solve to the parked workers costs
@@ -811,7 +814,8 @@ pub struct TierEngine {
     compaction: bool,
     /// Optional pool override (`None` = the process-global pool).
     pool: Option<Arc<WorkerPool>>,
-    /// Single-threaded forward-substitution scratch (one lane).
+    /// Single-threaded forward-substitution scratch (one lane), sized by
+    /// the first one-lane solve on the slices.
     scratch: Vec<f64>,
     /// Lazily sized single-threaded batch state (`k > 1`).
     batch: BatchState,
@@ -963,14 +967,18 @@ impl TierEngine {
             }
         }
 
-        let red_idx: Vec<u32> = (0..segments.len() as u32)
+        let mut red_idx: Vec<u32> = (0..segments.len() as u32)
             .filter(|&i| segments[i as usize].row % 2 == 0)
             .collect();
-        let black_idx: Vec<u32> = (0..segments.len() as u32)
+        let mut black_idx: Vec<u32> = (0..segments.len() as u32)
             .filter(|&i| segments[i as usize].row % 2 == 1)
             .collect();
+        // The frozen half outlives every solve: keep only what it holds.
+        segments.shrink_to_fit();
+        red_idx.shrink_to_fit();
+        black_idx.shrink_to_fit();
+        factors.shrink_to_fit();
 
-        let scratch = vec![0.0; factors.max_segment_len()];
         let topo = Arc::new(Topo {
             width,
             height,
@@ -983,15 +991,15 @@ impl TierEngine {
             factors,
         });
         let nb = shards.max(threads).min(height);
-        let bands = (nb > 1)
-            .then(|| BandState::new(&topo, Arc::new(BandLayout::build(&topo, nb, threads))));
+        let bands =
+            (nb > 1).then(|| BandState::new(Arc::new(BandLayout::build(&topo, nb, threads))));
 
         Ok(TierEngine {
             topo,
             schedule,
             compaction: true,
             pool: None,
-            scratch,
+            scratch: Vec::new(),
             batch: BatchState::default(),
             bands,
         })
@@ -1056,7 +1064,8 @@ impl TierEngine {
     /// A new engine sharing this engine's frozen half — the factored
     /// segments, the pin mask, and the band layout (one `Arc` bump, no
     /// refactorization) — with **fresh** per-solve mutable state
-    /// (substitution scratch, band images, batch arenas).
+    /// (substitution scratch, band images, batch arenas), which the
+    /// fork's first solve sizes.
     ///
     /// This is the engine-level shared/scratch split: everything built by
     /// [`TierEngine::new`] that is read-only after construction lives
@@ -1076,12 +1085,12 @@ impl TierEngine {
             schedule: self.schedule,
             compaction: self.compaction,
             pool: self.pool.clone(),
-            scratch: vec![0.0; self.scratch.len()],
+            scratch: Vec::new(),
             batch: BatchState::default(),
             bands: self
                 .bands
                 .as_ref()
-                .map(|b| BandState::new(&self.topo, Arc::clone(&b.layout))),
+                .map(|b| BandState::new(Arc::clone(&b.layout))),
         }
     }
 
@@ -1159,6 +1168,7 @@ impl TierEngine {
     ) -> Result<f64, SolverError> {
         self.check_call(injection, v, omega)?;
         if self.bands.is_none() {
+            self.ensure_lanes(1);
             return Ok(match self.schedule {
                 SweepSchedule::Sequential => {
                     self.sweep_sequential_slice(injection, v, downward, omega)
@@ -1301,13 +1311,10 @@ impl TierEngine {
         lanes: &mut [LaneReport],
     ) -> usize {
         let k = lanes.len();
-        self.ensure_batch(k);
+        self.ensure_lanes(k);
         if let Some(bands) = &self.bands {
-            let job = if k == 1 {
-                &bands.scalar
-            } else {
-                bands.batch.as_ref().expect("sized by ensure_batch")
-            };
+            let job = if k == 1 { &bands.scalar } else { &bands.batch };
+            let job = job.as_ref().expect("sized by ensure_lanes");
             return self.run_job(job, injection, v, tolerance, max_sweeps, omega, lanes);
         }
         if k == 1 {
@@ -1417,13 +1424,29 @@ impl TierEngine {
         sweeps
     }
 
-    /// Sizes the batch state for `k > 1` lanes (no-op when already sized,
-    /// and for one lane, which runs on the prebuilt one-lane job or the
-    /// scalar scratch): the in-place sweep buffers on the single-thread
-    /// slices, the wide band job otherwise (whose workers bring their
-    /// own pinned scratch).
-    fn ensure_batch(&mut self, k: usize) {
-        if k == 1 || self.batch.lanes == k {
+    /// Sizes the per-solve state for `k` lanes (a no-op when already
+    /// sized). One lane runs on the one-lane band job or on the scalar
+    /// scratch of the single-thread slices, each built once. More lanes
+    /// run on the wide band job (whose workers bring their own pinned
+    /// scratch) or on the in-place sweep buffers of the slices, rebuilt
+    /// when `k` changes.
+    fn ensure_lanes(&mut self, k: usize) {
+        if k == 1 {
+            let topo = &self.topo;
+            match &mut self.bands {
+                Some(bands) => {
+                    bands.scalar.get_or_insert_with(|| {
+                        Arc::new(BandJob::new(Arc::clone(topo), Arc::clone(&bands.layout), 1))
+                    });
+                }
+                None if self.scratch.len() != topo.factors.max_segment_len() => {
+                    self.scratch = vec![0.0; topo.factors.max_segment_len()];
+                }
+                None => {}
+            }
+            return;
+        }
+        if self.batch.lanes == k {
             return;
         }
         self.batch.lanes = k;
@@ -1480,7 +1503,10 @@ impl TierEngine {
         slots.collect(lanes)
     }
 
-    /// Estimated heap footprint in bytes.
+    /// Estimated heap footprint in bytes: the frozen half (factored
+    /// segments, pin mask, band layout) plus whatever per-solve buffers
+    /// solves have sized so far. A fork reports the frozen half too,
+    /// although it shares it.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.topo.memory_bytes()
@@ -1488,7 +1514,7 @@ impl TierEngine {
             + self.batch.memory_bytes()
             + self.bands.as_ref().map_or(0, |b| {
                 b.layout.memory_bytes()
-                    + b.scalar.memory_bytes()
+                    + b.scalar.as_ref().map_or(0, |j| j.memory_bytes())
                     + b.batch.as_ref().map_or(0, |j| j.memory_bytes())
             })
     }
@@ -2313,7 +2339,7 @@ mod tests {
             .collect();
         let injection = interleave(&injections);
         let mut eng = engine(w, h, &fixed, SweepSchedule::Sequential);
-        eng.ensure_batch(k);
+        eng.ensure_lanes(k);
         let topo = Arc::clone(&eng.topo);
         let BatchState {
             scratch,

@@ -223,16 +223,21 @@ impl EnginePrecond {
 
 /// The prefactored, reusable state of preconditioned CG on one stack: the
 /// full 3-D MNA system stamped once, the preconditioner factored once
-/// (IC(0), falling back to Jacobi on a non-positive pivot), and every
-/// iteration buffer preallocated — the PCG counterpart of [`Rb3dEngine`]
+/// (IC(0), falling back to Jacobi on a non-positive pivot), and the
+/// iteration buffers — the PCG counterpart of [`Rb3dEngine`]
 /// (`voltprop_core::Session` routes `Backend::Pcg` through one).
 ///
 /// The power and ground nets share one conductance matrix (only the rail
-/// and the load sign differ), so a single factorization serves both; the
-/// load-independent part of each net's right-hand side is split out at
-/// build, and [`PcgEngine::solve`] reassembles the full RHS from the
-/// request's loads without touching the heap. Warm solves perform **zero
-/// heap allocations**.
+/// and the load sign differ), so a single factorization serves both. The
+/// system is stamped without loads, so its right-hand side is the power
+/// net's load-independent base (the ground net's is all zeros), and
+/// [`PcgEngine::solve`] adds the request's loads to it without touching
+/// the heap. The engine's answers therefore never depend on the loads
+/// the stack carried at build.
+///
+/// The iteration buffers are sized on the first solve, so an engine that
+/// is only forked from costs its frozen half alone; warm solves perform
+/// **zero heap allocations**.
 ///
 /// [`Rb3dEngine`]: crate::Rb3dEngine
 ///
@@ -256,7 +261,8 @@ pub struct PcgEngine {
     /// The frozen post-build half, shared by every fork of this engine
     /// (see [`PcgEngine::fork`]).
     shared: Arc<PcgShared>,
-    /// Iteration scratch, all `sys.dim()`-sized.
+    /// Iteration scratch, all `sys.dim()`-sized once the first solve has
+    /// sized them (empty before).
     rhs: Vec<f64>,
     x: Vec<f64>,
     r: Vec<f64>,
@@ -265,20 +271,18 @@ pub struct PcgEngine {
     ap: Vec<f64>,
 }
 
-/// The read-only post-build half of a [`PcgEngine`]: the stamped system,
-/// the factored preconditioner, and the load-independent RHS bases. One
-/// `PcgShared` behind an [`Arc`] backs every fork of an engine; nothing
-/// here is written after `build`.
+/// The read-only post-build half of a [`PcgEngine`]: the stamped system
+/// and the factored preconditioner. One `PcgShared` behind an [`Arc`]
+/// backs every fork of an engine; nothing here is written after `build`.
 #[derive(Debug)]
 struct PcgShared {
     nn: usize,
     vdd: f64,
-    /// The power-net stamped system; the ground net reuses its matrix and
-    /// node-index map (same conductances, same Dirichlet set).
+    /// The power-net system stamped without loads. Its right-hand side is
+    /// the power net's base (pad/rail folding terms); the ground net
+    /// reuses its matrix and node-index map (same conductances, same
+    /// Dirichlet set) and has an all-zero base (its rail is 0 V).
     sys: StampedSystem,
-    /// Load-independent RHS part per net (pad/rail folding terms).
-    rhs_base_power: Vec<f64>,
-    rhs_base_ground: Vec<f64>,
     precond: EnginePrecond,
 }
 
@@ -286,7 +290,8 @@ impl PcgEngine {
     /// Validates the stack, stamps the full 3-D MNA system once, and
     /// factors the preconditioner: IC(0) first, falling back to Jacobi
     /// scaling if the incomplete factorization reports a non-positive
-    /// pivot even after its diagonal-shift retries.
+    /// pivot even after its diagonal-shift retries. The stack's loads are
+    /// not read: every solve brings its own.
     ///
     /// # Errors
     ///
@@ -315,29 +320,12 @@ impl PcgEngine {
 
     fn build_inner(stack: &Stack3d, alpha: f64) -> Result<Self, SolverError> {
         stack.validate()?;
-        let nn = stack.num_nodes();
-        let sys = stack.stamp_dynamic(NetKind::Power, alpha)?;
-        let ground = stack.stamp_dynamic(NetKind::Ground, alpha)?;
-        debug_assert_eq!(sys.dim(), ground.dim(), "nets share the conductance matrix");
-        let dim = sys.dim();
-
-        // The stamped RHS is (load-independent rail folding) + sign·loads
-        // on the free nodes; subtracting the build-time load contribution
-        // leaves the base each request's loads are re-added to.
-        let mut rhs_base_power = sys.rhs().to_vec();
-        let mut rhs_base_ground = ground.rhs().to_vec();
-        for (node, &load) in stack.loads().iter().enumerate() {
-            if let Some(ri) = sys.reduced_index(node) {
-                rhs_base_power[ri] += load; // power stamps −load
-                rhs_base_ground[ri] -= load; // ground stamps +load
-            }
-        }
-
+        let sys = stack.stamp_unloaded(NetKind::Power, alpha)?;
         let precond = match IncompleteCholesky::new(sys.matrix()) {
             Ok(ic) => EnginePrecond::Ic0(ic),
             Err(SparseError::NotPositiveDefinite { .. }) => {
                 let diag = sys.matrix().diag();
-                let mut inv_diag = Vec::with_capacity(dim);
+                let mut inv_diag = Vec::with_capacity(sys.dim());
                 for (i, &d) in diag.iter().enumerate() {
                     if d <= 0.0 {
                         return Err(SolverError::Sparse(SparseError::NotPositiveDefinite {
@@ -350,42 +338,36 @@ impl PcgEngine {
             }
             Err(e) => return Err(e.into()),
         };
+        Ok(PcgEngine::with_shared(Arc::new(PcgShared {
+            nn: stack.num_nodes(),
+            vdd: stack.vdd(),
+            sys,
+            precond,
+        })))
+    }
 
-        Ok(PcgEngine {
-            shared: Arc::new(PcgShared {
-                nn,
-                vdd: stack.vdd(),
-                sys,
-                rhs_base_power,
-                rhs_base_ground,
-                precond,
-            }),
-            rhs: vec![0.0; dim],
-            x: vec![0.0; dim],
-            r: vec![0.0; dim],
-            z: vec![0.0; dim],
-            p: vec![0.0; dim],
-            ap: vec![0.0; dim],
-        })
+    /// An engine on `shared` whose iteration buffers are not sized yet.
+    fn with_shared(shared: Arc<PcgShared>) -> PcgEngine {
+        PcgEngine {
+            shared,
+            rhs: Vec::new(),
+            x: Vec::new(),
+            r: Vec::new(),
+            z: Vec::new(),
+            p: Vec::new(),
+            ap: Vec::new(),
+        }
     }
 
     /// A new engine sharing this engine's frozen half — the stamped
-    /// system, the factored preconditioner, and the RHS bases — with freshly allocated iteration scratch. No
-    /// restamping or refactorization happens; forks solve independently
-    /// and reproduce the original's solves bitwise (every solve starts
-    /// from the zero initial guess).
+    /// system and the factored preconditioner — with its own iteration
+    /// buffers, sized on its first solve. No restamping or
+    /// refactorization happens; forks solve independently and reproduce
+    /// the original's solves bitwise (every solve starts from the zero
+    /// initial guess).
     #[must_use]
     pub fn fork(&self) -> PcgEngine {
-        let dim = self.shared.sys.dim();
-        PcgEngine {
-            shared: Arc::clone(&self.shared),
-            rhs: vec![0.0; dim],
-            x: vec![0.0; dim],
-            r: vec![0.0; dim],
-            z: vec![0.0; dim],
-            p: vec![0.0; dim],
-            ap: vec![0.0; dim],
-        }
+        PcgEngine::with_shared(Arc::clone(&self.shared))
     }
 
     /// Number of grid nodes this engine serves.
@@ -472,11 +454,29 @@ impl PcgEngine {
                 ),
             });
         }
-        let (rail, load_sign, base): (f64, f64, &[f64]) = match net {
-            NetKind::Power => (self.shared.vdd, -1.0, &self.shared.rhs_base_power),
-            NetKind::Ground => (0.0, 1.0, &self.shared.rhs_base_ground),
+        let dim = self.shared.sys.dim();
+        if self.rhs.len() != dim {
+            for buf in [
+                &mut self.rhs,
+                &mut self.x,
+                &mut self.r,
+                &mut self.z,
+                &mut self.p,
+                &mut self.ap,
+            ] {
+                *buf = vec![0.0; dim];
+            }
+        }
+        let (rail, load_sign) = match net {
+            NetKind::Power => {
+                self.rhs.copy_from_slice(self.shared.sys.rhs());
+                (self.shared.vdd, -1.0)
+            }
+            NetKind::Ground => {
+                self.rhs.fill(0.0);
+                (0.0, 1.0)
+            }
         };
-        self.rhs.copy_from_slice(base);
         for (node, &load) in loads.iter().enumerate() {
             if let Some(ri) = self.shared.sys.reduced_index(node) {
                 self.rhs[ri] += load_sign * load;
@@ -522,14 +522,14 @@ impl PcgEngine {
         })
     }
 
-    /// Estimated heap footprint in bytes (stamped system, preconditioner
-    /// factor, RHS bases, and iteration scratch; the caller owns `v`).
+    /// Estimated heap footprint in bytes: the frozen half (stamped system
+    /// with its right-hand-side base, preconditioner factor) plus the
+    /// iteration buffers once a solve has sized them. The caller owns
+    /// `v`.
     pub fn memory_bytes(&self) -> usize {
         self.shared.sys.memory_bytes()
             + self.shared.precond.memory_bytes()
-            + (self.shared.rhs_base_power.len()
-                + self.shared.rhs_base_ground.len()
-                + self.rhs.len()
+            + (self.rhs.len()
                 + self.x.len()
                 + self.r.len()
                 + self.z.len()
@@ -804,6 +804,53 @@ mod tests {
         b0.solve(stack.loads(), NetKind::Power, 1e-8, 50_000, &mut vb)
             .unwrap();
         assert_eq!(va, vb);
+    }
+
+    #[test]
+    fn engine_answers_do_not_depend_on_the_build_loads() {
+        // Two stacks of one geometry carrying different loads build
+        // engines that solve a third load vector bitwise alike: the base
+        // holds the pad-fold terms alone.
+        let a = bench_stack();
+        let mut b = a.clone();
+        b.set_loads(a.loads().iter().map(|l| 3.7 * l + 1e-6).collect())
+            .unwrap();
+        let third: Vec<f64> = a
+            .loads()
+            .iter()
+            .enumerate()
+            .map(|(i, l)| l * (0.5 + (i % 7) as f64 * 0.1))
+            .collect();
+        let mut ea = PcgEngine::build(&a).unwrap();
+        let mut eb = PcgEngine::build(&b).unwrap();
+        let nn = a.num_nodes();
+        for net in [NetKind::Power, NetKind::Ground] {
+            let (mut va, mut vb) = (vec![0.0; nn], vec![0.0; nn]);
+            ea.solve(&third, net, 1e-10, 50_000, &mut va).unwrap();
+            eb.solve(&third, net, 1e-10, 50_000, &mut vb).unwrap();
+            assert!(
+                va.iter().zip(&vb).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{net:?}: build loads leaked into the answer"
+            );
+        }
+    }
+
+    #[test]
+    fn forks_size_their_buffers_on_first_solve() {
+        let stack = bench_stack();
+        let template = PcgEngine::build(&stack).unwrap();
+        let frozen = template.memory_bytes();
+        let mut fork = template.fork();
+        assert_eq!(
+            fork.memory_bytes(),
+            frozen,
+            "an unsolved fork holds no buffers"
+        );
+        let mut v = vec![0.0; fork.num_nodes()];
+        fork.solve(stack.loads(), NetKind::Power, 1e-8, 50_000, &mut v)
+            .unwrap();
+        assert_eq!(fork.memory_bytes(), frozen + 6 * fork.dim() * 8);
+        assert_eq!(template.memory_bytes(), frozen);
     }
 
     #[test]

@@ -85,7 +85,11 @@ impl Rb3d {
 
 /// The prefactored, reusable state of the naive 3-D row-based iteration:
 /// every tier's row segments factored once, the TSV/pad structure baked
-/// into per-tier masks, and the injection staging buffer preallocated.
+/// into per-tier masks, and the injection staging buffer. The frozen
+/// half is shared by every [`Rb3dEngine::fork`]; the per-solve buffers
+/// (the staging buffer and each tier engine's sweep scratch) are sized
+/// by the first solve, so an engine that is only forked from costs its
+/// frozen half alone.
 ///
 /// [`Rb3d::solve_stack`] builds one per call; callers that solve many
 /// load patterns on one grid (e.g. a `Session` in `voltprop-core`
@@ -98,6 +102,17 @@ impl Rb3d {
 /// through a prebuilt engine produces bitwise-equal voltages.
 #[derive(Debug)]
 pub struct Rb3dEngine {
+    /// The topology descriptors every fork shares.
+    shape: Arc<Rb3dShape>,
+    /// One prefactored engine per tier (forks share their factors).
+    engines: Vec<TierEngine>,
+    /// Per-tier injection staging, sized by the first solve.
+    injection: Vec<f64>,
+}
+
+/// The read-only topology of an [`Rb3dEngine`], shared by its forks.
+#[derive(Debug)]
+struct Rb3dShape {
     width: usize,
     height: usize,
     tiers: usize,
@@ -112,8 +127,6 @@ pub struct Rb3dEngine {
     /// Per-tier `(g_h, g_v)` baked into the engines (kept for
     /// [`Rb3dEngine::geometry_matches`]).
     tier_g: Vec<(f64, f64)>,
-    engines: Vec<TierEngine>,
-    injection: Vec<f64>,
 }
 
 impl Rb3dEngine {
@@ -225,26 +238,27 @@ impl Rb3dEngine {
         }
 
         Ok(Rb3dEngine {
-            width: w,
-            height: h,
-            tiers,
-            vdd: stack.vdd(),
-            g_tsv,
-            ideal_pads,
-            g_pad,
-            tsv_mask,
-            pad_mask,
-            tier_g,
+            shape: Arc::new(Rb3dShape {
+                width: w,
+                height: h,
+                tiers,
+                vdd: stack.vdd(),
+                g_tsv,
+                ideal_pads,
+                g_pad,
+                tsv_mask,
+                pad_mask,
+                tier_g,
+            }),
             engines,
-            injection: vec![0.0f64; per_tier],
+            injection: Vec::new(),
         })
     }
 
-    /// A new engine sharing this engine's frozen half with fresh
-    /// per-solve mutable state: the per-tier factored segments are shared
-    /// through [`TierEngine::fork`] (no refactorization), the small
-    /// topology descriptors (TSV/pad masks, per-tier conductances) are
-    /// copied, and the injection staging buffer is freshly allocated.
+    /// A new engine sharing this engine's frozen half — the per-tier
+    /// factored segments (through [`TierEngine::fork`], no
+    /// refactorization) and the topology descriptors — with its own
+    /// per-solve buffers, sized on its first solve.
     ///
     /// Forks solve independently — two forks may run concurrently from
     /// different threads — and reproduce the original engine's solves
@@ -252,49 +266,41 @@ impl Rb3dEngine {
     #[must_use]
     pub fn fork(&self) -> Rb3dEngine {
         Rb3dEngine {
-            width: self.width,
-            height: self.height,
-            tiers: self.tiers,
-            vdd: self.vdd,
-            g_tsv: self.g_tsv,
-            ideal_pads: self.ideal_pads,
-            g_pad: self.g_pad,
-            tsv_mask: self.tsv_mask.clone(),
-            pad_mask: self.pad_mask.clone(),
-            tier_g: self.tier_g.clone(),
+            shape: Arc::clone(&self.shape),
             engines: self.engines.iter().map(TierEngine::fork).collect(),
-            injection: vec![0.0; self.injection.len()],
+            injection: Vec::new(),
         }
     }
 
     /// Number of grid nodes this engine serves.
     pub fn num_nodes(&self) -> usize {
-        self.width * self.height * self.tiers
+        let s = &self.shape;
+        s.width * s.height * s.tiers
     }
 
     /// Whether this engine's prefactored state fits the stack's geometry
     /// (footprint, tiers, rail, TSV/pad/sheet resistances, and TSV and
     /// pad sites). Loads are free to differ.
     pub fn geometry_matches(&self, stack: &Stack3d) -> bool {
-        let (w, h) = (self.width, self.height);
-        let pads_match = if self.ideal_pads {
+        let s = &*self.shape;
+        let (w, h) = (s.width, s.height);
+        let pads_match = if s.ideal_pads {
             stack.pad_resistance() == 0.0
         } else {
-            stack.pad_resistance() != 0.0 && self.g_pad == 1.0 / stack.pad_resistance()
+            stack.pad_resistance() != 0.0 && s.g_pad == 1.0 / stack.pad_resistance()
         };
         w == stack.width()
             && h == stack.height()
-            && self.tiers == stack.tiers()
-            && self.vdd == stack.vdd()
-            && self.g_tsv == 1.0 / stack.tsv_resistance()
+            && s.tiers == stack.tiers()
+            && s.vdd == stack.vdd()
+            && s.g_tsv == 1.0 / stack.tsv_resistance()
             && pads_match
-            && self.tier_g.iter().enumerate().all(|(t, &(g_h, g_v))| {
+            && s.tier_g.iter().enumerate().all(|(t, &(g_h, g_v))| {
                 g_h == 1.0 / stack.r_horizontal(t) && g_v == 1.0 / stack.r_vertical(t)
             })
             && (0..h * w).all(|site| {
                 let (x, y) = (site % w, site / w);
-                self.tsv_mask[site] == stack.is_tsv(x, y)
-                    && self.pad_mask[site] == stack.is_pad(x, y)
+                s.tsv_mask[site] == stack.is_tsv(x, y) && s.pad_mask[site] == stack.is_pad(x, y)
             })
     }
 
@@ -378,11 +384,20 @@ impl Rb3dEngine {
                 ),
             });
         }
-        let (w, h, tiers) = (self.width, self.height, self.tiers);
+        let Rb3dEngine {
+            shape,
+            engines,
+            injection,
+        } = self;
+        let s = &**shape;
+        let (w, h, tiers) = (s.width, s.height, s.tiers);
         let per_tier = w * h;
         let top = tiers - 1;
+        if injection.len() != per_tier {
+            *injection = vec![0.0; per_tier];
+        }
         let rail = match net {
-            NetKind::Power => self.vdd,
+            NetKind::Power => s.vdd,
             NetKind::Ground => 0.0,
         };
         let load_sign = match net {
@@ -411,21 +426,21 @@ impl Rb3dEngine {
                     if let Some(src) = source {
                         b += src[node];
                     }
-                    if self.tsv_mask[site] {
+                    if s.tsv_mask[site] {
                         if t > 0 {
-                            b += self.g_tsv * v[node - per_tier];
+                            b += s.g_tsv * v[node - per_tier];
                         }
                         if t < top {
-                            b += self.g_tsv * v[node + per_tier];
+                            b += s.g_tsv * v[node + per_tier];
                         }
                     }
-                    if t == top && !self.ideal_pads && self.pad_mask[site] {
-                        b += self.g_pad * rail;
+                    if t == top && !s.ideal_pads && s.pad_mask[site] {
+                        b += s.g_pad * rail;
                     }
-                    self.injection[site] = b;
+                    injection[site] = b;
                 }
                 let tier_v = &mut v[t * per_tier..(t + 1) * per_tier];
-                let delta = self.engines[t].sweep_once(&self.injection, tier_v, downward, omega)?;
+                let delta = engines[t].sweep_once(injection, tier_v, downward, omega)?;
                 max_delta = max_delta.max(delta);
             }
             iterations += 1;
@@ -445,16 +460,17 @@ impl Rb3dEngine {
         })
     }
 
-    /// Estimated heap footprint in bytes (prefactored engines, masks,
-    /// and the injection staging buffer; the caller owns `v`).
+    /// Estimated heap footprint in bytes: the frozen half (prefactored
+    /// engines, masks) plus the per-solve buffers once a solve has sized
+    /// them. The caller owns `v`.
     pub fn memory_bytes(&self) -> usize {
         self.engines
             .iter()
             .map(TierEngine::memory_bytes)
             .sum::<usize>()
             + self.injection.len() * 8
-            + self.tsv_mask.len()
-            + self.pad_mask.len()
+            + self.shape.tsv_mask.len()
+            + self.shape.pad_mask.len()
     }
 }
 

@@ -98,6 +98,10 @@ impl CsrMatrix {
             }
             indptr[r + 1] = out_idx.len();
         }
+        // Duplicates merged: a stamped conductance matrix keeps about
+        // five entries of every eight triplets, so give the rest back.
+        out_idx.shrink_to_fit();
+        out_val.shrink_to_fit();
 
         CsrMatrix {
             nrows,

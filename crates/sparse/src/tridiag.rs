@@ -186,6 +186,14 @@ impl FactoredSegments {
         self.max_len
     }
 
+    /// Releases the capacity the appends left beyond the factored
+    /// coefficients (call once every segment is pushed).
+    pub fn shrink_to_fit(&mut self) {
+        self.lower.shrink_to_fit();
+        self.cp.shrink_to_fit();
+        self.inv_m.shrink_to_fit();
+    }
+
     /// Drops all factored segments, keeping the allocations.
     pub fn clear(&mut self) {
         self.lower.clear();

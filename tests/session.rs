@@ -332,16 +332,21 @@ fn geometry_drift_errors_instead_of_rebuilding() {
         &other_vdd,
         &other_pads,
     ] {
-        assert!(matches!(
-            session.solve(&LoadCase::new(bad)),
-            Err(SessionError::GeometryChanged { .. })
-        ));
-        assert!(matches!(
-            session.solve_batch(&LoadSet::new(bad, &load_sweep(bad, 2))),
-            Err(SessionError::GeometryChanged { .. })
-        ));
+        // On every backend, and before the Rb3d or Pcg engine is built
+        // from the bad stack: the geometry check runs first.
+        for backend in [Backend::VoltProp, Backend::Rb3d, Backend::Pcg] {
+            assert!(matches!(
+                session.solve(&LoadCase::new(bad).backend(backend)),
+                Err(SessionError::GeometryChanged { .. })
+            ));
+            assert!(matches!(
+                session.solve_batch(&LoadSet::new(bad, &load_sweep(bad, 2)).backend(backend)),
+                Err(SessionError::GeometryChanged { .. })
+            ));
+        }
     }
-    // The session is untouched: same memory, still serves its stack.
+    // The session is untouched: same memory (no engine was built), still
+    // serves its stack.
     assert_eq!(session.memory_bytes(), mem);
     assert!(session.solve(&LoadCase::new(&stack)).is_ok());
 
@@ -350,6 +355,45 @@ fn geometry_drift_errors_instead_of_rebuilding() {
     hot.set_loads(stack.loads().iter().map(|l| 1.5 * l).collect())
         .unwrap();
     assert!(session.solve(&LoadCase::new(&hot)).is_ok());
+}
+
+#[test]
+fn voltprop_requests_keep_memory_fixed_and_a_first_pcg_request_grows_it() {
+    let stack = stack();
+    let nn = stack.num_nodes();
+    let loads = load_sweep(&stack, 3);
+    let mut session = Session::build(&stack, VpConfig::default()).unwrap();
+    let run_voltprop = |session: &mut Session| {
+        assert!(session.solve(&LoadCase::new(&stack)).unwrap().converged());
+        let batch = session.solve_batch(&LoadSet::new(&stack, &loads)).unwrap();
+        assert!(batch.converged());
+        let mut wave = FnWaveform::new(4, |_step, _t, l: &mut [f64]| {
+            l.copy_from_slice(stack.loads());
+        });
+        let mut sink = TraceSink::with_capacity(4, nn);
+        session
+            .transient_dynamic(&mut wave, &mut sink, &TransientParams::new(&stack, 20e-12))
+            .unwrap();
+    };
+    // The first round sizes the one- and three-lane buffers.
+    run_voltprop(&mut session);
+    let warm = session.memory_bytes();
+    for _ in 0..2 {
+        run_voltprop(&mut session);
+        assert_eq!(
+            session.memory_bytes(),
+            warm,
+            "warm VoltProp requests add nothing"
+        );
+    }
+    let pcg = session
+        .solve(&LoadCase::new(&stack).backend(Backend::Pcg))
+        .unwrap();
+    assert!(pcg.converged());
+    assert!(
+        session.memory_bytes() > warm,
+        "the first Pcg request builds and counts its engine"
+    );
 }
 
 #[test]

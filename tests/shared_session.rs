@@ -139,3 +139,62 @@ fn interleaved_backends_stay_bitwise_deterministic() {
     let rotation = [Backend::VoltProp, Backend::Rb3d, Backend::Pcg];
     run_determinism(case_stack, |i| rotation[i % rotation.len()]);
 }
+
+/// The lazy contract: four threads send a fresh four-slot pool its first
+/// Pcg requests at once, then its first Rb3d requests at once, each
+/// thread holding its solution until all four have one (so every slot
+/// serves one request of each). The answers match a sequential `Session`
+/// bitwise, and the pool's bytes come out equal on two repetitions: each
+/// engine was built once, not once per thread.
+#[test]
+fn concurrent_first_requests_build_each_backend_once() {
+    const FIRST: usize = 4;
+    let stacks: Vec<Stack3d> = (0..FIRST as u64).map(case_stack).collect();
+    let backends = [Backend::Pcg, Backend::Rb3d];
+
+    let mut session = Session::build(&stacks[0], VpConfig::default()).expect("session builds");
+    let expected: Vec<Vec<f64>> = backends
+        .iter()
+        .flat_map(|&backend| stacks.iter().map(move |stack| (backend, stack)))
+        .map(|(backend, stack)| {
+            let case = LoadCase::new(stack).backend(backend);
+            let view = session.solve(&case).expect("sequential solve succeeds");
+            view.voltages().to_vec()
+        })
+        .collect();
+
+    let mut bytes = Vec::new();
+    for _ in 0..2 {
+        let shared =
+            SharedSession::build(&stacks[0], VpConfig::default(), FIRST).expect("shared builds");
+        let built = shared.memory_bytes();
+        let all_hold = std::sync::Barrier::new(FIRST);
+        let mut got: Vec<Vec<f64>> = Vec::new();
+        for &backend in &backends {
+            got.extend(std::thread::scope(|scope| {
+                let handles: Vec<_> = stacks
+                    .iter()
+                    .map(|stack| {
+                        let (shared, all_hold) = (&shared, &all_hold);
+                        scope.spawn(move || {
+                            all_hold.wait();
+                            let case = LoadCase::new(stack).backend(backend);
+                            let solution = shared.solve(&case).expect("first request succeeds");
+                            let v = solution.view().voltages().to_vec();
+                            all_hold.wait();
+                            v
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("solver thread does not panic"))
+                    .collect::<Vec<_>>()
+            }));
+        }
+        assert_bitwise(&expected, &got, "first requests vs sequential");
+        assert!(shared.memory_bytes() > built, "both engines are counted");
+        bytes.push(shared.memory_bytes());
+    }
+    assert_eq!(bytes[0], bytes[1], "one build per engine, every repetition");
+}
