@@ -1342,6 +1342,30 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_backend_build_is_kept_and_served_as_unavailable() {
+        let s = stack();
+        let core = SessionCore::build(&s, VpConfig::default()).unwrap();
+        let bytes = core.memory_bytes();
+        core.pcg
+            .set(Err("PCG prefactor failed: not positive definite".into()))
+            .unwrap();
+        let mut session = Session::from_core(Arc::new(core));
+        for _ in 0..2 {
+            match session.solve(&LoadCase::new(&s).backend(Backend::Pcg)) {
+                Err(SessionError::BackendUnavailable { backend, reason }) => {
+                    assert_eq!(backend, Backend::Pcg);
+                    assert!(reason.contains("not positive definite"));
+                }
+                other => panic!("expected BackendUnavailable, got {other:?}"),
+            }
+        }
+        assert_eq!(session.core().memory_bytes(), bytes, "nothing was built");
+        assert!(session.solve(&LoadCase::new(&s)).unwrap().converged());
+        let rb = LoadCase::new(&s).backend(Backend::Rb3d);
+        assert!(session.solve(&rb).unwrap().converged());
+    }
+
+    #[test]
     fn errors_display_and_source() {
         let e = SessionError::GeometryChanged {
             what: "10x10x3 vs 8x8x2".into(),
