@@ -22,9 +22,6 @@
 //! * the persistent worker pool: small-grid per-solve latency of the
 //!   pool dispatch at parallelism 2 (and 4 in full runs), **asserting
 //!   zero allocator calls** across the warm pool solves;
-//! * active-lane compaction: fixed-budget batch-64 masked sweeps at 1/8/
-//!   32 active lanes, compacted vs uncompacted (asserted bitwise
-//!   identical) against a scalar single-RHS reference;
 //! * the pillar-lattice (coarse) path: a `TableCircuit` preset, whose
 //!   pads sit on about one pillar in 25, so every outer iteration runs the
 //!   coarse lattice solve — warm single-solve time and warm batch-16
@@ -80,7 +77,9 @@
 //! Each invocation appends one JSON entry to the trajectory file named by
 //! `--out` (the committed one is `BENCH_rowbased.json` at the repository
 //! root; see [`voltprop_bench::trajectory`]), building the performance
-//! history future changes extend.
+//! history future changes extend. Older entries also carry a
+//! `batch_compaction` section, from the active-lane compaction this suite
+//! no longer measures (it was deleted).
 //!
 //! Usage: `cargo run --release -p voltprop-bench --bin perfsuite --
 //! --out PATH [--quick] [--batch N[,N...]]` (`--help` explains them).
@@ -631,103 +630,6 @@ fn pool_block(edge: usize, threads_list: &[usize], solves: usize, sweeps: usize)
          \"solves_timed\": {solves},\n    \"sweeps_per_solve\": {sweeps},\n    \
          \"dispatch\": [\n{}\n    ]\n  }}",
         hardware_threads(),
-        lines.join(",\n"),
-    )
-}
-
-/// The active-lane compaction experiment: a batch of `k` lanes with only
-/// `m` active (masked), swept for a fixed budget, compacted vs
-/// uncompacted (asserted bitwise identical) and against a scalar
-/// single-RHS solve of the same budget — the cost a straggler *should*
-/// have.
-fn compaction_block(edge: usize, k: usize, actives: &[usize], sweeps: usize) -> String {
-    eprintln!("lane compaction {edge}x{edge} batch {k}, active {actives:?}...");
-    let fixture = TierFixture::new(edge);
-    let n = edge * edge;
-
-    // Scalar single-RHS reference: the same fixed sweep budget on one
-    // right-hand side (tolerance 0 → exactly `sweeps` sweeps, Err ignored).
-    let mut scalar_engine = fixture.engine(SweepSchedule::Sequential);
-    let mut v1 = fixture.v0.clone();
-    let _ = scalar_engine.solve(&fixture.injection, &mut v1, 0.0, sweeps.min(8));
-    let start = Instant::now();
-    let _ = scalar_engine.solve(&fixture.injection, &mut v1, 0.0, sweeps);
-    let scalar_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    // Batch arrays: every lane carries a scaled copy of the fixture load.
-    let mut injection = vec![0.0; n * k];
-    let mut v0 = vec![0.0; n * k];
-    for i in 0..n {
-        for j in 0..k {
-            injection[i * k + j] = (0.75 + 0.5 * j as f64 / k as f64) * fixture.injection[i];
-            v0[i * k + j] = fixture.v0[i];
-        }
-    }
-
-    let mut lines = Vec::new();
-    for &m in actives {
-        let mask: Vec<bool> = (0..k).map(|j| j < m).collect();
-        let run = |compacted: bool| -> (f64, usize, Vec<f64>) {
-            let mut engine = fixture.engine(SweepSchedule::Sequential);
-            engine.set_lane_compaction(compacted);
-            let mut lanes = vec![LaneReport::default(); k];
-            let mut v = v0.clone();
-            // Warm call sizes the batch arena; the second is measured.
-            engine
-                .solve_batch_masked(
-                    &injection,
-                    &mut v,
-                    0.0,
-                    sweeps,
-                    1.0,
-                    Some(&mask),
-                    &mut lanes,
-                )
-                .expect("warm masked batch");
-            let mut v = v0.clone();
-            let calls_before = alloc::alloc_calls();
-            let start = Instant::now();
-            engine
-                .solve_batch_masked(
-                    &injection,
-                    &mut v,
-                    0.0,
-                    sweeps,
-                    1.0,
-                    Some(&mask),
-                    &mut lanes,
-                )
-                .expect("timed masked batch");
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            (ms, alloc::alloc_calls() - calls_before, v)
-        };
-        let (compacted_ms, compacted_allocs, v_on) = run(true);
-        assert_eq!(
-            compacted_allocs, 0,
-            "active {m}: warm compacted batch must make zero allocator calls"
-        );
-        let (uncompacted_ms, _, v_off) = run(false);
-        assert!(
-            v_on.iter()
-                .zip(&v_off)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "active {m}: compacted and uncompacted sweeps must be bitwise identical"
-        );
-        lines.push(format!(
-            "      {{ \"active\": {m}, \"compacted_ms\": {}, \"uncompacted_ms\": {}, \
-             \"uncompacted_over_compacted\": {}, \"ms_vs_scalar\": {} }}",
-            json_f64(compacted_ms),
-            json_f64(uncompacted_ms),
-            json_f64(uncompacted_ms / compacted_ms),
-            json_f64(compacted_ms / scalar_ms),
-        ));
-    }
-    format!(
-        "{{\n    \"grid\": \"{edge}x{edge}\",\n    \"batch\": {k},\n    \
-         \"sweeps_timed\": {sweeps},\n    \"scalar_single_rhs_ms\": {},\n    \
-         \"bitwise_identical\": {},\n    \"active_lanes\": [\n{}\n    ]\n  }}",
-        json_f64(scalar_ms),
-        json_bool(true),
         lines.join(",\n"),
     )
 }
@@ -1777,20 +1679,10 @@ fn main() {
         .collect();
 
     // Worker-pool dispatch latency (small grids: the hand-off overhead
-    // the pool removes dominates there) and active-lane compaction.
+    // the pool removes dominates there).
     let pool_threads: Vec<usize> = if quick { vec![2] } else { vec![2, 4] };
     let (pool_solves, pool_sweeps) = if quick { (60, 8) } else { (200, 8) };
     let pool_blocks = [pool_block(64, &pool_threads, pool_solves, pool_sweeps)];
-    // Two grids in full runs: 64×64 stays cache-resident, 128×128 shows
-    // the memory-bound regime (the strided straggler reads spill L2).
-    let compaction_blocks = if quick {
-        vec![compaction_block(64, 64, &[1, 8, 32], 40)]
-    } else {
-        vec![
-            compaction_block(64, 64, &[1, 8, 32], 60),
-            compaction_block(128, 64, &[1, 8, 32], 60),
-        ]
-    };
 
     // The session lifecycle experiment: batch-64 and a 24-step transient
     // on one prefactored session, zero warm allocations, bitwise equal to
@@ -1888,8 +1780,7 @@ fn main() {
          \"hardware_threads\": {hardware_threads},\n  \
          \"row_sweeps\": [\n  {}\n  ],\n  \"vp_solver\": [\n  {}\n  ],\n  \
          \"vp_batch\": [\n  {}\n  ],\n  \"table_circuit\": [\n  {}\n  ],\n  \
-         \"pool_latency\": [\n  {}\n  ],\n  \
-         \"batch_compaction\": [\n  {}\n  ],\n  \"session\": [\n  {}\n  ],\n  \
+         \"pool_latency\": [\n  {}\n  ],\n  \"session\": [\n  {}\n  ],\n  \
          \"transient\": [\n  {}\n  ],\n  \
          \"pcg\": [\n  {}\n  ],\n  \"concurrency\": [\n  {}\n  ],\n  \
          \"overload\": [\n  {}\n  ],\n  \"sharding\": [\n  {}\n  ],\n  \
@@ -1899,7 +1790,6 @@ fn main() {
         batch_blocks.join(",\n  "),
         table_blocks.join(",\n  "),
         pool_blocks.join(",\n  "),
-        compaction_blocks.join(",\n  "),
         session_blocks.join(",\n  "),
         transient_blocks.join(",\n  "),
         pcg_blocks.join(",\n  "),

@@ -36,10 +36,11 @@
 //!   the allocator). Older entries also timed a scoped-spawn dispatch
 //!   baseline (`scoped_spawn_ns_per_solve`, `scoped_over_pool`), since
 //!   deleted;
-//! * `batch_compaction` (PR 3) — fixed-budget masked batch sweeps at
-//!   several active-lane counts, compacted vs uncompacted, against a
-//!   scalar single-RHS reference (`compacted` entries carry
-//!   `ms_vs_scalar`, the straggler-cost ratio the compaction caps);
+//! * `batch_compaction` (older entries only) — fixed-budget masked
+//!   batch sweeps at several active-lane counts, compacted vs
+//!   uncompacted, against a scalar single-RHS reference. Active-lane
+//!   compaction has since been deleted: batched sweeps always run the
+//!   full lane-blocked kernel, so later entries have no such section;
 //! * `session` (PR 4) — the `Session` lifecycle on one prefactored
 //!   handle: warm single/batch/transient latencies with per-request
 //!   `session_*_warm_alloc_calls` (asserted 0); since PR 5 the bitwise

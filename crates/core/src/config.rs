@@ -180,7 +180,7 @@ impl VpConfig {
 /// [`Session::build`](crate::Session::build), so single, batched, and
 /// transient solves all run banded with no warm allocator calls. Banding
 /// restructures dispatch and memory layout, never arithmetic: the
-/// row-based routes — single solves, masked/compacted batches, transient
+/// row-based routes — single solves, batches (masked or not), transient
 /// steps — produce **bitwise identical** voltages, iteration counts, and
 /// residuals at every `parallelism >= 2`, because per-sweep convergence
 /// deltas are folded with exact `f64::max`, so lane freezing cannot

@@ -22,8 +22,9 @@
 //!
 //! An engine picks its path once, at construction:
 //!
-//! * **The single-thread slices** (one thread, one band): the
-//!   sequential or red-black sweep runs in place on the caller's vector.
+//! * **The single-thread slices** (one thread, one band): every solve
+//!   and sweep runs one in-place loop over the caller's vector,
+//!   sequential or red-black.
 //! * **The band job** (two or more threads, or two or more bands asked
 //!   of [`TierEngine::new_sharded`]): the tier is split into row bands
 //!   that sweep inside private halo-extended images on the persistent
@@ -31,16 +32,17 @@
 //!
 //! # One solve path: a scalar solve is a batch of one
 //!
-//! [`TierEngine::solve`], [`TierEngine::solve_with_omega`] and the
-//! band-job [`TierEngine::sweep_once`] run as one-lane batched solves,
-//! keeping the scalar error semantics (an exhausted budget is
-//! [`SolverError::DidNotConverge`]). A one-lane batch never stages rows
-//! through the lane-blocked kernels: on one thread it sweeps the plain
-//! image with the scalar per-segment loop, and inside the band job the
-//! batched segment dispatch hands `k = 1` straight to the scalar kernel.
-//! Each band engine keeps an eagerly built one-lane job beside the
-//! lazily sized job for wider batches, so alternating single and
-//! batched requests never rebuild a job.
+//! [`TierEngine::solve`], [`TierEngine::solve_with_omega`] and
+//! [`TierEngine::sweep_once`] run as one-lane batched solves, keeping
+//! the scalar error semantics (an exhausted budget is
+//! [`SolverError::DidNotConverge`]). Both paths pick the kernel from the
+//! lane count alone: one lane runs the scalar per-segment kernel on the
+//! plain image (a one-lane node-major image *is* the plain vector), more
+//! lanes run the lane-blocked kernel. The slices' loop buffers grow to
+//! the widest batch seen and never shrink; a band engine keeps its
+//! one-lane job beside the job for wider batches, each built by the
+//! first solve that needs it, so alternating single and batched requests
+//! never rebuild either.
 //!
 //! # Pool lifecycle
 //!
@@ -65,54 +67,35 @@
 //! row-order sweep), which remains the default and the `parallelism = 1`
 //! special case throughout the workspace. Batched solves extend the
 //! contract per lane: a lane's iterate is bitwise identical to its
-//! standalone solve on every schedule, thread count, and compaction
-//! setting.
+//! standalone solve on every schedule, thread count and band count.
 //!
-//! # Active-lane compaction
+//! # Frozen lanes
 //!
-//! Batched sweeps only pay for **live** lanes. Once lanes freeze
-//! (converged, or masked out by the caller), each sweep of a `k > 1`
-//! batch picks a kernel from the active count `m` out of `k` lanes (a
-//! one-lane batch always runs the scalar kernel on the plain image):
-//!
-//! * `8m > 3k` — the **full** unit-stride kernel; the arithmetic waste on
-//!   frozen lanes is cheaper than gather/scatter.
-//! * `m ≤ 3` — the **scalar** per-lane kernel through a strided lane
-//!   view; at a few stragglers the batch costs what the equivalent
-//!   standalone solves cost.
-//! * otherwise — the **compacted** kernel: gather the active lanes'
-//!   right-hand sides into an `m`-wide row, substitute, scatter the
-//!   updates back.
-//!
-//! All three kernels run the same per-lane arithmetic, so results are
-//! bitwise identical to the uncompacted path (regression-tested), frozen
-//! lanes are never touched, and the kernel choice — a pure function of
-//! `(m, k)` — cannot perturb thread-count determinism.
-//! [`TierEngine::set_lane_compaction`] disables the heuristic (the
-//! always-full PR 2 behaviour) for benchmarking. The thresholds were
-//! re-measured against the blocked/FMA kernels with the
-//! `measure_batch_kernel_crossover` harness (k = 64, 64×64 tier): the
-//! full kernel sweeps at a flat ~0.3 ms regardless of `m` while the
-//! compacted kernel's gather/scatter scales at ~11 µs per active lane,
-//! so the full kernel now wins from ~42 % occupancy down from the
-//! scalar-tuned 75 %; the strided scalar fallback sped up the least and
-//! carries the tie out to three stragglers.
+//! A batched sweep of `k > 1` lanes runs the lane-blocked kernel over
+//! all `k` lanes, live or frozen (converged, or masked out by the
+//! caller). A frozen lane is computed but never changed: the write-back
+//! gate keeps its voltages and its delta as they are, so every live
+//! lane's arithmetic is exactly its standalone solve's. The arithmetic
+//! spent on frozen lanes buys one kernel with no per-sweep choice: on
+//! the `whatif_batch` benchmark (16 lanes that freeze at different
+//! sweeps) nearly every batched sweep has almost all its lanes live, so
+//! skipping the frozen ones would save little.
 //!
 //! # Blocked lane kernels
 //!
-//! Every batched inner loop is a **fixed-width blocked loop over the
-//! lanes** built from fused multiply-adds: the RHS-assembly, forward-
-//! and backward-substitution loops all process `[f64; 8]`
-//! unit-stride chunks with `mul_add`, which the compiler turns into FMA
-//! vector code on any target with FMA — no nightly intrinsics. Because
-//! the remainder lanes run the *same* per-element fused operation, lane
-//! blocking is numerically invisible: batch-of-1 equals solo bitwise at
-//! every lane count. Wide batches over long segments are additionally
-//! traversed in cache-sized **lane blocks** (`lane_block_width`) so
-//! the substitution scratch of a 512-wide row pass stays L2-resident
-//! instead of streaming the whole batch through cache per row; lanes
-//! are independent, so this is invisible too. The scalar kernel uses
-//! the same fused forms, preserving the batch ≡ scalar contract.
+//! The lane-blocked kernel is a **fixed-width blocked loop over the
+//! lanes** built from fused multiply-adds: its RHS-assembly, forward-
+//! and backward-substitution loops all process `[f64; 8]` unit-stride
+//! chunks with `mul_add`, which the compiler turns into FMA vector code
+//! on any target with FMA — no nightly intrinsics. Because the remainder
+//! lanes run the *same* per-element fused operation, lane blocking is
+//! numerically invisible: batch-of-1 equals solo bitwise at every lane
+//! count. Wide batches over long segments are additionally traversed in
+//! cache-sized **lane blocks** (`lane_block_width`) so the substitution
+//! scratch of a 512-wide row pass stays L2-resident instead of streaming
+//! the whole batch through cache per row; lanes are independent, so this
+//! is invisible too. The scalar kernel uses the same fused forms,
+//! preserving the batch ≡ scalar contract.
 //!
 //! # Row bands
 //!
@@ -141,7 +124,7 @@
 //! partition-invariant too.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, RwLock};
 
 use crate::pool::{PoolJob, WorkerPool, WorkerScratch};
@@ -204,14 +187,8 @@ const RUN: usize = 0;
 const DONE: usize = 1;
 const BUDGET: usize = 2;
 
-/// At or below this many active lanes a batched sweep falls back to the
-/// scalar per-lane kernel (see the module docs for the full crossover).
-/// Measured against the blocked/FMA kernels: the compacted kernel's
-/// gather/scatter overhead only amortizes from four active lanes up.
-const SCALAR_LANE_CROSSOVER: usize = 3;
-
-/// Cache budget for one segment's substitution scratch in the full
-/// batched kernel. Wide batches over long rows are traversed in lane
+/// Cache budget for one segment's substitution scratch in the
+/// lane-blocked kernel. Wide batches over long rows are traversed in lane
 /// blocks sized so the forward-intermediate scratch of a whole segment
 /// pass stays L2-resident (a 512-wide row × 64 lanes of `f64` scratch
 /// is 256 KiB — it would thrash a typical 256 KiB–1 MiB L2 together
@@ -223,7 +200,7 @@ const LANE_BLOCK_CACHE_BYTES: usize = 128 * 1024;
 /// register of `f64`; blocks are multiples of this).
 const MIN_LANE_BLOCK: usize = 8;
 
-/// Lane-block width of the cache-blocked full batched kernel: the
+/// Lane-block width of the cache-blocked lane kernel: the
 /// widest multiple of [`MIN_LANE_BLOCK`] whose `len`-row scratch fits
 /// [`LANE_BLOCK_CACHE_BYTES`], clamped to `[MIN_LANE_BLOCK, k]`. A pure
 /// function of `(len, k)`, so every thread blocks identically.
@@ -231,30 +208,6 @@ fn lane_block_width(len: usize, k: usize) -> usize {
     let fit = LANE_BLOCK_CACHE_BYTES / (len.max(1) * std::mem::size_of::<f64>());
     let blk = (fit / MIN_LANE_BLOCK) * MIN_LANE_BLOCK;
     blk.max(MIN_LANE_BLOCK).min(k)
-}
-
-/// The batched sweep kernel selected for one sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BatchKernel {
-    /// Unit-stride sweep over all `k` lanes, frozen lanes gated at
-    /// write-back.
-    Full,
-    /// Gather → sweep → scatter over the active lanes only.
-    Compact,
-    /// Per-lane scalar kernel through a strided lane view.
-    Scalar,
-}
-
-/// The compaction crossover: a pure function of the active count, so
-/// every worker thread (and every thread count) picks the same kernel.
-fn choose_batch_kernel(active: usize, lanes: usize, compaction: bool) -> BatchKernel {
-    if !compaction || 8 * active > 3 * lanes {
-        BatchKernel::Full
-    } else if active <= SCALAR_LANE_CROSSOVER {
-        BatchKernel::Scalar
-    } else {
-        BatchKernel::Compact
-    }
 }
 
 /// The immutable per-tier structure shared between the engine and its
@@ -308,11 +261,8 @@ struct LaneSlots {
     input: RwLock<BatchInput>,
     /// `threads × k` per-sweep delta slots, reduced over the threads.
     deltas: Vec<AtomicU64>,
-    /// Per-lane active flags.
-    active: Vec<AtomicBool>,
-    /// Compact list of active lane indices (first `n_active` valid).
-    active_ids: Vec<AtomicU32>,
-    n_active: AtomicUsize,
+    /// Lanes still sweeping (not in `lane_converged`).
+    live: AtomicUsize,
     /// Per-lane outcome slots, copied into the caller's [`LaneReport`]s
     /// after the job drains.
     lane_iters: Vec<AtomicUsize>,
@@ -320,7 +270,6 @@ struct LaneSlots {
     lane_converged: Vec<AtomicBool>,
     sweeps_done: AtomicUsize,
     status: AtomicUsize,
-    compaction: AtomicBool,
     barrier: Barrier,
 }
 
@@ -334,18 +283,16 @@ impl LaneSlots {
                 max_sweeps: 0,
             }),
             deltas: (0..threads * k).map(|_| AtomicU64::new(0)).collect(),
-            active: (0..k).map(|_| AtomicBool::new(true)).collect(),
-            active_ids: (0..k).map(|_| AtomicU32::new(0)).collect(),
-            n_active: AtomicUsize::new(0),
+            live: AtomicUsize::new(0),
             lane_iters: (0..k).map(|_| AtomicUsize::new(0)).collect(),
             lane_residual: (0..k).map(|_| AtomicU64::new(0)).collect(),
             lane_converged: (0..k).map(|_| AtomicBool::new(false)).collect(),
             sweeps_done: AtomicUsize::new(0),
             status: AtomicUsize::new(RUN),
-            compaction: AtomicBool::new(true),
             barrier: Barrier::new(threads),
         }
     }
+
     /// Stages one solve: its inputs and every lane's starting state.
     /// Returns the number of lanes that will sweep.
     fn publish(
@@ -355,7 +302,6 @@ impl LaneSlots {
         tolerance: f64,
         max_sweeps: usize,
         lanes: &[LaneReport],
-        compaction: bool,
     ) -> usize {
         {
             let mut input = self.input.write().expect("lane input lock");
@@ -369,16 +315,11 @@ impl LaneSlots {
             self.lane_iters[j].store(lane.iterations, Ordering::Relaxed);
             self.lane_residual[j].store(lane.residual.to_bits(), Ordering::Relaxed);
             self.lane_converged[j].store(lane.converged, Ordering::Relaxed);
-            self.active[j].store(!lane.converged, Ordering::Relaxed);
-            if !lane.converged {
-                self.active_ids[m].store(j as u32, Ordering::Relaxed);
-                m += 1;
-            }
+            m += usize::from(!lane.converged);
         }
-        self.n_active.store(m, Ordering::Relaxed);
+        self.live.store(m, Ordering::Relaxed);
         self.sweeps_done.store(0, Ordering::Relaxed);
         self.status.store(RUN, Ordering::Relaxed);
-        self.compaction.store(compaction, Ordering::Relaxed);
         m
     }
 
@@ -394,27 +335,22 @@ impl LaneSlots {
         self.sweeps_done.load(Ordering::Relaxed)
     }
 
-    /// A worker's start-of-sweep view of the active lanes: when the
-    /// active count differs from `m` (the count of the worker's last
-    /// copy; `usize::MAX` before the first), copies the active lanes
-    /// into its pinned `ids` / `active` scratch. The active set only
-    /// shrinks within a job, so an unchanged count is an unchanged set.
-    /// The lane state only changes while every worker is parked at the
-    /// post-reduce barrier, so relaxed loads give every thread the same
-    /// snapshot. Returns the active count.
-    fn snapshot(&self, m: usize, ids: &mut [u32], active: &mut [bool]) -> usize {
-        let now = self.n_active.load(Ordering::Relaxed);
-        if now == m {
-            return m;
+    /// A worker's start-of-sweep view of the live lanes: when the live
+    /// count differs from `m` (the count of the worker's last copy;
+    /// `usize::MAX` before the first), copies the lane flags into its
+    /// pinned `active` scratch. The live set only shrinks within a job,
+    /// so an unchanged count is an unchanged set. The lane state only
+    /// changes while every worker is parked at the post-reduce barrier,
+    /// so relaxed loads give every thread the same snapshot. Returns the
+    /// live count.
+    fn snapshot(&self, m: usize, active: &mut [bool]) -> usize {
+        let now = self.live.load(Ordering::Relaxed);
+        if now != m {
+            for (a, slot) in active.iter_mut().zip(&self.lane_converged) {
+                *a = !slot.load(Ordering::Relaxed);
+            }
         }
-        let m = now;
-        for (id, slot) in ids[..m].iter_mut().zip(&self.active_ids) {
-            *id = slot.load(Ordering::Relaxed);
-        }
-        for (a, slot) in active.iter_mut().zip(&self.active) {
-            *a = slot.load(Ordering::Relaxed);
-        }
-        m
+        now
     }
 
     /// Thread 0's end-of-sweep step: folds each live lane's deltas over
@@ -422,7 +358,7 @@ impl LaneSlots {
     /// the tolerance, and sets the job status. Freezing — and so every
     /// lane's iterate — therefore cannot depend on the thread or band
     /// count. It writes only what changed: a lane's outcome when it
-    /// freezes or the job ends, the active list when a lane froze. The
+    /// freezes or the job ends, the live count when a lane froze. The
     /// other workers read these slots every sweep, and a store to them
     /// would cost each worker a cache miss per sweep — what a one-lane
     /// job on a small tier cannot afford.
@@ -445,21 +381,13 @@ impl LaneSlots {
             }
             if freeze {
                 self.lane_converged[j].store(true, Ordering::Relaxed);
-                self.active[j].store(false, Ordering::Relaxed);
                 froze = true;
             } else {
                 live += 1;
             }
         }
         if froze {
-            let mut next_m = 0usize;
-            for j in 0..k {
-                if self.active[j].load(Ordering::Relaxed) {
-                    self.active_ids[next_m].store(j as u32, Ordering::Relaxed);
-                    next_m += 1;
-                }
-            }
-            self.n_active.store(next_m, Ordering::Relaxed);
+            self.live.store(live, Ordering::Relaxed);
         }
         if live == 0 {
             self.status.store(DONE, Ordering::Relaxed);
@@ -479,9 +407,7 @@ impl LaneSlots {
         let input = self.input.read().expect("lane input lock");
         (self.deltas.len() + self.lane_residual.len()) * size_of::<AtomicU64>()
             + input.injection.capacity() * size_of::<f64>()
-            + self.active_ids.len() * size_of::<AtomicU32>()
             + self.lane_iters.len() * size_of::<AtomicUsize>()
-            + self.active.len()
             + self.lane_converged.len()
     }
 }
@@ -653,24 +579,15 @@ impl PoolJob for BandJob {
         let input = slots.input.read().expect("lane input lock");
         let injection: &[f64] = &input.injection;
         ws.ensure(topo.factors.max_segment_len() * k, k);
-        let WorkerScratch {
-            f,
-            active,
-            delta,
-            ids,
-            ..
-        } = ws;
+        let WorkerScratch { f, active, delta } = ws;
         let scratch = &mut f[..];
         let active = &mut active[..k];
         let delta = &mut delta[..k];
-        let ids = &mut ids[..k];
-        let compaction = slots.compaction.load(Ordering::Relaxed);
         let mine = self.layout.chunks[tid].clone();
         let mut m = usize::MAX;
         loop {
-            m = slots.snapshot(m, ids, active);
+            m = slots.snapshot(m, active);
             delta.fill(0.0);
-            let kernel = choose_batch_kernel(m, k, compaction);
             for phase in 0..2 {
                 for s in mine.clone() {
                     let band = &self.layout.bands[s];
@@ -680,14 +597,12 @@ impl PoolJob for BandJob {
                         (&topo.black_idx, band.black.clone())
                     };
                     sweep_segments(
-                        kernel,
                         topo,
                         idx[own].iter().map(|&si| topo.segments[si as usize]),
                         injection,
                         input.omega,
                         k,
                         active,
-                        &ids[..m],
                         scratch,
                         &mut BandView {
                             image: &self.images[s],
@@ -739,32 +654,38 @@ impl BandState {
     }
 }
 
-/// Single-threaded state for batched solves of `k > 1` lanes (one lane
-/// sweeps the plain image with the engine's scalar scratch).
+/// The single-thread slices' loop buffers, for any lane count.
 ///
-/// Sized on the first [`TierEngine::solve_batch`] call for a given lane
-/// count; later calls with the same count reuse every buffer, so warm
-/// batched solves stay allocation-free on the single-threaded schedules.
+/// Sized by the first solve and grown to the widest batch seen, never
+/// shrunk, so warm solves of any lane count up to that width — single
+/// and batched requests alternating included — stay allocation-free.
 #[derive(Debug, Default)]
-struct BatchState {
-    /// Lane count the buffers below are sized for (0 = never sized).
-    lanes: usize,
-    /// Substitution scratch, `max_segment_len * lanes`.
+struct SliceState {
+    /// Substitution scratch, `max_segment_len` entries per lane.
     scratch: Vec<f64>,
     /// Per-lane active flags.
     active: Vec<bool>,
     /// Per-lane max-|update| accumulators.
     delta: Vec<f64>,
-    /// Compact active-lane index list (first `n_active` valid).
-    ids: Vec<u32>,
 }
 
-impl BatchState {
+impl SliceState {
+    /// Grows the buffers to `k` lanes of `seg_len`-row scratch (a no-op
+    /// when already that wide).
+    fn ensure(&mut self, seg_len: usize, k: usize) {
+        if self.delta.len() < k {
+            *self = SliceState {
+                scratch: vec![0.0; seg_len * k],
+                active: vec![true; k],
+                delta: vec![0.0; k],
+            };
+        }
+    }
+
     fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.scratch.capacity() + self.delta.capacity()) * size_of::<f64>()
             + self.active.capacity()
-            + self.ids.capacity() * size_of::<u32>()
     }
 }
 
@@ -774,8 +695,9 @@ impl BatchState {
 /// Construction factors the frozen half (segments, pin mask, band
 /// layout); the per-solve buffers are sized by the first solve that
 /// needs them, so an engine that is only forked from costs its frozen
-/// half alone. After that first solve the single-thread slices perform
-/// **no heap allocation** on any solve or sweep path. The band job runs
+/// half alone. Once a lane count has been served, the single-thread
+/// slices perform **no heap allocation** on any solve or sweep path of
+/// that many lanes or fewer. The band job runs
 /// on the persistent [`WorkerPool`],
 /// so after the pool's one-time warm-up a parallel
 /// [`TierEngine::solve`] (or [`TierEngine::solve_batch`]) is
@@ -809,16 +731,10 @@ impl BatchState {
 pub struct TierEngine {
     topo: Arc<Topo>,
     schedule: SweepSchedule,
-    /// Active-lane compaction for batched sweeps (default on; see the
-    /// module docs for the crossover).
-    compaction: bool,
     /// Optional pool override (`None` = the process-global pool).
     pool: Option<Arc<WorkerPool>>,
-    /// Single-threaded forward-substitution scratch (one lane), sized by
-    /// the first one-lane solve on the slices.
-    scratch: Vec<f64>,
-    /// Lazily sized single-threaded batch state (`k > 1`).
-    batch: BatchState,
+    /// The single-thread slices' loop buffers (unused on the band job).
+    slices: SliceState,
     /// The band job (present with two or more bands); every solve path
     /// runs on it.
     bands: Option<BandState>,
@@ -863,7 +779,7 @@ impl TierEngine {
     /// # Determinism contract
     ///
     /// Banding restructures dispatch and memory layout, not arithmetic:
-    /// solves, sweeps, and batched solves (masked or compacted) are
+    /// solves, sweeps, and batched solves (masked or not) are
     /// **bitwise identical** to the single-thread red-black engine at
     /// every band count and thread count. The delta reduction folds
     /// per-lane maxima with `f64::max` (exact), so [`LaneReport`]
@@ -997,10 +913,8 @@ impl TierEngine {
         Ok(TierEngine {
             topo,
             schedule,
-            compaction: true,
             pool: None,
-            scratch: Vec::new(),
-            batch: BatchState::default(),
+            slices: SliceState::default(),
             bands,
         })
     }
@@ -1038,22 +952,6 @@ impl TierEngine {
         self.bands.as_ref().map_or(1, |b| b.layout.bands.len())
     }
 
-    /// Whether batched sweeps compact to the active lanes (default
-    /// `true`; see the module docs for the crossover).
-    pub fn lane_compaction(&self) -> bool {
-        self.compaction
-    }
-
-    /// Enables or disables active-lane compaction for batched sweeps.
-    /// `false` restores the always-full-width kernel; results are bitwise
-    /// identical either way. When enabled, the kernel crossover
-    /// (re-measured against the vectorized kernels — see the module
-    /// docs) picks the full kernel above `8m > 3k` active occupancy and
-    /// the scalar per-lane fallback at `m ≤ 3` stragglers.
-    pub fn set_lane_compaction(&mut self, enabled: bool) {
-        self.compaction = enabled;
-    }
-
     /// Overrides the worker pool parallel solves run on (default: the
     /// process-global [`WorkerPool::global`]). Mainly for tests and
     /// benchmarks that need an isolated pool.
@@ -1075,18 +973,16 @@ impl TierEngine {
     /// are bitwise identical to the original engine's (same factors, same
     /// sweep order, freshly re-initialized state every call).
     ///
-    /// Configuration knobs (schedule, compaction, pool override) are
-    /// copied at fork time; later `set_*` calls on either engine do not
-    /// affect the other.
+    /// The schedule and the pool override are copied at fork time; a
+    /// later [`TierEngine::set_pool`] on either engine does not affect
+    /// the other.
     #[must_use]
     pub fn fork(&self) -> TierEngine {
         TierEngine {
             topo: Arc::clone(&self.topo),
             schedule: self.schedule,
-            compaction: self.compaction,
             pool: self.pool.clone(),
-            scratch: Vec::new(),
-            batch: BatchState::default(),
+            slices: SliceState::default(),
             bands: self
                 .bands
                 .as_ref()
@@ -1133,7 +1029,7 @@ impl TierEngine {
             residual: f64::INFINITY,
             converged: false,
         }];
-        let sweeps = self.run_lanes(injection, v, tolerance, max_sweeps, omega, &mut lanes);
+        let sweeps = self.run_lanes(injection, v, tolerance, max_sweeps, omega, true, &mut lanes);
         let lane = lanes[0];
         if lane.converged {
             Ok(SolveReport {
@@ -1167,22 +1063,21 @@ impl TierEngine {
         omega: f64,
     ) -> Result<f64, SolverError> {
         self.check_call(injection, v, omega)?;
-        if self.bands.is_none() {
-            self.ensure_lanes(1);
-            return Ok(match self.schedule {
-                SweepSchedule::Sequential => {
-                    self.sweep_sequential_slice(injection, v, downward, omega)
-                }
-                SweepSchedule::RedBlack { .. } => self.sweep_redblack_slice(injection, v, omega),
-            });
-        }
-        // Band job: one sweep of a one-lane batch that cannot converge.
+        // One sweep of a one-lane batch that cannot converge.
         let mut lanes = [LaneReport {
             iterations: 0,
             residual: f64::INFINITY,
             converged: false,
         }];
-        self.run_lanes(injection, v, f64::NEG_INFINITY, 1, omega, &mut lanes);
+        self.run_lanes(
+            injection,
+            v,
+            f64::NEG_INFINITY,
+            1,
+            omega,
+            downward,
+            &mut lanes,
+        );
         Ok(lanes[0].residual)
     }
 
@@ -1207,24 +1102,6 @@ impl TierEngine {
         self.solve_batch_masked(injection, v, tolerance, max_sweeps, 1.0, None, lanes)
     }
 
-    /// Like [`TierEngine::solve_batch`] with an explicit SOR factor
-    /// `ω ∈ (0, 2)`.
-    ///
-    /// # Errors
-    ///
-    /// See [`TierEngine::solve_batch_masked`].
-    pub fn solve_batch_with_omega(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-        lanes: &mut [LaneReport],
-    ) -> Result<SolveReport, SolverError> {
-        self.solve_batch_masked(injection, v, tolerance, max_sweeps, omega, None, lanes)
-    }
-
     /// The general batched solve: `k = lanes.len()` right-hand sides sweep
     /// together against the shared factors, each lane converging (and
     /// freezing) independently.
@@ -1238,7 +1115,7 @@ impl TierEngine {
     /// neighbour offset, and pin-mask bit is loaded once per row instead
     /// of once per lane — this is where the batched throughput comes from.
     ///
-    /// # Per-lane convergence and compaction
+    /// # Per-lane convergence
     ///
     /// After every sweep each lane's own largest update is compared with
     /// `tolerance`; a lane that passes is *frozen* (its voltages stop
@@ -1247,15 +1124,12 @@ impl TierEngine {
     /// identical** to what a standalone [`TierEngine::solve`] on that
     /// right-hand side would produce, on every schedule and thread count.
     /// `mask` (when present) marks lanes to leave untouched from the
-    /// start: their voltages are never read or written and their reports
-    /// come back as converged in 0 sweeps.
+    /// start: their voltages are never changed and their reports come
+    /// back as converged in 0 sweeps.
     ///
-    /// Frozen lanes cost (almost) nothing: each sweep compacts to the
-    /// active lanes — or falls back to the scalar per-lane kernel at very
-    /// low active counts — so a single straggler in a wide batch pays a
-    /// single solve's arithmetic, not the whole batch's (see the
-    /// [module docs](self) for the crossover and
-    /// [`TierEngine::set_lane_compaction`] to disable it).
+    /// With `k > 1`, each sweep runs the lane-blocked kernel over all
+    /// `k` lanes, frozen ones included, and discards the frozen lanes'
+    /// updates (see the [module docs](self)).
     ///
     /// Lanes that exhaust `max_sweeps` report `converged = false` with
     /// their true residual; the call still returns `Ok` (the aggregate
@@ -1286,7 +1160,7 @@ impl TierEngine {
                 converged: !on,
             };
         }
-        let sweeps = self.run_lanes(injection, v, tolerance, max_sweeps, omega, lanes);
+        let sweeps = self.run_lanes(injection, v, tolerance, max_sweeps, omega, true, lanes);
         Ok(SolveReport {
             iterations: sweeps,
             residual: lanes.iter().fold(0.0f64, |m, l| m.max(l.residual)),
@@ -1297,10 +1171,11 @@ impl TierEngine {
 
     /// The one solve path: sweeps every lane that `lanes` does not
     /// already mark converged until it freezes or `max_sweeps` runs out,
-    /// recording each lane's outcome; returns the sweeps run. The one
-    /// place that picks the execution: the band job (the prebuilt
-    /// one-lane job when `k = 1`), the scalar slice loop for one lane on
-    /// one thread, or the in-place batched loop.
+    /// recording each lane's outcome; returns the sweeps run. The band
+    /// job (the one-lane job when `k = 1`) runs the red-black schedule;
+    /// the single-thread slices sweep in place on `v`, the sequential
+    /// schedule starting in the `downward` direction and alternating.
+    #[allow(clippy::too_many_arguments)] // a batched solve plus the first direction
     fn run_lanes(
         &mut self,
         injection: &[f64],
@@ -1308,6 +1183,7 @@ impl TierEngine {
         tolerance: f64,
         max_sweeps: usize,
         omega: f64,
+        downward: bool,
         lanes: &mut [LaneReport],
     ) -> usize {
         let k = lanes.len();
@@ -1317,152 +1193,81 @@ impl TierEngine {
             let job = job.as_ref().expect("sized by ensure_lanes");
             return self.run_job(job, injection, v, tolerance, max_sweeps, omega, lanes);
         }
-        if k == 1 {
-            return self.sweep_lane(injection, v, tolerance, max_sweeps, omega, &mut lanes[0]);
-        }
 
-        // Single-threaded schedules: sweep in place on `v`.
-        let topo = Arc::clone(&self.topo);
-        let schedule = self.schedule;
-        let compaction = self.compaction;
-        let BatchState {
+        let topo = &*self.topo;
+        let SliceState {
             scratch,
             active,
             delta,
-            ids,
-            ..
-        } = &mut self.batch;
-        let mut n_active = 0usize;
-        for (j, lane) in lanes.iter().enumerate() {
-            active[j] = !lane.converged;
-            if active[j] {
-                ids[n_active] = j as u32;
-                n_active += 1;
-            }
+        } = &mut self.slices;
+        let (active, delta) = (&mut active[..k], &mut delta[..k]);
+        let mut live = 0usize;
+        for (a, lane) in active.iter_mut().zip(lanes.iter()) {
+            *a = !lane.converged;
+            live += usize::from(*a);
         }
         let mut view = SliceView(v);
         let mut sweeps = 0usize;
-        while sweeps < max_sweeps && n_active > 0 {
+        while sweeps < max_sweeps && live > 0 {
             delta.fill(0.0);
-            let kernel = choose_batch_kernel(n_active, k, compaction);
-            let live = &ids[..n_active];
-            match schedule {
+            match self.schedule {
                 SweepSchedule::Sequential => {
                     let nseg = topo.segments.len();
-                    let downward = sweeps % 2 == 0;
-                    let order = (0..nseg).map(|s| if downward { s } else { nseg - 1 - s });
+                    let down = downward == (sweeps % 2 == 0);
+                    let order = (0..nseg).map(|s| if down { s } else { nseg - 1 - s });
                     let segs = order.map(|si| topo.segments[si]);
                     sweep_segments(
-                        kernel, &topo, segs, injection, omega, k, active, live, scratch, &mut view,
-                        delta,
+                        topo, segs, injection, omega, k, active, scratch, &mut view, delta,
                     );
                 }
                 SweepSchedule::RedBlack { .. } => {
-                    let order = topo.red_idx.iter().chain(&topo.black_idx);
-                    let segs = order.map(|&si| topo.segments[si as usize]);
-                    sweep_segments(
-                        kernel, &topo, segs, injection, omega, k, active, live, scratch, &mut view,
-                        delta,
-                    );
+                    for idx in [&topo.red_idx, &topo.black_idx] {
+                        let segs = idx.iter().map(|&si| topo.segments[si as usize]);
+                        sweep_segments(
+                            topo, segs, injection, omega, k, active, scratch, &mut view, delta,
+                        );
+                    }
                 }
             }
             sweeps += 1;
-            let mut live = 0usize;
-            for j in 0..k {
-                if !active[j] {
+            live = 0;
+            for ((lane, a), &d) in lanes.iter_mut().zip(active.iter_mut()).zip(delta.iter()) {
+                if !*a {
                     continue;
                 }
-                lanes[j].iterations = sweeps;
-                lanes[j].residual = delta[j];
-                if delta[j] < tolerance {
-                    lanes[j].converged = true;
-                    active[j] = false;
+                lane.iterations = sweeps;
+                lane.residual = d;
+                if d < tolerance {
+                    lane.converged = true;
+                    *a = false;
                 } else {
                     live += 1;
                 }
             }
-            if live != n_active {
-                n_active = 0;
-                for j in 0..k {
-                    if active[j] {
-                        ids[n_active] = j as u32;
-                        n_active += 1;
-                    }
-                }
-            }
-        }
-        sweeps
-    }
-
-    /// One lane on one thread: the scalar per-segment sweeps on the plain
-    /// image (a one-lane node-major image is the plain vector), with no
-    /// batched-kernel staging.
-    fn sweep_lane(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-        lane: &mut LaneReport,
-    ) -> usize {
-        let mut sweeps = 0usize;
-        while sweeps < max_sweeps && !lane.converged {
-            let delta = match self.schedule {
-                SweepSchedule::Sequential => {
-                    self.sweep_sequential_slice(injection, v, sweeps % 2 == 0, omega)
-                }
-                SweepSchedule::RedBlack { .. } => self.sweep_redblack_slice(injection, v, omega),
-            };
-            sweeps += 1;
-            *lane = LaneReport {
-                iterations: sweeps,
-                residual: delta,
-                converged: delta < tolerance,
-            };
         }
         sweeps
     }
 
     /// Sizes the per-solve state for `k` lanes (a no-op when already
-    /// sized). One lane runs on the one-lane band job or on the scalar
-    /// scratch of the single-thread slices, each built once. More lanes
-    /// run on the wide band job (whose workers bring their own pinned
-    /// scratch) or on the in-place sweep buffers of the slices, rebuilt
-    /// when `k` changes.
+    /// sized). On the band job, one lane runs on the one-lane job, built
+    /// once, and more lanes on the wide job (whose workers bring their
+    /// own pinned scratch), rebuilt when `k` changes. The single-thread
+    /// slices grow their loop buffers to the widest `k` seen.
     fn ensure_lanes(&mut self, k: usize) {
-        if k == 1 {
-            let topo = &self.topo;
-            match &mut self.bands {
-                Some(bands) => {
-                    bands.scalar.get_or_insert_with(|| {
-                        Arc::new(BandJob::new(Arc::clone(topo), Arc::clone(&bands.layout), 1))
-                    });
+        let topo = &self.topo;
+        match &mut self.bands {
+            Some(bands) => {
+                let job = if k == 1 {
+                    &mut bands.scalar
+                } else {
+                    &mut bands.batch
+                };
+                if job.as_ref().is_none_or(|j| j.k != k) {
+                    let layout = Arc::clone(&bands.layout);
+                    *job = Some(Arc::new(BandJob::new(Arc::clone(topo), layout, k)));
                 }
-                None if self.scratch.len() != topo.factors.max_segment_len() => {
-                    self.scratch = vec![0.0; topo.factors.max_segment_len()];
-                }
-                None => {}
             }
-            return;
-        }
-        if self.batch.lanes == k {
-            return;
-        }
-        self.batch.lanes = k;
-        if let Some(bands) = &mut self.bands {
-            bands.batch = Some(Arc::new(BandJob::new(
-                Arc::clone(&self.topo),
-                Arc::clone(&bands.layout),
-                k,
-            )));
-        } else {
-            let seg_len = self.topo.factors.max_segment_len();
-            let b = &mut self.batch;
-            b.scratch = vec![0.0; seg_len * k];
-            b.active = vec![true; k];
-            b.delta = vec![0.0; k];
-            b.ids = vec![0; k];
+            None => self.slices.ensure(topo.factors.max_segment_len(), k),
         }
     }
 
@@ -1482,14 +1287,7 @@ impl TierEngine {
         lanes: &mut [LaneReport],
     ) -> usize {
         let slots = &job.slots;
-        let m = slots.publish(
-            injection,
-            omega,
-            tolerance,
-            max_sweeps,
-            lanes,
-            self.compaction,
-        );
+        let m = slots.publish(injection, omega, tolerance, max_sweeps, lanes);
         job.load(v);
         if m > 0 && max_sweeps > 0 {
             let threads = job.layout.chunks.len();
@@ -1508,10 +1306,8 @@ impl TierEngine {
     /// solves have sized so far. A fork reports the frozen half too,
     /// although it shares it.
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.topo.memory_bytes()
-            + self.scratch.capacity() * size_of::<f64>()
-            + self.batch.memory_bytes()
+            + self.slices.memory_bytes()
             + self.bands.as_ref().map_or(0, |b| {
                 b.layout.memory_bytes()
                     + b.scalar.as_ref().map_or(0, |j| j.memory_bytes())
@@ -1576,54 +1372,6 @@ impl TierEngine {
         }
         Ok(())
     }
-
-    /// Row-ordered Gauss–Seidel over all segments (ascending rows when
-    /// `downward`).
-    fn sweep_sequential_slice(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        downward: bool,
-        omega: f64,
-    ) -> f64 {
-        let topo = &self.topo;
-        let scratch = &mut self.scratch;
-        let nseg = topo.segments.len();
-        let mut max_delta = 0.0f64;
-        let mut view = SliceView(v);
-        for si in 0..nseg {
-            let seg = if downward {
-                topo.segments[si]
-            } else {
-                topo.segments[nseg - 1 - si]
-            };
-            let delta = solve_segment(topo, seg, injection, omega, scratch, &mut view);
-            max_delta = max_delta.max(delta);
-        }
-        max_delta
-    }
-
-    /// Red-black sweep on one thread (same iterates as the band job).
-    fn sweep_redblack_slice(&mut self, injection: &[f64], v: &mut [f64], omega: f64) -> f64 {
-        let topo = &self.topo;
-        let scratch = &mut self.scratch;
-        let mut max_delta = 0.0f64;
-        let mut view = SliceView(v);
-        for idx in [&topo.red_idx, &topo.black_idx] {
-            for &si in idx.iter() {
-                let delta = solve_segment(
-                    topo,
-                    topo.segments[si as usize],
-                    injection,
-                    omega,
-                    scratch,
-                    &mut view,
-                );
-                max_delta = max_delta.max(delta);
-            }
-        }
-        max_delta
-    }
 }
 
 /// Read/write access to the voltage image, monomorphized so the slice
@@ -1675,62 +1423,14 @@ impl VoltView for BandView<'_> {
     }
 }
 
-/// One lane of a node-major/lane-minor batch image, seen as a plain
-/// `n`-node view (node `i` maps to slot `i * k + j`). Lets the scalar
-/// kernel run unchanged on a single batch lane.
-struct LaneView<'a, V> {
-    v: &'a mut V,
-    k: usize,
-    j: usize,
-}
-
-impl<V: VoltView> VoltView for LaneView<'_, V> {
-    #[inline(always)]
-    fn get(&self, i: usize) -> f64 {
-        self.v.get(i * self.k + self.j)
-    }
-
-    #[inline(always)]
-    fn set(&mut self, i: usize, value: f64) {
-        self.v.set(i * self.k + self.j, value);
-    }
-}
-
-/// Read access to a right-hand-side vector, monomorphized so the scalar
-/// kernel serves both plain slices and single lanes of a batch image.
-trait InjSrc {
-    fn at(&self, node: usize) -> f64;
-}
-
-impl InjSrc for [f64] {
-    #[inline(always)]
-    fn at(&self, node: usize) -> f64 {
-        self[node]
-    }
-}
-
-/// One lane of a node-major/lane-minor batch right-hand side.
-struct LaneInj<'a> {
-    inj: &'a [f64],
-    k: usize,
-    j: usize,
-}
-
-impl InjSrc for LaneInj<'_> {
-    #[inline(always)]
-    fn at(&self, node: usize) -> f64 {
-        self.inj[node * self.k + self.j]
-    }
-}
-
 /// Solves one prefactored row segment exactly (given the current
 /// neighbouring rows) and applies the (over-)relaxed update; returns the
 /// largest update in the segment.
 #[inline]
-fn solve_segment<V: VoltView, I: InjSrc + ?Sized>(
+fn solve_segment<V: VoltView>(
     topo: &Topo,
     seg: Segment,
-    injection: &I,
+    injection: &[f64],
     omega: f64,
     scratch: &mut [f64],
     view: &mut V,
@@ -1754,7 +1454,7 @@ fn solve_segment<V: VoltView, I: InjSrc + ?Sized>(
     for i in 0..len {
         let gx = start + i;
         let node = row0 + gx;
-        let mut b = injection.at(node);
+        let mut b = injection[node];
         if gx > 0 && fixed[node - 1] {
             b = g_h.mul_add(view.get(node - 1), b);
         }
@@ -1788,23 +1488,21 @@ fn solve_segment<V: VoltView, I: InjSrc + ?Sized>(
     max_delta
 }
 
-/// Sweeps `segs` (one color, or one sweep order) for `k` lanes. One lane
-/// takes the scalar kernel on the plain image — a one-lane node-major
-/// image *is* the plain vector — whatever `kernel` says: staging a
-/// single lane through the blocked rows buys nothing. That choice is
-/// made once per call, so the one-lane loop runs the bare kernel. A
-/// one-lane job only sweeps while its lane is live.
+/// Sweeps `segs` (one color, or one sweep order) for `k` lanes: one
+/// lane with the scalar kernel on the plain image — a one-lane
+/// node-major image *is* the plain vector, and staging a single lane
+/// through the blocked rows buys nothing — more lanes with the
+/// lane-blocked kernel. A one-lane batch only sweeps while its lane is
+/// live.
 #[allow(clippy::too_many_arguments)] // the shared batched-kernel surface
 #[inline]
 fn sweep_segments<V: VoltView>(
-    kernel: BatchKernel,
     topo: &Topo,
     segs: impl Iterator<Item = Segment>,
     injection: &[f64],
     omega: f64,
     k: usize,
     active: &[bool],
-    ids: &[u32],
     scratch: &mut [f64],
     view: &mut V,
     delta: &mut [f64],
@@ -1819,57 +1517,7 @@ fn sweep_segments<V: VoltView>(
         return;
     }
     for seg in segs {
-        batch_segment_dispatch(
-            kernel, topo, seg, injection, omega, k, active, ids, scratch, view, delta,
-        );
-    }
-}
-
-/// Runs the selected batched kernel on one segment of a `k > 1` batch.
-/// All three kernels perform the same per-lane arithmetic, so the choice
-/// cannot change any lane's iterate (see the module docs).
-#[allow(clippy::too_many_arguments)] // the shared batched-kernel surface
-#[inline]
-fn batch_segment_dispatch<V: VoltView>(
-    kernel: BatchKernel,
-    topo: &Topo,
-    seg: Segment,
-    injection: &[f64],
-    omega: f64,
-    k: usize,
-    active: &[bool],
-    ids: &[u32],
-    scratch: &mut [f64],
-    view: &mut V,
-    delta: &mut [f64],
-) {
-    match kernel {
-        BatchKernel::Full => {
-            solve_segment_batch(topo, seg, injection, omega, k, active, scratch, view, delta);
-        }
-        BatchKernel::Compact => {
-            solve_segment_batch_ids(topo, seg, injection, omega, k, ids, scratch, view, delta);
-        }
-        BatchKernel::Scalar => {
-            for &j in ids {
-                let j = j as usize;
-                let d = solve_segment(
-                    topo,
-                    seg,
-                    &LaneInj {
-                        inj: injection,
-                        k,
-                        j,
-                    },
-                    omega,
-                    scratch,
-                    &mut LaneView { v: view, k, j },
-                );
-                if d > delta[j] {
-                    delta[j] = d;
-                }
-            }
-        }
+        solve_segment_batch(topo, seg, injection, omega, k, active, scratch, view, delta);
     }
 }
 
@@ -2001,94 +1649,6 @@ fn solve_segment_batch_block<V: VoltView>(
             let d = (new - old).abs();
             if d > delta[j0 + j] {
                 delta[j0 + j] = d;
-            }
-            view.set(base + j, new);
-        }
-    }
-}
-
-/// Compacted [`solve_segment_batch`]: sweeps only the lanes listed in
-/// `ids` — gather their right-hand sides into `ids.len()`-wide rows,
-/// substitute, scatter the relaxed updates back. Frozen lanes are never
-/// read or written, and each listed lane runs exactly the arithmetic of
-/// the full kernel, bit for bit.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn solve_segment_batch_ids<V: VoltView>(
-    topo: &Topo,
-    seg: Segment,
-    injection: &[f64],
-    omega: f64,
-    k: usize,
-    ids: &[u32],
-    scratch: &mut [f64],
-    view: &mut V,
-    delta: &mut [f64],
-) {
-    let m = ids.len();
-    let (w, h) = (topo.width, topo.height);
-    let (g_h, g_v) = (topo.g_h, topo.g_v);
-    let fixed = &topo.fixed;
-    let factors = &topo.factors;
-    let y = seg.row as usize;
-    let start = seg.start as usize;
-    let len = seg.len as usize;
-    let row0 = y * w;
-    let offset = seg.offset as usize;
-    for i in 0..len {
-        let gx = start + i;
-        let node = row0 + gx;
-        let base = node * k;
-        let (done, rest) = scratch.split_at_mut(i * m);
-        let row = &mut rest[..m];
-        for (b, &j) in row.iter_mut().zip(ids) {
-            *b = injection[base + j as usize];
-        }
-        if gx > 0 && fixed[node - 1] {
-            let nb = (node - 1) * k;
-            for (b, &j) in row.iter_mut().zip(ids) {
-                *b = g_h.mul_add(view.get(nb + j as usize), *b);
-            }
-        }
-        if gx + 1 < w && fixed[node + 1] {
-            let nb = (node + 1) * k;
-            for (b, &j) in row.iter_mut().zip(ids) {
-                *b = g_h.mul_add(view.get(nb + j as usize), *b);
-            }
-        }
-        if y > 0 {
-            let nb = (node - w) * k;
-            for (b, &j) in row.iter_mut().zip(ids) {
-                *b = g_v.mul_add(view.get(nb + j as usize), *b);
-            }
-        }
-        if y + 1 < h {
-            let nb = (node + w) * k;
-            for (b, &j) in row.iter_mut().zip(ids) {
-                *b = g_v.mul_add(view.get(nb + j as usize), *b);
-            }
-        }
-        let prev = if i == 0 {
-            None
-        } else {
-            Some(&done[(i - 1) * m..])
-        };
-        factors.forward_row(offset + i, row, prev);
-    }
-    for i in (0..len).rev() {
-        let (head, tail) = scratch.split_at_mut((i + 1) * m);
-        let row = &mut head[i * m..];
-        let next = if i + 1 == len { None } else { Some(&tail[..m]) };
-        factors.backward_row(offset + i, row, next);
-        let node = row0 + start + i;
-        let base = node * k;
-        for (&xi, &j) in row.iter().zip(ids) {
-            let j = j as usize;
-            let old = view.get(base + j);
-            let new = omega.mul_add(xi - old, old);
-            let d = (new - old).abs();
-            if d > delta[j] {
-                delta[j] = d;
             }
             view.set(base + j, new);
         }
@@ -2294,103 +1854,6 @@ mod tests {
         assert_eq!(SweepSchedule::RedBlack { threads: 0 }.threads(), 1);
     }
 
-    #[test]
-    fn compaction_crossover_covers_all_kernels() {
-        assert_eq!(choose_batch_kernel(8, 8, true), BatchKernel::Full);
-        assert_eq!(choose_batch_kernel(4, 8, true), BatchKernel::Full);
-        assert_eq!(choose_batch_kernel(2, 8, true), BatchKernel::Scalar);
-        assert_eq!(choose_batch_kernel(1, 64, true), BatchKernel::Scalar);
-        assert_eq!(choose_batch_kernel(3, 64, true), BatchKernel::Scalar);
-        assert_eq!(choose_batch_kernel(4, 64, true), BatchKernel::Compact);
-        assert_eq!(choose_batch_kernel(16, 64, true), BatchKernel::Compact);
-        // The measured full/compact tie sits at ~42 % occupancy; the
-        // constant rounds it down to 3/8 so the tie-adjacent band uses
-        // the flat-cost full kernel.
-        assert_eq!(choose_batch_kernel(24, 64, true), BatchKernel::Compact);
-        assert_eq!(choose_batch_kernel(25, 64, true), BatchKernel::Full);
-        // Compaction disabled: always the full kernel (the PR 2 path).
-        for m in 0..=8 {
-            assert_eq!(choose_batch_kernel(m, 8, false), BatchKernel::Full);
-        }
-    }
-
-    /// Manual re-measurement harness for the [`choose_batch_kernel`]
-    /// crossover constants: times a fixed sweep budget through each
-    /// kernel — forced, bypassing the crossover — at a range of active
-    /// counts `m` with `k = 64` lanes. Not a regression test; run by
-    /// hand whenever the sweep kernels change:
-    ///
-    /// ```text
-    /// cargo test -p voltprop-solvers --release \
-    ///     measure_batch_kernel_crossover -- --ignored --nocapture
-    /// ```
-    #[test]
-    #[ignore = "manual timing harness; run --release with --nocapture"]
-    fn measure_batch_kernel_crossover() {
-        use std::time::Instant;
-        let (w, h, k) = (64usize, 64usize, 64usize);
-        let (fixed, v0, injection) = random_problem(3, w, h);
-        let v0 = interleave(&vec![v0; k]);
-        let injections: Vec<Vec<f64>> = (0..k)
-            .map(|j| {
-                let scale = 0.5 + j as f64 / k as f64;
-                injection.iter().map(|&b| scale * b).collect()
-            })
-            .collect();
-        let injection = interleave(&injections);
-        let mut eng = engine(w, h, &fixed, SweepSchedule::Sequential);
-        eng.ensure_lanes(k);
-        let topo = Arc::clone(&eng.topo);
-        let BatchState {
-            scratch,
-            active,
-            delta,
-            ids,
-            ..
-        } = &mut eng.batch;
-        let sweeps = 400usize;
-        println!("  m        full     compact      scalar   (ns/sweep, best of 3)");
-        for m in [1usize, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40, 48, 56, 64] {
-            for (j, slot) in active.iter_mut().enumerate() {
-                *slot = j < m;
-            }
-            for (j, slot) in ids[..m].iter_mut().enumerate() {
-                *slot = j as u32;
-            }
-            let mut row = format!("{m:3}");
-            for kernel in [BatchKernel::Full, BatchKernel::Compact, BatchKernel::Scalar] {
-                let mut best = f64::INFINITY;
-                for _rep in 0..3 {
-                    let mut v = v0.clone();
-                    let mut view = SliceView(&mut v);
-                    let start = Instant::now();
-                    for s in 0..sweeps {
-                        delta.fill(0.0);
-                        let nseg = topo.segments.len();
-                        let downward = s % 2 == 0;
-                        let order = (0..nseg).map(|i| if downward { i } else { nseg - 1 - i });
-                        sweep_segments(
-                            kernel,
-                            &topo,
-                            order.map(|si| topo.segments[si]),
-                            &injection,
-                            1.0,
-                            k,
-                            active,
-                            &ids[..m],
-                            scratch,
-                            &mut view,
-                            delta,
-                        );
-                    }
-                    best = best.min(start.elapsed().as_nanos() as f64 / sweeps as f64);
-                }
-                row.push_str(&format!("  {best:10.0}"));
-            }
-            println!("{row}");
-        }
-    }
-
     /// Interleaves lane-major vectors into the node-major batch layout.
     fn interleave(lanes: &[Vec<f64>]) -> Vec<f64> {
         let k = lanes.len();
@@ -2408,8 +1871,10 @@ mod tests {
         batch.iter().skip(j).step_by(k).copied().collect()
     }
 
-    /// Per-lane injections with different magnitudes so the lanes converge
-    /// after different sweep counts (exercising the freeze logic).
+    /// Per-lane injections of different magnitudes, and lane `j` starting
+    /// `2·4^j` mV below the fixture guess on its free nodes, so the lanes
+    /// converge after different sweep counts (exercising the freeze
+    /// logic; the injections alone move them by a sweep at most).
     fn batch_fixture(
         seed: u64,
         w: usize,
@@ -2417,7 +1882,13 @@ mod tests {
         k: usize,
     ) -> (Vec<bool>, Vec<Vec<f64>>, Vec<Vec<f64>>) {
         let (fixed, v0, injection) = random_problem(seed, w, h);
-        let v0s = vec![v0; k];
+        let v0s = (0..k)
+            .map(|j| {
+                let drop = 2e-3 * 4f64.powi(j as i32);
+                let start = |(&x, &pinned): (&f64, &bool)| if pinned { x } else { x - drop };
+                v0.iter().zip(&fixed).map(start).collect()
+            })
+            .collect();
         let injections: Vec<Vec<f64>> = (0..k)
             .map(|j| {
                 let scale = 0.25 + 0.75 * j as f64;
@@ -2486,76 +1957,73 @@ mod tests {
     }
 
     #[test]
-    fn compacted_batch_is_bitwise_identical_to_uncompacted() {
-        // The compaction heuristic must not change any lane's iterate or
-        // report, on any schedule, with or without an initial mask. The
-        // staggered per-lane injections freeze lanes at different sweeps,
-        // so a solve crosses full → compact → scalar kernels as it runs.
+    fn staggered_batch_lanes_match_solo_solves_under_masks() {
+        // The fixture's lanes freeze at different sweeps, so the
+        // lane-blocked kernel runs with more and more frozen lanes: each
+        // live lane must still equal its solo solve bit for bit, and a
+        // masked lane must come back unchanged in 0 sweeps.
         let (w, h, k) = (15, 11, 8);
-        let masks: [Option<Vec<bool>>; 2] = [
-            None,
-            Some((0..k).map(|j| j % 3 != 1).collect()), // some lanes frozen from the start
-        ];
-        for schedule in [
-            SweepSchedule::Sequential,
-            SweepSchedule::RedBlack { threads: 1 },
-            SweepSchedule::RedBlack { threads: 3 },
+        let (fixed, v0s, injections) = batch_fixture(12, w, h, k);
+        let injection = interleave(&injections);
+        let masks: [Option<Vec<bool>>; 2] = [None, Some((0..k).map(|j| j % 3 != 1).collect())];
+        let build = |schedule, shards| {
+            let fixed = Arc::from(&fixed[..]);
+            TierEngine::new_sharded(w, h, 1.25, 0.8, fixed, None, schedule, shards).unwrap()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (schedule, shards) in [
+            (SweepSchedule::Sequential, 1),
+            (SweepSchedule::RedBlack { threads: 1 }, 1),
+            (SweepSchedule::RedBlack { threads: 3 }, 1),
+            (SweepSchedule::RedBlack { threads: 1 }, 3),
         ] {
             for mask in &masks {
-                let (fixed, v0s, injections) = batch_fixture(12, w, h, k);
-                let injection = interleave(&injections);
-                let mut v_on = interleave(&v0s);
-                let mut lanes_on = vec![LaneReport::default(); k];
-                let mut e_on = engine(w, h, &fixed, schedule);
-                assert!(e_on.lane_compaction());
-                e_on.solve_batch_masked(
-                    &injection,
-                    &mut v_on,
-                    1e-10,
-                    100_000,
-                    1.0,
-                    mask.as_deref(),
-                    &mut lanes_on,
-                )
-                .unwrap();
-                let mut v_off = interleave(&v0s);
-                let mut lanes_off = vec![LaneReport::default(); k];
-                let mut e_off = engine(w, h, &fixed, schedule);
-                e_off.set_lane_compaction(false);
-                e_off
+                let mut v = interleave(&v0s);
+                let mut lanes = vec![LaneReport::default(); k];
+                build(schedule, shards)
                     .solve_batch_masked(
                         &injection,
-                        &mut v_off,
+                        &mut v,
                         1e-10,
                         100_000,
                         1.0,
                         mask.as_deref(),
-                        &mut lanes_off,
+                        &mut lanes,
                     )
                     .unwrap();
-                let eq = v_on
-                    .iter()
-                    .zip(&v_off)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(
-                    eq,
-                    "{schedule:?} mask {:?}: voltages differ",
-                    mask.is_some()
-                );
-                assert_eq!(
-                    lanes_on,
-                    lanes_off,
-                    "{schedule:?} mask {:?}",
-                    mask.is_some()
-                );
+                let live = |j: usize| mask.as_ref().is_none_or(|m| m[j]);
+                let sweeps = (0..k).filter(|&j| live(j)).map(|j| lanes[j].iterations);
+                let (fewest, most) = (sweeps.clone().min(), sweeps.max());
+                assert!(fewest < most, "lanes must freeze at different sweeps");
+                for j in 0..k {
+                    let what = format!("{schedule:?} shards {shards} mask {mask:?} lane {j}");
+                    if !live(j) {
+                        assert_eq!(bits(&lane_of(&v, j, k)), bits(&v0s[j]), "{what}");
+                        let unswept = LaneReport {
+                            iterations: 0,
+                            residual: 0.0,
+                            converged: true,
+                        };
+                        assert_eq!(lanes[j], unswept, "{what}");
+                        continue;
+                    }
+                    let mut solo = v0s[j].clone();
+                    let rep = build(schedule, shards)
+                        .solve(&injections[j], &mut solo, 1e-10, 100_000)
+                        .unwrap();
+                    assert_eq!(bits(&lane_of(&v, j, k)), bits(&solo), "{what}");
+                    assert_eq!(lanes[j].iterations, rep.iterations, "{what}");
+                    assert_eq!(lanes[j].residual.to_bits(), rep.residual.to_bits());
+                    assert!(lanes[j].converged, "{what}");
+                }
             }
         }
     }
 
     #[test]
-    fn compacted_batch_thread_count_invariant_under_mask() {
-        // Compaction kicks in from sweep 0 with a sparse mask; iterates
-        // must still be bitwise invariant in the thread count.
+    fn batch_thread_count_invariant_under_mask() {
+        // A sparse mask freezes most lanes from sweep 0; iterates must
+        // still be bitwise invariant in the thread count.
         let (w, h, k) = (17, 12, 8);
         let (fixed, v0s, injections) = batch_fixture(9, w, h, k);
         let injection = interleave(&injections);
@@ -2683,7 +2151,7 @@ mod tests {
             .is_err());
         // Bad omega.
         assert!(e
-            .solve_batch_with_omega(&inj, &mut v, 1e-6, 10, 2.5, &mut lanes)
+            .solve_batch_masked(&inj, &mut v, 1e-6, 10, 2.5, None, &mut lanes)
             .is_err());
     }
 
@@ -2939,24 +2407,6 @@ mod tests {
                 assert_eq!(lanes, lanes_ref);
             }
         }
-    }
-
-    #[test]
-    fn sharded_batch_compaction_toggle_is_bitwise_neutral() {
-        let (w, h, k) = (13, 10, 6);
-        let (fixed, v0s, injections) = batch_fixture(4, w, h, k);
-        let injection = interleave(&injections);
-        let mut results = Vec::new();
-        for compaction in [true, false] {
-            let mut e = sharded_engine(w, h, &fixed, 2, 3);
-            e.set_lane_compaction(compaction);
-            let mut v = interleave(&v0s);
-            let mut lanes = vec![LaneReport::default(); k];
-            e.solve_batch(&injection, &mut v, 1e-10, 100_000, &mut lanes)
-                .unwrap();
-            results.push((v, lanes.to_vec()));
-        }
-        assert_eq!(results[0], results[1]);
     }
 
     #[test]

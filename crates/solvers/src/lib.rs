@@ -54,12 +54,9 @@
 //! `i * k + j`), freezing each lane independently the moment its own
 //! update drops below tolerance — so every lane is bitwise identical to
 //! its standalone solve while the factor loads and thread handoffs are
-//! amortized over the whole batch. Frozen lanes cost (almost) nothing:
-//! each sweep **compacts to the active lanes** (gather → sweep →
-//! scatter, falling back to a scalar per-lane kernel at very low active
-//! counts), so one straggler in a wide batch pays a single solve's
-//! arithmetic rather than the batch's. Per-lane outcomes come back as
-//! [`LaneReport`]s.
+//! amortized over the whole batch. One lane-blocked kernel sweeps all
+//! `k` lanes every sweep; a frozen lane is computed but never changed.
+//! Per-lane outcomes come back as [`LaneReport`]s.
 //!
 //! # Example
 //!

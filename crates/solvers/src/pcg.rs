@@ -422,7 +422,8 @@ impl PcgEngine {
     ///
     /// # Errors
     ///
-    /// See [`PcgEngine::solve`].
+    /// See [`PcgEngine::solve`]; a `source` of the wrong length is
+    /// [`SolverError::Unsupported`] too, naming its length.
     pub fn solve_with_source(
         &mut self,
         loads: &[f64],
@@ -446,9 +447,10 @@ impl PcgEngine {
     ) -> Result<SolveReport, SolverError> {
         let nn = self.shared.nn;
         if loads.len() != nn || v.len() != nn || source.is_some_and(|s| s.len() != nn) {
+            let src = source.map_or(String::new(), |s| format!(", {} source entries", s.len()));
             return Err(SolverError::Unsupported {
                 what: format!(
-                    "pcg engine serves {nn} nodes (got {} loads, {} voltages)",
+                    "pcg engine serves {nn} nodes (got {} loads, {} voltages{src})",
                     loads.len(),
                     v.len()
                 ),
@@ -804,6 +806,25 @@ mod tests {
         b0.solve(stack.loads(), NetKind::Power, 1e-8, 50_000, &mut vb)
             .unwrap();
         assert_eq!(va, vb);
+    }
+
+    #[test]
+    fn short_source_error_names_its_length() {
+        let stack = bench_stack();
+        let mut engine = PcgEngine::build_companion(&stack, 1e11).unwrap();
+        let nn = engine.num_nodes();
+        let mut v = vec![0.0; nn];
+        let short = vec![0.0; nn - 3];
+        let err = engine
+            .solve_with_source(stack.loads(), NetKind::Power, &short, 1e-8, 10, &mut v)
+            .unwrap_err();
+        let SolverError::Unsupported { what } = err else {
+            panic!("expected Unsupported, got {err:?}");
+        };
+        assert!(
+            what.contains(&format!("{} source entries", nn - 3)),
+            "{what}"
+        );
     }
 
     #[test]

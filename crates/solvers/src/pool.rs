@@ -76,8 +76,6 @@ pub struct WorkerScratch {
     pub active: Vec<bool>,
     /// Per-lane max-|update| accumulators (batched sweeps).
     pub delta: Vec<f64>,
-    /// Compact active-lane index list (batched sweeps).
-    pub ids: Vec<u32>,
 }
 
 impl WorkerScratch {
@@ -94,9 +92,6 @@ impl WorkerScratch {
         if self.delta.len() < lanes {
             self.delta.resize(lanes, 0.0);
         }
-        if self.ids.len() < lanes {
-            self.ids.resize(lanes, 0);
-        }
     }
 
     /// Estimated heap footprint in bytes.
@@ -105,7 +100,6 @@ impl WorkerScratch {
         self.f.capacity() * size_of::<f64>()
             + self.active.capacity()
             + self.delta.capacity() * size_of::<f64>()
-            + self.ids.capacity() * size_of::<u32>()
     }
 }
 

@@ -124,9 +124,6 @@ struct Rb3dShape {
     tsv_mask: Vec<bool>,
     /// Per-site pad flag (top tier only carries pads).
     pad_mask: Vec<bool>,
-    /// Per-tier `(g_h, g_v)` baked into the engines (kept for
-    /// [`Rb3dEngine::geometry_matches`]).
-    tier_g: Vec<(f64, f64)>,
 }
 
 impl Rb3dEngine {
@@ -216,9 +213,6 @@ impl Rb3dEngine {
         // allocation.
         let schedule = SweepSchedule::from_parallelism(parallelism.max(1));
         let free_mask: Arc<[bool]> = Arc::from(vec![false; per_tier]);
-        let tier_g: Vec<(f64, f64)> = (0..tiers)
-            .map(|t| (1.0 / stack.r_horizontal(t), 1.0 / stack.r_vertical(t)))
-            .collect();
         let mut engines: Vec<TierEngine> = Vec::with_capacity(tiers);
         for t in 0..tiers {
             let mask = if fixed[t].iter().any(|&f| f) {
@@ -229,8 +223,8 @@ impl Rb3dEngine {
             engines.push(TierEngine::new(
                 w,
                 h,
-                tier_g[t].0,
-                tier_g[t].1,
+                1.0 / stack.r_horizontal(t),
+                1.0 / stack.r_vertical(t),
                 mask,
                 Some(&extra[t]),
                 schedule,
@@ -248,7 +242,6 @@ impl Rb3dEngine {
                 g_pad,
                 tsv_mask,
                 pad_mask,
-                tier_g,
             }),
             engines,
             injection: Vec::new(),
@@ -276,32 +269,6 @@ impl Rb3dEngine {
     pub fn num_nodes(&self) -> usize {
         let s = &self.shape;
         s.width * s.height * s.tiers
-    }
-
-    /// Whether this engine's prefactored state fits the stack's geometry
-    /// (footprint, tiers, rail, TSV/pad/sheet resistances, and TSV and
-    /// pad sites). Loads are free to differ.
-    pub fn geometry_matches(&self, stack: &Stack3d) -> bool {
-        let s = &*self.shape;
-        let (w, h) = (s.width, s.height);
-        let pads_match = if s.ideal_pads {
-            stack.pad_resistance() == 0.0
-        } else {
-            stack.pad_resistance() != 0.0 && s.g_pad == 1.0 / stack.pad_resistance()
-        };
-        w == stack.width()
-            && h == stack.height()
-            && s.tiers == stack.tiers()
-            && s.vdd == stack.vdd()
-            && s.g_tsv == 1.0 / stack.tsv_resistance()
-            && pads_match
-            && s.tier_g.iter().enumerate().all(|(t, &(g_h, g_v))| {
-                g_h == 1.0 / stack.r_horizontal(t) && g_v == 1.0 / stack.r_vertical(t)
-            })
-            && (0..h * w).all(|site| {
-                let (x, y) = (site % w, site / w);
-                s.tsv_mask[site] == stack.is_tsv(x, y) && s.pad_mask[site] == stack.is_pad(x, y)
-            })
     }
 
     /// Runs the naive 3-D block Gauss–Seidel iteration on one load
@@ -338,7 +305,8 @@ impl Rb3dEngine {
     ///
     /// # Errors
     ///
-    /// See [`Rb3dEngine::solve`].
+    /// See [`Rb3dEngine::solve`]; a `source` of the wrong length is
+    /// [`SolverError::Unsupported`] too, naming its length.
     #[allow(clippy::too_many_arguments)] // mirrors `solve` plus the source
     pub fn solve_with_source(
         &mut self,
@@ -376,9 +344,10 @@ impl Rb3dEngine {
     ) -> Result<SolveReport, SolverError> {
         let nn = self.num_nodes();
         if loads.len() != nn || v.len() != nn || source.is_some_and(|s| s.len() != nn) {
+            let src = source.map_or(String::new(), |s| format!(", {} source entries", s.len()));
             return Err(SolverError::Unsupported {
                 what: format!(
-                    "rb3d engine serves {nn} nodes (got {} loads, {} voltages)",
+                    "rb3d engine serves {nn} nodes (got {} loads, {} voltages{src})",
                     loads.len(),
                     v.len()
                 ),
@@ -631,7 +600,6 @@ mod tests {
         // one-shot path exactly (factors and sweep order are shared).
         let s = stack(0.05);
         let mut engine = Rb3dEngine::build(&s, 1).unwrap();
-        assert!(engine.geometry_matches(&s));
         let mut v = vec![0.0; engine.num_nodes()];
         for scale in [1.0, 0.5, 1.5] {
             let loads: Vec<f64> = s.loads().iter().map(|l| scale * l).collect();
@@ -646,39 +614,32 @@ mod tests {
             assert_eq!(one_shot.voltages, v, "scale {scale}");
             assert_eq!(one_shot.report.iterations, rep.iterations);
         }
-        // Geometry drift is detectable by the caller.
-        let other = Stack3d::builder(6, 6, 2)
-            .uniform_load(1e-4)
-            .build()
-            .unwrap();
-        assert!(!engine.geometry_matches(&other));
     }
 
     #[test]
-    fn geometry_matches_covers_rail_and_resistances() {
-        let base = |b: voltprop_grid::StackBuilder| b.uniform_load(1e-4).build().unwrap();
-        let s = base(Stack3d::builder(8, 8, 3).pad_resistance(0.1));
-        let engine = Rb3dEngine::build(&s, 1).unwrap();
-        assert!(engine.geometry_matches(&s));
-        // Every knob baked into the prefactored state must be compared:
-        // rail, pad conductance, sheet resistances, TSV strength.
-        for drifted in [
-            base(Stack3d::builder(8, 8, 3).pad_resistance(0.1).vdd(1.0)),
-            base(Stack3d::builder(8, 8, 3).pad_resistance(0.2)),
-            base(Stack3d::builder(8, 8, 3)), // ideal pads
-            base(
-                Stack3d::builder(8, 8, 3)
-                    .pad_resistance(0.1)
-                    .tier_resistance(1, 0.04, 0.02),
-            ),
-            base(
-                Stack3d::builder(8, 8, 3)
-                    .pad_resistance(0.1)
-                    .tsv_resistance(0.2),
-            ),
-        ] {
-            assert!(!engine.geometry_matches(&drifted));
-        }
+    fn short_source_error_names_its_length() {
+        let s = stack(0.05);
+        let mut engine = Rb3dEngine::build_companion(&s, 1, 1e11).unwrap();
+        let nn = engine.num_nodes();
+        let mut v = vec![s.vdd(); nn];
+        let err = engine
+            .solve_with_source(
+                s.loads(),
+                NetKind::Power,
+                &vec![0.0; nn - 3],
+                1.0,
+                1e-8,
+                10,
+                &mut v,
+            )
+            .unwrap_err();
+        let SolverError::Unsupported { what } = err else {
+            panic!("expected Unsupported, got {err:?}");
+        };
+        assert!(
+            what.contains(&format!("{} source entries", nn - 3)),
+            "{what}"
+        );
     }
 
     #[test]

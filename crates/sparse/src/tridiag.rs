@@ -479,109 +479,6 @@ impl FactoredSegments {
         }
     }
 
-    /// Compacted [`FactoredSegments::solve_batch`]: substitutes only the
-    /// lanes listed in `active` through the factors at
-    /// `offset..offset + len`, leaving every other lane of `buf`
-    /// untouched.
-    ///
-    /// The active lanes are **gathered** out of the position-major
-    /// `lanes`-wide buffer into `compact` (an `active.len()`-wide image
-    /// of the same shape), swept with unit-stride inner loops, and
-    /// **scattered** back. Each listed lane runs exactly the arithmetic
-    /// of [`FactoredSegments::solve_batch`] — and therefore of a scalar
-    /// [`FactoredSegments::solve_streamed`] — bit for bit, so freezing
-    /// lanes in and out of a batch cannot perturb the survivors. This is
-    /// the sparse-level counterpart of the row-sweep engines'
-    /// active-lane compaction, for callers that drive the factor arena
-    /// directly with pre-assembled right-hand sides (the engines fuse
-    /// their neighbour-gathering RHS assembly into an equivalent
-    /// compacted kernel of their own): a batch with one live lane costs
-    /// one lane's substitution, not the batch's.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use voltprop_sparse::tridiag::FactoredSegments;
-    ///
-    /// # fn main() -> Result<(), voltprop_sparse::SparseError> {
-    /// let mut arena = FactoredSegments::new();
-    /// let seg = arena.push_segment(&[-1.0], &[2.0, 2.0], &[-1.0])?;
-    /// // Three lanes; only lane 1 is active (rhs [3, 3] → x = [3, 3]).
-    /// let mut buf = [9.0, 3.0, 9.0, 9.0, 3.0, 9.0];
-    /// let mut compact = [0.0; 2];
-    /// arena.solve_batch_active(seg, 2, 3, &[1], &mut buf, &mut compact);
-    /// assert!((buf[1] - 3.0).abs() < 1e-15 && (buf[4] - 3.0).abs() < 1e-15);
-    /// assert_eq!(buf[0], 9.0); // frozen lanes untouched
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`, `buf.len() != len * lanes`, `compact` is
-    /// shorter than `len * active.len()`, any listed lane is out of
-    /// range, or the range exceeds the arena.
-    pub fn solve_batch_active(
-        &self,
-        offset: usize,
-        len: usize,
-        lanes: usize,
-        active: &[u32],
-        buf: &mut [f64],
-        compact: &mut [f64],
-    ) {
-        assert!(lanes > 0, "lane count must be positive");
-        assert_eq!(
-            buf.len(),
-            len * lanes,
-            "buffer must hold len * lanes entries"
-        );
-        assert!(offset + len <= self.inv_m.len(), "segment outside arena");
-        let m = active.len();
-        if m == 0 {
-            return;
-        }
-        assert!(
-            compact.len() >= len * m,
-            "compact scratch must hold len * active.len() entries"
-        );
-        assert!(
-            active.iter().all(|&j| (j as usize) < lanes),
-            "active lane index out of range"
-        );
-        // Gather the active lanes into the compact image.
-        for i in 0..len {
-            let src = &buf[i * lanes..(i + 1) * lanes];
-            let dst = &mut compact[i * m..(i + 1) * m];
-            for (d, &j) in dst.iter_mut().zip(active) {
-                *d = src[j as usize];
-            }
-        }
-        // Sweep the compact image exactly like `solve_batch` does.
-        for i in 0..len {
-            let (done, rest) = compact.split_at_mut(i * m);
-            let prev = if i == 0 {
-                None
-            } else {
-                Some(&done[(i - 1) * m..])
-            };
-            self.forward_row(offset + i, &mut rest[..m], prev);
-        }
-        for i in (0..len).rev() {
-            let (head, tail) = compact.split_at_mut((i + 1) * m);
-            let next = if i + 1 == len { None } else { Some(&tail[..m]) };
-            self.backward_row(offset + i, &mut head[i * m..(i + 1) * m], next);
-        }
-        // Scatter the solutions back; frozen lanes are never written.
-        for i in 0..len {
-            let src = &compact[i * m..(i + 1) * m];
-            let dst = &mut buf[i * lanes..(i + 1) * lanes];
-            for (&s, &j) in src.iter().zip(active) {
-                dst[j as usize] = s;
-            }
-        }
-    }
-
     /// Estimated heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         (self.lower.capacity() + self.cp.capacity() + self.inv_m.capacity())
@@ -765,55 +662,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn solve_batch_active_matches_full_batch_and_leaves_frozen_lanes() {
-        let mut seed = 21u64;
-        let mut rnd = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64) / (u32::MAX as f64) - 0.5
-        };
-        let mut arena = FactoredSegments::new();
-        for n in [1usize, 2, 7, 24] {
-            let lower: Vec<f64> = (0..n - 1).map(|_| rnd()).collect();
-            let upper: Vec<f64> = (0..n - 1).map(|_| rnd()).collect();
-            let diag: Vec<f64> = (0..n).map(|_| 3.0 + rnd()).collect();
-            let offset = arena.push_segment(&lower, &diag, &upper).unwrap();
-            let lanes = 6usize;
-            let rhs: Vec<f64> = (0..n * lanes).map(|_| rnd() * 10.0).collect();
-            for active in [vec![], vec![3u32], vec![0, 2, 5], vec![0, 1, 2, 3, 4, 5]] {
-                let mut full = rhs.clone();
-                arena.solve_batch(offset, n, lanes, &mut full);
-                let mut gathered = rhs.clone();
-                let mut compact = vec![0.0; n * active.len().max(1)];
-                arena.solve_batch_active(offset, n, lanes, &active, &mut gathered, &mut compact);
-                let is_active = |j: u32| active.contains(&j);
-                for i in 0..n {
-                    for j in 0..lanes as u32 {
-                        let at = i * lanes + j as usize;
-                        let want = if is_active(j) { full[at] } else { rhs[at] };
-                        assert_eq!(
-                            gathered[at].to_bits(),
-                            want.to_bits(),
-                            "n={n} active={active:?} row={i} lane={j}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn solve_batch_active_rejects_bad_lane() {
-        let mut arena = FactoredSegments::new();
-        let seg = arena.push_segment(&[-1.0], &[2.0, 2.0], &[-1.0]).unwrap();
-        let mut buf = [0.0; 4];
-        let mut compact = [0.0; 2];
-        arena.solve_batch_active(seg, 2, 2, &[2], &mut buf, &mut compact);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! `parallelism` thread, and the bands partition the sweep, never the
 //! answer. Sessions at parallelism 2, 3 and 4 (2, 3 and 4 bands, three
 //! distinct partitions) must agree bitwise on VoltProp and Rb3d single
-//! solves, masked/compacted batches, step sweeps, the sparse-pad coarse
+//! solves, batches (masked or not), step sweeps, the sparse-pad coarse
 //! solve, and transient runs with a mid-run refactor.
 //!
 //! Every comparison is against the parallelism-2 session. Parallelism 1
@@ -70,8 +70,8 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 }
 
 /// `k` lanes at diverging magnitudes so they freeze at different sweep
-/// counts — the converged lanes exercise the masked/compacted batch
-/// kernels while the stragglers keep sweeping.
+/// counts — the converged lanes exercise the batch kernel's frozen-lane
+/// write gate while the stragglers keep sweeping.
 fn load_sweep(stack: &Stack3d, k: usize) -> Vec<f64> {
     let mut loads = Vec::with_capacity(k * stack.num_nodes());
     for j in 0..k {
