@@ -1,8 +1,8 @@
 //! The zero-allocation contract on a sparse-pad stack: once a session is
 //! warm, single and batched VoltProp solves of a Table-I preset make no
-//! allocator calls — alternating between them included — and so does the
-//! pillar-lattice correction, which only stacks with pad-less pillars
-//! run.
+//! allocator calls — single solves and batches of mixed widths
+//! alternating included — and so does the pillar-lattice correction,
+//! which only stacks with pad-less pillars run.
 //!
 //! The counting allocator is process-wide, so this binary holds a single
 //! test: nothing else may allocate while a warm solve is measured.
@@ -15,12 +15,20 @@ use voltprop_grid::TableCircuit;
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Allocator calls made by `run` on its second invocation (the first
-/// warms the session's arenas and the worker pool).
+/// warms the session's arenas and the worker pool). The second
+/// invocation must also leave the session's `memory_bytes` unchanged.
 fn warm_alloc_calls(session: &mut Session, run: impl Fn(&mut Session)) -> usize {
     run(session);
+    let bytes = session.memory_bytes();
     let before = alloc::alloc_calls();
     run(session);
-    alloc::alloc_calls() - before
+    let calls = alloc::alloc_calls() - before;
+    assert_eq!(
+        session.memory_bytes(),
+        bytes,
+        "a warm pass grew the session"
+    );
+    calls
 }
 
 #[test]
@@ -35,15 +43,18 @@ fn warm_solves_on_sparse_pads_do_not_allocate() {
         pads < stack.tsv_sites().len(),
         "the preset must leave pillars without pads"
     );
-    let k = 4;
-    let loads: Vec<f64> = (0..k)
-        .flat_map(|j| {
-            stack
-                .loads()
-                .iter()
-                .map(move |l| l * (0.8 + 0.1 * j as f64))
-        })
-        .collect();
+    let load_set = |k: usize| -> Vec<f64> {
+        (0..k)
+            .flat_map(|j| {
+                stack
+                    .loads()
+                    .iter()
+                    .map(move |l| l * (0.8 + 0.1 * j as f64))
+            })
+            .collect()
+    };
+    let (k, wide) = (4, 8);
+    let (loads, wide_loads) = (load_set(k), load_set(wide));
     for parallelism in [1, 2] {
         let mut session = Session::build(&stack, VpConfig::new().parallelism(parallelism)).unwrap();
         let single = warm_alloc_calls(&mut session, |s| {
@@ -58,18 +69,19 @@ fn warm_solves_on_sparse_pads_do_not_allocate() {
         });
         assert_eq!(batch, 0, "warm {k}-lane batch at parallelism {parallelism}");
         // Alternating lane counts share one outer-loop arena and one
-        // set of tier jobs: neither may be resized when k changes.
+        // state per tier engine, grown to the widest batch: neither may
+        // be resized when k changes.
         let alternating = warm_alloc_calls(&mut session, |s| {
             assert!(s.solve(&LoadCase::new(&stack)).unwrap().converged());
-            assert!(s
-                .solve_batch(&LoadSet::new(&stack, &loads))
-                .unwrap()
-                .converged());
+            for set in [&loads, &wide_loads, &loads] {
+                let view = s.solve_batch(&LoadSet::new(&stack, set)).unwrap();
+                assert!(view.converged());
+            }
             assert!(s.solve(&LoadCase::new(&stack)).unwrap().converged());
         });
         assert_eq!(
             alternating, 0,
-            "warm single → {k}-lane batch → single at parallelism {parallelism}"
+            "warm single → {k} → {wide} → {k} lanes → single at parallelism {parallelism}"
         );
     }
 }

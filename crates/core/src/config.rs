@@ -176,9 +176,10 @@ impl VpConfig {
 /// into `parallelism` contiguous bands (clamped to the tier height) with
 /// 1-row halos, and every inner sweep runs per band against a private
 /// halo-extended voltage image, pushing the halos between the red and
-/// black half-sweeps. The images are built once at
-/// [`Session::build`](crate::Session::build), so single, batched, and
-/// transient solves all run banded with no warm allocator calls. Banding
+/// black half-sweeps. The first solve sizes the images, and a batch
+/// wider than any before grows them; they never shrink, so warm single,
+/// batched (of any width served before), and transient solves all run
+/// banded with no allocator calls. Banding
 /// restructures dispatch and memory layout, never arithmetic: the
 /// row-based routes — single solves, batches (masked or not), transient
 /// steps — produce **bitwise identical** voltages, iteration counts, and

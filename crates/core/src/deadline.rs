@@ -6,9 +6,10 @@
 //! [`SolverError::DeadlineExceeded`] the first time a check runs past
 //! the instant. Nothing is preempted mid-iteration, so the check
 //! granularity is one outer iteration on the [`Backend::VoltProp`]
-//! route and one lane on the engine-backed batch routes; a single
-//! [`Backend::Rb3d`]/[`Backend::Pcg`] solve only checks on entry (its
-//! iteration budget bounds the tail).
+//! route and one lane on the [`Backend::Rb3d`]/[`Backend::Pcg`] routes,
+//! which also check before their first request builds the engine. A
+//! single solve on those routes is one lane, so it checks on entry only
+//! (its iteration budget bounds the tail).
 //!
 //! [`LoadCase::deadline`]: crate::LoadCase::deadline
 //! [`LoadSet::deadline`]: crate::LoadSet::deadline
@@ -44,9 +45,10 @@ impl Deadline {
         Deadline(Some(instant))
     }
 
-    /// A deadline `budget` from now.
+    /// A deadline `budget` from now. A budget that reaches past the
+    /// latest representable [`Instant`] sets no deadline.
     pub fn after(budget: Duration) -> Deadline {
-        Deadline(Some(Instant::now() + budget))
+        Deadline(Instant::now().checked_add(budget))
     }
 
     /// The absolute instant, if a deadline is set.
@@ -112,5 +114,9 @@ mod tests {
         assert!(d.check(0).is_ok());
         assert!(d.remaining().unwrap() > Duration::from_secs(3000));
         assert!(d.instant().is_some());
+        // A budget past what an `Instant` can hold is no deadline.
+        for budget in [Duration::MAX, Duration::from_secs(u64::MAX / 2)] {
+            assert_eq!(Deadline::after(budget), Deadline::NONE);
+        }
     }
 }

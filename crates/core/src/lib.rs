@@ -66,8 +66,8 @@
 //!   between solves, so warm parallel solves are allocation-free too.
 //! * **Zero-allocation warm solves** — a [`Session`] owns every solve
 //!   buffer (the internal scratch arena, sized by the first request of
-//!   each backend and lane count), so warm requests run the entire
-//!   outer loop — tier sweeps, pillar-current
+//!   each backend and grown by a batch wider than any before), so warm
+//!   requests run the entire outer loop — tier sweeps, pillar-current
 //!   accumulation, VDA distribution, Anderson mixing — without touching
 //!   the heap (measured by `perfsuite`: zero allocator calls across
 //!   warm single, batch-64, and 24-step transient requests, at

@@ -42,10 +42,10 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use voltprop_grid::{GridError, NetKind, Stack3d};
-use voltprop_solvers::{PcgEngine, Rb3dEngine, SolverError};
+use voltprop_solvers::{PcgEngine, Rb3dEngine, SolveReport, SolverError};
 use voltprop_sparse::SparseError;
 
-use crate::solver::{run_batch, run_single, validate_loads, VpScratch};
+use crate::solver::{run_batch, single_report, validate_loads, VpScratch};
 use crate::{BuildParams, Deadline, SolveParams, VpConfig, VpReport};
 
 /// The solver engine a request is routed through.
@@ -291,6 +291,19 @@ impl<'a> LoadCase<'a> {
     /// The stack this request reads geometry and loads from.
     pub fn stack(&self) -> &'a Stack3d {
         self.stack
+    }
+
+    /// This request's stack, net, backend, parameters and deadline
+    /// over the lane-major `loads`.
+    pub(crate) fn with_loads(self, loads: &'a [f64]) -> LoadSet<'a> {
+        LoadSet {
+            stack: self.stack,
+            loads,
+            net: self.net,
+            backend: self.backend,
+            params: self.params,
+            deadline: self.deadline,
+        }
     }
 }
 
@@ -674,7 +687,7 @@ impl SessionCore {
     /// `scratch`'s Rb3d half: the core's engine, built from `stack` by
     /// the first Rb3d request of any scratch, is forked into the scratch
     /// on its own first one. `stack` must already have passed
-    /// [`SessionCore::check_geometry`].
+    /// [`SessionCore::check_stack`].
     fn rb_half<'s>(
         &self,
         half: &'s mut Option<Rb3dEngine>,
@@ -709,191 +722,130 @@ impl SessionCore {
         }))
     }
 
-    pub(crate) fn check_geometry(&self, stack: &Stack3d) -> Result<(), SessionError> {
-        if self.serves(stack) {
-            return Ok(());
+    /// The check every request starts with, once: the stack's geometry
+    /// must be the one this core was built for, and the stack must pass
+    /// grid validation. Nothing is built or solved before it passes.
+    pub(crate) fn check_stack(&self, stack: &Stack3d) -> Result<(), SessionError> {
+        if !self.serves(stack) {
+            return Err(SessionError::GeometryChanged {
+                what: format!(
+                    "session was built for a {}x{}x{} stack (same footprint, \
+                     resistances, TSV and pad sites); got {}x{}x{} — build a \
+                     new session for the new geometry (only loads and \
+                     per-solve parameters may change)",
+                    self.width,
+                    self.height,
+                    self.tiers,
+                    stack.width(),
+                    stack.height(),
+                    stack.tiers(),
+                ),
+            });
         }
-        Err(SessionError::GeometryChanged {
-            what: format!(
-                "session was built for a {}x{}x{} stack (same footprint, \
-                 resistances, TSV and pad sites); got {}x{}x{} — build a \
-                 new session for the new geometry (only loads and \
-                 per-solve parameters may change)",
-                self.width,
-                self.height,
-                self.tiers,
-                stack.width(),
-                stack.height(),
-                stack.tiers(),
-            ),
-        })
+        stack.validate().map_err(SolverError::from)?;
+        Ok(())
     }
 
     /// Runs one [`LoadCase`] into `scratch` (no view yet — the borrow of
     /// the case stays separable from the result view, which
-    /// [`SessionCore::view`] builds afterwards: a single solve is a
-    /// one-lane batch on every backend).
+    /// [`SessionCore::view`] builds afterwards): one lane on the stack's
+    /// own loads, down the same lane path as a batch. The loads are not
+    /// validated again; the stack validated them when they were set. A
+    /// lane that did not converge fails the single solve.
     pub(crate) fn solve_on(
         &self,
         scratch: &mut SolveScratch,
         case: &LoadCase<'_>,
     ) -> Result<(), SessionError> {
-        self.check_geometry(case.stack)?;
-        case.stack.validate().map_err(SolverError::from)?;
+        self.check_stack(case.stack)?;
+        self.lanes_on(scratch, &case.with_loads(case.stack.loads()))?;
         let params = case.params.unwrap_or(self.defaults);
-        match case.backend {
-            Backend::VoltProp => {
-                let report = run_single(
-                    &params,
-                    case.stack,
-                    case.net,
-                    &mut scratch.vp,
-                    case.deadline,
-                )?;
-                scratch.reports.clear();
-                scratch.reports.push(report);
-                Ok(())
+        let lane = &scratch.reports[0];
+        if case.backend == Backend::VoltProp {
+            single_report(&params, &scratch.vp)?;
+        } else if !lane.converged {
+            // The engine's own budget error, rebuilt from the lane.
+            return Err(SolverError::DidNotConverge {
+                iterations: lane.outer_iterations,
+                residual: lane.pad_mismatch,
+                tolerance: params.inner_tolerance,
             }
-            Backend::Rb3d => {
-                // A prefactored engine solve is one opaque call, so the
-                // deadline is checked on entry only — the iteration
-                // budget bounds the tail.
-                case.deadline.check(0)?;
-                let rb = self.rb_half(&mut scratch.rb, &mut scratch.shared_bytes, case.stack)?;
-                let rep = rb.solve(
-                    case.stack.loads(),
-                    case.net,
-                    params.sor_omega,
-                    params.inner_tolerance,
-                    params.max_inner_sweeps,
-                    lane_voltages(&mut scratch.voltages, self.nn),
-                )?;
-                scratch.reports.clear();
-                scratch.reports.push(rb_report(&rep, self.tiers));
-                Ok(())
-            }
-            Backend::Pcg => {
-                case.deadline.check(0)?;
-                let engine =
-                    self.pcg_half(&mut scratch.pcg, &mut scratch.shared_bytes, case.stack)?;
-                let rep = engine.solve(
-                    case.stack.loads(),
-                    case.net,
-                    params.inner_tolerance,
-                    params.max_inner_sweeps,
-                    lane_voltages(&mut scratch.voltages, self.nn),
-                )?;
-                scratch.reports.clear();
-                scratch.reports.push(pcg_report(&rep));
-                Ok(())
-            }
+            .into());
         }
+        Ok(())
     }
 
     /// Runs a batched request into the backend's arena in `scratch` (no
-    /// view yet — keeps the borrow of `loads` separable from the
-    /// returned view).
-    #[allow(clippy::too_many_arguments)] // the full batched-request surface
+    /// view yet — keeps the borrow of the loads separable from the
+    /// returned view). The load set is validated after the stack check
+    /// and before anything is built or solved.
     pub(crate) fn batch_on(
         &self,
         scratch: &mut SolveScratch,
-        stack: &Stack3d,
-        net: NetKind,
-        backend: Backend,
-        params: Option<SolveParams>,
-        loads: &[f64],
-        deadline: Deadline,
+        set: &LoadSet<'_>,
     ) -> Result<(), SessionError> {
-        self.check_geometry(stack)?;
-        stack.validate().map_err(SolverError::from)?;
-        let params = params.unwrap_or(self.defaults);
-        match backend {
-            Backend::VoltProp => {
-                run_batch(
-                    &params,
-                    stack,
-                    net,
-                    loads,
-                    &mut scratch.vp,
-                    &mut scratch.reports,
-                    deadline,
-                )?;
-                Ok(())
-            }
-            // Both engine routes share the per-lane loop; only the lane
-            // solve and its budget-exhaustion report mapping differ. A
-            // lane whose budget runs out reports its true residual with
-            // `converged = false` instead of discarding the batch
-            // (mirroring VoltProp); any other engine error — e.g. a PCG
-            // numerical breakdown, which more lanes cannot fix — still
-            // fails the whole request.
+        self.check_stack(set.stack)?;
+        validate_loads(self.nn, set.loads)?;
+        self.lanes_on(scratch, set)
+    }
+
+    /// The one lane path of every request: runs the lanes of `set.loads`
+    /// (lane-major, validated) through the set's backend into
+    /// `scratch`, leaving one report per lane. A lane that exhausts its
+    /// budget reports `converged = false` with its true residual instead
+    /// of failing the request; any other engine error — e.g. a PCG
+    /// numerical breakdown, which more lanes cannot fix — fails it. The
+    /// [`Backend::Rb3d`] and [`Backend::Pcg`] routes solve the lanes one
+    /// after another on their prefactored engines, checking the deadline
+    /// before a cold engine is built and before every lane.
+    fn lanes_on(&self, scratch: &mut SolveScratch, set: &LoadSet<'_>) -> Result<(), SessionError> {
+        let params = set.params.unwrap_or(self.defaults);
+        let (nn, net, deadline) = (self.nn, set.net, set.deadline);
+        let k = set.loads.len() / nn;
+        match set.backend {
+            Backend::VoltProp => run_batch(
+                &params,
+                net,
+                set.loads,
+                k,
+                &mut scratch.vp,
+                &mut scratch.reports,
+                deadline,
+            )?,
             Backend::Rb3d => {
-                let rb = self.rb_half(&mut scratch.rb, &mut scratch.shared_bytes, stack)?;
+                deadline.check(0)?;
+                let rb = self.rb_half(&mut scratch.rb, &mut scratch.shared_bytes, set.stack)?;
                 let tiers = self.tiers;
-                run_engine_batch(
-                    self.nn,
-                    loads,
-                    &mut scratch.voltages,
-                    &mut scratch.reports,
-                    deadline,
-                    |lane_loads, v| match rb.solve(
-                        lane_loads,
+                let (voltages, reports) = (&mut scratch.voltages, &mut scratch.reports);
+                engine_lanes(nn, set.loads, k, voltages, reports, deadline, |loads, v| {
+                    let solved = rb.solve(
+                        loads,
                         net,
                         params.sor_omega,
                         params.inner_tolerance,
                         params.max_inner_sweeps,
                         v,
-                    ) {
-                        Ok(rep) => Ok(rb_report(&rep, tiers)),
-                        Err(SolverError::DidNotConverge {
-                            iterations,
-                            residual,
-                            ..
-                        }) => Ok(VpReport {
-                            outer_iterations: iterations,
-                            inner_sweeps: iterations * tiers,
-                            pad_mismatch: residual,
-                            final_beta: 0.0,
-                            converged: false,
-                            workspace_bytes: rb.memory_bytes(),
-                        }),
-                        Err(e) => Err(e),
-                    },
-                )
+                    );
+                    engine_lane(solved, tiers, rb.memory_bytes() + v.len() * 8)
+                })?;
             }
             Backend::Pcg => {
-                let engine = self.pcg_half(&mut scratch.pcg, &mut scratch.shared_bytes, stack)?;
-                run_engine_batch(
-                    self.nn,
-                    loads,
-                    &mut scratch.voltages,
-                    &mut scratch.reports,
-                    deadline,
-                    |lane_loads, v| match engine.solve(
-                        lane_loads,
+                deadline.check(0)?;
+                let pcg = self.pcg_half(&mut scratch.pcg, &mut scratch.shared_bytes, set.stack)?;
+                let (voltages, reports) = (&mut scratch.voltages, &mut scratch.reports);
+                engine_lanes(nn, set.loads, k, voltages, reports, deadline, |loads, v| {
+                    let solved = pcg.solve(
+                        loads,
                         net,
                         params.inner_tolerance,
                         params.max_inner_sweeps,
                         v,
-                    ) {
-                        Ok(rep) => Ok(pcg_report(&rep)),
-                        Err(SolverError::DidNotConverge {
-                            iterations,
-                            residual,
-                            ..
-                        }) => Ok(VpReport {
-                            outer_iterations: iterations,
-                            inner_sweeps: iterations,
-                            pad_mismatch: residual,
-                            final_beta: 0.0,
-                            converged: false,
-                            workspace_bytes: engine.memory_bytes(),
-                        }),
-                        Err(e) => Err(e),
-                    },
-                )
+                    );
+                    engine_lane(solved, 1, pcg.memory_bytes() + v.len() * 8)
+                })?;
             }
         }
+        Ok(())
     }
 
     /// The view over the arena the given backend's results live in (call
@@ -946,15 +898,7 @@ impl SessionCore {
         for s in 0..steps {
             fill(s, &mut loads[s * nn..(s + 1) * nn]);
         }
-        let outcome = self.batch_on(
-            scratch,
-            case.stack,
-            case.net,
-            case.backend,
-            case.params,
-            &loads,
-            case.deadline,
-        );
+        let outcome = self.batch_on(scratch, &case.with_loads(&loads));
         scratch.transient_loads = loads;
         outcome
     }
@@ -973,8 +917,8 @@ impl SessionCore {
 /// request: loads, net, tolerances, and the [`Backend`] the request is
 /// routed through — voltage propagation, the naive row-based baseline,
 /// and the prefactored PCG reference all serve from this one handle.
-/// Warm requests — every request after the first of its backend and
-/// lane count — perform **zero heap allocations** on the
+/// Warm requests — every request no wider than one its backend has
+/// served before — perform **zero heap allocations** on the
 /// [`Backend::VoltProp`] and [`Backend::Pcg`] routes (single, batched,
 /// and transient — measured by `perfsuite`), on stacks with a pad on
 /// every pillar and on sparse-pad stacks alike (whose VDA runs a
@@ -1130,15 +1074,7 @@ impl Session {
     /// load buffer is empty, not a whole number of load vectors, or
     /// contains negative/non-finite currents.
     pub fn solve_batch(&mut self, set: &LoadSet<'_>) -> Result<SolutionView<'_>, SessionError> {
-        self.core.batch_on(
-            &mut self.scratch,
-            set.stack,
-            set.net,
-            set.backend,
-            set.params,
-            set.loads,
-            set.deadline,
-        )?;
+        self.core.batch_on(&mut self.scratch, set)?;
         Ok(self.core.view(&self.scratch, set.backend))
     }
 
@@ -1190,34 +1126,24 @@ fn built_or_unavailable<E>(
         })
 }
 
-/// The first `nn` entries of the engine routes' voltage arena, grown to
-/// one lane on the first engine-route request.
-fn lane_voltages(voltages: &mut Vec<f64>, nn: usize) -> &mut [f64] {
-    if voltages.len() < nn {
-        voltages.resize(nn, 0.0);
-    }
-    &mut voltages[..nn]
-}
-
-/// The shared per-lane batch loop of the engine-backed routes
-/// ([`Backend::Rb3d`], [`Backend::Pcg`]): validates the lane-major load
-/// buffer, grows the lane-major voltage arena if this lane count is new
-/// (warm calls with a seen count allocate nothing), and runs
-/// `solve_lane` on each lane's slices in order — a finished lane is
-/// final and never touched by later lanes. `solve_lane` returns the
-/// lane's [`VpReport`] (budget exhaustion mapped to `converged = false`
-/// by the caller) or a hard error that fails the whole request. The
-/// request [`Deadline`] is checked before every lane — this per-lane
-/// loop is the engine routes' cooperative cancellation point.
-fn run_engine_batch(
+/// The per-lane loop of the engine routes ([`Backend::Rb3d`],
+/// [`Backend::Pcg`]): grows the lane-major voltage arena if this lane
+/// count is new (warm calls with a seen count allocate nothing), and runs
+/// `solve_lane` on each of the `k` lanes' slices in order — a finished
+/// lane is final and never touched by later lanes. `solve_lane` returns
+/// the lane's [`VpReport`] (see [`engine_lane`]) or a hard error that
+/// fails the whole request. The request [`Deadline`] is checked before
+/// every lane — this loop is the engine routes' cooperative cancellation
+/// point.
+fn engine_lanes(
     nn: usize,
     loads: &[f64],
+    k: usize,
     voltages: &mut Vec<f64>,
     reports: &mut Vec<VpReport>,
     deadline: Deadline,
     mut solve_lane: impl FnMut(&[f64], &mut [f64]) -> Result<VpReport, SolverError>,
 ) -> Result<(), SessionError> {
-    let k = validate_loads(nn, loads)?;
     if voltages.len() < k * nn {
         voltages.resize(k * nn, 0.0);
     }
@@ -1231,36 +1157,37 @@ fn run_engine_batch(
     Ok(())
 }
 
-/// Maps an Rb3d [`voltprop_solvers::SolveReport`] into the session's
-/// uniform per-lane [`VpReport`]: full-stack iterations count as outer
-/// iterations, each of which sweeps every tier once; there is no VDA, so
-/// `final_beta` is 0 and `pad_mismatch` carries the largest per-sweep
-/// voltage update the iteration stopped at.
-fn rb_report(rep: &voltprop_solvers::SolveReport, tiers: usize) -> VpReport {
-    VpReport {
-        outer_iterations: rep.iterations,
-        inner_sweeps: rep.iterations * tiers,
-        pad_mismatch: rep.residual,
+/// Maps one engine-route lane solve into the session's uniform per-lane
+/// [`VpReport`]. Engine iterations count as outer iterations, each of
+/// which sweeps `sweeps_per_iteration` tiers (Rb3d sweeps every tier per
+/// full-stack iteration; a CG iteration counts as one sweep). There is no
+/// VDA, so `final_beta` is 0, and `pad_mismatch` carries the residual
+/// the iteration stopped at (Rb3d's largest per-sweep voltage update,
+/// PCG's relative residual). An exhausted budget becomes
+/// `converged = false`; any other error passes through. Converged or
+/// not, a lane reports the same `workspace_bytes`.
+fn engine_lane(
+    solved: Result<SolveReport, SolverError>,
+    sweeps_per_iteration: usize,
+    workspace_bytes: usize,
+) -> Result<VpReport, SolverError> {
+    let (iterations, residual, converged) = match solved {
+        Ok(rep) => (rep.iterations, rep.residual, rep.converged),
+        Err(SolverError::DidNotConverge {
+            iterations,
+            residual,
+            ..
+        }) => (iterations, residual, false),
+        Err(e) => return Err(e),
+    };
+    Ok(VpReport {
+        outer_iterations: iterations,
+        inner_sweeps: iterations * sweeps_per_iteration,
+        pad_mismatch: residual,
         final_beta: 0.0,
-        converged: rep.converged,
-        workspace_bytes: rep.workspace_bytes,
-    }
-}
-
-/// Maps a Pcg [`voltprop_solvers::SolveReport`] into the session's
-/// uniform per-lane [`VpReport`]: CG iterations count as both outer
-/// iterations and inner sweeps (there is no inner/outer split), there is
-/// no VDA (`final_beta` 0), and `pad_mismatch` carries the relative
-/// residual the iteration stopped at.
-fn pcg_report(rep: &voltprop_solvers::SolveReport) -> VpReport {
-    VpReport {
-        outer_iterations: rep.iterations,
-        inner_sweeps: rep.iterations,
-        pad_mismatch: rep.residual,
-        final_beta: 0.0,
-        converged: rep.converged,
-        workspace_bytes: rep.workspace_bytes,
-    }
+        converged,
+        workspace_bytes,
+    })
 }
 
 #[cfg(test)]

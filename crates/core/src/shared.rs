@@ -86,7 +86,7 @@ pub enum TryCheckout<T> {
 /// Warm requests perform zero heap allocations end to end (checkout →
 /// solve → give-back), measured by `perfsuite`'s `concurrency` section.
 /// A request is warm once its slot has served one request of that
-/// backend (and of that lane count): the first one sizes the slot's
+/// backend at least as wide: the first one sizes the slot's
 /// buffers, and the first Rb3d or Pcg request of the pool builds that
 /// engine in the shared core.
 ///
@@ -271,7 +271,9 @@ impl SharedSession {
     /// scratch slot, then reports [`TryCheckout::Busy`] instead of
     /// blocking indefinitely. This is the admission-control primitive
     /// for servers: a hard bound on head-of-line queueing, after which
-    /// the caller sheds the request with a typed overload error.
+    /// the caller sheds the request with a typed overload error. A
+    /// `wait` that reaches past the latest representable instant waits
+    /// without bound.
     ///
     /// # Errors
     ///
@@ -281,7 +283,7 @@ impl SharedSession {
         case: &LoadCase<'_>,
         wait: Duration,
     ) -> Result<TryCheckout<SharedSolution<'s>>, SessionError> {
-        match self.checkout(Some(Instant::now() + wait)) {
+        match self.checkout(Instant::now().checked_add(wait)) {
             Some(scratch) => self.run_single(scratch, case).map(TryCheckout::Ready),
             None => Ok(TryCheckout::Busy),
         }
@@ -298,31 +300,19 @@ impl SharedSession {
         set: &LoadSet<'_>,
         wait: Duration,
     ) -> Result<TryCheckout<SharedSolution<'s>>, SessionError> {
-        match self.checkout(Some(Instant::now() + wait)) {
+        match self.checkout(Instant::now().checked_add(wait)) {
             Some(scratch) => self.run_batch(scratch, set).map(TryCheckout::Ready),
             None => Ok(TryCheckout::Busy),
         }
     }
 
-    /// Runs a checked-out scratch through one [`LoadCase`]. The guard is
-    /// armed *before* the solve so that an engine panic unwinds through
-    /// its `Drop` (quarantining the slot) and an `Err` drops it normally
-    /// (returning the scratch reusable) — either way the slot is
-    /// accounted for.
+    /// Runs a checked-out scratch through one [`LoadCase`].
     fn run_single<'s>(
         &'s self,
         scratch: SolveScratch,
         case: &LoadCase<'_>,
     ) -> Result<SharedSolution<'s>, SessionError> {
-        let mut guard = SharedSolution {
-            pool: self,
-            bytes: scratch.memory_bytes(),
-            scratch: Some(scratch),
-            backend: case.backend,
-        };
-        let scratch = guard.scratch.as_mut().expect("scratch present until drop");
-        self.core.solve_on(scratch, case)?;
-        Ok(guard)
+        self.run(scratch, case.backend, |core, s| core.solve_on(s, case))
     }
 
     /// Batched twin of [`SharedSession::run_single`].
@@ -331,22 +321,28 @@ impl SharedSession {
         scratch: SolveScratch,
         set: &LoadSet<'_>,
     ) -> Result<SharedSolution<'s>, SessionError> {
+        self.run(scratch, set.backend, |core, s| core.batch_on(s, set))
+    }
+
+    /// Runs `solve` on a checked-out scratch, guarded. The guard is armed
+    /// *before* the solve so that an engine panic unwinds through its
+    /// `Drop` (quarantining the slot) and an `Err` drops it normally
+    /// (returning the scratch reusable) — either way the slot is
+    /// accounted for.
+    fn run<'s>(
+        &'s self,
+        scratch: SolveScratch,
+        backend: Backend,
+        solve: impl FnOnce(&SessionCore, &mut SolveScratch) -> Result<(), SessionError>,
+    ) -> Result<SharedSolution<'s>, SessionError> {
         let mut guard = SharedSolution {
             pool: self,
             bytes: scratch.memory_bytes(),
             scratch: Some(scratch),
-            backend: set.backend,
+            backend,
         };
         let scratch = guard.scratch.as_mut().expect("scratch present until drop");
-        self.core.batch_on(
-            scratch,
-            set.stack,
-            set.net,
-            set.backend,
-            set.params,
-            set.loads,
-            set.deadline,
-        )?;
+        solve(&self.core, scratch)?;
         Ok(guard)
     }
 
@@ -585,6 +581,11 @@ mod tests {
             }
         });
         assert_eq!(shared.in_flight(), 0);
+        // A wait no instant can hold is unbounded, not a panic.
+        match shared.try_solve_for(&LoadCase::new(&s), Duration::MAX) {
+            Ok(TryCheckout::Ready(sol)) => assert!(sol.view().converged()),
+            other => panic!("expected Ready, got {other:?}"),
+        };
     }
 
     #[test]

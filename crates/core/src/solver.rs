@@ -44,7 +44,8 @@ pub struct VpSolver {
 /// outer loop ([`run_lanes`], wrapped by [`run_single`] and
 /// [`run_batch`]) runs the entire iteration — tier sweeps,
 /// pillar-current accumulation, VDA distribution, Anderson mixing —
-/// without touching the heap for any lane count it has served before.
+/// without touching the heap for any lane count up to the widest it has
+/// served.
 /// That holds with sparse pads too: the VDA distribution's coarse
 /// lattice solve runs on an engine prefactored here (see
 /// [`PillarLattice`]), and on the persistent worker pool once it is
@@ -644,20 +645,21 @@ pub(crate) fn validate_loads(nn: usize, loads: &[f64]) -> Result<usize, SolverEr
     Ok(loads.len() / nn)
 }
 
-/// A batched solve: validates the lane-major load set and runs every
-/// lane through the outer loop in lockstep. The scratch **must already
-/// match the stack's geometry** (callers check). A lane that exhausts a
-/// budget reports `converged = false` instead of failing the batch.
+/// A batched solve: runs the `k` lanes of a lane-major load set
+/// (validated by the caller, see [`validate_loads`]) through the outer
+/// loop in lockstep and leaves one report per lane in `reports`. The
+/// scratch **must already match the stack's geometry** (callers check).
+/// A lane that exhausts a budget reports `converged = false` instead of
+/// failing the batch.
 pub(crate) fn run_batch(
     params: &crate::SolveParams,
-    stack: &Stack3d,
     net: NetKind,
     loads: &[f64],
+    k: usize,
     scratch: &mut VpScratch,
     reports: &mut Vec<VpReport>,
     deadline: crate::Deadline,
 ) -> Result<(), SolverError> {
-    let k = validate_loads(stack.num_nodes(), loads)?;
     run_lanes(params, net, loads, k, scratch, None, deadline)?;
     reports.clear();
     reports.extend(lane_reports(params, scratch));
@@ -1255,11 +1257,12 @@ mod tests {
     ) -> Result<Vec<VpReport>, SolverError> {
         let mut reports = Vec::new();
         let params = config.solve_params();
+        let k = validate_loads(stack.num_nodes(), loads)?;
         run_batch(
             &params,
-            stack,
             NetKind::Power,
             loads,
+            k,
             scratch,
             &mut reports,
             Deadline::NONE,

@@ -583,8 +583,7 @@ impl Session {
     {
         let core = std::sync::Arc::clone(&self.core);
         let nn = core.num_nodes();
-        core.check_geometry(request.stack)?;
-        request.stack.validate().map_err(SolverError::from)?;
+        core.check_stack(request.stack)?;
         if !(request.h.is_finite() && request.h > 0.0) {
             return Err(SolverError::Unsupported {
                 what: format!(

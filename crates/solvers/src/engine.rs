@@ -30,6 +30,10 @@
 //!   that sweep inside private halo-extended images on the persistent
 //!   [`WorkerPool`] (see *Row bands* below).
 //!
+//! Either path keeps one per-solve state: the slices' loop buffers, or
+//! the band job's images and lane slots. It is sized by the first solve,
+//! grows to the widest batch the engine has served, and never shrinks.
+//!
 //! # One solve path: a scalar solve is a batch of one
 //!
 //! [`TierEngine::solve`], [`TierEngine::solve_with_omega`] and
@@ -38,11 +42,9 @@
 //! [`SolverError::DidNotConverge`]). Both paths pick the kernel from the
 //! lane count alone: one lane runs the scalar per-segment kernel on the
 //! plain image (a one-lane node-major image *is* the plain vector), more
-//! lanes run the lane-blocked kernel. The slices' loop buffers grow to
-//! the widest batch seen and never shrink; a band engine keeps its
-//! one-lane job beside the job for wider batches, each built by the
-//! first solve that needs it, so alternating single and batched requests
-//! never rebuild either.
+//! lanes run the lane-blocked kernel. A `k`-lane solve uses the first
+//! `k` lanes of the one state, so single solves and batches of any width
+//! up to the widest served alternate without allocating.
 //!
 //! # Pool lifecycle
 //!
@@ -128,7 +130,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, RwLock};
 
 use crate::pool::{PoolJob, WorkerPool, WorkerScratch};
-use crate::rowbased::TierProblem;
 use crate::shard::{row_bands, RowBand};
 use crate::{LaneReport, SolveReport, SolverError};
 use voltprop_sparse::tridiag::FactoredSegments;
@@ -210,8 +211,8 @@ fn lane_block_width(len: usize, k: usize) -> usize {
     blk.max(MIN_LANE_BLOCK).min(k)
 }
 
-/// The immutable per-tier structure shared between the engine and its
-/// pool jobs: geometry and factors.
+/// The immutable per-tier structure shared between the engine, its
+/// forks and its pool jobs: geometry, factors and band layout.
 #[derive(Debug)]
 struct Topo {
     width: usize,
@@ -226,11 +227,21 @@ struct Topo {
     red_idx: Vec<u32>,
     black_idx: Vec<u32>,
     factors: FactoredSegments,
+    /// The band layout of a band engine; `None` on the single-thread
+    /// slices.
+    layout: Option<BandLayout>,
 }
 
 impl Topo {
     fn n(&self) -> usize {
         self.width * self.height
+    }
+
+    /// The band layout (present on every engine that runs a band job).
+    fn layout(&self) -> &BandLayout {
+        self.layout
+            .as_ref()
+            .expect("a band job's tier has a band layout")
     }
 
     fn memory_bytes(&self) -> usize {
@@ -239,13 +250,16 @@ impl Topo {
             + (self.red_idx.capacity() + self.black_idx.capacity()) * size_of::<u32>()
             + self.factors.memory_bytes()
             + self.fixed.len()
+            + self.layout.as_ref().map_or(0, BandLayout::memory_bytes)
     }
 }
 
 /// Per-solve inputs of a parallel batched solve.
 #[derive(Debug)]
 struct BatchInput {
-    /// Node-major/lane-minor right-hand sides, `n * k`.
+    /// The solve's lane count, at most the job's capacity.
+    k: usize,
+    /// Node-major/lane-minor right-hand sides, `n * k` used.
     injection: Vec<f64>,
     omega: f64,
     tolerance: f64,
@@ -255,11 +269,14 @@ struct BatchInput {
 /// The band job's per-solve inputs and per-lane bookkeeping: the staged
 /// right-hand sides, which lanes still sweep, every lane's outcome, and
 /// the job status. The dispatching engine writes it before a job starts;
-/// while the job runs, thread 0 is its only writer.
+/// while the job runs, thread 0 is its only writer. Every per-lane
+/// buffer has room for the job's lane capacity; a `k`-lane solve uses
+/// the first `k` lanes.
 #[derive(Debug)]
 struct LaneSlots {
     input: RwLock<BatchInput>,
-    /// `threads × k` per-sweep delta slots, reduced over the threads.
+    /// Per-sweep delta slots, `threads × k` used (thread `t`'s lane `j`
+    /// at `t * k + j`), reduced over the threads.
     deltas: Vec<AtomicU64>,
     /// Lanes still sweeping (not in `lane_converged`).
     live: AtomicUsize,
@@ -274,27 +291,31 @@ struct LaneSlots {
 }
 
 impl LaneSlots {
-    fn new(n: usize, k: usize, threads: usize) -> Self {
+    /// Slots for up to `lanes` lanes of an `n`-node tier on `threads`
+    /// threads.
+    fn new(n: usize, lanes: usize, threads: usize) -> Self {
         LaneSlots {
             input: RwLock::new(BatchInput {
-                injection: vec![0.0; n * k],
+                k: 0,
+                injection: vec![0.0; n * lanes],
                 omega: 1.0,
                 tolerance: 0.0,
                 max_sweeps: 0,
             }),
-            deltas: (0..threads * k).map(|_| AtomicU64::new(0)).collect(),
+            deltas: (0..threads * lanes).map(|_| AtomicU64::new(0)).collect(),
             live: AtomicUsize::new(0),
-            lane_iters: (0..k).map(|_| AtomicUsize::new(0)).collect(),
-            lane_residual: (0..k).map(|_| AtomicU64::new(0)).collect(),
-            lane_converged: (0..k).map(|_| AtomicBool::new(false)).collect(),
+            lane_iters: (0..lanes).map(|_| AtomicUsize::new(0)).collect(),
+            lane_residual: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
+            lane_converged: (0..lanes).map(|_| AtomicBool::new(false)).collect(),
             sweeps_done: AtomicUsize::new(0),
             status: AtomicUsize::new(RUN),
             barrier: Barrier::new(threads),
         }
     }
 
-    /// Stages one solve: its inputs and every lane's starting state.
-    /// Returns the number of lanes that will sweep.
+    /// Stages one solve of `lanes.len()` lanes: its inputs and every
+    /// lane's starting state. Returns the number of lanes that will
+    /// sweep.
     fn publish(
         &self,
         injection: &[f64],
@@ -305,7 +326,8 @@ impl LaneSlots {
     ) -> usize {
         {
             let mut input = self.input.write().expect("lane input lock");
-            input.injection.copy_from_slice(injection);
+            input.k = lanes.len();
+            input.injection[..injection.len()].copy_from_slice(injection);
             input.omega = omega;
             input.tolerance = tolerance;
             input.max_sweeps = max_sweeps;
@@ -353,17 +375,16 @@ impl LaneSlots {
         now
     }
 
-    /// Thread 0's end-of-sweep step: folds each live lane's deltas over
-    /// the threads' slots (`f64::max`, exact), freezes the lanes that met
-    /// the tolerance, and sets the job status. Freezing — and so every
-    /// lane's iterate — therefore cannot depend on the thread or band
-    /// count. It writes only what changed: a lane's outcome when it
-    /// freezes or the job ends, the live count when a lane froze. The
-    /// other workers read these slots every sweep, and a store to them
-    /// would cost each worker a cache miss per sweep — what a one-lane
-    /// job on a small tier cannot afford.
-    fn reduce(&self, k: usize, tolerance: f64, max_sweeps: usize) {
-        let parts = self.deltas.len() / k;
+    /// Thread 0's end-of-sweep step for a `k`-lane solve: folds each live
+    /// lane's deltas over the `threads` threads' slots (`f64::max`,
+    /// exact), freezes the lanes that met the tolerance, and sets the job
+    /// status. Freezing — and so every lane's iterate — therefore cannot
+    /// depend on the thread or band count. It writes only what changed: a
+    /// lane's outcome when it freezes or the job ends, the live count
+    /// when a lane froze. The other workers read these slots every sweep,
+    /// and a store to them would cost each worker a cache miss per sweep
+    /// — what a one-lane solve on a small tier cannot afford.
+    fn reduce(&self, k: usize, threads: usize, tolerance: f64, max_sweeps: usize) {
         let sweep = self.sweeps_done.fetch_add(1, Ordering::Relaxed) + 1;
         let last = sweep >= max_sweeps;
         let (mut live, mut froze) = (0usize, false);
@@ -371,7 +392,7 @@ impl LaneSlots {
             if self.lane_converged[j].load(Ordering::Relaxed) {
                 continue;
             }
-            let d = (0..parts)
+            let d = (0..threads)
                 .map(|p| f64::from_bits(self.deltas[p * k + j].load(Ordering::Relaxed)))
                 .fold(0.0f64, f64::max);
             let freeze = d < tolerance;
@@ -430,8 +451,8 @@ struct Band {
 }
 
 /// The frozen band layout of a tier: the bands and a contiguous
-/// band→thread split. Shared (via `Arc`) between the one-lane and wide
-/// jobs and across [`TierEngine::fork`]s.
+/// band→thread split. Part of the tier's [`Topo`], so every job and
+/// every [`TierEngine::fork`] shares it.
 #[derive(Debug)]
 struct BandLayout {
     bands: Vec<Band>,
@@ -476,57 +497,61 @@ impl BandLayout {
     }
 }
 
-/// The pool job of a band engine, sized for a fixed lane count `k`
-/// (scalar solves run as `k = 1` — the batch-of-1 ≡ solo contract makes
-/// that bitwise-free). Each band owns a private halo-extended voltage
-/// image.
+/// The pool job of a band engine. Each band owns a private
+/// halo-extended voltage image. The images and lane slots have room for
+/// `lanes` lanes, the widest batch the engine has served; a `k`-lane
+/// solve (scalar solves run as `k = 1` — the batch-of-1 ≡ solo contract
+/// makes that bitwise-free) uses the first `(hi - lo) * width * k` slots
+/// of each image, node-major/lane-minor as always.
 #[derive(Debug)]
 struct BandJob {
     topo: Arc<Topo>,
-    layout: Arc<BandLayout>,
-    k: usize,
+    /// Lane capacity.
+    lanes: usize,
     slots: LaneSlots,
-    /// Per-band halo-extended voltage images, `(hi - lo) * width * k`
-    /// slots each, node-major/lane-minor in halo-local coordinates.
+    /// Per-band halo-extended voltage images, `(hi - lo) * width * lanes`
+    /// slots each, in halo-local coordinates.
     images: Vec<Vec<AtomicU64>>,
 }
 
 impl BandJob {
-    fn new(topo: Arc<Topo>, layout: Arc<BandLayout>, k: usize) -> Self {
-        let wk = topo.width * k;
+    fn new(topo: Arc<Topo>, lanes: usize) -> Self {
+        let layout = topo.layout();
+        let wl = topo.width * lanes;
         let images = layout
             .bands
             .iter()
-            .map(|b| (0..(b.hi - b.lo) * wk).map(|_| AtomicU64::new(0)).collect())
+            .map(|b| (0..(b.hi - b.lo) * wl).map(|_| AtomicU64::new(0)).collect())
             .collect();
         BandJob {
-            slots: LaneSlots::new(topo.n(), k, layout.chunks.len()),
+            slots: LaneSlots::new(topo.n(), lanes, layout.chunks.len()),
             images,
-            layout,
             topo,
-            k,
+            lanes,
         }
     }
 
     /// Band `s`'s push after its `phase` half-sweep (0 = red/even rows,
-    /// 1 = black/odd): copies each owned boundary row of that color into
-    /// the halo image of the neighbour that reads it.
-    fn push_halos(&self, s: usize, phase: usize) {
-        let band = &self.layout.bands[s];
+    /// 1 = black/odd) of a `k`-lane solve: copies each owned boundary row
+    /// of that color into the halo image of the neighbour that reads it.
+    fn push_halos(&self, s: usize, phase: usize, k: usize) {
+        let band = &self.topo.layout().bands[s];
         if band.lo < band.y0 && band.y0 % 2 == phase {
-            self.copy_row(s, s - 1, band.y0);
+            self.copy_row(s, s - 1, band.y0, k);
         }
         if band.hi > band.y1 && (band.y1 - 1) % 2 == phase {
-            self.copy_row(s, s + 1, band.y1 - 1);
+            self.copy_row(s, s + 1, band.y1 - 1, k);
         }
     }
 
-    /// Copies global row `y` from band `src`'s image into band `dst`'s.
-    fn copy_row(&self, src: usize, dst: usize, y: usize) {
-        let wk = self.topo.width * self.k;
+    /// Copies global row `y` of a `k`-lane solve from band `src`'s image
+    /// into band `dst`'s.
+    fn copy_row(&self, src: usize, dst: usize, y: usize, k: usize) {
+        let bands = &self.topo.layout().bands;
+        let wk = self.topo.width * k;
         let row0 = y * wk;
-        let d0 = row0 - self.layout.bands[dst].lo * wk;
-        let s0 = row0 - self.layout.bands[src].lo * wk;
+        let d0 = row0 - bands[dst].lo * wk;
+        let s0 = row0 - bands[src].lo * wk;
         for (d, s) in self.images[dst][d0..d0 + wk]
             .iter()
             .zip(&self.images[src][s0..s0 + wk])
@@ -535,21 +560,23 @@ impl BandJob {
         }
     }
 
-    /// Scatters `v` into every band image, halo rows included, so the
-    /// first red half-sweep reads correct neighbour values.
-    fn load(&self, v: &[f64]) {
-        let wk = self.topo.width * self.k;
-        for (band, image) in self.layout.bands.iter().zip(&self.images) {
-            for (slot, &x) in image.iter().zip(&v[band.lo * wk..]) {
+    /// Scatters the `k`-lane image `v` into every band image, halo rows
+    /// included, so the first red half-sweep reads correct neighbour
+    /// values.
+    fn load(&self, v: &[f64], k: usize) {
+        let wk = self.topo.width * k;
+        for (band, image) in self.topo.layout().bands.iter().zip(&self.images) {
+            for (slot, &x) in image.iter().zip(&v[band.lo * wk..band.hi * wk]) {
                 slot.store(x.to_bits(), Ordering::Relaxed);
             }
         }
     }
 
-    /// Gathers every band's **owned** rows back into `v`.
-    fn store(&self, v: &mut [f64]) {
-        let wk = self.topo.width * self.k;
-        for (band, image) in self.layout.bands.iter().zip(&self.images) {
+    /// Gathers every band's **owned** rows of a `k`-lane solve back into
+    /// `v`.
+    fn store(&self, v: &mut [f64], k: usize) {
+        let wk = self.topo.width * k;
+        for (band, image) in self.topo.layout().bands.iter().zip(&self.images) {
             let own = (band.y0 - band.lo) * wk;
             let len = (band.y1 - band.y0) * wk;
             let g0 = band.y0 * wk;
@@ -573,24 +600,25 @@ impl BandJob {
 impl PoolJob for BandJob {
     fn run(&self, tid: usize, ws: &mut WorkerScratch) {
         let topo = &*self.topo;
-        let k = self.k;
-        let wk = topo.width * k;
+        let layout = topo.layout();
         let slots = &self.slots;
         let input = slots.input.read().expect("lane input lock");
-        let injection: &[f64] = &input.injection;
+        let k = input.k;
+        let wk = topo.width * k;
+        let injection = &input.injection[..topo.n() * k];
         ws.ensure(topo.factors.max_segment_len() * k, k);
         let WorkerScratch { f, active, delta } = ws;
         let scratch = &mut f[..];
         let active = &mut active[..k];
         let delta = &mut delta[..k];
-        let mine = self.layout.chunks[tid].clone();
+        let mine = layout.chunks[tid].clone();
         let mut m = usize::MAX;
         loop {
             m = slots.snapshot(m, active);
             delta.fill(0.0);
             for phase in 0..2 {
                 for s in mine.clone() {
-                    let band = &self.layout.bands[s];
+                    let band = &layout.bands[s];
                     let (idx, own) = if phase == 0 {
                         (&topo.red_idx, band.red.clone())
                     } else {
@@ -610,7 +638,7 @@ impl PoolJob for BandJob {
                         },
                         delta,
                     );
-                    self.push_halos(s, phase);
+                    self.push_halos(s, phase, k);
                 }
                 if phase == 1 {
                     for (j, &d) in delta.iter().enumerate() {
@@ -622,7 +650,8 @@ impl PoolJob for BandJob {
                 slots.barrier.wait();
             }
             if tid == 0 {
-                slots.reduce(k, input.tolerance, input.max_sweeps);
+                let threads = layout.chunks.len();
+                slots.reduce(k, threads, input.tolerance, input.max_sweeps);
             }
             slots.barrier.wait();
             if !slots.running() {
@@ -632,77 +661,21 @@ impl PoolJob for BandJob {
     }
 }
 
-/// A band engine's jobs: the frozen layout plus the one-lane job and the
-/// wider job, each built by the first solve that needs it.
-#[derive(Debug)]
-struct BandState {
-    layout: Arc<BandLayout>,
-    /// `k = 1` job serving scalar solves, sweeps and one-lane batches,
-    /// built by the first of them; warm scalar solves never allocate.
-    scalar: Option<Arc<BandJob>>,
-    /// Job for `k > 1` lanes, rebuilt when the lane count changes.
-    batch: Option<Arc<BandJob>>,
-}
-
-impl BandState {
-    fn new(layout: Arc<BandLayout>) -> Self {
-        BandState {
-            layout,
-            scalar: None,
-            batch: None,
-        }
-    }
-}
-
-/// The single-thread slices' loop buffers, for any lane count.
-///
-/// Sized by the first solve and grown to the widest batch seen, never
-/// shrunk, so warm solves of any lane count up to that width — single
-/// and batched requests alternating included — stay allocation-free.
-#[derive(Debug, Default)]
-struct SliceState {
-    /// Substitution scratch, `max_segment_len` entries per lane.
-    scratch: Vec<f64>,
-    /// Per-lane active flags.
-    active: Vec<bool>,
-    /// Per-lane max-|update| accumulators.
-    delta: Vec<f64>,
-}
-
-impl SliceState {
-    /// Grows the buffers to `k` lanes of `seg_len`-row scratch (a no-op
-    /// when already that wide).
-    fn ensure(&mut self, seg_len: usize, k: usize) {
-        if self.delta.len() < k {
-            *self = SliceState {
-                scratch: vec![0.0; seg_len * k],
-                active: vec![true; k],
-                delta: vec![0.0; k],
-            };
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.scratch.capacity() + self.delta.capacity()) * size_of::<f64>()
-            + self.active.capacity()
-    }
-}
-
 /// A tier's prefactored row-sweep engine.
 ///
 /// Built once per tier, reused across every sweep and outer iteration.
 /// Construction factors the frozen half (segments, pin mask, band
-/// layout); the per-solve buffers are sized by the first solve that
-/// needs them, so an engine that is only forked from costs its frozen
-/// half alone. Once a lane count has been served, the single-thread
-/// slices perform **no heap allocation** on any solve or sweep path of
-/// that many lanes or fewer. The band job runs
-/// on the persistent [`WorkerPool`],
-/// so after the pool's one-time warm-up a parallel
-/// [`TierEngine::solve`] (or [`TierEngine::solve_batch`]) is
-/// allocation-free too — dispatching a solve to the parked workers costs
-/// two mutex hand-offs.
+/// layout); the one per-solve state (the single-thread slices' loop
+/// buffers, or the band job) is sized by the first solve, so an engine
+/// that is only forked from costs its frozen half alone. That state
+/// grows to the widest batch the engine has served and never shrinks:
+/// once a lane count has been served, **no heap allocation** happens on
+/// any solve or sweep path of that many lanes or fewer, single solves
+/// and batches of mixed widths alternating included. The band job runs
+/// on the persistent [`WorkerPool`], so this holds for a parallel
+/// [`TierEngine::solve`] (or [`TierEngine::solve_batch`]) after the
+/// pool's one-time warm-up — dispatching a solve to the parked workers
+/// costs two mutex hand-offs.
 ///
 /// # Example
 ///
@@ -733,11 +706,14 @@ pub struct TierEngine {
     schedule: SweepSchedule,
     /// Optional pool override (`None` = the process-global pool).
     pool: Option<Arc<WorkerPool>>,
-    /// The single-thread slices' loop buffers (unused on the band job).
-    slices: SliceState,
-    /// The band job (present with two or more bands); every solve path
-    /// runs on it.
-    bands: Option<BandState>,
+    /// The single-thread slices' loop buffers (unused on the band job):
+    /// `max_segment_len` scratch entries, an active flag and a delta per
+    /// lane.
+    slices: WorkerScratch,
+    /// The band job of an engine with a band layout; every solve path
+    /// runs on it. Built by the first solve, rebuilt only by a batch
+    /// wider than any before.
+    job: Option<Arc<BandJob>>,
 }
 
 impl TierEngine {
@@ -895,7 +871,7 @@ impl TierEngine {
         black_idx.shrink_to_fit();
         factors.shrink_to_fit();
 
-        let topo = Arc::new(Topo {
+        let mut topo = Topo {
             width,
             height,
             g_h,
@@ -905,39 +881,20 @@ impl TierEngine {
             red_idx,
             black_idx,
             factors,
-        });
+            layout: None,
+        };
         let nb = shards.max(threads).min(height);
-        let bands =
-            (nb > 1).then(|| BandState::new(Arc::new(BandLayout::build(&topo, nb, threads))));
+        if nb > 1 {
+            topo.layout = Some(BandLayout::build(&topo, nb, threads));
+        }
 
         Ok(TierEngine {
-            topo,
+            topo: Arc::new(topo),
             schedule,
             pool: None,
-            slices: SliceState::default(),
-            bands,
+            slices: WorkerScratch::default(),
+            job: None,
         })
-    }
-
-    /// Builds an engine from a [`TierProblem`] (cloning its pin mask and
-    /// extra diagonal).
-    ///
-    /// # Errors
-    ///
-    /// See [`TierEngine::new`].
-    pub fn from_problem(
-        problem: &TierProblem<'_>,
-        schedule: SweepSchedule,
-    ) -> Result<Self, SolverError> {
-        TierEngine::new(
-            problem.width,
-            problem.height,
-            problem.g_h,
-            problem.g_v,
-            Arc::from(problem.fixed),
-            Some(problem.extra_diag),
-            schedule,
-        )
     }
 
     /// The schedule this engine sweeps with.
@@ -949,7 +906,7 @@ impl TierEngine {
     /// clamped to the tier height on the band job, 1 on the
     /// single-thread slices.
     pub fn shards(&self) -> usize {
-        self.bands.as_ref().map_or(1, |b| b.layout.bands.len())
+        self.topo.layout.as_ref().map_or(1, |l| l.bands.len())
     }
 
     /// Overrides the worker pool parallel solves run on (default: the
@@ -961,9 +918,9 @@ impl TierEngine {
 
     /// A new engine sharing this engine's frozen half — the factored
     /// segments, the pin mask, and the band layout (one `Arc` bump, no
-    /// refactorization) — with **fresh** per-solve mutable state
-    /// (substitution scratch, band images, batch arenas), which the
-    /// fork's first solve sizes.
+    /// refactorization) — with **fresh** per-solve mutable state (the
+    /// slices' loop buffers or the band job), which the fork's first
+    /// solve sizes.
     ///
     /// This is the engine-level shared/scratch split: everything built by
     /// [`TierEngine::new`] that is read-only after construction lives
@@ -982,11 +939,8 @@ impl TierEngine {
             topo: Arc::clone(&self.topo),
             schedule: self.schedule,
             pool: self.pool.clone(),
-            slices: SliceState::default(),
-            bands: self
-                .bands
-                .as_ref()
-                .map(|b| BandState::new(Arc::clone(&b.layout))),
+            slices: WorkerScratch::default(),
+            job: None,
         }
     }
 
@@ -1021,27 +975,17 @@ impl TierEngine {
         max_sweeps: usize,
         omega: f64,
     ) -> Result<SolveReport, SolverError> {
-        self.check_call(injection, v, omega)?;
         // A one-lane batch: bitwise free by the batch-of-1 ≡ solo
         // contract, with the scalar budget-exhaustion error kept.
-        let mut lanes = [LaneReport {
-            iterations: 0,
-            residual: f64::INFINITY,
-            converged: false,
-        }];
-        let sweeps = self.run_lanes(injection, v, tolerance, max_sweeps, omega, true, &mut lanes);
-        let lane = lanes[0];
-        if lane.converged {
-            Ok(SolveReport {
-                iterations: sweeps,
-                residual: lane.residual,
-                converged: true,
-                workspace_bytes: self.memory_bytes(),
-            })
+        let mut lanes = [LaneReport::default()];
+        let report =
+            self.solve_batch_masked(injection, v, tolerance, max_sweeps, omega, None, &mut lanes)?;
+        if report.converged {
+            Ok(report)
         } else {
             Err(SolverError::DidNotConverge {
-                iterations: sweeps,
-                residual: lane.residual,
+                iterations: report.iterations,
+                residual: report.residual,
                 tolerance,
             })
         }
@@ -1062,13 +1006,9 @@ impl TierEngine {
         downward: bool,
         omega: f64,
     ) -> Result<f64, SolverError> {
-        self.check_call(injection, v, omega)?;
+        self.check_batch_call(injection, v, omega, None, 1)?;
         // One sweep of a one-lane batch that cannot converge.
-        let mut lanes = [LaneReport {
-            iterations: 0,
-            residual: f64::INFINITY,
-            converged: false,
-        }];
+        let mut lanes = [LaneReport::default()];
         self.run_lanes(
             injection,
             v,
@@ -1172,9 +1112,9 @@ impl TierEngine {
     /// The one solve path: sweeps every lane that `lanes` does not
     /// already mark converged until it freezes or `max_sweeps` runs out,
     /// recording each lane's outcome; returns the sweeps run. The band
-    /// job (the one-lane job when `k = 1`) runs the red-black schedule;
-    /// the single-thread slices sweep in place on `v`, the sequential
-    /// schedule starting in the `downward` direction and alternating.
+    /// job runs the red-black schedule; the single-thread slices sweep
+    /// in place on `v`, the sequential schedule starting in the
+    /// `downward` direction and alternating.
     #[allow(clippy::too_many_arguments)] // a batched solve plus the first direction
     fn run_lanes(
         &mut self,
@@ -1188,19 +1128,13 @@ impl TierEngine {
     ) -> usize {
         let k = lanes.len();
         self.ensure_lanes(k);
-        if let Some(bands) = &self.bands {
-            let job = if k == 1 { &bands.scalar } else { &bands.batch };
-            let job = job.as_ref().expect("sized by ensure_lanes");
+        if let Some(job) = &self.job {
             return self.run_job(job, injection, v, tolerance, max_sweeps, omega, lanes);
         }
 
         let topo = &*self.topo;
-        let SliceState {
-            scratch,
-            active,
-            delta,
-        } = &mut self.slices;
-        let (active, delta) = (&mut active[..k], &mut delta[..k]);
+        let WorkerScratch { f, active, delta } = &mut self.slices;
+        let (scratch, active, delta) = (&mut f[..], &mut active[..k], &mut delta[..k]);
         let mut live = 0usize;
         for (a, lane) in active.iter_mut().zip(lanes.iter()) {
             *a = !lane.converged;
@@ -1248,26 +1182,16 @@ impl TierEngine {
         sweeps
     }
 
-    /// Sizes the per-solve state for `k` lanes (a no-op when already
-    /// sized). On the band job, one lane runs on the one-lane job, built
-    /// once, and more lanes on the wide job (whose workers bring their
-    /// own pinned scratch), rebuilt when `k` changes. The single-thread
-    /// slices grow their loop buffers to the widest `k` seen.
+    /// Grows the per-solve state to `k` lanes (a no-op when it has room):
+    /// a band engine rebuilds its job for `k` lanes (its workers bring
+    /// their own pinned scratch), the single-thread slices grow their
+    /// loop buffers. Neither ever shrinks.
     fn ensure_lanes(&mut self, k: usize) {
         let topo = &self.topo;
-        match &mut self.bands {
-            Some(bands) => {
-                let job = if k == 1 {
-                    &mut bands.scalar
-                } else {
-                    &mut bands.batch
-                };
-                if job.as_ref().is_none_or(|j| j.k != k) {
-                    let layout = Arc::clone(&bands.layout);
-                    *job = Some(Arc::new(BandJob::new(Arc::clone(topo), layout, k)));
-                }
-            }
-            None => self.slices.ensure(topo.factors.max_segment_len(), k),
+        if topo.layout.is_none() {
+            self.slices.ensure(topo.factors.max_segment_len() * k, k);
+        } else if self.job.as_ref().is_none_or(|job| job.lanes < k) {
+            self.job = Some(Arc::new(BandJob::new(Arc::clone(topo), k)));
         }
     }
 
@@ -1286,18 +1210,18 @@ impl TierEngine {
         omega: f64,
         lanes: &mut [LaneReport],
     ) -> usize {
-        let slots = &job.slots;
+        let (slots, k) = (&job.slots, lanes.len());
         let m = slots.publish(injection, omega, tolerance, max_sweeps, lanes);
-        job.load(v);
+        job.load(v, k);
         if m > 0 && max_sweeps > 0 {
-            let threads = job.layout.chunks.len();
+            let threads = self.topo.layout().chunks.len();
             let job = Arc::clone(job) as Arc<dyn PoolJob>;
             match &self.pool {
                 Some(pool) => pool.run(threads, job),
                 None => WorkerPool::global().run(threads, job),
             }
         }
-        job.store(v);
+        job.store(v, k);
         slots.collect(lanes)
     }
 
@@ -1308,33 +1232,11 @@ impl TierEngine {
     pub fn memory_bytes(&self) -> usize {
         self.topo.memory_bytes()
             + self.slices.memory_bytes()
-            + self.bands.as_ref().map_or(0, |b| {
-                b.layout.memory_bytes()
-                    + b.scalar.as_ref().map_or(0, |j| j.memory_bytes())
-                    + b.batch.as_ref().map_or(0, |j| j.memory_bytes())
-            })
+            + self.job.as_ref().map_or(0, |job| job.memory_bytes())
     }
 
-    fn check_call(&self, injection: &[f64], v: &[f64], omega: f64) -> Result<(), SolverError> {
-        let n = self.topo.n();
-        if injection.len() != n || v.len() != n {
-            return Err(SolverError::Unsupported {
-                what: format!(
-                    "tier arrays must have {n} entries (injection {}, v {})",
-                    injection.len(),
-                    v.len()
-                ),
-            });
-        }
-        if !(omega > 0.0 && omega < 2.0) {
-            return Err(SolverError::Unsupported {
-                what: format!("SOR omega {omega} outside (0, 2)"),
-            });
-        }
-        Ok(())
-    }
-
-    /// Argument validation for [`TierEngine::solve_batch_masked`].
+    /// Argument validation for every solve path; a scalar solve or sweep
+    /// checks as an unmasked one-lane batch.
     fn check_batch_call(
         &self,
         injection: &[f64],
@@ -1352,7 +1254,7 @@ impl TierEngine {
         if injection.len() != n * k || v.len() != n * k {
             return Err(SolverError::Unsupported {
                 what: format!(
-                    "batch arrays must have {n} × {k} entries (injection {}, v {})",
+                    "tier arrays must have {n} × {k} entries (injection {}, v {})",
                     injection.len(),
                     v.len()
                 ),
@@ -1658,7 +1560,7 @@ fn solve_segment_batch_block<V: VoltView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rowbased::RowBased;
+    use crate::rowbased::{RowBased, TierProblem};
 
     fn random_problem(seed: u64, w: usize, h: usize) -> (Vec<bool>, Vec<f64>, Vec<f64>) {
         let n = w * h;
@@ -2232,10 +2134,10 @@ mod tests {
         let (w, h) = (29, 17);
         let (fixed, _, _) = random_problem(8, w, h);
         // One band is the single-thread slices: no layout, no halo.
-        assert!(sharded_engine(w, h, &fixed, 1, 1).bands.is_none());
+        assert!(sharded_engine(w, h, &fixed, 1, 1).topo.layout.is_none());
         for (threads, shards) in [(1usize, 2usize), (3, 4), (4, 17), (2, 5), (3, 8), (2, 40)] {
             let e = sharded_engine(w, h, &fixed, threads, shards);
-            let lay = &e.bands.as_ref().unwrap().layout;
+            let lay = e.topo.layout();
             // A band count above the height clamps to one band per row.
             assert_eq!(lay.bands.len(), shards.min(h));
             // Rows tile contiguously, band heights within 1 of each
@@ -2289,7 +2191,7 @@ mod tests {
                 shards.max(threads),
                 "threads {threads} shards {shards}"
             );
-            let lay = &e.bands.as_ref().expect("a band job").layout;
+            let lay = e.topo.layout();
             assert_eq!(lay.chunks.len(), threads);
             assert!(
                 lay.chunks.iter().all(|c| !c.is_empty()),

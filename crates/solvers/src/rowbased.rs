@@ -18,12 +18,11 @@
 //! benchmark reference: no solve path of the workspace calls it (the
 //! voltage propagation tier solves and its pillar-lattice correction
 //! both run on prefactored engines). The production path is the
-//! prefactored [`TierEngine`] (see [`RowBased::solve_tier_scheduled`]),
-//! which factors each segment once, sweeps batched lanes through blocked
-//! FMA kernels (see the [engine docs](crate::engine)), and can run the
-//! red-black row coloring across threads.
+//! prefactored [`TierEngine`](crate::TierEngine), which factors each
+//! segment once, sweeps batched lanes through blocked FMA kernels (see
+//! the [engine docs](crate::engine)), and can run the red-black row
+//! coloring across threads.
 
-use crate::engine::{SweepSchedule, TierEngine};
 use crate::{SolveReport, SolverError};
 use voltprop_sparse::tridiag::TridiagWorkspace;
 
@@ -221,32 +220,6 @@ impl RowBased {
             residual: max_delta,
             tolerance: self.tolerance,
         })
-    }
-
-    /// Solves the tier through a freshly built prefactored
-    /// [`TierEngine`] under the given schedule —
-    /// [`SweepSchedule::RedBlack`] runs the row solves of each color
-    /// concurrently. One-shot convenience; callers solving the same tier
-    /// repeatedly should keep the engine (see [`TierEngine::from_problem`])
-    /// to reuse its factorizations across solves.
-    ///
-    /// # Errors
-    ///
-    /// See [`RowBased::solve_tier`] and [`TierEngine::new`].
-    pub fn solve_tier_scheduled(
-        &self,
-        problem: &TierProblem<'_>,
-        v: &mut [f64],
-        schedule: SweepSchedule,
-    ) -> Result<SolveReport, SolverError> {
-        let mut engine = TierEngine::from_problem(problem, schedule)?;
-        engine.solve_with_omega(
-            problem.injection,
-            v,
-            self.tolerance,
-            self.max_sweeps,
-            self.omega,
-        )
     }
 
     /// One sweep over all rows; returns the largest voltage update.

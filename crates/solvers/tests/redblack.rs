@@ -154,7 +154,9 @@ fn scheduled_solves_match_reference_kernel() {
             SweepSchedule::RedBlack { threads: 2 },
         ] {
             let mut v = m.v0.clone();
-            rb.solve_tier_scheduled(&problem, &mut v, schedule).unwrap();
+            engine(&m, schedule)
+                .solve_with_omega(&m.injection, &mut v, rb.tolerance, rb.max_sweeps, rb.omega)
+                .unwrap();
             let diff = max_abs_diff(&v_ref, &v);
             assert!(
                 diff <= 1e-9,

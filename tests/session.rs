@@ -9,8 +9,8 @@ use std::fmt::Write as _;
 use voltprop::solvers::residual;
 use voltprop::{
     Backend, DirectCholesky, FnWaveform, Integrator, LoadCase, LoadProfile, LoadSet, NetKind, Pcg,
-    Rb3d, Session, SessionError, SolveParams, Stack3d, StackSolver, TraceSink, TransientParams,
-    VpConfig, VpReport,
+    PcgEngine, Rb3d, Rb3dEngine, Session, SessionError, SolveParams, SolverError, Stack3d,
+    StackSolver, TraceSink, TransientParams, VpConfig, VpReport,
 };
 
 fn stack() -> Stack3d {
@@ -491,6 +491,29 @@ fn rb3d_backend_routes_through_the_same_session() {
             "lane {j}"
         );
     }
+    let converged_bytes = batch.report().workspace_bytes;
+
+    // A starved budget fails a single solve with the bare engine's own
+    // error, and freezes each batch lane with its true residual and the
+    // workspace figure a converged lane reports.
+    let starved = rb_params.inner_tolerance(1e-14).max_inner_sweeps(3);
+    let mut engine = Rb3dEngine::build(&stack, VpConfig::default().parallelism).unwrap();
+    let mut v = vec![0.0; nn];
+    let omega = starved.sor_omega;
+    let bare = engine.solve(stack.loads(), NetKind::Power, omega, 1e-14, 3, &mut v);
+    assert!(matches!(
+        bare,
+        Err(SolverError::DidNotConverge { iterations: 3, .. })
+    ));
+    let single = LoadCase::new(&stack).backend(Backend::Rb3d).params(starved);
+    let err = session.solve(&single).unwrap_err();
+    assert_eq!(err, SessionError::Solver(bare.unwrap_err()));
+    let set = LoadSet::new(&stack, &loads).backend(Backend::Rb3d);
+    let lanes = session.solve_batch(&set.params(starved)).unwrap();
+    for rep in lanes.reports() {
+        assert!(!rep.converged && rep.pad_mismatch > 1e-14, "{rep:?}");
+        assert_eq!(rep.workspace_bytes, converged_bytes);
+    }
 }
 
 #[test]
@@ -562,6 +585,7 @@ fn pcg_backend_routes_through_the_same_session() {
         let lane_drift = residual::max_abs_error(&solo.voltages, batch.lane_voltages(j).unwrap());
         assert!(lane_drift < 1e-9, "lane {j} drift {lane_drift}");
     }
+    let converged_bytes = batch.report().workspace_bytes;
 
     // Step sweeps route through the same per-lane engine path.
     let transient = session
@@ -577,21 +601,35 @@ fn pcg_backend_routes_through_the_same_session() {
     assert!(transient.converged());
 
     // A starved iteration budget freezes the lane with its true residual
-    // instead of failing the batch (mirroring the other backends).
-    let starved = session
+    // instead of failing the batch (mirroring the other backends), with
+    // the workspace figure a converged lane reports; a single solve fails
+    // with the bare engine's own error.
+    let starved = SolveParams::new()
+        .inner_tolerance(1e-14)
+        .max_inner_sweeps(1);
+    let lanes = session
         .solve_batch(
-            &LoadSet::new(&stack, &loads).backend(Backend::Pcg).params(
-                SolveParams::new()
-                    .inner_tolerance(1e-14)
-                    .max_inner_sweeps(1),
-            ),
+            &LoadSet::new(&stack, &loads)
+                .backend(Backend::Pcg)
+                .params(starved),
         )
         .unwrap();
-    for j in 0..starved.lanes() {
-        let rep = starved.lane_report(j).unwrap();
+    for j in 0..lanes.lanes() {
+        let rep = lanes.lane_report(j).unwrap();
         assert!(!rep.converged, "lane {j}");
         assert!(rep.pad_mismatch > 1e-14, "lane {j}: {}", rep.pad_mismatch);
+        assert_eq!(rep.workspace_bytes, converged_bytes, "lane {j}");
     }
+    let mut engine = PcgEngine::build(&stack).unwrap();
+    let mut v = vec![0.0; nn];
+    let bare = engine.solve(stack.loads(), NetKind::Power, 1e-14, 1, &mut v);
+    assert!(matches!(
+        bare,
+        Err(SolverError::DidNotConverge { iterations: 1, .. })
+    ));
+    let single = LoadCase::new(&stack).backend(Backend::Pcg).params(starved);
+    let err = session.solve(&single).unwrap_err();
+    assert_eq!(err, SessionError::Solver(bare.unwrap_err()));
 }
 
 #[test]
