@@ -5,8 +5,8 @@
 //! * the row-sweep kernels: the seed's re-eliminating sequential
 //!   [`RowBased`] baseline vs the prefactored [`TierEngine`] under the
 //!   sequential and red-black schedules (1, 2, and 4 threads), timed in
-//!   interleaved, rotated passes keeping each kernel's fastest (the
-//!   loop the `sharding` section shares);
+//!   interleaved, rotated passes keeping each kernel's fastest, median
+//!   and slowest pass (the loop the `sharding` section shares);
 //! * numerical agreement between the schedules (max |ΔV| of the
 //!   converged solutions, required ≤ 1e-9);
 //! * full `Session` solves at `parallelism` 1 and 4;
@@ -82,10 +82,12 @@
 //! no longer measures (it was deleted).
 //!
 //! Usage: `cargo run --release -p voltprop-bench --bin perfsuite --
-//! --out PATH [--quick] [--batch N[,N...]]` (`--help` explains them).
-//! The flags are strict: `--help` prints the usage and exits 0, and an
-//! unknown argument or a missing `--out` exits 2, both before any
-//! section runs or any file is written.
+//! --out PATH [--quick] [--batch N[,N...]] [--only SECTION[,SECTION...]]`
+//! (`--help` explains them). `--only` runs and records only the named
+//! sections, so one layer can be re-measured on its own. The flags are
+//! strict: `--help` prints the usage and exits 0, and an unknown
+//! argument, an unknown `--only` section or a missing `--out` exits 2,
+//! all before any section runs or any file is written.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -178,28 +180,55 @@ fn time_engine_sweeps(fixture: &TierFixture, schedule: SweepSchedule, sweeps: us
 /// voltage vector it is handed.
 type SweepRun<'a> = Box<dyn FnMut(&mut [f64], usize) + 'a>;
 
+/// One configuration's ns per sweep over the timed passes of
+/// [`min_of_passes`], and its allocator calls summed over them.
+#[derive(Debug, Clone, Copy)]
+struct PassStats {
+    min: f64,
+    median: f64,
+    max: f64,
+    allocs: usize,
+}
+
+impl PassStats {
+    /// The JSON fields `{prefix}ns_per_sweep` (the min),
+    /// `{prefix}median_ns_per_sweep` and `{prefix}max_ns_per_sweep`.
+    fn json(&self, prefix: &str) -> String {
+        format!(
+            "\"{prefix}ns_per_sweep\": {}, \"{prefix}median_ns_per_sweep\": {}, \
+             \"{prefix}max_ns_per_sweep\": {}",
+            json_f64(self.min),
+            json_f64(self.median),
+            json_f64(self.max)
+        )
+    }
+}
+
 /// Times every configuration in `chunk`-sweep runs over `passes`
 /// interleaved passes, each pass visiting them in a rotated order, after
 /// one untimed warm-up run each (pool workers, page faults, branch
 /// history); every run restarts from `v0`. Returns each configuration's
-/// fastest ns per sweep and its allocator calls summed over the timed
-/// runs. Min-of-many needs each configuration to see at least one quiet
-/// slice of the host, interleaving gives no configuration a quieter
-/// stretch than the others, and the rotation keeps a periodic noise
-/// source from always landing on the same one.
+/// fastest, median and slowest ns per sweep and its allocator calls
+/// summed over the timed runs. Min-of-many needs each configuration to
+/// see at least one quiet slice of the host, interleaving gives no
+/// configuration a quieter stretch than the others, and the rotation
+/// keeps a periodic noise source from always landing on the same one. On
+/// a shared host a min can sit at half its median, so a ratio between
+/// configurations is best read from the medians.
 fn min_of_passes(
     v0: &[f64],
     runs: &mut [SweepRun<'_>],
     chunk: usize,
     passes: usize,
-) -> Vec<(f64, usize)> {
+) -> Vec<PassStats> {
     let mut v = v0.to_vec();
     for run in runs.iter_mut() {
         v.copy_from_slice(v0);
         run(&mut v, chunk);
     }
     let n = runs.len();
-    let mut best = vec![(f64::INFINITY, 0usize); n];
+    let mut samples = vec![Vec::with_capacity(passes); n];
+    let mut allocs = vec![0usize; n];
     for pass in 0..passes {
         for idx in 0..n {
             let i = (idx + pass) % n;
@@ -208,11 +237,29 @@ fn min_of_passes(
             let start = Instant::now();
             runs[i](&mut v, chunk);
             let ns = start.elapsed().as_nanos() as f64 / chunk as f64;
-            best[i].0 = best[i].0.min(ns);
-            best[i].1 += alloc::alloc_calls() - calls_before;
+            allocs[i] += alloc::alloc_calls() - calls_before;
+            samples[i].push(ns);
         }
     }
-    best
+    samples
+        .into_iter()
+        .zip(allocs)
+        .map(|(mut ns, allocs)| {
+            ns.sort_by(f64::total_cmp);
+            let mid = ns.len() / 2;
+            let median = if ns.len() % 2 == 0 {
+                0.5 * (ns[mid - 1] + ns[mid])
+            } else {
+                ns[mid]
+            };
+            PassStats {
+                min: ns[0],
+                median,
+                max: ns[ns.len() - 1],
+                allocs,
+            }
+        })
+        .collect()
 }
 
 fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
@@ -250,16 +297,11 @@ fn row_sweep_block(edge: usize, chunk: usize, passes: usize) -> String {
         }));
     }
     let best = min_of_passes(&fixture.v0, &mut runs, chunk, passes);
-    let (baseline, engine_seq, rb4) = (best[0].0, best[1].0, best[4].0);
+    let (baseline, engine_seq, rb4) = (best[0], best[1], best[4]);
     let rb_lines: Vec<String> = THREADS
         .iter()
         .zip(&best[2..])
-        .map(|(threads, (ns, _))| {
-            format!(
-                "      {{ \"threads\": {threads}, \"ns_per_sweep\": {} }}",
-                json_f64(*ns)
-            )
-        })
+        .map(|(threads, stats)| format!("      {{ \"threads\": {threads}, {} }}", stats.json("")))
         .collect();
     let sweeps = chunk * passes;
 
@@ -282,17 +324,16 @@ fn row_sweep_block(edge: usize, chunk: usize, passes: usize) -> String {
 
     format!(
         "{{\n    \"grid\": \"{edge}x{edge}\",\n    \"sweeps_timed\": {sweeps},\n    \
-         \"baseline_rowbased_seq_ns_per_sweep\": {},\n    \
-         \"engine_seq_ns_per_sweep\": {},\n    \
+         {},\n    {},\n    \
          \"engine_redblack\": [\n{}\n    ],\n    \
          \"speedup_redblack4_vs_seed_baseline\": {},\n    \
          \"speedup_redblack4_vs_engine_seq\": {},\n    \
          \"max_abs_dv_redblack_vs_seq\": {}\n  }}",
-        json_f64(baseline),
-        json_f64(engine_seq),
+        baseline.json("baseline_rowbased_seq_"),
+        engine_seq.json("engine_seq_"),
         rb_lines.join(",\n"),
-        json_f64(baseline / rb4),
-        json_f64(engine_seq / rb4),
+        json_f64(baseline.min / rb4.min),
+        json_f64(engine_seq.min / rb4.min),
         json_f64(agreement),
     )
 }
@@ -1419,27 +1460,28 @@ fn sharding_block(
     let best = min_of_passes(&fixture.v0, &mut runs, chunk, passes);
     drop(runs); // frees the big tier's engines before the session half
     let timed_sweeps = chunk * passes;
-    let (unsharded_ns, unsharded_allocs) = best[0];
+    let unsharded = best[0];
     let mut band_lines = Vec::new();
     assert_eq!(
-        unsharded_allocs, 0,
+        unsharded.allocs, 0,
         "warm 2-thread sweeps must make zero allocator calls"
     );
     let mut shards2_ratio = f64::NAN;
     for (i, &shards) in shard_counts.iter().enumerate() {
-        let (ns, config_allocs) = best[i + 1];
+        let stats = best[i + 1];
         assert_eq!(
-            config_allocs, 0,
+            stats.allocs, 0,
             "shards {shards}: warm sharded sweeps must make zero allocator calls"
         );
-        let ratio = unsharded_ns / ns;
+        let ratio = unsharded.min / stats.min;
         if i == 0 {
             shards2_ratio = ratio;
         }
         band_lines.push(format!(
-            "      {{ \"shards\": {shards}, \"ns_per_sweep\": {}, \
-             \"warm_alloc_calls\": {config_allocs}, \"throughput_vs_unsharded\": {} }}",
-            json_f64(ns),
+            "      {{ \"shards\": {shards}, {}, \
+             \"warm_alloc_calls\": {}, \"throughput_vs_unsharded\": {} }}",
+            stats.json(""),
+            stats.allocs,
             json_f64(ratio),
         ));
     }
@@ -1562,7 +1604,7 @@ fn sharding_block(
     format!(
         "{{\n    \"tier_grid\": \"{edge}x{edge}\",\n    \"tier_footprint_mb\": {},\n    \
          \"sweeps_timed\": {timed_sweeps},\n    \"threads\": {threads},\n    \
-         \"unsharded_redblack_ns_per_sweep\": {},\n    \
+         {},\n    \
          \"bands\": [\n{}\n    ],\n    \
          \"throughput_shards2_vs_unsharded\": {},\n    \
          \"bitwise_identical_vs_unsharded\": {},\n    \
@@ -1576,7 +1618,7 @@ fn sharding_block(
          \"transient_warm_alloc_calls\": {transient_allocs},\n    \
          \"session_bitwise_vs_unsharded\": {}\n  }}",
         json_f64(footprint_mb),
-        json_f64(unsharded_ns),
+        unsharded.json("unsharded_redblack_"),
         band_lines.join(",\n"),
         json_f64(shards2_ratio),
         json_bool(true),
@@ -1586,13 +1628,37 @@ fn sharding_block(
     )
 }
 
+/// The sections of a run entry, in entry order.
+const SECTIONS: [&str; 12] = [
+    "row_sweeps",
+    "vp_solver",
+    "vp_batch",
+    "table_circuit",
+    "pool_latency",
+    "session",
+    "transient",
+    "pcg",
+    "concurrency",
+    "overload",
+    "sharding",
+    "kernels",
+];
+
+/// A named section and the run that produces its blocks.
+type Section<'a> = (&'static str, Box<dyn FnOnce() -> Vec<String> + 'a>);
+
 /// The command-line help.
-const USAGE: &str = "usage: perfsuite --out PATH [--quick] [--batch N[,N...]]
+const USAGE: &str =
+    "usage: perfsuite --out PATH [--quick] [--batch N[,N...]] [--only SECTION[,SECTION...]]
 
   --out PATH         append the trajectory entry to PATH (required)
   --quick            shrink the grids for a smoke run
   --batch N[,N...]   batch sizes of the batched experiment
                      (default: 1,8,64; 1,8 with --quick)
+  --only S[,S...]    run and record only these sections: row_sweeps,
+                     vp_solver, vp_batch, table_circuit, pool_latency,
+                     session, transient, pcg, concurrency, overload,
+                     sharding, kernels (default: all)
   -h, --help         print this help and exit";
 
 /// Prints `msg` and the usage to stderr and exits 2.
@@ -1610,6 +1676,7 @@ fn main() {
     let mut quick = false;
     let mut out = None;
     let mut batch = None;
+    let mut only: Option<Vec<&str>> = None;
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
@@ -1627,6 +1694,20 @@ fn main() {
                     batch = Some(sizes);
                 }
                 _ => usage_error("--batch requires a comma-separated list of positive sizes"),
+            },
+            "--only" => match rest.next() {
+                Some(list) => {
+                    let names = list.split(',').map(|name| {
+                        SECTIONS
+                            .into_iter()
+                            .find(|&s| s == name)
+                            .unwrap_or_else(|| {
+                                usage_error(&format!("unknown section `{name}` for --only"))
+                            })
+                    });
+                    only = Some(names.collect());
+                }
+                None => usage_error("--only requires a comma-separated list of sections"),
             },
             other => usage_error(&format!("unknown argument `{other}`")),
         }
@@ -1649,126 +1730,181 @@ fn main() {
         vec![(256, 256, 4), (512, 512, 2)]
     };
 
-    let row_blocks: Vec<String> = sweep_cases
-        .iter()
-        .map(|&(edge, passes)| row_sweep_block(edge, 4, passes))
+    // The sections in the order they run, each producing its blocks.
+    // The coarse pillar-lattice section (`table_circuit`) runs last, so
+    // the sections before it run in the same process state as in the
+    // entries before it.
+    let sections: Vec<Section<'_>> = vec![
+        (
+            "row_sweeps",
+            Box::new(|| {
+                sweep_cases
+                    .iter()
+                    .map(|&(edge, passes)| row_sweep_block(edge, 4, passes))
+                    .collect()
+            }),
+        ),
+        (
+            "vp_solver",
+            Box::new(|| {
+                let mut vp_blocks = Vec::new();
+                for &(w, h, tiers) in &vp_cases {
+                    let v_seq = vp_voltages(w, h, tiers, 1);
+                    for parallelism in [1usize, 4] {
+                        let dv = if parallelism == 1 {
+                            0.0
+                        } else {
+                            max_abs_diff(&v_seq, &vp_voltages(w, h, tiers, parallelism))
+                        };
+                        vp_blocks.push(vp_block(w, h, tiers, parallelism, dv));
+                    }
+                }
+                vp_blocks
+            }),
+        ),
+        // Batched multi-load experiment (the quick grid keeps CI smoke
+        // fast).
+        (
+            "vp_batch",
+            Box::new(|| {
+                let (w, h, tiers) = if quick { (64, 64, 3) } else { (256, 256, 4) };
+                vec![batch_block(w, h, tiers, &batch_sizes)]
+            }),
+        ),
+        // Worker-pool dispatch latency (small grids: the hand-off
+        // overhead the pool removes dominates there).
+        (
+            "pool_latency",
+            Box::new(|| {
+                let pool_threads: Vec<usize> = if quick { vec![2] } else { vec![2, 4] };
+                let (pool_solves, pool_sweeps) = if quick { (60, 8) } else { (200, 8) };
+                vec![pool_block(64, &pool_threads, pool_solves, pool_sweeps)]
+            }),
+        ),
+        // The session lifecycle experiment: batch-64 and a 24-step
+        // transient on one prefactored session, zero warm allocations,
+        // bitwise equal to the deprecated entry points (the acceptance
+        // contract of the `Session` API redesign).
+        (
+            "session",
+            Box::new(|| {
+                let edge = if quick { 64 } else { 128 };
+                vec![session_block(edge, edge, 3, 64, 24)]
+            }),
+        ),
+        // The true-transient trajectory: warm steps/s of the
+        // companion-model stepper per backend on one prefactored
+        // `G + C/h` system (zero warm allocations, zero re-prefactors)
+        // and the committed factor-reuse speedup over re-prefactoring
+        // every step.
+        (
+            "transient",
+            Box::new(|| {
+                vec![if quick {
+                    transient_block(48, 48, 2, 120)
+                } else {
+                    transient_block(64, 64, 3, 1000)
+                }]
+            }),
+        ),
+        // The PCG reference backend: warm single + batch-8 on the
+        // session's prefactored engine, zero warm allocations, agreement
+        // within the paper's budget — the committed voltprop-vs-reference
+        // speedup.
+        (
+            "pcg",
+            Box::new(|| {
+                let edge = if quick { 64 } else { 128 };
+                vec![pcg_block(edge, edge, 3, 8)]
+            }),
+        ),
+        // The shared-session concurrency trajectory: requests/s and
+        // p50/p99 at 1/4/16 simulated clients on one SharedSession at
+        // parallelism 2, plus the asserted zero-allocation hot path. The
+        // quick run is the CI smoke for both contracts.
+        (
+            "concurrency",
+            Box::new(|| {
+                vec![if quick {
+                    concurrency_block(64, 64, 3, 2, 4, &[1, 4, 16], 6)
+                } else {
+                    concurrency_block(128, 128, 3, 2, 4, &[1, 4, 16], 16)
+                }]
+            }),
+        ),
+        // The overload/admission trajectory: bounded-wait shed decision
+        // latency, post-release admission, and cooperative-deadline shed
+        // accuracy on a saturated one-slot pool — the serving robustness
+        // contract, measured at the session layer it rests on.
+        (
+            "overload",
+            Box::new(|| {
+                let edge = if quick { 64 } else { 128 };
+                vec![overload_block(
+                    edge,
+                    edge,
+                    3,
+                    25,
+                    if quick { 60 } else { 120 },
+                )]
+            }),
+        ),
+        // The row-band sharding trajectory: throughput at band counts
+        // above the 2 threads on a tier footprint that exceeds one band's
+        // cache, against the default 2-thread engine and bitwise-asserted
+        // against the one-thread slices, plus the zero-allocation,
+        // bitwise parallelism-4 against parallelism-2 session contract
+        // (single / batch / transient). The quick run is the CI smoke for
+        // both contracts.
+        (
+            "sharding",
+            Box::new(|| {
+                vec![if quick {
+                    sharding_block(1024, &[4], 12, 8, 96, 96, 4, 8, 40)
+                } else {
+                    sharding_block(2048, &[4, 8], 10, 40, 256, 256, 8, 8, 200)
+                }]
+            }),
+        ),
+        // The vectorized-kernel bandwidth trajectory: effective GB/s of
+        // the batched sweep / red-black sweep / axpy-dot kernels plus the
+        // warm solve time at parallelism 2. The quick run is the CI smoke
+        // that asserts their zero-allocation contracts.
+        (
+            "kernels",
+            Box::new(|| {
+                vec![if quick {
+                    kernels_block(64, 16, 40, 1 << 16)
+                } else {
+                    kernels_block(256, 64, 24, 1 << 20)
+                }]
+            }),
+        ),
+        // The coarse pillar-lattice path on a Table-I preset (sparse
+        // pads), at the parallelism the end-to-end benchmark serves it
+        // with.
+        (
+            "table_circuit",
+            Box::new(|| {
+                let circuit = if quick {
+                    TableCircuit::C1
+                } else {
+                    TableCircuit::C2
+                };
+                vec![table_circuit_block(circuit, 16, 2)]
+            }),
+        ),
+    ];
+    let ran: Vec<(&str, Vec<String>)> = sections
+        .into_iter()
+        .filter(|(name, _)| only.as_ref().is_none_or(|o| o.contains(name)))
+        .map(|(name, run)| (name, run()))
         .collect();
-
-    let mut vp_blocks = Vec::new();
-    for &(w, h, tiers) in &vp_cases {
-        let v_seq = vp_voltages(w, h, tiers, 1);
-        for parallelism in [1usize, 4] {
-            let dv = if parallelism == 1 {
-                0.0
-            } else {
-                max_abs_diff(&v_seq, &vp_voltages(w, h, tiers, parallelism))
-            };
-            vp_blocks.push(vp_block(w, h, tiers, parallelism, dv));
-        }
-    }
-
-    // Batched multi-load experiment (the quick grid keeps CI smoke fast).
-    let batch_cases: Vec<(usize, usize, usize)> = if quick {
-        vec![(64, 64, 3)]
-    } else {
-        vec![(256, 256, 4)]
-    };
-    let batch_blocks: Vec<String> = batch_cases
+    let body: Vec<String> = SECTIONS
         .iter()
-        .map(|&(w, h, tiers)| batch_block(w, h, tiers, &batch_sizes))
+        .filter_map(|name| ran.iter().find(|(n, _)| n == name))
+        .map(|(name, blocks)| format!("\"{name}\": [\n  {}\n  ]", blocks.join(",\n  ")))
         .collect();
-
-    // Worker-pool dispatch latency (small grids: the hand-off overhead
-    // the pool removes dominates there).
-    let pool_threads: Vec<usize> = if quick { vec![2] } else { vec![2, 4] };
-    let (pool_solves, pool_sweeps) = if quick { (60, 8) } else { (200, 8) };
-    let pool_blocks = [pool_block(64, &pool_threads, pool_solves, pool_sweeps)];
-
-    // The session lifecycle experiment: batch-64 and a 24-step transient
-    // on one prefactored session, zero warm allocations, bitwise equal to
-    // the deprecated entry points (the acceptance contract of the
-    // `Session` API redesign).
-    let session_blocks = if quick {
-        vec![session_block(64, 64, 3, 64, 24)]
-    } else {
-        vec![session_block(128, 128, 3, 64, 24)]
-    };
-
-    // The true-transient trajectory: warm steps/s of the companion-model
-    // stepper per backend on one prefactored `G + C/h` system (zero warm
-    // allocations, zero re-prefactors) and the committed factor-reuse
-    // speedup over re-prefactoring every step.
-    let transient_blocks = if quick {
-        vec![transient_block(48, 48, 2, 120)]
-    } else {
-        vec![transient_block(64, 64, 3, 1000)]
-    };
-
-    // The PCG reference backend: warm single + batch-8 on the session's
-    // prefactored engine, zero warm allocations, agreement within the
-    // paper's budget — the committed voltprop-vs-reference speedup.
-    let pcg_blocks = if quick {
-        vec![pcg_block(64, 64, 3, 8)]
-    } else {
-        vec![pcg_block(128, 128, 3, 8)]
-    };
-
-    // The shared-session concurrency trajectory: requests/s and p50/p99
-    // at 1/4/16 simulated clients on one SharedSession at parallelism 2,
-    // plus the asserted zero-allocation hot path. The quick run is the
-    // CI smoke for both contracts.
-    let concurrency_blocks = if quick {
-        vec![concurrency_block(64, 64, 3, 2, 4, &[1, 4, 16], 6)]
-    } else {
-        vec![concurrency_block(128, 128, 3, 2, 4, &[1, 4, 16], 16)]
-    };
-
-    // The overload/admission trajectory: bounded-wait shed decision
-    // latency, post-release admission, and cooperative-deadline shed
-    // accuracy on a saturated one-slot pool — the serving robustness
-    // contract, measured at the session layer it rests on.
-    let overload_blocks = if quick {
-        vec![overload_block(64, 64, 3, 25, 60)]
-    } else {
-        vec![overload_block(128, 128, 3, 25, 120)]
-    };
-
-    // The row-band sharding trajectory: throughput at band counts above
-    // the 2 threads on a tier footprint that exceeds one band's cache,
-    // against the default 2-thread engine and bitwise-asserted against
-    // the one-thread slices, plus the zero-allocation, bitwise
-    // parallelism-4 against parallelism-2 session contract (single /
-    // batch / transient). The quick run is the CI smoke for both
-    // contracts.
-    let sharding_blocks = if quick {
-        vec![sharding_block(1024, &[4], 12, 8, 96, 96, 4, 8, 40)]
-    } else {
-        vec![sharding_block(2048, &[4, 8], 10, 40, 256, 256, 8, 8, 200)]
-    };
-
-    // The vectorized-kernel bandwidth trajectory: effective GB/s of the
-    // batched sweep / red-black sweep / axpy-dot kernels plus the warm
-    // solve time at parallelism 2. The quick run is the CI smoke that
-    // asserts their zero-allocation contracts.
-    let kernel_blocks = if quick {
-        vec![kernels_block(64, 16, 40, 1 << 16)]
-    } else {
-        vec![kernels_block(256, 64, 24, 1 << 20)]
-    };
-
-    // The coarse pillar-lattice path on a Table-I preset (sparse pads),
-    // at the parallelism the end-to-end benchmark serves it with. It
-    // runs last, so the blocks above run in the same process state as
-    // in the entries before it.
-    let table_blocks = [table_circuit_block(
-        if quick {
-            TableCircuit::C1
-        } else {
-            TableCircuit::C2
-        },
-        16,
-        2,
-    )];
 
     let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -1777,26 +1913,8 @@ fn main() {
     let hardware_threads = hardware_threads();
     let entry = format!(
         "{{\n  \"unix_time\": {unix_time},\n  \"quick\": {quick},\n  \
-         \"hardware_threads\": {hardware_threads},\n  \
-         \"row_sweeps\": [\n  {}\n  ],\n  \"vp_solver\": [\n  {}\n  ],\n  \
-         \"vp_batch\": [\n  {}\n  ],\n  \"table_circuit\": [\n  {}\n  ],\n  \
-         \"pool_latency\": [\n  {}\n  ],\n  \"session\": [\n  {}\n  ],\n  \
-         \"transient\": [\n  {}\n  ],\n  \
-         \"pcg\": [\n  {}\n  ],\n  \"concurrency\": [\n  {}\n  ],\n  \
-         \"overload\": [\n  {}\n  ],\n  \"sharding\": [\n  {}\n  ],\n  \
-         \"kernels\": [\n  {}\n  ]\n}}",
-        row_blocks.join(",\n  "),
-        vp_blocks.join(",\n  "),
-        batch_blocks.join(",\n  "),
-        table_blocks.join(",\n  "),
-        pool_blocks.join(",\n  "),
-        session_blocks.join(",\n  "),
-        transient_blocks.join(",\n  "),
-        pcg_blocks.join(",\n  "),
-        concurrency_blocks.join(",\n  "),
-        overload_blocks.join(",\n  "),
-        sharding_blocks.join(",\n  "),
-        kernel_blocks.join(",\n  "),
+         \"hardware_threads\": {hardware_threads},\n  {}\n}}",
+        body.join(",\n  "),
     );
     if let Err(e) = append_run(&out, &entry) {
         eprintln!("error: could not append to {}: {e}", out.display());

@@ -22,10 +22,16 @@
 //!
 //! # Run-entry sections
 //!
-//! Each run entry is one JSON object. The sections grow with the PRs:
+//! Each run entry is one JSON object. An entry may hold a subset of the
+//! sections: `perfsuite --only <section>[,<section>...]` runs and records
+//! only the sections it names, so a reader of the trajectory must not
+//! assume that every entry carries every section. The sections grow with
+//! the PRs:
 //!
 //! * `row_sweeps` (PR 1) — baseline vs prefactored-engine ns/sweep and
-//!   cross-schedule agreement per grid;
+//!   cross-schedule agreement per grid; newer entries record the median
+//!   and slowest of the interleaved passes (`*_median_ns_per_sweep`,
+//!   `*_max_ns_per_sweep`) beside each fastest, and so does `sharding`;
 //! * `vp_solver` (PR 1) — warm full-solver latency and allocator calls
 //!   per `parallelism`;
 //! * `vp_batch` (PR 2) — warm per-RHS batched-solve time per batch size

@@ -6,10 +6,12 @@
 //!
 //! 1. **The segment matrices never change.** Across sweeps, outer
 //!    iterations, and colors, only the right-hand sides move. The engine
-//!    factors every segment once at construction into a shared
-//!    [`FactoredSegments`] arena, so a sweep is pure forward/backward
-//!    substitution (`3N` multiplies per row instead of the `5N-4` the
-//!    paper quotes for a from-scratch Thomas pass) and never allocates.
+//!    factors every distinct segment once at construction into a shared
+//!    [`FactoredSegments`] arena (segments with bitwise-equal diagonals
+//!    share one slice, so a pitch-2 tier holds a handful), so a sweep is
+//!    pure forward/backward substitution (`3N` multiplies per row instead
+//!    of the `5N-4` the paper quotes for a from-scratch Thomas pass) and
+//!    never allocates.
 //! 2. **Rows of one parity are independent.** A row couples only to the
 //!    rows directly above and below it, so under a *red-black* coloring
 //!    (even rows red, odd rows black) every red row can be solved
@@ -34,15 +36,22 @@
 //! the band job's images and lane slots. It is sized by the first solve,
 //! grows to the widest batch the engine has served, and never shrinks.
 //!
+//! On either path a one-lane red-black sweep runs the point loop and the
+//! block kernel over work lists built with the engine (see *Blocked lane
+//! kernels*); sequential sweeps and `k > 1` batches sweep segment by
+//! segment.
+//!
 //! # One solve path: a scalar solve is a batch of one
 //!
 //! [`TierEngine::solve`], [`TierEngine::solve_with_omega`] and
 //! [`TierEngine::sweep_once`] run as one-lane batched solves, keeping
 //! the scalar error semantics (an exhausted budget is
 //! [`SolverError::DidNotConverge`]). Both paths pick the kernel from the
-//! lane count alone: one lane runs the scalar per-segment kernel on the
-//! plain image (a one-lane node-major image *is* the plain vector), more
-//! lanes run the lane-blocked kernel. A `k`-lane solve uses the first
+//! lane count and the schedule alone: one lane runs the scalar kernels on
+//! the plain image (a one-lane node-major image *is* the plain vector),
+//! the point loop and blocks under red-black and the per-segment kernel
+//! under the sequential schedule; more lanes run the lane-blocked kernel.
+//! A `k`-lane solve uses the first
 //! `k` lanes of the one state, so single solves and batches of any width
 //! up to the widest served alternate without allocating.
 //!
@@ -96,8 +105,22 @@
 //! cache-sized **lane blocks** (`lane_block_width`) so the substitution
 //! scratch of a 512-wide row pass stays L2-resident instead of streaming
 //! the whole batch through cache per row; lanes are independent, so this
-//! is invisible too. The scalar kernel uses the same fused forms,
+//! is invisible too. The scalar kernels use the same fused forms,
 //! preserving the batch ≡ scalar contract.
+//!
+//! The one-lane red-black kernels treat a colour's independent
+//! *segments* as lanes instead. Pillars on the paper's pitch-2 lattice
+//! cut every even row into one-node segments; the **point loop** sweeps
+//! the interior ones (both in-row neighbours pinned, a row above and
+//! below) from a compact `(node, factor offset)` list. A **block** holds
+//! up to 8 same-colour segments of one band with equal length and equal
+//! neighbour terms, filled in row order with one open block per shape;
+//! its passes step every lane at each position, so the lanes' Thomas
+//! chains overlap. Both do exactly the per-segment kernel's fused
+//! operations in its term order (left, right, up, down; forward step,
+//! backward step; the relaxed update and the same `>` delta compare), so
+//! a one-lane solve stays bitwise equal to lane 0 of the lane-blocked
+//! kernel.
 //!
 //! # Row bands
 //!
@@ -125,6 +148,7 @@
 //! fold with `f64::max` (exact), so per-lane freezing is
 //! partition-invariant too.
 
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, RwLock};
@@ -183,6 +207,48 @@ struct Segment {
     offset: u32,
 }
 
+/// The neighbour terms of a segment's right-hand side, in the order
+/// [`solve_segment`] adds them: the pinned node left of its first node,
+/// the pinned node right of its last node, the row above, the row below.
+const LEFT: u8 = 1;
+const RIGHT: u8 = 2;
+const UP: u8 = 4;
+const DOWN: u8 = 8;
+
+/// Segments a one-lane red-black block sweeps as lanes of one pass.
+const BLOCK: usize = 8;
+
+/// An interior one-node segment, swept by the one-lane point loop.
+#[derive(Debug, Clone, Copy)]
+struct Point {
+    node: u32,
+    /// Factor-arena offset.
+    offset: u32,
+}
+
+/// Up to [`BLOCK`] same-colour segments of one band with the same length
+/// and neighbour terms, swept as lanes of one forward/backward pass.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    len: u32,
+    lanes: u8,
+    terms: u8,
+    /// Each lane's first node and factor-arena offset (the first `lanes`
+    /// are used).
+    node: [u32; BLOCK],
+    offset: [u32; BLOCK],
+}
+
+/// One band's segments of one colour (the whole tier's on the
+/// single-thread slices): a range of the colour's segment index, which
+/// `k > 1` lanes sweep, and the points and blocks one lane sweeps.
+#[derive(Debug, Clone)]
+struct Span {
+    segments: Range<usize>,
+    points: Range<usize>,
+    blocks: Range<usize>,
+}
+
 /// Worker status codes for the persistent parallel solve loop.
 const RUN: usize = 0;
 const DONE: usize = 1;
@@ -224,9 +290,16 @@ struct Topo {
     segments: Vec<Segment>,
     /// Indices into `segments` for even (red) and odd (black) rows,
     /// ascending, so a row band's segments of one color are one range.
-    red_idx: Vec<u32>,
-    black_idx: Vec<u32>,
+    by_colour: [Vec<u32>; 2],
+    /// Segments with bitwise-equal diagonals share one factor slice.
     factors: FactoredSegments,
+    /// The one-lane red-black work, band after band, colour after colour
+    /// (empty on a sequential engine).
+    points: Vec<Point>,
+    blocks: Vec<Block>,
+    /// Per band (one entry on the single-thread slices; none on a
+    /// sequential engine), each colour's span.
+    spans: Vec<[Span; 2]>,
     /// The band layout of a band engine; `None` on the single-thread
     /// slices.
     layout: Option<BandLayout>,
@@ -235,6 +308,70 @@ struct Topo {
 impl Topo {
     fn n(&self) -> usize {
         self.width * self.height
+    }
+
+    /// Adds the spans of rows `y0..y1`: each colour's interior one-node
+    /// segments become points, the others fill blocks of segments with
+    /// equal length and terms in row order (so no block straddles a
+    /// band).
+    fn push_spans(&mut self, y0: usize, y1: usize) {
+        let (w, h) = (self.width, self.height);
+        let spans = [0, 1].map(|colour| {
+            let idx = &self.by_colour[colour];
+            let below =
+                |y: usize| idx.partition_point(|&si| (self.segments[si as usize].row as usize) < y);
+            let segments = below(y0)..below(y1);
+            let (p0, b0) = (self.points.len(), self.blocks.len());
+            // The block each shape is filling (setup only).
+            let mut open: HashMap<(u32, u8), usize> = HashMap::new();
+            for &si in &idx[segments.clone()] {
+                let seg = self.segments[si as usize];
+                let (node, offset) = (seg.row * w as u32 + seg.start, seg.offset);
+                // A segment is a maximal run of free nodes: an in-row
+                // neighbour is pinned unless the segment ends at the edge.
+                let (y, end) = (seg.row as usize, (seg.start + seg.len) as usize);
+                let term = |present: bool, term: u8| if present { term } else { 0 };
+                let terms = term(seg.start > 0, LEFT)
+                    | term(end < w, RIGHT)
+                    | term(y > 0, UP)
+                    | term(y + 1 < h, DOWN);
+                if seg.len == 1 && terms == LEFT | RIGHT | UP | DOWN {
+                    self.points.push(Point { node, offset });
+                    continue;
+                }
+                let slot = open.entry((seg.len, terms)).or_insert(usize::MAX);
+                match self.blocks.get_mut(*slot) {
+                    Some(b) if usize::from(b.lanes) < BLOCK => {
+                        b.node[usize::from(b.lanes)] = node;
+                        b.offset[usize::from(b.lanes)] = offset;
+                        b.lanes += 1;
+                    }
+                    _ => {
+                        *slot = self.blocks.len();
+                        self.blocks.push(Block {
+                            len: seg.len,
+                            lanes: 1,
+                            terms,
+                            node: [node; BLOCK],
+                            offset: [offset; BLOCK],
+                        });
+                    }
+                }
+            }
+            Span {
+                segments,
+                points: p0..self.points.len(),
+                blocks: b0..self.blocks.len(),
+            }
+        });
+        self.spans.push(spans);
+    }
+
+    /// Substitution scratch a `k`-lane sweep needs: a one-lane red-black
+    /// block keeps [`BLOCK`] lanes of intermediates.
+    fn scratch_len(&self, k: usize) -> usize {
+        let lanes = k.max(if self.spans.is_empty() { 1 } else { BLOCK });
+        self.factors.max_segment_len() * lanes
     }
 
     /// The band layout (present on every engine that runs a band job).
@@ -247,8 +384,11 @@ impl Topo {
     fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.segments.capacity() * size_of::<Segment>()
-            + (self.red_idx.capacity() + self.black_idx.capacity()) * size_of::<u32>()
+            + self.by_colour.iter().map(Vec::capacity).sum::<usize>() * size_of::<u32>()
             + self.factors.memory_bytes()
+            + self.points.capacity() * size_of::<Point>()
+            + self.blocks.capacity() * size_of::<Block>()
+            + self.spans.capacity() * size_of::<[Span; 2]>()
             + self.fixed.len()
             + self.layout.as_ref().map_or(0, BandLayout::memory_bytes)
     }
@@ -433,9 +573,8 @@ impl LaneSlots {
     }
 }
 
-/// One row band: its owned and halo-extended rows, and its owned
-/// segments of each color as ranges into `Topo::red_idx` /
-/// `Topo::black_idx`.
+/// One row band: its owned and halo-extended rows. Its segments are the
+/// band's entry of `Topo::spans`.
 #[derive(Debug)]
 struct Band {
     /// First owned row.
@@ -446,8 +585,6 @@ struct Band {
     lo: usize,
     /// One past the last halo-extended row.
     hi: usize,
-    red: Range<usize>,
-    black: Range<usize>,
 }
 
 /// The frozen band layout of a tier: the bands and a contiguous
@@ -466,21 +603,9 @@ impl BandLayout {
     /// bands, the first `height % bands` one row taller, and hands each
     /// of at most `threads` threads an equal share (±1) of them, at least
     /// one band.
-    fn build(topo: &Topo, bands: usize, threads: usize) -> BandLayout {
-        let span = |idx: &[u32], y0: usize, y1: usize| {
-            let below =
-                |y: usize| idx.partition_point(|&si| (topo.segments[si as usize].row as usize) < y);
-            below(y0)..below(y1)
-        };
-        let bands: Vec<Band> = row_bands(topo.height, bands)
-            .map(|RowBand { y0, y1, lo, hi }| Band {
-                y0,
-                y1,
-                lo,
-                hi,
-                red: span(&topo.red_idx, y0, y1),
-                black: span(&topo.black_idx, y0, y1),
-            })
+    fn build(height: usize, bands: usize, threads: usize) -> BandLayout {
+        let bands: Vec<Band> = row_bands(height, bands)
+            .map(|RowBand { y0, y1, lo, hi }| Band { y0, y1, lo, hi })
             .collect();
         let nb = bands.len();
         let threads = threads.min(nb);
@@ -606,7 +731,7 @@ impl PoolJob for BandJob {
         let k = input.k;
         let wk = topo.width * k;
         let injection = &input.injection[..topo.n() * k];
-        ws.ensure(topo.factors.max_segment_len() * k, k);
+        ws.ensure(topo.scratch_len(k), k);
         let WorkerScratch { f, active, delta } = ws;
         let scratch = &mut f[..];
         let active = &mut active[..k];
@@ -618,15 +743,10 @@ impl PoolJob for BandJob {
             delta.fill(0.0);
             for phase in 0..2 {
                 for s in mine.clone() {
-                    let band = &layout.bands[s];
-                    let (idx, own) = if phase == 0 {
-                        (&topo.red_idx, band.red.clone())
-                    } else {
-                        (&topo.black_idx, band.black.clone())
-                    };
-                    sweep_segments(
+                    sweep_span(
                         topo,
-                        idx[own].iter().map(|&si| topo.segments[si as usize]),
+                        phase,
+                        &topo.spans[s][phase],
                         injection,
                         input.omega,
                         k,
@@ -634,7 +754,7 @@ impl PoolJob for BandJob {
                         scratch,
                         &mut BandView {
                             image: &self.images[s],
-                            off: band.lo * wk,
+                            off: layout.bands[s].lo * wk,
                         },
                         delta,
                     );
@@ -707,8 +827,8 @@ pub struct TierEngine {
     /// Optional pool override (`None` = the process-global pool).
     pool: Option<Arc<WorkerPool>>,
     /// The single-thread slices' loop buffers (unused on the band job):
-    /// `max_segment_len` scratch entries, an active flag and a delta per
-    /// lane.
+    /// the substitution scratch (`Topo::scratch_len`), an active flag
+    /// and a delta per lane.
     slices: WorkerScratch,
     /// The band job of an engine with a band layout; every solve path
     /// runs on it. Built by the first solve, rebuilt only by a batch
@@ -809,9 +929,14 @@ impl TierEngine {
         let mut segments = Vec::new();
         let mut factors = FactoredSegments::new();
         // Segment-local coefficient buffers (setup only).
-        let mut lower = Vec::new();
+        let couplings = vec![-g_h; width];
         let mut diag = Vec::new();
-        let mut upper = Vec::new();
+        // Every in-segment coupling is `-g_h`, so segments with
+        // bitwise-equal diagonals have equal factors and share one slice.
+        // Setup only: each factored diagonal at its arena offset, and the
+        // factored `(offset, len)` by a hash of the diagonal's bits.
+        let mut factored: Vec<f64> = Vec::new();
+        let mut by_hash: HashMap<u64, (usize, usize)> = HashMap::new();
         for y in 0..height {
             let row0 = y * width;
             let mut x = 0usize;
@@ -825,9 +950,7 @@ impl TierEngine {
                     x += 1;
                 }
                 let len = x - start;
-                lower.clear();
                 diag.clear();
-                upper.clear();
                 for i in 0..len {
                     let gx = start + i;
                     let mut d = extra_diag.map_or(0.0, |e| e[row0 + gx]);
@@ -844,12 +967,27 @@ impl TierEngine {
                         d += g_v;
                     }
                     diag.push(d);
-                    if i + 1 < len {
-                        lower.push(-g_h);
-                        upper.push(-g_h);
-                    }
                 }
-                let offset = factors.push_segment(&lower, &diag, &upper)?;
+                let hash = diag.iter().fold(len as u64, |h, d| {
+                    (h.rotate_left(17) ^ d.to_bits()).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                });
+                let twin = by_hash.get(&hash).filter(|&&(o, l)| {
+                    l == len
+                        && factored[o..o + l]
+                            .iter()
+                            .zip(&diag)
+                            .all(|(a, b)| a.to_bits() == b.to_bits())
+                });
+                let offset = match twin {
+                    Some(&(o, _)) => o,
+                    None => {
+                        let c = &couplings[..len - 1];
+                        let o = factors.push_segment(c, &diag, c)?;
+                        factored.extend_from_slice(&diag);
+                        by_hash.insert(hash, (o, len));
+                        o
+                    }
+                };
                 segments.push(Segment {
                     row: y as u32,
                     start: start as u32,
@@ -859,18 +997,11 @@ impl TierEngine {
             }
         }
 
-        let mut red_idx: Vec<u32> = (0..segments.len() as u32)
-            .filter(|&i| segments[i as usize].row % 2 == 0)
-            .collect();
-        let mut black_idx: Vec<u32> = (0..segments.len() as u32)
-            .filter(|&i| segments[i as usize].row % 2 == 1)
-            .collect();
-        // The frozen half outlives every solve: keep only what it holds.
-        segments.shrink_to_fit();
-        red_idx.shrink_to_fit();
-        black_idx.shrink_to_fit();
-        factors.shrink_to_fit();
-
+        let by_colour = [0, 1].map(|colour| {
+            (0..segments.len() as u32)
+                .filter(|&i| segments[i as usize].row % 2 == colour)
+                .collect::<Vec<u32>>()
+        });
         let mut topo = Topo {
             width,
             height,
@@ -878,15 +1009,30 @@ impl TierEngine {
             g_v,
             fixed,
             segments,
-            red_idx,
-            black_idx,
+            by_colour,
             factors,
+            points: Vec::new(),
+            blocks: Vec::new(),
+            spans: Vec::new(),
             layout: None,
         };
         let nb = shards.max(threads).min(height);
         if nb > 1 {
-            topo.layout = Some(BandLayout::build(&topo, nb, threads));
+            let layout = BandLayout::build(height, nb, threads);
+            for band in &layout.bands {
+                topo.push_spans(band.y0, band.y1);
+            }
+            topo.layout = Some(layout);
+        } else if schedule != SweepSchedule::Sequential {
+            topo.push_spans(0, height);
         }
+        // The frozen half outlives every solve: keep only what it holds.
+        topo.segments.shrink_to_fit();
+        topo.by_colour.iter_mut().for_each(Vec::shrink_to_fit);
+        topo.factors.shrink_to_fit();
+        topo.points.shrink_to_fit();
+        topo.blocks.shrink_to_fit();
+        topo.spans.shrink_to_fit();
 
         Ok(TierEngine {
             topo: Arc::new(topo),
@@ -1155,10 +1301,10 @@ impl TierEngine {
                     );
                 }
                 SweepSchedule::RedBlack { .. } => {
-                    for idx in [&topo.red_idx, &topo.black_idx] {
-                        let segs = idx.iter().map(|&si| topo.segments[si as usize]);
-                        sweep_segments(
-                            topo, segs, injection, omega, k, active, scratch, &mut view, delta,
+                    for (colour, span) in topo.spans[0].iter().enumerate() {
+                        sweep_span(
+                            topo, colour, span, injection, omega, k, active, scratch, &mut view,
+                            delta,
                         );
                     }
                 }
@@ -1189,7 +1335,7 @@ impl TierEngine {
     fn ensure_lanes(&mut self, k: usize) {
         let topo = &self.topo;
         if topo.layout.is_none() {
-            self.slices.ensure(topo.factors.max_segment_len() * k, k);
+            self.slices.ensure(topo.scratch_len(k), k);
         } else if self.job.as_ref().is_none_or(|job| job.lanes < k) {
             self.job = Some(Arc::new(BandJob::new(Arc::clone(topo), k)));
         }
@@ -1421,6 +1567,149 @@ fn sweep_segments<V: VoltView>(
     for seg in segs {
         solve_segment_batch(topo, seg, injection, omega, k, active, scratch, view, delta);
     }
+}
+
+/// Sweeps one red-black span of colour `colour` for `k` lanes: one lane
+/// through its point loop and its blocks, more lanes through
+/// [`sweep_segments`]. Segments of one colour are independent, so the
+/// order and grouping cannot change a bit.
+#[allow(clippy::too_many_arguments)] // the shared batched-kernel surface
+#[inline]
+fn sweep_span<V: VoltView>(
+    topo: &Topo,
+    colour: usize,
+    span: &Span,
+    injection: &[f64],
+    omega: f64,
+    k: usize,
+    active: &[bool],
+    scratch: &mut [f64],
+    view: &mut V,
+    delta: &mut [f64],
+) {
+    if k > 1 {
+        let idx = &topo.by_colour[colour][span.segments.clone()];
+        let segs = idx.iter().map(|&si| topo.segments[si as usize]);
+        return sweep_segments(
+            topo, segs, injection, omega, k, active, scratch, view, delta,
+        );
+    }
+    debug_assert!(active[0], "a frozen lane is never swept");
+    let points = &topo.points[span.points.clone()];
+    let mut d = sweep_points(topo, points, injection, omega, view, delta[0]);
+    for block in &topo.blocks[span.blocks.clone()] {
+        d = if usize::from(block.lanes) == BLOCK {
+            solve_block::<true, V>(topo, block, injection, omega, scratch, view, d)
+        } else {
+            solve_block::<false, V>(topo, block, injection, omega, scratch, view, d)
+        };
+    }
+    delta[0] = d;
+}
+
+/// The one-lane point loop: [`solve_segment`] on each interior one-node
+/// segment, with its operations in its order (left, right, up, down,
+/// forward and backward step, relaxed update). Returns `max_delta`
+/// raised to the largest update.
+#[inline]
+fn sweep_points<V: VoltView>(
+    topo: &Topo,
+    points: &[Point],
+    injection: &[f64],
+    omega: f64,
+    view: &mut V,
+    mut max_delta: f64,
+) -> f64 {
+    let (w, g_h, g_v) = (topo.width, topo.g_h, topo.g_v);
+    let factors = &topo.factors;
+    for p in points {
+        let (node, offset) = (p.node as usize, p.offset as usize);
+        let mut b = injection[node];
+        b = g_h.mul_add(view.get(node - 1), b);
+        b = g_h.mul_add(view.get(node + 1), b);
+        b = g_v.mul_add(view.get(node - w), b);
+        b = g_v.mul_add(view.get(node + w), b);
+        let xi = factors.backward_step(offset, factors.forward_step(offset, b, 0.0), 0.0);
+        let old = view.get(node);
+        let new = omega.mul_add(xi - old, old);
+        let delta = (new - old).abs();
+        if delta > max_delta {
+            max_delta = delta;
+        }
+        view.set(node, new);
+    }
+    max_delta
+}
+
+/// [`solve_segment`] on every lane of a block at once: each step of the
+/// forward and backward pass runs across the lanes, so their Thomas
+/// chains overlap instead of running one after another. Each lane does
+/// exactly `solve_segment`'s operations; the intermediates sit in
+/// `scratch` at stride [`BLOCK`]. A `FULL` block (all [`BLOCK`] lanes
+/// used) runs with a constant lane count, which the compiler unrolls.
+/// Returns `max_delta` raised to the largest update.
+#[inline]
+fn solve_block<const FULL: bool, V: VoltView>(
+    topo: &Topo,
+    block: &Block,
+    injection: &[f64],
+    omega: f64,
+    scratch: &mut [f64],
+    view: &mut V,
+    max_delta: f64,
+) -> f64 {
+    let (w, g_h, g_v) = (topo.width, topo.g_h, topo.g_v);
+    let factors = &topo.factors;
+    let len = block.len as usize;
+    let lanes: usize = if FULL { BLOCK } else { block.lanes.into() };
+    let (node, offset) = (&block.node, &block.offset);
+    let (up, down) = (block.terms & UP != 0, block.terms & DOWN != 0);
+    let mut carry = [0.0f64; BLOCK];
+    for i in 0..len {
+        let left = i == 0 && block.terms & LEFT != 0;
+        let right = i + 1 == len && block.terms & RIGHT != 0;
+        let row = &mut scratch[i * BLOCK..(i + 1) * BLOCK];
+        for j in 0..lanes {
+            let at = node[j] as usize + i;
+            let mut b = injection[at];
+            if left {
+                b = g_h.mul_add(view.get(at - 1), b);
+            }
+            if right {
+                b = g_h.mul_add(view.get(at + 1), b);
+            }
+            if up {
+                b = g_v.mul_add(view.get(at - w), b);
+            }
+            if down {
+                b = g_v.mul_add(view.get(at + w), b);
+            }
+            carry[j] = factors.forward_step(offset[j] as usize + i, b, carry[j]);
+            row[j] = carry[j];
+        }
+    }
+    // Per-lane maxima keep the lanes' chains apart; max is exact, so
+    // folding them at the end gives the same delta.
+    let mut lane_max = [max_delta; BLOCK];
+    carry = [0.0; BLOCK];
+    for i in (0..len).rev() {
+        let row = &scratch[i * BLOCK..(i + 1) * BLOCK];
+        for j in 0..lanes {
+            let xi = factors.backward_step(offset[j] as usize + i, row[j], carry[j]);
+            let at = node[j] as usize + i;
+            let old = view.get(at);
+            let new = omega.mul_add(xi - old, old);
+            let delta = (new - old).abs();
+            if delta > lane_max[j] {
+                lane_max[j] = delta;
+            }
+            view.set(at, new);
+            carry[j] = xi;
+        }
+    }
+    lane_max
+        .into_iter()
+        .fold(max_delta, |m, d| if d > m { d } else { m })
 }
 
 /// Batched [`solve_segment`]: solves one prefactored row segment for all
@@ -2156,14 +2445,14 @@ mod tests {
             let (min, max) = (rows.clone().min().unwrap(), rows.max().unwrap());
             assert!(max - min <= 1, "threads {threads} shards {shards}");
             let mut seen = vec![0usize; e.topo.segments.len()];
-            for band in &lay.bands {
-                let red = &e.topo.red_idx[band.red.clone()];
-                for &si in red.iter().chain(&e.topo.black_idx[band.black.clone()]) {
-                    let seg = e.topo.segments[si as usize];
-                    let y = seg.row as usize;
-                    assert!(y >= band.y0 && y < band.y1, "segment outside owned rows");
-                    assert_eq!(y % 2 == 0, red.contains(&si));
-                    seen[si as usize] += 1;
+            for (band, spans) in lay.bands.iter().zip(&e.topo.spans) {
+                for (colour, span) in spans.iter().enumerate() {
+                    for &si in &e.topo.by_colour[colour][span.segments.clone()] {
+                        let y = e.topo.segments[si as usize].row as usize;
+                        assert!(y >= band.y0 && y < band.y1, "segment outside owned rows");
+                        assert_eq!(y % 2, colour);
+                        seen[si as usize] += 1;
+                    }
                 }
             }
             assert!(
@@ -2352,5 +2641,163 @@ mod tests {
         // The halo images and layout show up in the accounting.
         let plain = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 });
         assert!(e.memory_bytes() > plain.memory_bytes());
+    }
+
+    /// A tier that reaches every one-lane red-black case: pitch-2 pins on
+    /// the even rows (interior points, and one-node segments at
+    /// `x = w - 1` and in rows 0 and `h - 1`), row 4 pinned at odd `x`
+    /// instead (a one-node segment at `x = 0`), free odd rows (full
+    /// 8-segment blocks and partial last blocks), row 23 cut by a pin
+    /// (a change of length between full rows), and an extra diagonal on two
+    /// points of row 10. Returns the width, height, pin mask, extra
+    /// diagonal, starting voltages and injection.
+    #[allow(clippy::type_complexity)]
+    fn lane_path_tier() -> (usize, usize, Vec<bool>, Vec<f64>, Vec<f64>, Vec<f64>) {
+        let (w, h) = (18, 41);
+        let mut fixed = vec![false; w * h];
+        for y in (0..h).step_by(2) {
+            for x in 0..w {
+                fixed[y * w + x] = x % 2 == usize::from(y == 4);
+            }
+        }
+        fixed[23 * w + 5] = true;
+        let mut extra = vec![0.0; w * h];
+        for x in [3, 5] {
+            extra[10 * w + x] = 0.3;
+        }
+        let (_, _, noise) = random_problem(17, w, h);
+        let v0 = (0..w * h)
+            .map(|i| {
+                if fixed[i] {
+                    1.7 - 400.0 * noise[i]
+                } else {
+                    1.8
+                }
+            })
+            .collect();
+        let injection = (0..w * h)
+            .map(|i| if fixed[i] { 0.0 } else { noise[i] - 2e-5 })
+            .collect();
+        (w, h, fixed, extra, v0, injection)
+    }
+
+    #[test]
+    fn one_lane_redblack_paths_match_the_lane_blocked_kernel() {
+        let (w, h, fixed, extra, v0, injection) = lane_path_tier();
+        let build = |threads, shards| {
+            let schedule = SweepSchedule::RedBlack { threads };
+            let fixed = Arc::from(&fixed[..]);
+            TierEngine::new_sharded(w, h, 1.25, 0.8, fixed, Some(&extra), schedule, shards).unwrap()
+        };
+        // The reference: lane 0 of a 2-lane batch whose lane 1 is masked
+        // off, so every sweep runs the lane-blocked kernel.
+        let injection2 = interleave(&[injection.clone(), injection.clone()]);
+        let mut v2 = interleave(&[v0.clone(), v0.clone()]);
+        let mut lanes = [LaneReport::default(); 2];
+        let mask = [true, false];
+        build(1, 1)
+            .solve_batch_masked(
+                &injection2,
+                &mut v2,
+                1e-11,
+                100_000,
+                1.3,
+                Some(&mask),
+                &mut lanes,
+            )
+            .unwrap();
+        // The one-band engine's points and blocks reach every case.
+        let one_band = build(1, 1);
+        let blocks = &one_band.topo.blocks;
+        let one_node = |missing: u8| {
+            let terms = (LEFT | RIGHT | UP | DOWN) & !missing;
+            blocks.iter().any(|b| b.len == 1 && b.terms == terms)
+        };
+        assert!(!one_band.topo.points.is_empty());
+        assert!(one_node(LEFT) && one_node(RIGHT) && one_node(UP) && one_node(DOWN));
+        let rows = |b: &&Block| b.len as usize == w;
+        assert!(blocks.iter().filter(rows).any(|b| b.lanes == 8));
+        assert!(blocks.iter().filter(rows).any(|b| b.lanes < 8));
+        // Row 23's pin changes the length of its segments: they open
+        // blocks of their own, and the full rows' block keeps filling
+        // across them.
+        let row_of = |node: u32| node as usize / w;
+        assert!(blocks.iter().any(|b| b.len == 5) && blocks.iter().any(|b| b.len == 12));
+        assert!(blocks.iter().filter(rows).any(|b| {
+            let lanes = &b.node[..usize::from(b.lanes)];
+            lanes.iter().any(|&n| row_of(n) < 23) && lanes.iter().any(|&n| row_of(n) > 23)
+        }));
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (threads, shards) in [(1usize, 1usize), (2, 1), (3, 1), (1, 3), (2, 5), (3, 7)] {
+            let mut e = build(threads, shards);
+            let topo = &e.topo;
+            // Every segment is swept exactly once, as a point or a lane.
+            let mut seen = vec![0usize; w * h];
+            for p in &topo.points {
+                seen[p.node as usize] += 1;
+            }
+            for b in &topo.blocks {
+                for &node in &b.node[..usize::from(b.lanes)] {
+                    seen[node as usize] += 1;
+                }
+            }
+            for seg in &topo.segments {
+                assert_eq!(seen[(seg.row * w as u32 + seg.start) as usize], 1);
+            }
+            let mut v = v0.clone();
+            let what = format!("threads {threads} shards {shards}");
+            let report = e
+                .solve_with_omega(&injection, &mut v, 1e-11, 100_000, 1.3)
+                .unwrap();
+            assert_eq!(bits(&v), bits(&lane_of(&v2, 0, 2)), "{what}");
+            assert_eq!(report.iterations, lanes[0].iterations, "{what}");
+            assert_eq!(
+                report.residual.to_bits(),
+                lanes[0].residual.to_bits(),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn equal_diagonals_share_one_factor_slice() {
+        let (w, h, fixed, extra, ..) = lane_path_tier();
+        let schedule = SweepSchedule::RedBlack { threads: 1 };
+        let e = TierEngine::new(
+            w,
+            h,
+            1.25,
+            0.8,
+            Arc::from(&fixed[..]),
+            Some(&extra),
+            schedule,
+        )
+        .unwrap();
+        let offset = |x: u32, y: u32| {
+            let seg = e.topo.segments.iter().find(|s| s.row == y && s.start == x);
+            seg.expect("a segment starts there").offset
+        };
+        // Interior points with equal diagonals, on different rows.
+        assert_eq!(offset(1, 2), offset(7, 10));
+        // The two points with the same extra diagonal share; they differ
+        // from a plain point only in `extra_diag`, so they do not share
+        // with it.
+        assert_eq!(offset(3, 10), offset(5, 10));
+        assert_ne!(offset(3, 10), offset(1, 10));
+        // Interior full rows share one slice.
+        assert_eq!(offset(0, 3), offset(0, 37));
+
+        // On a pitch-2 tier every distinct segment is factored once: a
+        // few slices against three quarters of the nodes, and the engine
+        // holds less than the unshared arena alone did (24 B a free node).
+        let edge = 64;
+        let fixed: Vec<bool> = (0..edge * edge)
+            .map(|i| (i / edge) % 2 == 0 && (i % edge) % 2 == 0)
+            .collect();
+        let free = fixed.iter().filter(|&&f| !f).count();
+        let e = engine(edge, edge, &fixed, schedule);
+        assert!(e.topo.factors.len() < 4 * edge, "{}", e.topo.factors.len());
+        assert!(e.memory_bytes() < 24 * free, "{} B", e.memory_bytes());
     }
 }

@@ -69,8 +69,9 @@ pub trait PoolJob: Send + Sync {
 /// thread has served.
 #[derive(Debug, Default)]
 pub struct WorkerScratch {
-    /// Forward-substitution intermediates (`max_segment_len` entries for
-    /// scalar sweeps, `max_segment_len * lanes` for batched sweeps).
+    /// Forward-substitution intermediates: `max_segment_len * lanes`
+    /// entries for a `lanes`-wide sweep, with at least 8 lanes under
+    /// red-black, whose one-lane sweeps run blocks of 8 segments as lanes.
     pub f: Vec<f64>,
     /// Per-lane active flags (batched sweeps).
     pub active: Vec<bool>,
