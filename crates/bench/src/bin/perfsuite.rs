@@ -227,7 +227,7 @@ fn min_of_passes(
         run(&mut v, chunk);
     }
     let n = runs.len();
-    let mut samples = vec![Vec::with_capacity(passes); n];
+    let mut samples: Vec<Vec<f64>> = (0..n).map(|_| Vec::with_capacity(passes)).collect();
     let mut allocs = vec![0usize; n];
     for pass in 0..passes {
         for idx in 0..n {

@@ -906,7 +906,15 @@ impl TierEngine {
         } else {
             schedule
         };
-        let n = width * height;
+        // Nodes and factor offsets are stored as `u32`.
+        let Some(n) = width
+            .checked_mul(height)
+            .filter(|&n| u32::try_from(n).is_ok())
+        else {
+            return Err(SolverError::Unsupported {
+                what: format!("a {width} × {height} tier exceeds 2^32 nodes"),
+            });
+        };
         if fixed.len() != n {
             return Err(SolverError::Unsupported {
                 what: format!("pin mask must have {n} entries (got {})", fixed.len()),
@@ -928,13 +936,12 @@ impl TierEngine {
 
         let mut segments = Vec::new();
         let mut factors = FactoredSegments::new();
-        // Segment-local coefficient buffers (setup only).
+        // Setup only. Every in-segment coupling is `-g_h`, so segments
+        // with bitwise-equal diagonals have equal factors and share one
+        // slice: `factored` holds each factored diagonal at its arena
+        // offset, `by_hash` its `(offset, len)` by a hash of its bits.
         let couplings = vec![-g_h; width];
         let mut diag = Vec::new();
-        // Every in-segment coupling is `-g_h`, so segments with
-        // bitwise-equal diagonals have equal factors and share one slice.
-        // Setup only: each factored diagonal at its arena offset, and the
-        // factored `(offset, len)` by a hash of the diagonal's bits.
         let mut factored: Vec<f64> = Vec::new();
         let mut by_hash: HashMap<u64, (usize, usize)> = HashMap::new();
         for y in 0..height {
@@ -1595,6 +1602,9 @@ fn sweep_span<V: VoltView>(
         );
     }
     debug_assert!(active[0], "a frozen lane is never swept");
+    // The one-lane kernels stay out of line (`inline(never)`): inlined
+    // here, they cost the `k > 1` kernel above about 5% on a 16-lane
+    // sweep, and one call per block is nothing beside its passes.
     let points = &topo.points[span.points.clone()];
     let mut d = sweep_points(topo, points, injection, omega, view, delta[0]);
     for block in &topo.blocks[span.blocks.clone()] {
@@ -1611,7 +1621,7 @@ fn sweep_span<V: VoltView>(
 /// segment, with its operations in its order (left, right, up, down,
 /// forward and backward step, relaxed update). Returns `max_delta`
 /// raised to the largest update.
-#[inline]
+#[inline(never)]
 fn sweep_points<V: VoltView>(
     topo: &Topo,
     points: &[Point],
@@ -1648,7 +1658,7 @@ fn sweep_points<V: VoltView>(
 /// `scratch` at stride [`BLOCK`]. A `FULL` block (all [`BLOCK`] lanes
 /// used) runs with a constant lane count, which the compiler unrolls.
 /// Returns `max_delta` raised to the largest update.
-#[inline]
+#[inline(never)]
 fn solve_block<const FULL: bool, V: VoltView>(
     topo: &Topo,
     block: &Block,
@@ -2008,6 +2018,19 @@ mod tests {
             SweepSchedule::Sequential
         )
         .is_err());
+        let huge = (1 << 16, (1 << 16) + 1);
+        let none: Arc<[bool]> = Arc::from(Vec::new());
+        let err = TierEngine::new(
+            huge.0,
+            huge.1,
+            1.0,
+            1.0,
+            none,
+            None,
+            SweepSchedule::Sequential,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("exceeds 2^32 nodes"), "{err}");
         let fixed6: Arc<[bool]> = Arc::from(vec![false; 6]);
         assert!(TierEngine::new(
             3,
