@@ -1543,12 +1543,12 @@ fn solve_segment<V: VoltView>(
     max_delta
 }
 
-/// Sweeps `segs` (one color, or one sweep order) for `k` lanes: one
-/// lane with the scalar kernel on the plain image — a one-lane
-/// node-major image *is* the plain vector, and staging a single lane
-/// through the blocked rows buys nothing — more lanes with the
-/// lane-blocked kernel. A one-lane batch only sweeps while its lane is
-/// live.
+/// Sweeps `segs` (one sequential sweep order, or one colour of a
+/// `k > 1` red-black sweep) for `k` lanes: one lane with the scalar
+/// kernel on the plain image — a one-lane node-major image *is* the
+/// plain vector, and staging a single lane through the blocked rows buys
+/// nothing — more lanes with the lane-blocked kernel. A one-lane batch
+/// only sweeps while its lane is live.
 #[allow(clippy::too_many_arguments)] // the shared batched-kernel surface
 #[inline]
 fn sweep_segments<V: VoltView>(
